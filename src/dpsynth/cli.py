@@ -22,7 +22,7 @@ from . import bounds as bounds_mod
 from .core import Database, DataUniverse, RandomSource, ValidationError
 from .estimators import estimate_unbiased, project_proper
 from .graph import answer_cut, read_cut_spec, read_edge_list, release_graph
-from .harness import fit_loglog_slope, ingest_csv, load_config, run_experiment
+from .harness import _fmt, fit_loglog_slope, ingest_csv, load_config, run_experiment
 from .mechanism import MechanismParams, sample_synthetic
 from .oracle import run_verification_suite
 from .queries import load_query
@@ -86,9 +86,7 @@ def _cmd_bounds(args) -> int:
     row = bounds_mod.bound_table_row(inputs)
     writer = csv.writer(sys.stdout)
     writer.writerow(bounds_mod.BOUND_TABLE_COLUMNS)
-    writer.writerow(
-        [row[col] if isinstance(row[col], str) else f"{row[col]:.9g}" if isinstance(row[col], float) else row[col] for col in bounds_mod.BOUND_TABLE_COLUMNS]
-    )
+    writer.writerow([_fmt(row[col]) for col in bounds_mod.BOUND_TABLE_COLUMNS])
     return 0
 
 

@@ -34,7 +34,7 @@ from .core import (
     ValidationError,
     all_databases_matrix,
 )
-from .mechanism import MechanismParams, log_pmf_all_outputs, sample_rows
+from .mechanism import IDENTITY_EPSILON, MechanismParams, log_pmf_all_outputs, sample_rows
 from .queries import StatisticalQuery
 
 EXACT_BIT_CAP = 12
@@ -71,8 +71,8 @@ class DistortionReport:
 def _affine_coefficients(params: MechanismParams) -> tuple[float, float]:
     """(scale, shift) with est_u = scale * q(y) - shift * C.
 
-    At the identity boundary (eps >= 700) e^-eps is treated as exact zero so
-    the estimator returns q(y) unchanged.
+    At the identity boundary (eps >= IDENTITY_EPSILON) e^-eps is treated as
+    exact zero so the estimator returns q(y) unchanged.
     """
     if params.epsilon == 0.0:
         raise EstimatorUndefinedError(
@@ -93,6 +93,14 @@ def estimate_unbiased(q: StatisticalQuery, y: Database, params: MechanismParams)
     return scale * q.evaluate(y) - shift * q.centering
 
 
+def _distinct(values: np.ndarray, tol: float) -> np.ndarray:
+    """Sorted values with each run of neighbors closer than tol kept once."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = np.diff(values) > tol
+    return values[keep]
+
+
 def achievable_values(q: StatisticalQuery, cap: int = ACHIEVABLE_CAP) -> np.ndarray:
     """Sorted array of every value q can take on a real database.
 
@@ -103,26 +111,26 @@ def achievable_values(q: StatisticalQuery, cap: int = ACHIEVABLE_CAP) -> np.ndar
     """
     n = q.n
     if q.heterogeneity == 1:
-        # states are (partial sum, rows used); each distinct table value may
-        # be assigned to any number of remaining rows, and the last value
-        # must absorb the rest
+        # states map rows used -> distinct partial sums; each distinct table
+        # value may be assigned to any number of remaining rows, and the last
+        # value must absorb the rest. Sums that are equal in exact arithmetic
+        # can round differently (0.1 + 0.2 vs 0.3), so sums within tol of the
+        # query's value scale count as one.
         values = np.unique(q.tables[0])
-        states = {(0.0, 0)}
+        tol = 1e-12 * n * float(np.abs(values).max())
+        states = {0: np.zeros(1)}
         for idx, v in enumerate(values):
             last = idx == values.size - 1
-            nxt = set()
-            for s, used in states:
-                if last:
-                    nxt.add((s + float(v) * (n - used), n))
-                else:
-                    for m in range(0, n - used + 1):
-                        nxt.add((s + float(v) * m, used + m))
-            if len(nxt) > cap:
+            parts: dict[int, list] = {}
+            for used, sums in states.items():
+                for m in ([n - used] if last else range(n - used + 1)):
+                    parts.setdefault(used + m, []).append(sums + float(v) * m)
+            states = {used: _distinct(np.concatenate(ps), tol) for used, ps in parts.items()}
+            if sum(sums.size for sums in states.values()) > cap:
                 raise EnumerationTooLargeError(
                     f"achievable-value set exceeds the cap of {cap} distinct sums"
                 )
-            states = nxt
-        return np.unique(np.array([s for s, used in states if used == n]) / q.c_sum)
+        return states[n] / q.c_sum
     bits = n * q.universe.l
     if bits > _ENUM_ACHIEVABLE_BIT_CAP:
         raise EnumerationTooLargeError(
@@ -196,15 +204,13 @@ def estimate_cut(y: Database, s_set, t_set, epsilon: float) -> float:
     if not s or not t:
         return 0.0
     raw = float(y.rows.reshape(v, v)[np.ix_(s, t)].sum())
-    e = math.exp(-epsilon)
-    if epsilon >= 700.0:
-        return raw
-    return (1.0 + e) / (1.0 - e) * raw - e / (1.0 - e) * (len(s) * len(t))
+    scale, shift = _affine_coefficients(MechanismParams(epsilon, y.universe))
+    return scale * raw - shift * (len(s) * len(t))
 
 
 def _distortion_bound(q: StatisticalQuery, n: int, params: MechanismParams, estimator: str, measure: str) -> float:
     inputs = bounds_mod.BoundInputs(
-        n=n, l=q.universe.l, epsilon=min(params.epsilon, 700.0), a=q.a, b=q.b, c=q.c
+        n=n, l=q.universe.l, epsilon=min(params.epsilon, IDENTITY_EPSILON), a=q.a, b=q.b, c=q.c
     )
     proper = estimator == "proper"
     if measure == "squared":

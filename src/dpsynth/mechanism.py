@@ -17,14 +17,16 @@ the plain pmf at realistic sizes.
 
 ``verify_dp`` is a brute-force check of the privacy guarantee: it enumerates
 every neighbor pair and every output and reports the largest log-probability
-ratio, which equals eps exactly for this mechanism.
+ratio, which equals eps exactly for this mechanism. It is one pure-numpy
+path for every (n, l): an int8 distance matrix over all 2**(n*l) databases,
+scanned once per row position for the largest integer distance gap between
+neighbors, then multiplied by eps.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,18 +40,6 @@ from .core import (
     all_databases_matrix,
     _check_compatible,
 )
-
-try:  # optional acceleration for the exhaustive DP verifier
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        import numba
-
-    # the default TBB layer warns on older TBB builds; omp is always quiet
-    numba.config.THREADING_LAYER = "omp"
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    _HAVE_NUMBA = False
 
 # exp(-eps) is below 1e-304 here; the release is an exact identity and the
 # estimator corrections vanish.
@@ -145,97 +135,52 @@ def log_pmf_all_outputs(x: Database, params: MechanismParams, rows_matrix: np.nd
     return -params.epsilon * dists - x.n * params.log_g
 
 
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True, parallel=True)
-    def _nb_distance_matrix(rows):  # pragma: no cover - compiled
-        m, n = rows.shape
-        out = np.zeros((m, m), dtype=np.int8)
-        for i in numba.prange(m):
-            for j in range(i + 1, m):
-                d = 0
-                for r in range(n):
-                    if rows[i, r] != rows[j, r]:
-                        d += 1
-                out[i, j] = d
-                out[j, i] = d
-        return out
-
-    @numba.njit(cache=True, parallel=True)
-    def _nb_edge_chebyshev(dist, heads, tails):  # pragma: no cover - compiled
-        best = 0
-        for e in numba.prange(heads.size):
-            a = dist[heads[e]]
-            b = dist[tails[e]]
-            local = 0
-            for y in range(a.size):
-                v = int(a[y]) - int(b[y])
-                if v < 0:
-                    v = -v
-                if v > local:
-                    local = v
-            best = max(best, local)
-        return best
-
-
-def _np_distance_matrix(rows: np.ndarray) -> np.ndarray:
-    m = rows.shape[0]
-    out = np.empty((m, m), dtype=np.int8)
-    block = max(1, (1 << 22) // max(m, 1))
-    for s in range(0, m, block):
-        out[s : s + block] = (rows[s : s + block, None, :] != rows[None, :, :]).sum(
-            axis=-1, dtype=np.int8
-        )
-    return out
-
-
-def _np_edge_chebyshev(dist: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> int:
-    best = 0
-    block = max(1, (1 << 24) // dist.shape[0])
-    for s in range(0, heads.size, block):
-        diff = dist[heads[s : s + block]].astype(np.int16)
-        diff -= dist[tails[s : s + block]]
-        best = max(best, int(np.abs(diff, out=diff).max()))
-    return best
-
-
-@functools.lru_cache(maxsize=2)
-def _pairwise_distances(l: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distance matrix over all databases plus its neighbor-pair edge list
-    (heads < tails); cached because it is epsilon-independent."""
+def _distance_matrix(l: int, n: int) -> np.ndarray:
+    """int8 Hamming distances between all 2**(n*l) databases, in code order."""
     rows = all_databases_matrix(DataUniverse(l), n, bit_cap=VERIFY_BIT_CAP)
-    if _HAVE_NUMBA:
-        dist = _nb_distance_matrix(rows)
-    else:
-        dist = _np_distance_matrix(rows)
-    heads, tails = np.nonzero(dist == 1)
-    forward = heads < tails
-    return dist, heads[forward], tails[forward]
+    dist = np.zeros((rows.shape[0], rows.shape[0]), dtype=np.int8)
+    for col in rows.T:
+        dist += col[:, None] != col[None, :]
+    return dist
+
+
+def _neighbor_gap(dist: np.ndarray, l: int, n: int) -> int:
+    """max |dist[x, y] - dist[x', y]| over every neighbor pair (x, x') and y.
+
+    Members of a row-r clique sit 2**(l*r) codes apart, so the reshape puts
+    each clique on axis 1 (see ``verify_dp`` for why cliques suffice).
+    """
+    m = dist.shape[0]
+    card = 1 << l
+    gap = 0
+    for r in range(n):
+        stride = 1 << (l * r)
+        cliques = dist.reshape(m // (card * stride), card, stride, m)
+        gap = max(gap, int((cliques.max(axis=1) - cliques.min(axis=1)).max()))
+    return gap
+
+
+@functools.lru_cache(maxsize=None)
+def _verify_gap(l: int, n: int) -> int:
+    return _neighbor_gap(_distance_matrix(l, n), l, n)
 
 
 def verify_dp(universe: DataUniverse, n: int, params: MechanismParams) -> float:
     """Largest |log p(y|x) - log p(y|x')| over all neighbor pairs and outputs.
 
     Exhaustive over every triple (x, x', y) with d(x, x') = 1; requires
-    n*l <= 12. The common normalizer -n*log(g) cancels identically inside
-    each difference, so the scan runs on the integer distance matrix and the
-    single multiplication by eps happens at the end; no approximation is
-    involved. For n = 1 all distances are 0/1, so the per-pair maximum over
-    outputs is 1 exactly when the two distance-matrix rows differ anywhere;
-    grouping identical rows decides that for every pair without the cubic
-    scan.
+    n*l <= 12. The common normalizer -n*log(g) cancels inside each
+    difference, leaving eps * |d(x, y) - d(x', y)|, so the scan runs on the
+    integer distance matrix. For each row position r, the databases that
+    agree everywhere except in row r form cliques of 2**l codes. Every
+    neighbor pair lies in exactly one such clique and every pair inside a
+    clique is a neighbor pair, so the largest gap over the pairs of a clique
+    at output y is the clique's column max minus its column min; the max of
+    that over all cliques and all y is the exact max over every triple. This
+    is an enumeration, not the analytic |d(x, y) - d(x', y)| <= 1 argument.
+    The integer gap does not depend on eps, so it is computed once per
+    (n, l) and cached; eps multiplies it at the end.
     """
     if universe != params.universe:
         raise DimensionMismatchError("universe does not match mechanism parameters")
-    dist, heads, tails = _pairwise_distances(universe.l, n)
-    if n == 1:
-        groups: dict[bytes, int] = {}
-        gid = np.empty(dist.shape[0], dtype=np.int64)
-        for i in range(dist.shape[0]):
-            gid[i] = groups.setdefault(dist[i].tobytes(), len(groups))
-        max_diff = 1 if bool((gid[heads] != gid[tails]).any()) else 0
-    elif _HAVE_NUMBA:
-        max_diff = int(_nb_edge_chebyshev(dist, heads, tails))
-    else:
-        max_diff = _np_edge_chebyshev(dist, heads, tails)
-    return params.epsilon * max_diff
+    return params.epsilon * _verify_gap(universe.l, n)

@@ -106,6 +106,22 @@ class TestBounds:
         value = float(cells[header.index("upper_squared")])
         assert value == pytest.approx(4.68269437683e-3, rel=1e-9)
 
+    @pytest.mark.parametrize("L", [None, 2.5])
+    def test_row_matches_bounds_table_experiment(self, tmp_path, capsys, L):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "experiment": "bounds_table", "n_grid": [1000], "epsilon_grid": [0.7], "l": 2,
+            "a": -1.0, "b": 3.0, "c": 0.5, "L": L, "output": str(tmp_path / "bounds.csv"),
+        }))
+        code, _, err = run_cli(capsys, "experiment", "--config", str(config_path))
+        assert code == 0, err
+        argv = ["--n", "1000", "--l", "2", "--epsilon", "0.7", "--a", "-1.0", "--b", "3.0", "--c", "0.5"]
+        if L is not None:
+            argv += ["--L", str(L)]
+        code, out, err = run_cli(capsys, "bounds", *argv)
+        assert code == 0, err
+        assert out.splitlines() == (tmp_path / "bounds.csv").read_text().splitlines()
+
     def test_invalid_inputs_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--n", "0", "--l", "1", "--epsilon", "1")
         assert code == 2

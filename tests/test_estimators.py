@@ -116,6 +116,20 @@ class TestProjection:
             for v in dp:
                 assert np.abs(brute - v).min() < 1e-9
 
+    def test_achievable_merges_sums_equal_up_to_rounding(self):
+        # 0.1 + 0.2 and 0.3 + 0.0 round differently; both are 1/3 of the range
+        q = StatisticalQuery(DataUniverse(2), [[0.1, 0.2, 0.3, 0.0]], [0, 0, 0])
+        vals = achievable_values(q)
+        assert vals.size == 10
+        assert np.allclose(vals, np.arange(10) / 9, rtol=0, atol=1e-12)
+
+    def test_achievable_cap_counts_merged_states(self):
+        # unmerged, the partial-sum states of this query exceed 500
+        q = StatisticalQuery(DataUniverse(2), [[0.1, 0.2, 0.3, 0.0]], [0] * 20)
+        vals = achievable_values(q, cap=500)
+        assert vals.size == 61
+        assert np.allclose(vals, np.arange(61) / 60, rtol=0, atol=1e-12)
+
     def test_heterogeneous_exact_range_capped(self):
         q = generate_random_query(DataUniverse(2), 12, 12, RandomSource(3))
         with pytest.raises(EnumerationTooLargeError):

@@ -11,6 +11,9 @@ from dpsynth.core import (
     EnumerationTooLargeError,
     RandomSource,
     all_databases_matrix,
+    enumerate_databases,
+    hamming_distance,
+    is_neighbor,
 )
 from dpsynth.mechanism import (
     MechanismParams,
@@ -168,20 +171,34 @@ class TestVerifyDp:
             verify_dp(u, 4, MechanismParams(1.0, u))
 
 
-class TestVerifierFallback:
-    @pytest.mark.parametrize("l,n", [(1, 3), (2, 2), (3, 1)])
-    def test_numpy_path_matches_accelerated_path(self, l, n):
-        from dpsynth.mechanism import (
-            _np_distance_matrix,
-            _np_edge_chebyshev,
-            _pairwise_distances,
-        )
+SMALL_VERIFY_CASES = [(1, 1), (3, 1), (1, 3), (2, 2), (2, 3), (3, 2)]
 
-        dist, heads, tails = _pairwise_distances(l, n)
-        rows = all_databases_matrix(DataUniverse(l), n)
-        np_dist = _np_distance_matrix(rows)
-        assert np.array_equal(dist, np_dist)
-        assert _np_edge_chebyshev(np_dist, heads, tails) == 1
+
+class TestVerifierScan:
+    @pytest.mark.parametrize("n,l", SMALL_VERIFY_CASES)
+    def test_distance_matrix_is_hamming(self, n, l):
+        from dpsynth.mechanism import _distance_matrix
+
+        u = DataUniverse(l)
+        dbs = list(enumerate_databases(u, n))
+        expected = [[hamming_distance(x, y) for y in dbs] for x in dbs]
+        assert np.array_equal(_distance_matrix(l, n), np.array(expected))
+
+    @pytest.mark.parametrize("n,l", SMALL_VERIFY_CASES)
+    def test_gap_matches_naive_triple_scan_on_tampered_matrix(self, n, l):
+        # a skipped row position or clique would miss the tampered entry
+        from dpsynth.mechanism import _distance_matrix, _neighbor_gap
+
+        dbs = list(enumerate_databases(DataUniverse(l), n))
+        pairs = [(i, j) for i, x in enumerate(dbs) for j, x2 in enumerate(dbs) if is_neighbor(x, x2)]
+        gen = RandomSource(n * 10 + l).generator()
+        for _ in range(10):
+            dist = _distance_matrix(l, n)
+            dist[gen.integers(dist.shape[0]), gen.integers(dist.shape[0])] += gen.integers(1, 3)
+            naive = max(
+                abs(int(dist[i, y]) - int(dist[j, y])) for i, j in pairs for y in range(len(dbs))
+            )
+            assert _neighbor_gap(dist, l, n) == naive
 
 
 class TestSamplerMatchesPmf:
