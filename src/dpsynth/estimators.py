@@ -12,7 +12,7 @@ return values no real database can produce; ``project_proper`` maps the raw
 value onto achievable answers, at most doubling the pointwise error.
 
 Distortion is measured two ways: ``exact_distortion`` enumerates every
-output (n*l <= 12) and is the oracle-grade ground truth; -
+output (n*l <= 12) and is the oracle-grade ground truth;
 ``measure_distortion`` is the Monte Carlo path for realistic sizes. Both
 report the applicable closed-form bound alongside.
 """
@@ -84,13 +84,30 @@ def _affine_coefficients(params: MechanismParams) -> tuple[float, float]:
     return params.g / one_minus, math.exp(-params.epsilon) / one_minus
 
 
-def estimate_unbiased(q: StatisticalQuery, y: Database, params: MechanismParams) -> float:
+def _estimates(
+    q: StatisticalQuery,
+    answers,
+    params: MechanismParams,
+    estimator: str = "unbiased",
+    projection: str = "interval_clamp",
+):
+    """Estimates from plain answers q(y): scale * q(y) - shift * C, projected
+    onto achievable answers when the estimator is proper. ``answers`` may
+    carry any leading shape; a batch's answers end in the query axis."""
+    scale, shift = _affine_coefficients(params)
+    est = scale * answers - shift * q.centering
+    if estimator == "proper":
+        est = _project_vector(q, est, projection)
+    return est
+
+
+def estimate_unbiased(q: StatisticalQuery, y: Database, params: MechanismParams):
     """Debiased answer from a synthetic database; exactly unbiased under the
-    mechanism for every input database."""
+    mechanism for every input database. A float for one query, an array (Q,)
+    for a batch."""
     if params.universe != q.universe:
         raise DimensionMismatchError("mechanism parameters and query use different universes")
-    scale, shift = _affine_coefficients(params)
-    return scale * q.evaluate(y) - shift * q.centering
+    return _estimates(q, q.evaluate(y), params)
 
 
 def _distinct(values: np.ndarray, tol: float) -> np.ndarray:
@@ -107,17 +124,19 @@ def achievable_values(q: StatisticalQuery, cap: int = ACHIEVABLE_CAP) -> np.ndar
     Linear queries are handled by dynamic programming over row counts per
     table value; general heterogeneous queries fall back to exhaustive
     enumeration when n*l is small and error out otherwise (their achievable
-    set is generically exponential).
+    set is generically exponential). Sums that are equal in exact arithmetic
+    can round differently (0.1 + 0.2 vs 0.3), so on either path values
+    within 1e-12 * n * max|table| (before normalization) count as one.
     """
+    if q.tables.ndim != 2:
+        raise ValidationError("achievable values are defined for one query, not a batch")
     n = q.n
+    tol = 1e-12 * n * float(np.abs(q.tables).max())
     if q.heterogeneity == 1:
         # states map rows used -> distinct partial sums; each distinct table
         # value may be assigned to any number of remaining rows, and the last
-        # value must absorb the rest. Sums that are equal in exact arithmetic
-        # can round differently (0.1 + 0.2 vs 0.3), so sums within tol of the
-        # query's value scale count as one.
+        # value must absorb the rest
         values = np.unique(q.tables[0])
-        tol = 1e-12 * n * float(np.abs(values).max())
         states = {0: np.zeros(1)}
         for idx, v in enumerate(values):
             last = idx == values.size - 1
@@ -138,7 +157,7 @@ def achievable_values(q: StatisticalQuery, cap: int = ACHIEVABLE_CAP) -> np.ndar
             f"n*l = {bits} exceeds {_ENUM_ACHIEVABLE_BIT_CAP}"
         )
     rows = all_databases_matrix(q.universe, n, bit_cap=_ENUM_ACHIEVABLE_BIT_CAP)
-    return np.unique(q.evaluate_rows(rows))
+    return _distinct(q.evaluate_rows(rows), tol / q.c_sum)
 
 
 def project_proper(q: StatisticalQuery, raw: float, strategy: str = "interval_clamp") -> float:
@@ -149,35 +168,22 @@ def project_proper(q: StatisticalQuery, raw: float, strategy: str = "interval_cl
     exact_range returns the nearest achievable value, ties broken toward the
     smaller one.
     """
-    if strategy == "interval_clamp":
-        lo, hi = q.value_range()
-        return min(max(raw, lo), hi)
-    if strategy == "exact_range":
-        vals = achievable_values(q)
-        idx = int(np.searchsorted(vals, raw))
-        if idx == 0:
-            return float(vals[0])
-        if idx == vals.size:
-            return float(vals[-1])
-        left, right = float(vals[idx - 1]), float(vals[idx])
-        # tie toward the smaller value
-        return left if raw - left <= right - raw else right
-    raise ValidationError(f"unknown projection strategy {strategy!r}")
+    return float(_project_vector(q, np.asarray(raw, dtype=np.float64), strategy))
 
 
 def _project_vector(q: StatisticalQuery, raw: np.ndarray, strategy: str) -> np.ndarray:
     if strategy == "interval_clamp":
         lo, hi = q.value_range()
         return np.clip(raw, lo, hi)
+    if strategy != "exact_range":
+        raise ValidationError(f"unknown projection strategy {strategy!r}")
     vals = achievable_values(q)
-    idx = np.searchsorted(vals, raw)
-    idx = np.clip(idx, 1, vals.size - 1)
+    idx = np.clip(np.searchsorted(vals, raw), 1, vals.size - 1)
     left = vals[idx - 1]
     right = vals[idx]
+    # tie toward the smaller value; beyond either end, the end value
     out = np.where(raw - left <= right - raw, left, right)
-    out[raw <= vals[0]] = vals[0]
-    out[raw >= vals[-1]] = vals[-1]
-    return out
+    return np.where(raw <= vals[0], vals[0], np.where(raw >= vals[-1], vals[-1], out))
 
 
 def estimate_cut(y: Database, s_set, t_set, epsilon: float) -> float:
@@ -209,6 +215,7 @@ def estimate_cut(y: Database, s_set, t_set, epsilon: float) -> float:
 
 
 def _distortion_bound(q: StatisticalQuery, n: int, params: MechanismParams, estimator: str, measure: str) -> float:
+    """The closed-form bound on the chosen distortion for q's class constants."""
     inputs = bounds_mod.BoundInputs(
         n=n, l=q.universe.l, epsilon=min(params.epsilon, IDENTITY_EPSILON), a=q.a, b=q.b, c=q.c
     )
@@ -243,20 +250,13 @@ def exact_distortion(
         raise EnumerationTooLargeError(
             f"exact distortion enumerates 2^{bits} outputs; the cap is 2^{EXACT_BIT_CAP}"
         )
-    scale, shift = _affine_coefficients(params)
     if params.is_identity:
         # the release is an exact identity: Y = x with probability 1
-        est = scale * q.evaluate(x) - shift * q.centering
-        if estimator == "proper":
-            est = project_proper(q, est, projection)
-        err = est - q.evaluate(x)
-        return err * err if measure == "squared" else abs(err)
-    rows = all_databases_matrix(x.universe, x.n, bit_cap=EXACT_BIT_CAP)
-    probs = np.exp(log_pmf_all_outputs(x, params, rows_matrix=rows))
-    est = scale * q.evaluate_rows(rows) - shift * q.centering
-    if estimator == "proper":
-        est = _project_vector(q, est, projection)
-    err = est - q.evaluate(x)
+        rows, probs = x.rows[None, :], np.ones(1)
+    else:
+        rows = all_databases_matrix(x.universe, x.n, bit_cap=EXACT_BIT_CAP)
+        probs = np.exp(log_pmf_all_outputs(x, params, rows_matrix=rows))
+    err = _estimates(q, q.evaluate_rows(rows), params, estimator, projection) - q.evaluate(x)
     rho = err * err if measure == "squared" else np.abs(err)
     return float(probs @ rho)
 
@@ -285,17 +285,13 @@ def measure_distortion(
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     q._check(x)
-    scale, shift = _affine_coefficients(params)
     qx = q.evaluate(x)
     gen = rng.generator()
     values = np.empty(trials)
     for start in range(0, trials, _TRIAL_CHUNK):
         count = min(_TRIAL_CHUNK, trials - start)
         rows = sample_rows(x.rows, params, gen, count)
-        est = scale * q.evaluate_rows(rows) - shift * q.centering
-        if estimator == "proper":
-            est = _project_vector(q, est, projection)
-        err = est - qx
+        err = _estimates(q, q.evaluate_rows(rows), params, estimator, projection) - qx
         values[start : start + count] = err * err if measure == "squared" else np.abs(err)
     mean = math.fsum(values) / trials
     if trials > 1:

@@ -33,16 +33,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bounds import (
-    BOUND_TABLE_COLUMNS,
-    BoundInputs,
-    bound_table_row,
-    cut_bound,
-    upper_bound_absolute,
-    upper_bound_squared,
-)
+from .bounds import BOUND_TABLE_COLUMNS, BoundInputs, bound_table_row, cut_bound
 from .core import ConfigError, Database, DataUniverse, RandomSource, ValidationError
-from .estimators import _affine_coefficients
+from .estimators import _distortion_bound, _estimates
 from .graph import (
     answer_cut,
     cut_value,
@@ -52,7 +45,7 @@ from .graph import (
     release_graph,
 )
 from .mechanism import MechanismParams, sample_rows
-from .queries import StatisticalQuery
+from .queries import generate_random_query
 
 EXPERIMENTS = (
     "heterogeneity",
@@ -246,65 +239,14 @@ def _random_database(universe: DataUniverse, n: int, rng: RandomSource) -> Datab
     return Database(universe, gen.integers(0, universe.cardinality, size=n))
 
 
-class _QueryBlockSet:
-    """A batch of random queries sharing one contiguous block structure.
-
-    Equivalent to ``count`` calls of ``generate_random_query`` drawn from one
-    generator, but stored stacked (count, h, 2**l) so a whole set evaluates
-    as one einsum against per-block histograms. Every table is normalized to
-    spread 1, so c_i = 1 and the set-level class constants are a = min table
-    entry, b = max table entry, c = 1.
-    """
-
-    def __init__(self, universe: DataUniverse, n: int, heterogeneity: int, count: int, rng: RandomSource):
-        if n % heterogeneity != 0:
-            raise ConfigError(f"heterogeneity {heterogeneity} must divide n={n}")
-        gen = rng.generator()
-        tables = gen.random((count, heterogeneity, universe.cardinality))
-        spread = tables.max(axis=2, keepdims=True) - tables.min(axis=2, keepdims=True)
-        tables /= spread
-        self.universe = universe
-        self.n = n
-        self.heterogeneity = heterogeneity
-        self.tables = tables
-        self.block = n // heterogeneity
-        self.c_sum = float(n)
-        self.centering = tables.sum(axis=2).sum(axis=1) * self.block / self.c_sum
-        per_min = tables.min(axis=2)
-        per_max = tables.max(axis=2)
-        self.lo = (per_min.sum(axis=1) * self.block) / self.c_sum
-        self.hi = (per_max.sum(axis=1) * self.block) / self.c_sum
-        self.a = float(per_min.min())
-        self.b = float(per_max.max())
-        self.c = 1.0
-
-    def block_histograms(self, rows: np.ndarray) -> np.ndarray:
-        card = self.universe.cardinality
-        block_idx = np.repeat(np.arange(self.heterogeneity), self.block)
-        flat = block_idx * card + rows
-        return np.bincount(flat, minlength=self.heterogeneity * card).reshape(
-            self.heterogeneity, card
-        ).astype(np.float64)
-
-    def answers(self, hist: np.ndarray) -> np.ndarray:
-        return np.einsum("qhv,hv->q", self.tables, hist) / self.c_sum
-
-    def estimates(self, hist: np.ndarray, params: MechanismParams, estimator: str) -> np.ndarray:
-        scale, shift = _affine_coefficients(params)
-        est = scale * self.answers(hist) - shift * self.centering
-        if estimator == "proper":
-            est = np.clip(est, self.lo, self.hi)
-        return est
-
-    def as_queries(self) -> list[StatisticalQuery]:
-        assignment = np.repeat(np.arange(self.heterogeneity, dtype=np.int64), self.block)
-        return [
-            StatisticalQuery(self.universe, self.tables[i], assignment, label=f"batch[{i}]")
-            for i in range(self.tables.shape[0])
+def _release_runs(x: Database, params: MechanismParams, rng: RandomSource, runs: int, *stream) -> np.ndarray:
+    """(runs, n) synthetic rows; run r is drawn from stream (_S_RELEASE, *stream, r)."""
+    return np.stack(
+        [
+            sample_rows(x.rows, params, rng.derive(_S_RELEASE, *stream, r).generator(), 1)[0]
+            for r in range(runs)
         ]
-
-    def bound_inputs(self, n: int, epsilon: float) -> BoundInputs:
-        return BoundInputs(n=n, l=self.universe.l, epsilon=epsilon, a=self.a, b=self.b, c=self.c)
+    )
 
 
 @dataclass(frozen=True)
@@ -345,23 +287,15 @@ def run_heterogeneity_sweep(config: ExperimentConfig, rng: RandomSource) -> list
     universe = DataUniverse(config.l)
     params = MechanismParams(config.epsilon, universe)
     x = _random_database(universe, config.n, rng.derive(_S_DATABASE))
-    releases = [
-        sample_rows(x.rows, params, rng.derive(_S_RELEASE, r).generator(), 1)[0]
-        for r in range(config.trial_count)
-    ]
+    releases = _release_runs(x, params, rng, config.trial_count)
     out = []
     for gi, h in enumerate(config.heterogeneity_grid):
-        qs = _QueryBlockSet(universe, config.n, h, config.query_count, rng.derive(_S_QUERIES, gi))
-        hx = qs.block_histograms(x.rows)
-        truth = qs.answers(hx)
-        errs = np.empty((config.trial_count, config.query_count))
-        for r, y in enumerate(releases):
-            est = qs.estimates(qs.block_histograms(y), params, config.estimator)
-            errs[r] = np.abs(est - truth)
-        stats = _summarize(errs)
-        bound = upper_bound_absolute(
-            qs.bound_inputs(config.n, config.epsilon), proper=config.estimator == "proper"
+        qs = generate_random_query(
+            universe, config.n, h, rng.derive(_S_QUERIES, gi), count=config.query_count
         )
+        est = _estimates(qs, qs.evaluate_rows(releases), params, config.estimator)
+        stats = _summarize(np.abs(est - qs.evaluate(x)))
+        bound = _distortion_bound(qs, config.n, params, config.estimator, "absolute")
         out.append(
             ResultRow(
                 "heterogeneity", h, stats.worst, stats.worst_se, stats.mean, bound,
@@ -387,19 +321,14 @@ def run_query_set_size_sweep(config: ExperimentConfig, rng: RandomSource) -> lis
     ]
     out = []
     for gi, size in enumerate(config.set_sizes):
-        qs = _QueryBlockSet(universe, config.n, 1, size, rng.derive(_S_QUERIES, gi))
+        qs = generate_random_query(universe, config.n, 1, rng.derive(_S_QUERIES, gi), count=size)
         errs = np.empty((config.trial_count, config.database_count, size))
         for di, x in enumerate(dbs):
-            truth = qs.answers(qs.block_histograms(x.rows))
-            for r in range(config.trial_count):
-                gen = rng.derive(_S_RELEASE, gi, di, r).generator()
-                y = sample_rows(x.rows, params, gen, 1)[0]
-                est = qs.estimates(qs.block_histograms(y), params, config.estimator)
-                errs[r, di] = np.abs(est - truth)
+            releases = _release_runs(x, params, rng, config.trial_count, gi, di)
+            est = _estimates(qs, qs.evaluate_rows(releases), params, config.estimator)
+            errs[:, di] = np.abs(est - qs.evaluate(x))
         stats = _summarize(errs)
-        bound = upper_bound_absolute(
-            qs.bound_inputs(config.n, config.epsilon), proper=config.estimator == "proper"
-        )
+        bound = _distortion_bound(qs, config.n, params, config.estimator, "absolute")
         out.append(
             ResultRow(
                 "query_set_size", size, stats.worst, stats.worst_se, stats.mean, bound,
@@ -416,19 +345,12 @@ def run_database_scaling(config: ExperimentConfig, rng: RandomSource) -> list[Re
     params = MechanismParams(config.epsilon, universe)
     out = []
     for gi, n in enumerate(config.n_grid):
-        qs = _QueryBlockSet(universe, n, 1, config.query_count, rng.derive(_S_QUERIES))
+        qs = generate_random_query(universe, n, 1, rng.derive(_S_QUERIES), count=config.query_count)
         x = _random_database(universe, n, rng.derive(_S_DATABASE, gi))
-        truth = qs.answers(qs.block_histograms(x.rows))
-        errs = np.empty((config.trial_count, config.query_count))
-        for r in range(config.trial_count):
-            gen = rng.derive(_S_RELEASE, gi, r).generator()
-            y = sample_rows(x.rows, params, gen, 1)[0]
-            est = qs.estimates(qs.block_histograms(y), params, config.estimator)
-            errs[r] = (est - truth) ** 2
-        stats = _summarize(errs)
-        bound = upper_bound_squared(
-            qs.bound_inputs(n, config.epsilon), proper=config.estimator == "proper"
-        )
+        releases = _release_runs(x, params, rng, config.trial_count, gi)
+        est = _estimates(qs, qs.evaluate_rows(releases), params, config.estimator)
+        stats = _summarize((est - qs.evaluate(x)) ** 2)
+        bound = _distortion_bound(qs, n, params, config.estimator, "squared")
         out.append(
             ResultRow(
                 "database_scaling", n, stats.worst, stats.worst_se, stats.mean, bound,

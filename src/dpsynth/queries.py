@@ -14,11 +14,15 @@ over the whole row domain, and tables make those one vector operation.
 
 Distinct tables are stored once and shared between rows ("heterogeneity" is
 the number of distinct row functions; 1 means the query is a linear query).
+Queries that share the row-to-table assignment form one batch with stacked
+tables (Q, k, 2**l). A query is evaluated from the per-(table, code) counts
+of the rows alone, so one histogram of a release answers the whole batch.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -30,20 +34,34 @@ from .core import (
     ValidationError,
 )
 
+# cap on the counts one ``histogram`` call of ``evaluate_rows`` builds
+_HIST_BINS = 1 << 22
+
 
 class StatisticalQuery:
-    """A statistical query with deduplicated dense row-function tables.
+    """A statistical query, or a batch of queries sharing one assignment,
+    with deduplicated dense row-function tables.
+
+    Every evaluation goes through ``histogram`` (the per-(table, code)
+    counts of the rows, a sufficient statistic for every query on the same
+    assignment) and ``answers`` (those counts contracted with the tables).
 
     Parameters
     ----------
     universe:
         Row domain the tables are defined over.
     tables:
-        Array (k, 2**l) of row-function value tables.
+        Array (k, 2**l) of row-function value tables for one query, or
+        (Q, k, 2**l) for a batch of Q queries that share ``assignment``.
     assignment:
         Integer array (n,) mapping each row to its table.
     label:
         Optional identifier used in reports.
+
+    Per-query values (``c_sum``, ``centering``, ``value_range()``,
+    ``evaluate``) are floats for one query and arrays (Q,) for a batch. The
+    class constants ``a``, ``b``, ``c`` and ``heterogeneity`` are taken over
+    the whole batch.
     """
 
     __slots__ = (
@@ -57,14 +75,16 @@ class StatisticalQuery:
         "c_sum",
         "centering",
         "heterogeneity",
+        "_offsets",
     )
 
     def __init__(self, universe: DataUniverse, tables, assignment, label: str = ""):
         tables = np.asarray(tables, dtype=np.float64)
         assignment = np.asarray(assignment)
-        if tables.ndim != 2 or tables.shape[1] != universe.cardinality:
+        card = universe.cardinality
+        if tables.ndim not in (2, 3) or tables.shape[-1] != card or tables.size == 0:
             raise ValidationError(
-                f"row-function tables must have shape (k, {universe.cardinality})"
+                f"row-function tables must have shape (k, {card}) or (Q, k, {card})"
             )
         if not np.isfinite(tables).all():
             raise ValidationError("row-function tables must be finite")
@@ -72,37 +92,42 @@ class StatisticalQuery:
             raise ValidationError("assignment must be a nonempty 1-d index vector")
         if not np.issubdtype(assignment.dtype, np.integer):
             raise ValidationError("assignment must hold integer table indices")
-        if assignment.min() < 0 or assignment.max() >= tables.shape[0]:
+        if assignment.min() < 0 or assignment.max() >= tables.shape[-2]:
             raise ValidationError("assignment indexes a missing table")
 
-        # drop unused tables, then merge duplicates; evaluation is invariant
-        # to this re-encoding
+        # drop unused tables, then merge tables that are equal in every query
+        # of the batch; evaluation is invariant to this re-encoding
+        batch = tables.shape[:-2]
         used = np.unique(assignment)
-        tables = tables[used]
         assignment = np.searchsorted(used, assignment)
-        tables, inverse = np.unique(tables, axis=0, return_inverse=True)
-        assignment = inverse[assignment].astype(np.int64)
+        keys = tables.reshape((-1,) + tables.shape[-2:])[:, used].transpose(1, 0, 2)
+        keys, inverse = np.unique(keys.reshape(used.size, -1), axis=0, return_inverse=True)
+        assignment = inverse.reshape(-1)[assignment].astype(np.int64)
+        k = keys.shape[0]
+        tables = keys.reshape(k, -1, card).transpose(1, 0, 2).reshape(batch + (k, card))
 
-        row_min = tables.min(axis=1)
-        row_max = tables.max(axis=1)
+        row_min = tables.min(axis=-1)
+        row_max = tables.max(axis=-1)
         if not (row_max > row_min).all():
             raise ValidationError("constant row functions are not allowed (need max > min)")
 
-        counts = np.bincount(assignment, minlength=tables.shape[0]).astype(np.float64)
-        c_sum = float(counts @ (row_max - row_min))
+        counts = np.bincount(assignment, minlength=k).astype(np.float64)
+        c_sum = (row_max - row_min) @ counts
+        offsets = assignment * card
 
         object.__setattr__(self, "universe", universe)
-        tables.setflags(write=False)
-        assignment.setflags(write=False)
+        for arr in (tables, assignment, offsets):
+            arr.setflags(write=False)
         object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "_offsets", offsets)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "a", float(row_min.min()))
         object.__setattr__(self, "b", float(row_max.max()))
         object.__setattr__(self, "c", float((row_max - row_min).min()))
-        object.__setattr__(self, "c_sum", c_sum)
-        object.__setattr__(self, "centering", float(counts @ tables.sum(axis=1)) / c_sum)
-        object.__setattr__(self, "heterogeneity", int(tables.shape[0]))
+        object.__setattr__(self, "c_sum", _per_query(c_sum))
+        object.__setattr__(self, "centering", _per_query(tables.sum(axis=-1) @ counts / c_sum))
+        object.__setattr__(self, "heterogeneity", int(k))
 
     def __setattr__(self, name, value):
         raise AttributeError("StatisticalQuery is immutable")
@@ -119,21 +144,53 @@ class StatisticalQuery:
                 f"query is defined for n={self.n} rows, database has {x.n}"
             )
 
-    def evaluate(self, x: Database) -> float:
+    def histogram(self, rows) -> np.ndarray:
+        """Per-(table, code) counts of row codes in [0, 2**l): (k, 2**l) for
+        rows of shape (n,), (m, k, 2**l) for rows of shape (m, n)."""
+        card = self.universe.cardinality
+        size = self.heterogeneity * card
+        flat = np.asarray(rows) + self._offsets
+        lead = flat.shape[:-1]
+        if lead:
+            flat += np.arange(0, flat.size // self.n * size, size).reshape(lead + (1,))
+        counts = np.bincount(flat.ravel(), minlength=math.prod(lead) * size)
+        return counts.reshape(lead + (self.heterogeneity, card))
+
+    def answers(self, hist: np.ndarray) -> np.ndarray:
+        """Answers from per-(table, code) counts ``hist`` (..., k, 2**l):
+        (...) for one query, (..., Q) for a batch."""
+        card = self.universe.cardinality
+        stacked = self.tables.reshape(-1, self.heterogeneity, card)
+        total = np.einsum("...kv,qkv->...q", hist, stacked)
+        return total.reshape(hist.shape[:-2] + self.tables.shape[:-2]) / self.c_sum
+
+    def evaluate(self, x: Database):
         """(1 / sum_i c_i) * sum_i phi_i(x_i)."""
         self._check(x)
-        return float(self.tables[self.assignment, x.rows].sum()) / self.c_sum
+        return _per_query(self.answers(self.histogram(x.rows)))
 
     def evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized evaluate over a (m, n) matrix of row codes."""
-        return self.tables[self.assignment[None, :], rows].sum(axis=1) / self.c_sum
+        """Vectorized evaluate over a (m, n) matrix of row codes: (m,) for one
+        query, (m, Q) for a batch. Rows go through ``histogram`` in chunks of
+        at most _HIST_BINS counts, so a wide row domain never makes the
+        counts outgrow the rows."""
+        rows = np.asarray(rows)
+        step = max(1, _HIST_BINS // (self.heterogeneity * self.universe.cardinality))
+        return np.concatenate(
+            [self.answers(self.histogram(rows[i : i + step])) for i in range(0, len(rows), step)]
+        )
 
-    def value_range(self) -> tuple[float, float]:
+    def value_range(self):
         """[sum_i a_i, sum_i b_i] / sum_i c_i — the exact span of q; width 1."""
-        counts = np.bincount(self.assignment, minlength=self.tables.shape[0]).astype(np.float64)
-        lo = float(counts @ self.tables.min(axis=1)) / self.c_sum
-        hi = float(counts @ self.tables.max(axis=1)) / self.c_sum
-        return lo, hi
+        counts = np.bincount(self.assignment, minlength=self.heterogeneity).astype(np.float64)
+        lo = self.tables.min(axis=-1) @ counts / self.c_sum
+        hi = self.tables.max(axis=-1) @ counts / self.c_sum
+        return _per_query(lo), _per_query(hi)
+
+
+def _per_query(values):
+    """A float for one query, the (Q,) array for a batch."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def centering_constant(q: StatisticalQuery) -> float:
@@ -173,14 +230,16 @@ def make_hamming_query(z: Database) -> StatisticalQuery:
 
 
 def generate_random_query(
-    universe: DataUniverse, n: int, heterogeneity: int, rng: RandomSource
+    universe: DataUniverse, n: int, heterogeneity: int, rng: RandomSource, count: int | None = None
 ) -> StatisticalQuery:
     """Random query with the given number of distinct row functions.
 
     Each of the ``heterogeneity`` tables has i.i.d. uniform [0,1] entries and
     is divided by its spread (max - min), so every c_i is exactly 1. Table j
     is assigned to the j-th contiguous block of n/heterogeneity rows, which
-    is why heterogeneity must divide n.
+    is why heterogeneity must divide n. With ``count`` the result is a batch
+    of that many queries, drawn in one call from the same generator stream
+    (``count=1`` draws the same tables as ``count=None``).
     """
     if not 1 <= heterogeneity <= n:
         raise ValidationError(f"heterogeneity must lie in [1, {n}], got {heterogeneity}")
@@ -188,9 +247,11 @@ def generate_random_query(
         raise ValidationError(
             f"heterogeneity {heterogeneity} must divide n={n} (contiguous equal blocks)"
         )
-    gen = rng.generator()
-    tables = gen.random((heterogeneity, universe.cardinality))
-    spread = tables.max(axis=1, keepdims=True) - tables.min(axis=1, keepdims=True)
+    if count is not None and count < 1:
+        raise ValidationError(f"count must be >= 1, got {count}")
+    shape = (heterogeneity, universe.cardinality)
+    tables = rng.generator().random(shape if count is None else (count,) + shape)
+    spread = tables.max(axis=-1, keepdims=True) - tables.min(axis=-1, keepdims=True)
     tables /= spread
     assignment = np.repeat(np.arange(heterogeneity, dtype=np.int64), n // heterogeneity)
     return StatisticalQuery(universe, tables, assignment, label=f"random(h={heterogeneity})")
@@ -206,6 +267,32 @@ def query_to_dict(q: StatisticalQuery) -> dict:
     }
 
 
+def _field(spec: dict, key: str):
+    try:
+        return spec[key]
+    except KeyError:
+        raise ValidationError(f"{spec['type']} query needs a {key!r} field") from None
+
+
+def _int_field(spec: dict, key: str) -> int:
+    value = _field(spec, key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"query field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _array_field(spec: dict, key: str, ndim: int, integer: bool = False) -> np.ndarray:
+    try:
+        arr = np.asarray(_field(spec, key), dtype=None if integer else np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(f"query field {key!r} must be a numeric array") from None
+    if arr.ndim != ndim:
+        raise ValidationError(f"query field {key!r} must be a {ndim}-d array")
+    if integer and arr.size and arr.dtype.kind not in "iu":
+        raise ValidationError(f"query field {key!r} must hold integers")
+    return arr.astype(np.int64) if integer else arr
+
+
 def query_from_dict(spec: dict) -> StatisticalQuery:
     """Build a query from its file representation.
 
@@ -214,29 +301,34 @@ def query_from_dict(spec: dict) -> StatisticalQuery:
         {"type": "predicate", "l": 3, "n": 100, "conjunct_bits": [0, 2]}
         {"type": "hamming", "l": 2, "z": [0, 3, 1]}
         {"type": "tables", "l": 1, "tables": [[0.0, 1.0]], "assignment": [0, 0]}
+
+    Missing fields, non-integer ``l``/``n`` and arrays of the wrong shape
+    raise ValidationError.
     """
     try:
         kind = spec["type"]
     except (TypeError, KeyError):
         raise ValidationError("query definition needs a 'type' field") from None
+    if kind not in ("predicate", "hamming", "tables"):
+        raise ValidationError(f"unknown query type {kind!r}")
+    universe = DataUniverse(_int_field(spec, "l"))
     if kind == "predicate":
-        universe = DataUniverse(int(spec["l"]))
-        return make_predicate_query(universe, int(spec["n"]), spec["conjunct_bits"])
+        bits = _array_field(spec, "conjunct_bits", 1, integer=True)
+        return make_predicate_query(universe, _int_field(spec, "n"), bits)
     if kind == "hamming":
-        universe = DataUniverse(int(spec["l"]))
-        z = Database(universe, np.asarray(spec["z"], dtype=np.int64))
-        return make_hamming_query(z)
-    if kind == "tables":
-        universe = DataUniverse(int(spec["l"]))
-        return StatisticalQuery(
-            universe,
-            np.asarray(spec["tables"], dtype=np.float64),
-            np.asarray(spec["assignment"], dtype=np.int64),
-            label="tables",
-        )
-    raise ValidationError(f"unknown query type {kind!r}")
+        return make_hamming_query(Database(universe, _array_field(spec, "z", 1, integer=True)))
+    return StatisticalQuery(
+        universe,
+        _array_field(spec, "tables", 2),
+        _array_field(spec, "assignment", 1, integer=True),
+        label="tables",
+    )
 
 
 def load_query(path) -> StatisticalQuery:
     with open(path, "r", encoding="utf-8") as fh:
-        return query_from_dict(json.load(fh))
+        try:
+            spec = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+    return query_from_dict(spec)

@@ -93,6 +93,30 @@ class TestReleaseEstimate:
         assert 0.0 <= float(out.strip()) <= 1.0
 
 
+class TestMalformedQueryFile:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps({"type": "predicate", "l": 2}),
+            "{not json",
+            json.dumps({"type": "predicate", "l": "two", "n": 4, "conjunct_bits": [0]}),
+            json.dumps({"type": "tables", "l": 1, "tables": [0.0, 1.0], "assignment": [0]}),
+        ],
+        ids=["missing-field", "invalid-json", "non-integer-l", "tables-not-2d"],
+    )
+    def test_estimate_exits_2(self, tmp_path, capsys, text):
+        db_path = tmp_path / "synthetic.txt"
+        write_database_codes(Database(DataUniverse(2), np.array([1, 3, 0, 2])), db_path)
+        query_path = tmp_path / "q.json"
+        query_path.write_text(text)
+        code, _, err = run_cli(
+            capsys,
+            "estimate", "--input", str(db_path), "--query", str(query_path), "--epsilon", "1.0",
+        )
+        assert code == 2
+        assert err.startswith("error[")
+
+
 class TestBounds:
     def test_csv_row(self, capsys):
         code, out, err = run_cli(

@@ -130,6 +130,15 @@ class TestProjection:
         assert vals.size == 61
         assert np.allclose(vals, np.arange(61) / 60, rtol=0, atol=1e-12)
 
+    def test_heterogeneous_achievable_merges_sums_equal_up_to_rounding(self):
+        # 0.1 + 0.2 and 0.3 + 0.0 (and 0.1 + 0.2 + 0.3 and 0.3 + 0.0 + 0.3)
+        # round differently; the enumerated set has 6 values, not 8
+        q = StatisticalQuery(DataUniverse(1), [[0.1, 0.3], [0.2, 0.0], [0.0, 0.3]], [0, 1, 2])
+        vals = achievable_values(q)
+        assert vals.size == 6
+        expected = np.array([0.1, 0.3, 0.4, 0.5, 0.6, 0.8]) / q.c_sum
+        assert np.allclose(vals, expected, rtol=0, atol=1e-12)
+
     def test_heterogeneous_exact_range_capped(self):
         q = generate_random_query(DataUniverse(2), 12, 12, RandomSource(3))
         with pytest.raises(EnumerationTooLargeError):

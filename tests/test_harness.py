@@ -4,7 +4,6 @@ import pytest
 from dpsynth.bounds import BoundInputs, cut_bound, upper_bound_absolute, upper_bound_squared
 from dpsynth.core import ConfigError, RandomSource, ValidationError
 from dpsynth.harness import (
-    _QueryBlockSet,
     category_extension_table,
     config_from_dict,
     fit_loglog_slope,
@@ -20,6 +19,7 @@ from dpsynth.harness import (
 )
 from dpsynth.core import DataUniverse, Database
 from dpsynth.mechanism import MechanismParams
+from dpsynth.queries import generate_random_query
 
 
 class TestConfig:
@@ -67,38 +67,6 @@ class TestConfig:
             config_from_dict({"experiment": "heterogeneity", "query_count": 0})
 
 
-class TestQueryBlockSet:
-    def test_matches_statistical_queries(self):
-        universe = DataUniverse(2)
-        n, h, count = 12, 3, 4
-        qs = _QueryBlockSet(universe, n, h, count, RandomSource(3))
-        x = Database(universe, RandomSource(4).generator().integers(0, 4, size=n))
-        hist = qs.block_histograms(x.rows)
-        batch_answers = qs.answers(hist)
-        for qi, q in enumerate(qs.as_queries()):
-            assert batch_answers[qi] == pytest.approx(q.evaluate(x), abs=1e-12)
-
-    def test_estimates_match_estimator_module(self):
-        from dpsynth.estimators import estimate_unbiased
-
-        universe = DataUniverse(1)
-        n = 8
-        qs = _QueryBlockSet(universe, n, 2, 3, RandomSource(9))
-        params = MechanismParams(1.0, universe)
-        y = Database(universe, RandomSource(10).generator().integers(0, 2, size=n))
-        batch = qs.estimates(qs.block_histograms(y.rows), params, "unbiased")
-        for qi, q in enumerate(qs.as_queries()):
-            assert batch[qi] == pytest.approx(estimate_unbiased(q, y, params), abs=1e-12)
-
-    def test_proper_estimates_clamped(self):
-        universe = DataUniverse(1)
-        qs = _QueryBlockSet(universe, 4, 1, 5, RandomSource(11))
-        params = MechanismParams(0.25, universe)
-        y = Database(universe, np.array([1, 1, 1, 1]))
-        est = qs.estimates(qs.block_histograms(y.rows), params, "proper")
-        assert (est <= qs.hi + 1e-12).all() and (est >= qs.lo - 1e-12).all()
-
-
 def tiny_config(**overrides):
     base = {
         "experiment": "heterogeneity",
@@ -127,9 +95,9 @@ class TestHeterogeneitySweep:
         cfg = tiny_config()
         rows = run_heterogeneity_sweep(cfg, RandomSource(cfg.seed))
         for gi, r in enumerate(rows):
-            qs = _QueryBlockSet(
-                DataUniverse(cfg.l), cfg.n, int(r.grid_point), cfg.query_count,
-                RandomSource(cfg.seed).derive(2, gi),
+            qs = generate_random_query(
+                DataUniverse(cfg.l), cfg.n, int(r.grid_point),
+                RandomSource(cfg.seed).derive(2, gi), count=cfg.query_count,
             )
             expected = upper_bound_absolute(
                 BoundInputs(n=cfg.n, l=cfg.l, epsilon=cfg.epsilon, a=qs.a, b=qs.b, c=qs.c)
@@ -188,17 +156,6 @@ class TestQuerySetSizeSweep:
         for r in rows:
             assert r.worst_case_distortion <= r.analytic_bound
 
-    def test_duplicate_queries_do_not_change_worst(self):
-        universe = DataUniverse(1)
-        qs = _QueryBlockSet(universe, 16, 1, 3, RandomSource(1))
-        x = Database(universe, RandomSource(2).generator().integers(0, 2, size=16))
-        params = MechanismParams(1.0, universe)
-        y = Database(universe, RandomSource(6).generator().integers(0, 2, size=16))
-        est = qs.estimates(qs.block_histograms(y.rows), params, "unbiased")
-        truth = qs.answers(qs.block_histograms(x.rows))
-        errs = np.abs(est - truth)
-        assert np.max(np.concatenate([errs, errs])) == np.max(errs)
-
 
 class TestDatabaseScaling:
     def test_slope_and_bounds(self):
@@ -219,8 +176,8 @@ class TestDatabaseScaling:
         assert -1.4 < slope < -0.6
         # the bound column is the set-level instance bound; recompute it from
         # the same query stream
-        qs = _QueryBlockSet(
-            DataUniverse(1), 256, 1, cfg.query_count, RandomSource(cfg.seed).derive(2)
+        qs = generate_random_query(
+            DataUniverse(1), 256, 1, RandomSource(cfg.seed).derive(2), count=cfg.query_count
         )
         for r in rows:
             assert r.worst_case_distortion <= r.analytic_bound

@@ -140,6 +140,107 @@ class TestRandomQueries:
             generate_random_query(DataUniverse(1), 6, 7, RandomSource(3))
 
 
+class TestBatchedQuery:
+    """A (Q, k, 2**l) batch behaves as Q queries sharing one assignment."""
+
+    @staticmethod
+    def single(qs, i):
+        return StatisticalQuery(qs.universe, qs.tables[i], qs.assignment)
+
+    def test_answers_match_single_queries(self):
+        universe = DataUniverse(2)
+        qs = generate_random_query(universe, 12, 3, RandomSource(3), count=4)
+        x = Database(universe, RandomSource(4).generator().integers(0, 4, size=12))
+        batch = qs.answers(qs.histogram(x.rows))
+        assert batch.shape == (4,)
+        for qi in range(4):
+            assert batch[qi] == pytest.approx(self.single(qs, qi).evaluate(x), abs=1e-12)
+        rows = RandomSource(5).generator().integers(0, 4, size=(7, 12))
+        assert qs.evaluate_rows(rows).shape == (7, 4)
+        for qi in range(4):
+            single = self.single(qs, qi).evaluate_rows(rows)
+            assert np.allclose(qs.evaluate_rows(rows)[:, qi], single, rtol=0, atol=1e-12)
+
+    def test_estimates_match_estimator_module(self):
+        from dpsynth.estimators import estimate_unbiased
+        from dpsynth.mechanism import MechanismParams
+
+        universe = DataUniverse(1)
+        qs = generate_random_query(universe, 8, 2, RandomSource(9), count=3)
+        params = MechanismParams(1.0, universe)
+        y = Database(universe, RandomSource(10).generator().integers(0, 2, size=8))
+        batch = estimate_unbiased(qs, y, params)
+        for qi in range(3):
+            single = estimate_unbiased(self.single(qs, qi), y, params)
+            assert batch[qi] == pytest.approx(single, abs=1e-12)
+
+    def test_proper_estimates_clamped(self):
+        from dpsynth.estimators import _estimates
+        from dpsynth.mechanism import MechanismParams
+
+        universe = DataUniverse(1)
+        qs = generate_random_query(universe, 4, 1, RandomSource(11), count=5)
+        params = MechanismParams(0.25, universe)
+        y = Database(universe, np.array([1, 1, 1, 1]))
+        est = _estimates(qs, qs.evaluate(y), params, "proper")
+        lo, hi = qs.value_range()
+        assert lo.shape == hi.shape == (5,)
+        assert (est <= hi + 1e-12).all() and (est >= lo - 1e-12).all()
+
+    def test_duplicate_queries_do_not_change_worst(self):
+        from dpsynth.estimators import estimate_unbiased
+        from dpsynth.mechanism import MechanismParams
+
+        universe = DataUniverse(1)
+        qs = generate_random_query(universe, 16, 1, RandomSource(1), count=3)
+        x = Database(universe, RandomSource(2).generator().integers(0, 2, size=16))
+        y = Database(universe, RandomSource(6).generator().integers(0, 2, size=16))
+        errs = np.abs(estimate_unbiased(qs, y, MechanismParams(1.0, universe)) - qs.evaluate(x))
+        assert np.max(np.concatenate([errs, errs])) == np.max(errs)
+
+    def test_count_one_draws_single_query_tables(self):
+        universe = DataUniverse(3)
+        single = generate_random_query(universe, 8, 4, RandomSource(12))
+        batch = generate_random_query(universe, 8, 4, RandomSource(12), count=1)
+        assert batch.tables.shape == (1,) + single.tables.shape
+        assert np.array_equal(batch.tables[0], single.tables)
+        assert np.array_equal(batch.assignment, single.assignment)
+
+    def test_class_constants_span_the_batch(self):
+        tables = np.array([[[0.0, 1.0], [0.0, 2.0]], [[-1.0, 0.0], [0.0, 0.5]]])
+        qs = StatisticalQuery(DataUniverse(1), tables, np.array([0, 1, 1]))
+        assert (qs.a, qs.b, qs.c) == (-1.0, 2.0, 0.5)
+        assert np.allclose(qs.c_sum, [5.0, 2.0])
+        assert qs.heterogeneity == 2
+
+    def test_dedup_needs_equal_tables_in_every_query(self):
+        # tables 0 and 1 agree in the first query only, so they stay distinct
+        tables = np.array([[[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+        qs = StatisticalQuery(DataUniverse(1), tables, np.array([0, 1]))
+        assert qs.heterogeneity == 2
+        x = db(1, [1, 1])
+        assert np.allclose(qs.evaluate(x), [1.0, 0.5])
+        merged = StatisticalQuery(DataUniverse(1), tables[:1], np.array([0, 1]))
+        assert merged.heterogeneity == 1
+
+    def test_histogram_counts_per_table_and_code(self):
+        q = StatisticalQuery(
+            DataUniverse(1), np.array([[0.0, 1.0], [0.0, 2.0]]), np.array([0, 0, 1])
+        )
+        assert q.histogram(np.array([1, 0, 1])).tolist() == [[1, 1], [0, 1]]
+        hist = q.histogram(np.array([[1, 0, 1], [0, 0, 0]]))
+        assert hist.tolist() == [[[1, 1], [0, 1]], [[2, 0], [1, 0]]]
+
+    def test_evaluate_rows_chunks_wide_domains(self, monkeypatch):
+        import dpsynth.queries as queries_mod
+
+        q = generate_random_query(DataUniverse(3), 4, 2, RandomSource(13))
+        rows = RandomSource(14).generator().integers(0, 8, size=(9, 4))
+        whole = q.evaluate_rows(rows)
+        monkeypatch.setattr(queries_mod, "_HIST_BINS", 16)  # one row per histogram
+        assert np.array_equal(q.evaluate_rows(rows), whole)
+
+
 class TestConstruction:
     def test_constant_table_rejected(self):
         with pytest.raises(ValidationError):
@@ -191,3 +292,33 @@ class TestSerialization:
             query_from_dict({"l": 1})
         with pytest.raises(ValidationError):
             query_from_dict({"type": "mystery", "l": 1})
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "predicate", "l": 2},
+            {"type": "predicate", "n": 4, "conjunct_bits": [0]},
+            {"type": "predicate", "l": 2.5, "n": 4, "conjunct_bits": [0]},
+            {"type": "predicate", "l": 2, "n": "4", "conjunct_bits": [0]},
+            {"type": "predicate", "l": 2, "n": 4, "conjunct_bits": [0.5]},
+            {"type": "hamming", "l": 1},
+            {"type": "hamming", "l": 1, "z": [[0, 1]]},
+            {"type": "tables", "l": 1, "assignment": [0]},
+            {"type": "tables", "l": 1, "tables": [0.0, 1.0], "assignment": [0]},
+            {"type": "tables", "l": 1, "tables": [[[0.0, 1.0]]], "assignment": [0]},
+            {"type": "tables", "l": 1, "tables": [["a", "b"]], "assignment": [0]},
+            {"type": "tables", "l": 1, "tables": [[0.0, 1.0]], "assignment": [0.0]},
+            [1, 2],
+        ],
+    )
+    def test_malformed_specs_raise_validation_error(self, spec):
+        with pytest.raises(ValidationError):
+            query_from_dict(spec)
+
+    def test_invalid_json_file(self, tmp_path):
+        from dpsynth.queries import load_query
+
+        path = tmp_path / "q.json"
+        path.write_text("{not json")
+        with pytest.raises(ValidationError, match="invalid JSON"):
+            load_query(path)
