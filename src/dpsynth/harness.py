@@ -311,7 +311,8 @@ def run_query_set_size_sweep(config: ExperimentConfig, rng: RandomSource) -> lis
     Linear queries (heterogeneity 1); the worst case additionally ranges over
     ``database_count`` random databases, mirroring the reference experiment's
     sub-database sampling (how those sub-databases were chosen upstream is
-    unrecorded, so they are seeded uniform draws here).
+    unrecorded, so they are seeded uniform draws here). Each (database, run)
+    pair is released once and answers the query sets of every size.
     """
     universe = DataUniverse(config.l)
     params = MechanismParams(config.epsilon, universe)
@@ -319,13 +320,13 @@ def run_query_set_size_sweep(config: ExperimentConfig, rng: RandomSource) -> lis
         _random_database(universe, config.n, rng.derive(_S_DATABASE, d))
         for d in range(config.database_count)
     ]
+    releases = [_release_runs(x, params, rng, config.trial_count, di) for di, x in enumerate(dbs)]
     out = []
     for gi, size in enumerate(config.set_sizes):
         qs = generate_random_query(universe, config.n, 1, rng.derive(_S_QUERIES, gi), count=size)
         errs = np.empty((config.trial_count, config.database_count, size))
         for di, x in enumerate(dbs):
-            releases = _release_runs(x, params, rng, config.trial_count, gi, di)
-            est = _estimates(qs, qs.evaluate_rows(releases), params, config.estimator)
+            est = _estimates(qs, qs.evaluate_rows(releases[di]), params, config.estimator)
             errs[:, di] = np.abs(est - qs.evaluate(x))
         stats = _summarize(errs)
         bound = _distortion_bound(qs, config.n, params, config.estimator, "absolute")

@@ -18,7 +18,7 @@ from dpsynth.harness import (
     write_results_csv,
 )
 from dpsynth.core import DataUniverse, Database
-from dpsynth.mechanism import MechanismParams
+from dpsynth.mechanism import MechanismParams, sample_rows
 from dpsynth.queries import generate_random_query
 
 
@@ -155,6 +155,32 @@ class TestQuerySetSizeSweep:
         rows = run_query_set_size_sweep(cfg, RandomSource(cfg.seed))
         for r in rows:
             assert r.worst_case_distortion <= r.analytic_bound
+
+
+    def test_one_release_per_database_and_run(self, monkeypatch):
+        import dpsynth.harness as harness
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return sample_rows(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "sample_rows", counting)
+        cfg = config_from_dict(
+            {
+                "experiment": "query_set_size",
+                "n": 16,
+                "l": 1,
+                "set_sizes": [2, 8, 32],
+                "database_count": 3,
+                "trial_count": 4,
+                "seed": 8,
+            }
+        )
+        rows = run_query_set_size_sweep(cfg, RandomSource(cfg.seed))
+        assert len(rows) == 3
+        assert len(calls) == cfg.database_count * cfg.trial_count
 
 
 class TestDatabaseScaling:
