@@ -96,15 +96,17 @@ class StatisticalQuery:
             raise ValidationError("assignment indexes a missing table")
 
         # drop unused tables, then merge tables that are equal in every query
-        # of the batch; evaluation is invariant to this re-encoding
+        # of the batch, in order of first use; evaluation is invariant to
+        # this re-encoding
         batch = tables.shape[:-2]
-        used = np.unique(assignment)
-        assignment = np.searchsorted(used, assignment)
+        used, assignment = np.unique(assignment, return_inverse=True)
         keys = tables.reshape((-1,) + tables.shape[-2:])[:, used].transpose(1, 0, 2)
-        keys, inverse = np.unique(keys.reshape(used.size, -1), axis=0, return_inverse=True)
-        assignment = inverse.reshape(-1)[assignment].astype(np.int64)
-        k = keys.shape[0]
-        tables = keys.reshape(k, -1, card).transpose(1, 0, 2).reshape(batch + (k, card))
+        seen: dict = {}
+        first = [seen.setdefault(key.tobytes(), j) for j, key in enumerate(keys)]
+        kept, merged = np.unique(first, return_inverse=True)
+        assignment = merged.reshape(-1)[assignment.reshape(-1)].astype(np.int64)
+        k = kept.size
+        tables = keys[kept].transpose(1, 0, 2).reshape(batch + (k, card))
 
         row_min = tables.min(axis=-1)
         row_max = tables.max(axis=-1)
