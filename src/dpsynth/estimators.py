@@ -128,8 +128,7 @@ def achievable_values(q: StatisticalQuery, cap: int = ACHIEVABLE_CAP) -> np.ndar
     can round differently (0.1 + 0.2 vs 0.3), so on either path values
     within 1e-12 * n * max|table| (before normalization) count as one.
     """
-    if q.tables.ndim != 2:
-        raise ValidationError("achievable values are defined for one query, not a batch")
+    _check_single(q, "achievable_values")
     n = q.n
     tol = 1e-12 * n * float(np.abs(q.tables).max())
     if q.heterogeneity == 1:
@@ -225,6 +224,11 @@ def _distortion_bound(q: StatisticalQuery, n: int, params: MechanismParams, esti
     return bounds_mod.upper_bound_absolute(inputs, proper=proper)
 
 
+def _check_single(q: StatisticalQuery, what: str) -> None:
+    if q.tables.ndim != 2:
+        raise ValidationError(f"{what} takes one query, not a batch of {q.tables.shape[0]}")
+
+
 def _check_enums(estimator: str, measure: str, projection: str) -> None:
     if estimator not in ESTIMATORS:
         raise ValidationError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
@@ -244,6 +248,7 @@ def exact_distortion(
 ) -> float:
     """Expected distortion by full enumeration of the output distribution."""
     _check_enums(estimator, measure, projection)
+    _check_single(q, "exact_distortion")
     q._check(x)
     bits = x.n * x.universe.l
     if bits > EXACT_BIT_CAP:
@@ -280,6 +285,7 @@ def measure_distortion(
     given RandomSource regardless of how the internal chunks are scheduled.
     """
     _check_enums(estimator, measure, projection)
+    _check_single(q, "measure_distortion")
     if rng is None:
         raise ValidationError("measure_distortion needs an explicit RandomSource")
     if trials < 1:

@@ -67,7 +67,6 @@ class StatisticalQuery:
     __slots__ = (
         "universe",
         "tables",
-        "assignment",
         "label",
         "a",
         "b",
@@ -76,6 +75,7 @@ class StatisticalQuery:
         "centering",
         "heterogeneity",
         "_offsets",
+        "_counts",
     )
 
     def __init__(self, universe: DataUniverse, tables, assignment, label: str = ""):
@@ -99,30 +99,34 @@ class StatisticalQuery:
         # of the batch, in order of first use; evaluation is invariant to
         # this re-encoding
         batch = tables.shape[:-2]
-        used, assignment = np.unique(assignment, return_inverse=True)
+        per_table = np.bincount(assignment.astype(np.intp, copy=False), minlength=tables.shape[-2])
+        used = np.flatnonzero(per_table)
         keys = tables.reshape((-1,) + tables.shape[-2:])[:, used].transpose(1, 0, 2)
         seen: dict = {}
         first = [seen.setdefault(key.tobytes(), j) for j, key in enumerate(keys)]
         kept, merged = np.unique(first, return_inverse=True)
-        assignment = merged.reshape(-1)[assignment.reshape(-1)].astype(np.int64)
         k = kept.size
         tables = keys[kept].transpose(1, 0, 2).reshape(batch + (k, card))
+        counts = np.bincount(merged, weights=per_table[used], minlength=k)
+        # the query keeps only each row's offset, table * 2**l, into the flat
+        # (table, code) bins of a histogram
+        table_offsets = np.zeros(per_table.size, dtype=np.int64)
+        table_offsets[used] = merged * card
+        offsets = table_offsets[assignment]
 
         row_min = tables.min(axis=-1)
         row_max = tables.max(axis=-1)
         if not (row_max > row_min).all():
             raise ValidationError("constant row functions are not allowed (need max > min)")
 
-        counts = np.bincount(assignment, minlength=k).astype(np.float64)
         c_sum = (row_max - row_min) @ counts
-        offsets = assignment * card
 
         object.__setattr__(self, "universe", universe)
-        for arr in (tables, assignment, offsets):
+        for arr in (tables, offsets, counts):
             arr.setflags(write=False)
         object.__setattr__(self, "tables", tables)
-        object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "_counts", counts)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "a", float(row_min.min()))
         object.__setattr__(self, "b", float(row_max.max()))
@@ -136,7 +140,12 @@ class StatisticalQuery:
 
     @property
     def n(self) -> int:
-        return int(self.assignment.size)
+        return int(self._offsets.size)
+
+    @property
+    def assignment(self) -> np.ndarray:
+        """Integer array (n,): the table of each row."""
+        return self._offsets >> self.universe.l
 
     def _check(self, x: Database) -> None:
         if x.universe != self.universe:
@@ -184,9 +193,8 @@ class StatisticalQuery:
 
     def value_range(self):
         """[sum_i a_i, sum_i b_i] / sum_i c_i — the exact span of q; width 1."""
-        counts = np.bincount(self.assignment, minlength=self.heterogeneity).astype(np.float64)
-        lo = self.tables.min(axis=-1) @ counts / self.c_sum
-        hi = self.tables.max(axis=-1) @ counts / self.c_sum
+        lo = self.tables.min(axis=-1) @ self._counts / self.c_sum
+        hi = self.tables.max(axis=-1) @ self._counts / self.c_sum
         return _per_query(lo), _per_query(hi)
 
 
@@ -292,7 +300,7 @@ def _array_field(spec: dict, key: str, ndim: int, integer: bool = False) -> np.n
         raise ValidationError(f"query field {key!r} must be a {ndim}-d array")
     if integer and arr.size and arr.dtype.kind not in "iu":
         raise ValidationError(f"query field {key!r} must hold integers")
-    return arr.astype(np.int64) if integer else arr
+    return arr.astype(np.int64, copy=False) if integer else arr
 
 
 def query_from_dict(spec: dict) -> StatisticalQuery:

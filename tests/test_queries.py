@@ -206,6 +206,20 @@ class TestBatchedQuery:
         assert np.array_equal(batch.tables[0], single.tables)
         assert np.array_equal(batch.assignment, single.assignment)
 
+    def test_single_query_functions_reject_a_batch(self):
+        from dpsynth.estimators import achievable_values, exact_distortion, measure_distortion
+        from dpsynth.mechanism import MechanismParams
+
+        universe = DataUniverse(1)
+        qs = generate_random_query(universe, 2, 1, RandomSource(15), count=2)
+        x, params = db(1, [0, 1]), MechanismParams(1.0, universe)
+        with pytest.raises(ValidationError, match="batch"):
+            achievable_values(qs)
+        with pytest.raises(ValidationError, match="batch"):
+            exact_distortion(qs, x, params)
+        with pytest.raises(ValidationError, match="batch"):
+            measure_distortion(qs, x, params, rng=RandomSource(16))
+
     def test_class_constants_span_the_batch(self):
         tables = np.array([[[0.0, 1.0], [0.0, 2.0]], [[-1.0, 0.0], [0.0, 0.5]]])
         qs = StatisticalQuery(DataUniverse(1), tables, np.array([0, 1, 1]))
