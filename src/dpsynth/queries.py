@@ -156,15 +156,22 @@ class StatisticalQuery:
             )
 
     def histogram(self, rows) -> np.ndarray:
-        """Per-(table, code) counts of row codes in [0, 2**l): (k, 2**l) for
-        rows of shape (n,), (m, k, 2**l) for rows of shape (m, n)."""
+        """Per-(table, code) counts of row codes: (k, 2**l) for rows of shape
+        (n,), (m, k, 2**l) for rows of shape (m, n). Codes outside
+        [0, 2**l) raise ValidationError."""
         card = self.universe.cardinality
         size = self.heterogeneity * card
-        flat = np.asarray(rows) + self._offsets
+        rows = np.asarray(rows)
+        # an out-of-range code would count silently into another table's bins
+        if rows.min() < 0 or rows.max() >= card:
+            raise ValidationError(f"row codes must lie in [0, {card})")
+        flat = rows + self._offsets
         lead = flat.shape[:-1]
+        m = math.prod(lead)
         if lead:
-            flat += np.arange(0, flat.size // self.n * size, size).reshape(lead + (1,))
-        counts = np.bincount(flat.ravel(), minlength=math.prod(lead) * size)
+            # each row of ``rows`` counts into its own block of bins
+            flat += np.arange(0, m * size, size).reshape(lead + (1,))
+        counts = np.bincount(flat.ravel(), minlength=m * size)
         return counts.reshape(lead + (self.heterogeneity, card))
 
     def answers(self, hist: np.ndarray) -> np.ndarray:

@@ -244,6 +244,9 @@ class TestBatchedQuery:
         assert q.histogram(np.array([1, 0, 1])).tolist() == [[1, 1], [0, 1]]
         hist = q.histogram(np.array([[1, 0, 1], [0, 0, 0]]))
         assert hist.tolist() == [[[1, 1], [0, 1]], [[2, 0], [1, 0]]]
+        for bad in ([[1, 0, 2]], [[1, -1, 0]]):
+            with pytest.raises(ValidationError):
+                q.evaluate_rows(np.array(bad))
 
     def test_evaluate_rows_chunks_wide_domains(self, monkeypatch):
         import dpsynth.queries as queries_mod
