@@ -17,7 +17,7 @@ from dpsynth.harness import (
     weighted_slope,
     write_results_csv,
 )
-from dpsynth.core import DataUniverse, Database
+from dpsynth.core import DataUniverse
 from dpsynth.mechanism import MechanismParams, sample_rows
 from dpsynth.queries import generate_random_query
 

@@ -11,10 +11,19 @@ from dpsynth.core import (
     ValidationError,
     enumerate_databases,
 )
+from dpsynth.estimators import (
+    _estimates,
+    achievable_values,
+    estimate_unbiased,
+    exact_distortion,
+    measure_distortion,
+)
+from dpsynth.mechanism import MechanismParams
 from dpsynth.queries import (
     StatisticalQuery,
     centering_constant,
     generate_random_query,
+    load_query,
     make_hamming_query,
     make_predicate_query,
     query_from_dict,
@@ -162,9 +171,6 @@ class TestBatchedQuery:
             assert np.allclose(qs.evaluate_rows(rows)[:, qi], single, rtol=0, atol=1e-12)
 
     def test_estimates_match_estimator_module(self):
-        from dpsynth.estimators import estimate_unbiased
-        from dpsynth.mechanism import MechanismParams
-
         universe = DataUniverse(1)
         qs = generate_random_query(universe, 8, 2, RandomSource(9), count=3)
         params = MechanismParams(1.0, universe)
@@ -175,9 +181,6 @@ class TestBatchedQuery:
             assert batch[qi] == pytest.approx(single, abs=1e-12)
 
     def test_proper_estimates_clamped(self):
-        from dpsynth.estimators import _estimates
-        from dpsynth.mechanism import MechanismParams
-
         universe = DataUniverse(1)
         qs = generate_random_query(universe, 4, 1, RandomSource(11), count=5)
         params = MechanismParams(0.25, universe)
@@ -188,9 +191,6 @@ class TestBatchedQuery:
         assert (est <= hi + 1e-12).all() and (est >= lo - 1e-12).all()
 
     def test_duplicate_queries_do_not_change_worst(self):
-        from dpsynth.estimators import estimate_unbiased
-        from dpsynth.mechanism import MechanismParams
-
         universe = DataUniverse(1)
         qs = generate_random_query(universe, 16, 1, RandomSource(1), count=3)
         x = Database(universe, RandomSource(2).generator().integers(0, 2, size=16))
@@ -207,9 +207,6 @@ class TestBatchedQuery:
         assert np.array_equal(batch.assignment, single.assignment)
 
     def test_single_query_functions_reject_a_batch(self):
-        from dpsynth.estimators import achievable_values, exact_distortion, measure_distortion
-        from dpsynth.mechanism import MechanismParams
-
         universe = DataUniverse(1)
         qs = generate_random_query(universe, 2, 1, RandomSource(15), count=2)
         x, params = db(1, [0, 1]), MechanismParams(1.0, universe)
@@ -333,8 +330,6 @@ class TestSerialization:
             query_from_dict(spec)
 
     def test_invalid_json_file(self, tmp_path):
-        from dpsynth.queries import load_query
-
         path = tmp_path / "q.json"
         path.write_text("{not json")
         with pytest.raises(ValidationError, match="invalid JSON"):
