@@ -162,8 +162,11 @@ class StatisticalQuery:
         card = self.universe.cardinality
         size = self.heterogeneity * card
         rows = np.asarray(rows)
-        # an out-of-range code would count silently into another table's bins
-        if rows.min() < 0 or rows.max() >= card:
+        # an out-of-range code would count silently into another table's bins;
+        # all codes lie in [0, 2**l) exactly when their bitwise OR does (a
+        # negative code sets the sign bit), and one OR pass is cheaper than
+        # a min and a max
+        if np.bitwise_or.reduce(rows, axis=None) >> self.universe.l:
             raise ValidationError(f"row codes must lie in [0, {card})")
         flat = rows + self._offsets
         lead = flat.shape[:-1]
