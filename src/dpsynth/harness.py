@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -77,6 +78,22 @@ _S_GRAPH = 4
 _S_CUTS = 5
 
 
+# the type each config field must have; a parsed JSON config guarantees none
+_STR_FIELDS = ("experiment", "output", "graph_model", "estimator")
+_INT_FIELDS = ("seed", "l", "n", "query_count", "database_count", "cut_count", "trial_count")
+_REAL_FIELDS = ("epsilon", "graph_param", "a", "b", "c", "L")
+_INT_GRIDS = ("n_grid", "heterogeneity_grid", "set_sizes", "vertex_grid")
+_REAL_GRIDS = ("epsilon_grid",)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; see ``config_from_dict``."""
@@ -105,6 +122,7 @@ class ExperimentConfig:
     epsilon_grid: tuple = ()
 
     def __post_init__(self):
+        self._check_types()
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
         if self.trial_count < 1:
@@ -156,6 +174,29 @@ class ExperimentConfig:
             object.__setattr__(self, "n_grid", tuple(int(n) for n in grid))
             object.__setattr__(self, "epsilon_grid", tuple(float(e) for e in eps_grid))
 
+    def _check_types(self):
+        """Reject a field of the wrong type with ConfigError, before any
+        comparison or arithmetic could raise TypeError; grids given as lists
+        become tuples. ``L`` may be None, and so may a grid (read as empty,
+        which selects its default)."""
+        for name in _STR_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
+        for names, ok, what in ((_INT_FIELDS, _is_int, "an integer"), (_REAL_FIELDS, _is_real, "a number")):
+            for name in names:
+                value = getattr(self, name)
+                if not ok(value) and not (name == "L" and value is None):
+                    raise ConfigError(f"{name} must be {what}, got {value!r}")
+        for names, ok, what in ((_INT_GRIDS, _is_int, "integers"), (_REAL_GRIDS, _is_real, "numbers")):
+            for name in names:
+                value = getattr(self, name)
+                if value is None:
+                    continue
+                if not isinstance(value, (list, tuple)) or not all(ok(v) for v in value):
+                    raise ConfigError(f"{name} must be a list of {what}, got {value!r}")
+                object.__setattr__(self, name, tuple(value))
+
 
 def _default_heterogeneity_grid(n: int) -> tuple:
     grid = []
@@ -176,11 +217,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "experiment" not in raw:
         raise ConfigError("config needs an 'experiment' field")
-    coerced = dict(raw)
-    for key in ("n_grid", "heterogeneity_grid", "set_sizes", "vertex_grid", "epsilon_grid"):
-        if key in coerced and coerced[key] is not None:
-            coerced[key] = tuple(coerced[key])
-    return ExperimentConfig(**coerced)
+    return ExperimentConfig(**raw)
 
 
 def load_config(path) -> ExperimentConfig:

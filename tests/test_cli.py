@@ -203,6 +203,21 @@ class TestExperiment:
         assert code == 2
         assert "error[config]" in err
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("epsilon", "1"), ("n", "64"), ("trial_count", 2.5), ("set_sizes", 5), ("n", True), ("output", 5)],
+    )
+    def test_wrong_field_type_exit_2(self, tmp_path, capsys, key, value):
+        cfg = {"experiment": "query_set_size", "n": 64, "l": 1, "set_sizes": [2, 4],
+               "output": str(tmp_path / "a.csv")}
+        cfg[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+        assert code == 2
+        assert "error[config]" in err
+        assert key in err
+
     def test_invalid_json_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
