@@ -36,6 +36,7 @@ from .estimators import (
     estimate_cut,
     estimate_unbiased,
     exact_distortion,
+    exact_unbiased_mse,
     measure_distortion,
     project_proper,
 )

@@ -11,10 +11,16 @@ uniform flips). It is exactly unbiased for every input database but may
 return values no real database can produce; ``project_proper`` maps the raw
 value onto achievable answers, at most doubling the pointwise error.
 
-Distortion is measured two ways: ``exact_distortion`` enumerates every
-output (n*l <= 12) and is the oracle-grade ground truth;
-``measure_distortion`` is the Monte Carlo path for realistic sizes. Both
-report the applicable closed-form bound alongside.
+Distortion is measured three ways. ``exact_distortion`` enumerates every
+output (n*l <= 12) and is the oracle-grade ground truth.
+``exact_unbiased_mse`` is the exact squared distortion of the unbiased
+estimator at any n: rows are perturbed independently, so it is the sum of
+the per-row variances of the row functions under the row kernel, O(k * 2**l)
+for k tables. ``measure_distortion`` is the Monte Carlo path for realistic
+sizes; it draws the per-(table, code) counts of each release directly
+(``mechanism.sample_histograms``, O(trials * k * 2**l)) instead of its rows
+(O(trials * n)), since the estimators read nothing else. The enumeration and
+the Monte Carlo path report the applicable closed-form bound alongside.
 """
 
 from __future__ import annotations
@@ -34,13 +40,12 @@ from .core import (
     ValidationError,
     all_databases_matrix,
 )
-from .mechanism import IDENTITY_EPSILON, MechanismParams, log_pmf_all_outputs, sample_rows
+from .mechanism import IDENTITY_EPSILON, MechanismParams, log_pmf_all_outputs, sample_histograms
 from .queries import StatisticalQuery
 
 EXACT_BIT_CAP = 12
 ACHIEVABLE_CAP = 10**6
 _ENUM_ACHIEVABLE_BIT_CAP = 16
-_TRIAL_CHUNK = 4096  # fixed chunk size keeps Monte Carlo draws scheduling-independent
 
 ESTIMATORS = ("unbiased", "proper")
 MEASURES = ("squared", "absolute")
@@ -266,6 +271,48 @@ def exact_distortion(
     return float(probs @ rho)
 
 
+def exact_unbiased_mse(q: StatisticalQuery, x: Database, params: MechanismParams) -> float:
+    """Exact squared distortion of the unbiased estimator at x, at any n.
+
+    The estimator is unbiased and the rows are perturbed independently, so
+    its mean squared error is its variance,
+
+        (scale / c_sum)**2 * sum_{t, v} m_tv * Var_v[phi_t(Y)],
+
+    with m_tv the rows of x on table t with code v and Y one output row of
+    input v. In the mixture form of the row kernel (keep v, or with
+    probability alpha redraw uniformly over all codes) the law of total
+    variance gives Var_v = alpha * (s_t + (1 - alpha) * (phi_t(v) - mean_t)**2)
+    with mean_t and s_t the mean and the population variance of table t over
+    the codes: a sum of nonnegative terms, O(k * 2**l) for k tables. Zero at
+    the identity boundary.
+    """
+    _check_single(q, "exact_unbiased_mse")
+    if params.universe != q.universe:
+        raise DimensionMismatchError("mechanism parameters and query use different universes")
+    q._check(x)
+    scale, _ = _affine_coefficients(params)
+    if params.is_identity:
+        return 0.0
+    alpha = q.universe.cardinality * math.exp(-params.epsilon) / params.g
+    stay = -math.expm1(-params.epsilon) / params.g  # 1 - alpha without cancellation
+    dev2 = (q.tables - q.tables.mean(axis=-1, keepdims=True)) ** 2
+    var = alpha * (dev2.mean(axis=-1, keepdims=True) + stay * dev2)
+    return float((scale / q.c_sum) ** 2 * np.vdot(q.histogram(x.rows), var))
+
+
+def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Exactly summed (fsum) mean and standard error of the mean; the
+    standard error is inf for one value. fsum reads a list: iterating the
+    array would cost a Python step per value."""
+    count = values.size
+    mean = math.fsum(values.tolist()) / count
+    if count == 1:
+        return mean, float("inf")
+    var = math.fsum(((values - mean) ** 2).tolist()) / (count - 1)
+    return mean, math.sqrt(var / count)
+
+
 def measure_distortion(
     q: StatisticalQuery,
     x: Database,
@@ -279,10 +326,13 @@ def measure_distortion(
 ) -> DistortionReport:
     """Monte Carlo distortion of the chosen estimator at one database.
 
-    Releases ``trials`` independent synthetic databases, evaluates the
-    estimator on each and averages the distortion. The mean is accumulated
-    with exact (fsum) summation, so it is reproducible to the last bit for a
-    given RandomSource regardless of how the internal chunks are scheduled.
+    Draws the per-(table, code) histograms of ``trials`` independent
+    releases (``sample_histograms``, exact in distribution; no synthetic
+    rows are drawn), evaluates the estimator on each and averages the
+    distortion. The trials are drawn in chunks of at most ``_HIST_BINS``
+    counts, a size fixed by the query alone, and the mean is accumulated
+    with exact (fsum) summation, so the result is reproducible to the last
+    bit for a given RandomSource.
     """
     _check_enums(estimator, measure, projection)
     _check_single(q, "measure_distortion")
@@ -290,21 +340,20 @@ def measure_distortion(
         raise ValidationError("measure_distortion needs an explicit RandomSource")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    if params.universe != q.universe:
+        raise DimensionMismatchError("mechanism parameters and query use different universes")
     q._check(x)
-    qx = q.evaluate(x)
+    hist = q.histogram(x.rows)
+    qx = q.answers(hist)
     gen = rng.generator()
     values = np.empty(trials)
-    for start in range(0, trials, _TRIAL_CHUNK):
-        count = min(_TRIAL_CHUNK, trials - start)
-        rows = sample_rows(x.rows, params, gen, count)
-        err = _estimates(q, q.evaluate_rows(rows), params, estimator, projection) - qx
+    step = q._histograms_per_step()
+    for start in range(0, trials, step):
+        count = min(step, trials - start)
+        synthetic = sample_histograms(hist, params, gen, count)
+        err = _estimates(q, q.answers(synthetic), params, estimator, projection) - qx
         values[start : start + count] = err * err if measure == "squared" else np.abs(err)
-    mean = math.fsum(values) / trials
-    if trials > 1:
-        var = math.fsum((v - mean) ** 2 for v in values) / (trials - 1)
-        stderr = math.sqrt(var / trials)
-    else:
-        stderr = float("inf")
+    mean, stderr = _mean_and_stderr(values)
     exact = None
     if with_exact:
         exact = exact_distortion(q, x, params, estimator, measure, projection)

@@ -15,6 +15,20 @@ distribution. All probability arithmetic for exact pmf evaluation is done in
 log space; the normalizer n*log(g) grows linearly in n and would underflow
 the plain pmf at realistic sizes.
 
+The same kernel is a mixture: with probability alpha = 2**l * exp(-eps) / g
+a row is redrawn uniformly over all 2**l codes (possibly its own), otherwise
+it is kept; keeping then has total probability 1 - alpha + alpha / 2**l =
+1/g and each other code alpha / 2**l = exp(-eps) / g. Rows are independent,
+so the per-(table, code) counts of a release, which are all a statistical
+query's estimators read, can be drawn without drawing rows:
+``sample_histograms`` draws the redrawn rows of each (table, code) bin as
+Binomial(count, alpha) and spreads each table's total uniformly over the
+codes with one Multinomial. That costs O(trials * k * 2**l) draws for k
+tables, against O(trials * n) for ``sample_rows``; it is the cheaper path
+whenever n exceeds k * 2**l. ``sample_rows`` stays for the release itself
+and wherever one release is evaluated under several row-to-table
+assignments.
+
 ``verify_dp`` is a brute-force check of the privacy guarantee: it enumerates
 every neighbor pair and every output and reports the largest log-probability
 ratio, which equals eps exactly for this mechanism. It is one pure-numpy
@@ -100,6 +114,29 @@ def sample_rows(rows: np.ndarray, params: MechanismParams, gen: np.random.Genera
     alt = gen.integers(0, card - 1, size=(trials, rows.size), dtype=np.int64)
     alt += alt >= rows
     return np.where(keep, rows, alt)
+
+
+def sample_histograms(hist, params: MechanismParams, gen: np.random.Generator, trials: int) -> np.ndarray:
+    """Draw ``trials`` independent synthetic histograms for one input.
+
+    ``hist`` holds the input's per-(table, code) counts, shape (k, 2**l) as
+    ``StatisticalQuery.histogram`` returns them. The result, shape
+    (trials, k, 2**l), has the distribution of the histograms of ``trials``
+    releases by ``sample_rows``: each bin loses Binomial(count, alpha)
+    redrawn rows, and each table's redrawn rows land Multinomial-uniformly
+    over all 2**l codes (see the module docstring).
+    """
+    hist = np.asarray(hist, dtype=np.int64)
+    card = params.universe.cardinality
+    if hist.ndim != 2 or hist.shape[1] != card:
+        raise DimensionMismatchError(f"histogram must have shape (k, {card})")
+    if params.is_identity:
+        # alpha is about 1e-303 here, not 0: keep the exact identity
+        return np.broadcast_to(hist, (trials,) + hist.shape).copy()
+    alpha = card * math.exp(-params.epsilon) / params.g
+    redrawn = gen.binomial(hist, alpha, size=(trials,) + hist.shape)
+    arrivals = gen.multinomial(redrawn.sum(axis=-1), np.full(card, 1.0 / card))
+    return hist - redrawn + arrivals
 
 
 def sample_synthetic(x: Database, params: MechanismParams, rng: RandomSource) -> Database:

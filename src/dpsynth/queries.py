@@ -34,7 +34,8 @@ from .core import (
     ValidationError,
 )
 
-# cap on the counts one ``histogram`` call of ``evaluate_rows`` builds
+# cap on the counts one chunk of histograms holds, in ``evaluate_rows`` and
+# in ``estimators.measure_distortion``
 _HIST_BINS = 1 << 22
 
 
@@ -196,10 +197,15 @@ class StatisticalQuery:
         at most _HIST_BINS counts, so a wide row domain never makes the
         counts outgrow the rows."""
         rows = np.asarray(rows)
-        step = max(1, _HIST_BINS // (self.heterogeneity * self.universe.cardinality))
+        step = self._histograms_per_step()
         return np.concatenate(
             [self.answers(self.histogram(rows[i : i + step])) for i in range(0, len(rows), step)]
         )
+
+    def _histograms_per_step(self) -> int:
+        """How many histograms fit in _HIST_BINS counts (at least one); the
+        step of every chunked evaluation, so one constant bounds memory."""
+        return max(1, _HIST_BINS // (self.heterogeneity * self.universe.cardinality))
 
     def value_range(self):
         """[sum_i a_i, sum_i b_i] / sum_i c_i — the exact span of q; width 1."""

@@ -7,16 +7,19 @@ from dpsynth.bounds import BoundInputs, upper_bound_absolute, upper_bound_square
 from dpsynth.core import (
     Database,
     DataUniverse,
+    DimensionMismatchError,
     EnumerationTooLargeError,
     EstimatorUndefinedError,
     RandomSource,
     all_databases_matrix,
 )
 from dpsynth.estimators import (
+    _mean_and_stderr,
     achievable_values,
     estimate_cut,
     estimate_unbiased,
     exact_distortion,
+    exact_unbiased_mse,
     measure_distortion,
     project_proper,
 )
@@ -281,3 +284,66 @@ class TestMeasureDistortion:
         report = measure_distortion(q, x, params, trials=4000, rng=RandomSource(2))
         guard = report.analytic_bound + 5 * report.empirical_stderr
         assert report.empirical_mean <= guard
+
+    def test_universe_mismatch(self):
+        q, x, _ = random_micro_instance(4)
+        other = MechanismParams(1.0, DataUniverse(q.universe.l + 1))
+        with pytest.raises(DimensionMismatchError):
+            measure_distortion(q, x, other, trials=10, rng=RandomSource(0))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 100, 4096])
+    def test_stderr_bits_match_generator_form(self, size):
+        values = RandomSource(size, 9).generator().exponential(1e-4, size=size)
+        mean = math.fsum(values) / size
+        stderr = float("inf")
+        if size > 1:
+            stderr = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (size - 1) / size)
+        assert _mean_and_stderr(values) == (mean, stderr)
+
+
+class TestExactUnbiasedMse:
+    def test_matches_enumeration_on_micro_instances(self):
+        # the 100 micro-instances of acceptance criterion 2
+        for seed in range(100):
+            q, x, params = random_micro_instance(seed)
+            exact = exact_distortion(q, x, params, "unbiased", "squared")
+            assert exact_unbiased_mse(q, x, params) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_identity_is_zero(self):
+        q, x, _ = random_micro_instance(11)
+        assert exact_unbiased_mse(q, x, MechanismParams(700.0, x.universe)) == 0.0
+
+    def test_zero_epsilon_undefined(self):
+        q, x, _ = random_micro_instance(12)
+        with pytest.raises(EstimatorUndefinedError):
+            exact_unbiased_mse(q, x, MechanismParams(0.0, x.universe))
+
+    def test_predicate_query_closed_form(self):
+        # l = 1, one table (0, 1): Var = 1/g - 1/g^2 per row at any input, so
+        # the MSE is (g / (1 - e^-eps))^2 * (g - 1) / g^2 / n
+        n, eps = 1000, 0.7
+        u = DataUniverse(1)
+        params = MechanismParams(eps, u)
+        x = Database(u, RandomSource(3).generator().integers(0, 2, size=n))
+        g = params.g
+        expected = (g / -math.expm1(-eps)) ** 2 * (g - 1.0) / g**2 / n
+        mse = exact_unbiased_mse(make_predicate_query(u, n, [0]), x, params)
+        assert mse == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "l,n,h,trials,seed",
+        [(1, 10**4, 1, 4096, 41), (3, 4096, 64, 4096, 42)],
+    )
+    def test_count_sampled_monte_carlo_within_six_stderr(self, l, n, h, trials, seed):
+        u = DataUniverse(l)
+        gen = RandomSource(seed).generator()
+        if h == 1:
+            q = make_predicate_query(u, n, [0])
+        else:
+            q = generate_random_query(u, n, h, RandomSource(seed, 1))
+        x = Database(u, gen.integers(0, u.cardinality, size=n))
+        params = MechanismParams(1.0, u)
+        exact = exact_unbiased_mse(q, x, params)
+        report = measure_distortion(q, x, params, trials=trials, rng=RandomSource(seed, 2))
+        assert abs(report.empirical_mean - exact) <= 6 * report.empirical_stderr
+        assert exact <= report.analytic_bound

@@ -19,9 +19,11 @@ from dpsynth.mechanism import (
     MechanismParams,
     exact_log_pmf,
     log_pmf_all_outputs,
+    sample_histograms,
     sample_synthetic,
     verify_dp,
 )
+from dpsynth.queries import generate_random_query
 
 LN3_4 = -0.28768207245178093  # ln(3/4), frozen from a 30-digit evaluation
 
@@ -221,3 +223,52 @@ class TestSamplerMatchesPmf:
         exact = np.exp(log_pmf_all_outputs(x, p))
         tv = 0.5 * float(np.abs(counts / trials - exact).sum())
         assert tv <= 5e-3
+
+
+class TestSampleHistograms:
+    @pytest.mark.parametrize(
+        "l,n,h,eps",
+        [(1, 6, 2, 0.5), (1, 4, 1, 0.0), (2, 3, 3, 1.0), (2, 2, 1, 0.25), (3, 2, 2, 2.0), (6, 1, 1, 1.0)],
+    )
+    def test_matches_enumerated_histogram_distribution(self, l, n, h, eps):
+        # exact probability of each histogram: the pmf of every output,
+        # summed over the outputs with that histogram
+        u = DataUniverse(l)
+        q = generate_random_query(u, n, h, RandomSource(l, n).derive(h))
+        x = Database(u, RandomSource(n, l).generator().integers(0, u.cardinality, size=n))
+        params = MechanismParams(eps, u)
+        rows = all_databases_matrix(u, n)
+        probs = np.exp(log_pmf_all_outputs(x, params, rows_matrix=rows))
+        support = q.histogram(rows).reshape(rows.shape[0], -1)
+        trials = 20000
+        drawn = sample_histograms(
+            q.histogram(x.rows), params, RandomSource(61, l).derive(n).generator(), trials
+        )
+        keys, inverse = np.unique(
+            np.concatenate([support, drawn.reshape(trials, -1)]), axis=0, return_inverse=True
+        )
+        inverse = inverse.ravel()
+        exact = np.bincount(inverse[: support.shape[0]], weights=probs, minlength=keys.shape[0])
+        counts = np.bincount(inverse[support.shape[0] :], minlength=keys.shape[0])
+        assert exact.sum() == pytest.approx(1.0, abs=1e-12)
+        assert (counts[exact == 0] == 0).all()  # nothing outside the support
+        # 6 sigma per outcome, sigma floored at one count so that a single
+        # draw of an outcome expected less than once is not a failure
+        sigma = np.maximum(np.sqrt(trials * exact * (1 - exact)), 1.0)
+        assert (np.abs(counts - trials * exact) <= 6 * sigma).all()
+
+    @pytest.mark.parametrize("eps", [700.0, 1e4])
+    def test_identity_returns_input(self, eps):
+        hist = np.array([[3, 0, 1, 2], [0, 5, 0, 0]])
+        out = sample_histograms(hist, MechanismParams(eps, DataUniverse(2)), RandomSource(0).generator(), 3)
+        assert out.shape == (3, 2, 4)
+        assert (out == hist).all()
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            sample_histograms(
+                np.ones((2, 4), dtype=np.int64),
+                MechanismParams(1.0, DataUniverse(1)),
+                RandomSource(0).generator(),
+                2,
+            )
