@@ -24,9 +24,10 @@ query's estimators read, can be drawn without drawing rows:
 ``sample_histograms`` draws the redrawn rows of each (table, code) bin as
 Binomial(count, alpha) and spreads each table's total uniformly over the
 codes with one Multinomial. That costs O(trials * k * 2**l) draws for k
-tables, against O(trials * n) for ``sample_rows``; it is the cheaper path
-whenever n exceeds k * 2**l. ``sample_rows`` stays for the release itself
-and wherever one release is evaluated under several row-to-table
+tables, against O(trials * n) for ``sample_rows``. A binomial draw costs
+more than a row's draw, so counts win only when n is well above k * 2**l;
+with one table per row they lose. ``sample_rows`` stays for the release
+itself and wherever one release is evaluated under several row-to-table
 assignments.
 
 ``verify_dp`` is a brute-force check of the privacy guarantee: it enumerates
