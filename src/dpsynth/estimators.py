@@ -294,10 +294,9 @@ def exact_unbiased_mse(q: StatisticalQuery, x: Database, params: MechanismParams
     scale, _ = _affine_coefficients(params)
     if params.is_identity:
         return 0.0
-    alpha = q.universe.cardinality * math.exp(-params.epsilon) / params.g
     stay = -math.expm1(-params.epsilon) / params.g  # 1 - alpha without cancellation
     dev2 = (q.tables - q.tables.mean(axis=-1, keepdims=True)) ** 2
-    var = alpha * (dev2.mean(axis=-1, keepdims=True) + stay * dev2)
+    var = params.redraw_prob * (dev2.mean(axis=-1, keepdims=True) + stay * dev2)
     return float((scale / q.c_sum) ** 2 * np.vdot(q.histogram(x.rows), var))
 
 

@@ -16,19 +16,19 @@ log space; the normalizer n*log(g) grows linearly in n and would underflow
 the plain pmf at realistic sizes.
 
 The same kernel is a mixture: with probability alpha = 2**l * exp(-eps) / g
-a row is redrawn uniformly over all 2**l codes (possibly its own), otherwise
-it is kept; keeping then has total probability 1 - alpha + alpha / 2**l =
-1/g and each other code alpha / 2**l = exp(-eps) / g. Rows are independent,
-so the per-(table, code) counts of a release, which are all a statistical
-query's estimators read, can be drawn without drawing rows:
-``sample_histograms`` draws the redrawn rows of each (table, code) bin as
-Binomial(count, alpha) and spreads each table's total uniformly over the
-codes with one Multinomial. That costs O(trials * k * 2**l) draws for k
-tables, against O(trials * n) for ``sample_rows``. A binomial draw costs
-more than a row's draw, so counts win only when n is well above k * 2**l;
-with one table per row they lose. ``sample_rows`` stays for the release
-itself and wherever one release is evaluated under several row-to-table
-assignments.
+(``MechanismParams.redraw_prob``) a row is redrawn uniformly over all 2**l
+codes (possibly its own), otherwise it is kept; keeping then has total
+probability 1 - alpha + alpha / 2**l = 1/g and each other code alpha / 2**l
+= exp(-eps) / g. Rows are independent, so the per-(table, code) counts of a
+release, which are all a statistical query's estimators read, can be drawn
+without drawing rows: ``sample_histograms`` draws the redrawn rows of each
+(table, code) bin as Binomial(count, alpha) and spreads each table's total
+uniformly over the codes with one Multinomial. That costs O(trials * k *
+2**l) draws for k tables, against O(trials * n) for ``sample_rows``. A
+binomial draw costs more than a row's draw, so counts win only when n is
+well above k * 2**l; with one table per row they lose. ``sample_rows`` stays
+for the release itself and wherever one release is evaluated under several
+row-to-table assignments.
 
 ``verify_dp`` is a brute-force check of the privacy guarantee: it enumerates
 every neighbor pair and every output and reports the largest log-probability
@@ -99,6 +99,12 @@ class MechanismParams:
         """Probability mass assigned to each of the 2**l - 1 alternatives."""
         return math.exp(-self.epsilon) / self.g
 
+    @property
+    def redraw_prob(self) -> float:
+        """alpha = 2**l exp(-eps) / g: the kernel keeps a row or, with this
+        probability, redraws it uniformly over all 2**l codes; in [0, 1]."""
+        return self.universe.cardinality * math.exp(-self.epsilon) / self.g
+
 
 def sample_rows(rows: np.ndarray, params: MechanismParams, gen: np.random.Generator, trials: int) -> np.ndarray:
     """Draw ``trials`` independent synthetic row vectors for one input.
@@ -134,8 +140,7 @@ def sample_histograms(hist, params: MechanismParams, gen: np.random.Generator, t
     if params.is_identity:
         # alpha is about 1e-303 here, not 0: keep the exact identity
         return np.broadcast_to(hist, (trials,) + hist.shape).copy()
-    alpha = card * math.exp(-params.epsilon) / params.g
-    redrawn = gen.binomial(hist, alpha, size=(trials,) + hist.shape)
+    redrawn = gen.binomial(hist, params.redraw_prob, size=(trials,) + hist.shape)
     arrivals = gen.multinomial(redrawn.sum(axis=-1), np.full(card, 1.0 / card))
     return hist - redrawn + arrivals
 

@@ -47,6 +47,10 @@ class TestParams:
         assert 2.0**-l <= p.keep_prob <= 1.0
         total = p.keep_prob + (card - 1) * p.flip_prob
         assert total == pytest.approx(1.0, abs=1e-12)
+        # the mixture form: keep, or redraw uniformly over all codes
+        assert 0.0 <= p.redraw_prob <= 1.0
+        assert 1.0 - p.redraw_prob + p.redraw_prob / card == pytest.approx(p.keep_prob, abs=1e-12)
+        assert p.redraw_prob / card == pytest.approx(p.flip_prob, abs=1e-12)
 
     def test_epsilon_validated(self):
         with pytest.raises(Exception):
