@@ -33,7 +33,6 @@ from .queries import (
 from .estimators import (
     DistortionReport,
     achievable_values,
-    estimate_cut,
     estimate_unbiased,
     exact_distortion,
     exact_unbiased_mse,

@@ -12,6 +12,7 @@ Every stochastic operation in this package takes an explicit
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -49,6 +50,15 @@ class ConfigError(ValidationError):
     """An experiment or ingestion configuration is invalid."""
 
     category = "config"
+
+
+def _read_json(path, error=ValidationError):
+    """Parse a JSON file; invalid JSON raises ``error`` naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: invalid JSON ({exc})") from None
 
 
 @dataclass(frozen=True)

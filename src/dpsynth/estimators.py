@@ -9,7 +9,9 @@ that row-level channel in aggregate,
 where C is the query's centering constant (the mean table mass picked up by
 uniform flips). It is exactly unbiased for every input database but may
 return values no real database can produce; ``project_proper`` maps the raw
-value onto achievable answers, at most doubling the pointwise error.
+value onto achievable answers, at most doubling the pointwise error. The
+cut estimator in ``graph`` debiases released edge counts by the same map
+(``_affine_coefficients``), with C = |S||T|.
 
 Distortion is measured three ways. ``exact_distortion`` enumerates every
 output (n*l <= 12) and is the oracle-grade ground truth.
@@ -188,34 +190,6 @@ def _project_vector(q: StatisticalQuery, raw: np.ndarray, strategy: str) -> np.n
     # tie toward the smaller value; beyond either end, the end value
     out = np.where(raw - left <= right - raw, left, right)
     return np.where(raw <= vals[0], vals[0], np.where(raw >= vals[-1], vals[-1], out))
-
-
-def estimate_cut(y: Database, s_set, t_set, epsilon: float) -> float:
-    """Debiased directed-cut count from a synthetic edge-indicator database.
-
-    The database must encode a graph: l = 1 and n = |V|^2 with row (i, j) at
-    index i*|V| + j. Negative answers (and answers above |S||T|) are legal
-    outputs of the unbiased form; clamp to [0, |S||T|] separately if a proper
-    value is needed.
-    """
-    if y.universe.l != 1:
-        raise ValidationError("a graph database must have l = 1 (edge indicators)")
-    v = math.isqrt(y.n)
-    if v * v != y.n:
-        raise ValidationError(f"edge-indicator database size {y.n} is not a perfect square")
-    s = sorted(set(int(i) for i in s_set))
-    t = sorted(set(int(j) for j in t_set))
-    if s and t and set(s) & set(t):
-        raise ValidationError("cut query needs disjoint vertex sets")
-    if (s and (s[0] < 0 or s[-1] >= v)) or (t and (t[0] < 0 or t[-1] >= v)):
-        raise ValidationError(f"vertex ids must lie in [0, {v})")
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise EstimatorUndefinedError("the cut estimator needs epsilon > 0")
-    if not s or not t:
-        return 0.0
-    raw = float(y.rows.reshape(v, v)[np.ix_(s, t)].sum())
-    scale, shift = _affine_coefficients(MechanismParams(epsilon, y.universe))
-    return scale * raw - shift * (len(s) * len(t))
 
 
 def _distortion_bound(q: StatisticalQuery, n: int, params: MechanismParams, estimator: str, measure: str) -> float:

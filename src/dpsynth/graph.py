@@ -6,10 +6,16 @@ edge level (neighbors differ in one vertex pair). Undirected input data is
 symmetrized at ingestion by default, setting both (i, j) and (j, i); a
 count-once mode keeps only the given orientation since the convention
 affects cut values and is a property of the dataset, not the mechanism.
+
+Every cut count, exact (``cut_value``) or released (``answer_cut``, the cut
+estimator), is one contraction of (C, |V|) indicator matrices: the row sums
+of (S @ M) * T. Released counts are debiased by the same affine map as a
+statistical query, with centering constant |S||T|.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +26,7 @@ from .core import (
     RandomSource,
     ValidationError,
 )
-from .estimators import estimate_cut
+from .estimators import _affine_coefficients
 from .mechanism import MechanismParams, sample_synthetic
 
 MAX_ENCODED_PAIRS = 10**8
@@ -70,12 +76,18 @@ class Graph:
 
     @classmethod
     def from_database(cls, db: Database) -> "Graph":
-        if db.universe.l != 1:
-            raise ValidationError("an edge-indicator database must have l = 1")
-        v = int(np.sqrt(db.n))
-        if v * v != db.n:
-            raise ValidationError(f"database size {db.n} is not a perfect square")
+        v = _edge_vertex_count(db)
         return cls(db.rows.reshape(v, v).astype(bool))
+
+
+def _edge_vertex_count(db: Database) -> int:
+    """|V| of an edge-indicator database, which must have l = 1 and n = |V|^2."""
+    if db.universe.l != 1:
+        raise ValidationError("an edge-indicator database must have l = 1")
+    v = math.isqrt(db.n)
+    if v * v != db.n:
+        raise ValidationError(f"database size {db.n} is not a perfect square")
+    return v
 
 
 @dataclass(frozen=True)
@@ -94,19 +106,40 @@ class CutQuery:
         object.__setattr__(self, "t_set", t)
 
     def validate_for(self, vertex_count: int) -> None:
-        for w in self.s_set | self.t_set:
-            if not 0 <= w < vertex_count:
-                raise ValidationError(f"vertex {w} outside [0, {vertex_count})")
+        _cut_indicators([self], vertex_count)
+
+
+def _cut_indicators(cuts, vertex_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 (C, |V|) indicator matrices (S, T) of C cuts. Every vertex id must
+    lie in [0, |V|): fancy indexing would wrap a negative one onto another vertex."""
+    sets = [q.s_set for q in cuts] + [q.t_set for q in cuts]
+    ids = [w for side in sets for w in side]
+    lo, hi = min(ids, default=0), max(ids, default=0)
+    if lo < 0 or hi >= vertex_count:
+        raise ValidationError(f"vertex {lo if lo < 0 else hi} outside [0, {vertex_count})")
+    ind = np.zeros((len(sets), vertex_count), dtype=np.float32)
+    ind[np.repeat(np.arange(len(sets)), [len(side) for side in sets]), ids] = 1.0
+    return ind[: len(cuts)], ind[len(cuts) :]
+
+
+def _cut_counts(m: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per-cut sums of M (|V| x |V|, or flat) over S_c x T_c, in float64: the
+    row sums of (S @ M) * T. S @ M holds integers <= |V|, exact in float32;
+    the final sum runs in float64, exact up to |V|^2 pairs."""
+    return (np.matmul(s, m.reshape(s.shape[1], -1), dtype=np.float32) * t).sum(axis=1, dtype=np.float64)
+
+
+def _answer_cuts(y: Database, s: np.ndarray, t: np.ndarray, epsilon: float) -> np.ndarray:
+    """Debiased cut answers, scale * count - shift * |S||T|, from a release y."""
+    scale, shift = _affine_coefficients(MechanismParams(epsilon, y.universe))
+    sizes = s.sum(axis=1, dtype=np.float64) * t.sum(axis=1, dtype=np.float64)
+    return scale * _cut_counts(y.rows, s, t) - shift * sizes
 
 
 def cut_value(g: Graph, q: CutQuery) -> int:
     """Exact number of edges (i, j) with i in S, j in T."""
-    q.validate_for(g.vertex_count)
-    if not q.s_set or not q.t_set:
-        return 0
-    s = sorted(q.s_set)
-    t = sorted(q.t_set)
-    return int(g.adjacency[np.ix_(s, t)].sum())
+    s, t = _cut_indicators([q], g.vertex_count)
+    return int(_cut_counts(g.adjacency, s, t)[0])
 
 
 def release_graph(g: Graph, epsilon: float, rng: RandomSource) -> Database:
@@ -124,8 +157,11 @@ def release_graph(g: Graph, epsilon: float, rng: RandomSource) -> Database:
 
 
 def answer_cut(y: Database, q: CutQuery, epsilon: float) -> float:
-    """Debiased cut answer from a released database (see estimate_cut)."""
-    return estimate_cut(y, q.s_set, q.t_set, epsilon)
+    """Unbiased directed-cut count from a released edge-indicator database
+    (l = 1, n = |V|^2). Answers below 0 or above |S||T| are legal; clamp
+    separately if a proper value is needed."""
+    s, t = _cut_indicators([q], _edge_vertex_count(y))
+    return float(_answer_cuts(y, s, t, epsilon)[0])
 
 
 def random_bisection_cut(g: Graph, rng: RandomSource) -> CutQuery:

@@ -27,7 +27,6 @@ produce byte-identical CSV files.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -35,11 +34,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bounds import BOUND_TABLE_COLUMNS, BoundInputs, bound_table_row, cut_bound
-from .core import ConfigError, Database, DataUniverse, RandomSource, ValidationError
+from .core import ConfigError, Database, DataUniverse, RandomSource, ValidationError, _read_json
 from .estimators import _distortion_bound, _estimates
 from .graph import (
-    answer_cut,
-    cut_value,
+    _answer_cuts,
+    _cut_counts,
+    _cut_indicators,
     erdos_renyi_graph,
     power_law_graph,
     random_bisection_cut,
@@ -165,6 +165,11 @@ class ExperimentConfig:
                 raise ConfigError("vertex_grid must be ascending and distinct")
             if self.graph_model not in GRAPH_MODELS:
                 raise ConfigError(f"graph_model must be one of {GRAPH_MODELS}")
+            p = self.graph_param
+            if self.graph_model == "erdos_renyi" and not 0.0 <= p <= 1.0:
+                raise ConfigError(f"erdos_renyi graph_param must be a probability in [0, 1], got {p}")
+            if self.graph_model == "power_law" and not (1 <= p < min(self.vertex_grid) and p % 1 == 0):
+                raise ConfigError(f"power_law graph_param must be an integer in [1, min(vertex_grid)), got {p}")
             if self.cut_count < 1:
                 raise ConfigError("cut_count must be >= 1")
             object.__setattr__(self, "vertex_grid", tuple(int(v) for v in self.vertex_grid))
@@ -221,12 +226,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    return config_from_dict(raw)
+    return config_from_dict(_read_json(path, ConfigError))
 
 
 @dataclass(frozen=True)
@@ -406,16 +406,15 @@ def run_cut_scaling(config: ExperimentConfig, rng: RandomSource) -> list[ResultR
         if config.graph_model == "erdos_renyi":
             g = erdos_renyi_graph(v, config.graph_param, rng.derive(_S_GRAPH, gi))
         else:
-            g = power_law_graph(v, max(1, int(config.graph_param)), rng.derive(_S_GRAPH, gi))
-        cuts = [
-            random_bisection_cut(g, rng.derive(_S_CUTS, gi, ci)) for ci in range(config.cut_count)
-        ]
-        truths = np.array([cut_value(g, q) for q in cuts], dtype=np.float64)
+            g = power_law_graph(v, int(config.graph_param), rng.derive(_S_GRAPH, gi))
+        s, t = _cut_indicators(
+            [random_bisection_cut(g, rng.derive(_S_CUTS, gi, ci)) for ci in range(config.cut_count)], v
+        )
+        truths = _cut_counts(g.adjacency, s, t)
         errs = np.empty((config.trial_count, config.cut_count))
         for r in range(config.trial_count):
             y = release_graph(g, config.epsilon, rng.derive(_S_RELEASE, gi, r))
-            for ci, q in enumerate(cuts):
-                errs[r, ci] = abs(answer_cut(y, q, config.epsilon) - truths[ci])
+            errs[r] = np.abs(_answer_cuts(y, s, t, config.epsilon) - truths)
         stats = _summarize(errs)
         bound = cut_bound(v // 2, v - v // 2, config.epsilon)
         positive = truths > 0
@@ -493,31 +492,36 @@ def weighted_slope(xs, ys, ses) -> tuple[float, float]:
 def load_ingestion_schema(source) -> dict:
     """Validate a column schema: {"columns": [{"name", "cardinality" |
     "values"}...], "has_header": bool}."""
-    if isinstance(source, dict):
-        raw = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    if not isinstance(raw, dict) or "columns" not in raw:
+    raw = source if isinstance(source, dict) else _read_json(source, ConfigError)
+    if not isinstance(raw, dict) or not isinstance(raw.get("columns"), list):
         raise ConfigError("schema needs a 'columns' list")
     unknown = set(raw) - {"columns", "has_header"}
     if unknown:
         raise ConfigError(f"unknown schema keys: {sorted(unknown)}")
+    has_header = raw.get("has_header", True)
+    if not isinstance(has_header, bool):
+        raise ConfigError(f"has_header must be true or false, got {has_header!r}")
     columns = []
     total_bits = 0
     for idx, col in enumerate(raw["columns"]):
+        if not isinstance(col, dict):
+            raise ConfigError(f"column {idx} must be an object, got {col!r}")
         unknown = set(col) - {"name", "cardinality", "values"}
         if unknown:
             raise ConfigError(f"column {idx}: unknown keys {sorted(unknown)}")
         name = col.get("name", f"col{idx}")
+        if not isinstance(name, str) or any(c["name"] == name for c in columns):
+            raise ConfigError(f"column {idx}: name must be a string unique in the schema, got {name!r}")
         values = col.get("values")
         if values is not None:
+            if not (isinstance(values, list) and all(isinstance(v, str) for v in values)
+                    and len(set(values)) == len(values)):
+                raise ConfigError(f"column {name!r}: values must be a list of distinct string labels")
             cardinality = len(values)
         else:
             cardinality = col.get("cardinality")
-        if cardinality is None or int(cardinality) < 2:
-            raise ConfigError(f"column {name!r}: cardinality must be >= 2")
-        cardinality = int(cardinality)
+        if not _is_int(cardinality) or cardinality < 2:
+            raise ConfigError(f"column {name!r}: cardinality must be an integer >= 2, got {cardinality!r}")
         bits = (cardinality - 1).bit_length()
         columns.append(
             {"name": name, "cardinality": cardinality, "values": values, "bits": bits,
@@ -528,7 +532,7 @@ def load_ingestion_schema(source) -> dict:
         raise ConfigError("schema needs at least one column")
     if total_bits > 30:
         raise ConfigError(f"schema needs {total_bits} bits; the universe cap is 30")
-    return {"columns": columns, "has_header": bool(raw.get("has_header", True)), "l": total_bits}
+    return {"columns": columns, "has_header": has_header, "l": total_bits}
 
 
 def ingest_csv(path, schema) -> Database:

@@ -21,7 +21,6 @@ of the rows alone, so one histogram of a release answers the whole batch.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -32,6 +31,7 @@ from .core import (
     DimensionMismatchError,
     RandomSource,
     ValidationError,
+    _read_json,
 )
 
 # cap on the counts one chunk of histograms holds, in ``evaluate_rows`` and
@@ -352,9 +352,4 @@ def query_from_dict(spec: dict) -> StatisticalQuery:
 
 
 def load_query(path) -> StatisticalQuery:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    return query_from_dict(spec)
+    return query_from_dict(_read_json(path))

@@ -35,7 +35,7 @@ from dpsynth.estimators import (
     measure_distortion,
     project_proper,
 )
-from dpsynth.graph import Graph, CutQuery, cut_value, erdos_renyi_graph, random_bisection_cut
+from dpsynth.graph import Graph, CutQuery, answer_cut, cut_value, erdos_renyi_graph, random_bisection_cut
 from dpsynth.harness import (
     config_from_dict,
     fit_loglog_slope,
@@ -250,12 +250,9 @@ def test_criterion_08_cut_release():
             params = MechanismParams(1.0, u)
             rows = all_databases_matrix(u, v * v)
             probs = np.exp(log_pmf_all_outputs(x, params, rows_matrix=rows))
-            from dpsynth.estimators import estimate_cut
-
-            truth = cut_value(g, CutQuery(frozenset(s_set), frozenset(t_set)))
-            errors = np.array(
-                [abs(estimate_cut(Database(u, r), s_set, t_set, 1.0) - truth) for r in rows]
-            )
+            q = CutQuery(frozenset(s_set), frozenset(t_set))
+            truth = cut_value(g, q)
+            errors = np.array([abs(answer_cut(Database(u, r), q, 1.0) - truth) for r in rows])
             assert float(probs @ errors) <= cut_bound(len(s_set), len(t_set), 1.0)
 
         # Monte Carlo at |V| in {64, 256}: 10^4 trials, mean <= bound

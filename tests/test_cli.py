@@ -66,6 +66,31 @@ class TestReleaseEstimate:
         assert code == 0, err
         assert list(read_database_codes(out, 3).rows) == [3, 1, 4]
 
+    @pytest.mark.parametrize(
+        "schema_text",
+        [
+            '{"columns": [',
+            json.dumps({"columns": "rating"}),
+            json.dumps({"columns": [5]}),
+            json.dumps({"columns": [{"name": "rating", "cardinality": "five"}]}),
+            json.dumps({"columns": [{"name": "rating", "values": 5}]}),
+            json.dumps({"columns": [{"name": "rating", "cardinality": 5}] * 2}),
+            json.dumps({"columns": [{"name": "rating", "cardinality": 5}], "has_header": "false"}),
+        ],
+    )
+    def test_malformed_schema_exit_2(self, tmp_path, capsys, schema_text):
+        data = tmp_path / "data.csv"
+        data.write_text("rating\n3\n1\n4\n")
+        schema = tmp_path / "schema.json"
+        schema.write_text(schema_text)
+        code, _, err = run_cli(
+            capsys,
+            "release", "--input", str(data), "--output", str(tmp_path / "out.txt"),
+            "--epsilon", "1.0", "--schema", str(schema), "--seed", "1",
+        )
+        assert code == 2
+        assert err.startswith("error[config]")
+
     def test_missing_l_is_config_error(self, tmp_path, capsys):
         db_path = tmp_path / "db.txt"
         db_path.write_text("0\n")

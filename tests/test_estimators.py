@@ -16,7 +16,6 @@ from dpsynth.core import (
 from dpsynth.estimators import (
     _mean_and_stderr,
     achievable_values,
-    estimate_cut,
     estimate_unbiased,
     exact_distortion,
     exact_unbiased_mse,
@@ -29,8 +28,6 @@ from dpsynth.queries import (
     generate_random_query,
     make_predicate_query,
 )
-
-CUT_HAND_VALUE = -0.581976706869326424385  # -e^-1/(1-e^-1), frozen at 30 digits
 
 
 def db(l, rows):
@@ -198,48 +195,6 @@ class TestExactDistortion:
         x = db(2, [0] * 8)
         with pytest.raises(EnumerationTooLargeError):
             exact_distortion(q, x, MechanismParams(1.0, DataUniverse(2)))
-
-
-class TestCutEstimator:
-    def test_identity_epsilon_returns_raw_count(self):
-        y = db(1, [0, 1, 1, 0])  # 2 vertices
-        assert estimate_cut(y, {0}, {1}, 700.0) == 1.0
-
-    def test_hand_value_edge_absent(self):
-        y = db(1, [0, 0, 0, 0])
-        assert estimate_cut(y, {0}, {1}, 1.0) == pytest.approx(CUT_HAND_VALUE, abs=1e-12)
-
-    def test_unbiased_by_enumeration_three_vertices(self):
-        # all 2^9 outputs of a 3-vertex graph release, weighted by the pmf
-        from dpsynth.graph import Graph
-
-        g = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
-        x = g.to_database()
-        u = DataUniverse(1)
-        params = MechanismParams(1.0, u)
-        rows = all_databases_matrix(u, 9)
-        probs = np.exp(log_pmf_all_outputs(x, params, rows_matrix=rows))
-        s_set, t_set = {0, 1}, {2}
-        estimates = np.array(
-            [estimate_cut(Database(u, r), s_set, t_set, 1.0) for r in rows]
-        )
-        true_cut = 1.0  # only (1, 2) crosses from S into T
-        assert float(probs @ estimates) == pytest.approx(true_cut, abs=1e-10)
-
-    def test_validation(self):
-        y = db(1, [0, 0, 0, 0])
-        with pytest.raises(Exception):
-            estimate_cut(y, {0}, {0}, 1.0)  # overlap
-        with pytest.raises(EstimatorUndefinedError):
-            estimate_cut(y, {0}, {1}, 0.0)
-        with pytest.raises(Exception):
-            estimate_cut(db(1, [0, 0, 0]), {0}, {1}, 1.0)  # not square
-        with pytest.raises(Exception):
-            estimate_cut(db(2, [0, 0, 0, 0]), {0}, {1}, 1.0)  # l != 1
-
-    def test_empty_side_gives_zero(self):
-        y = db(1, [1, 1, 1, 1])
-        assert estimate_cut(y, set(), {1}, 1.0) == 0.0
 
 
 class TestMeasureDistortion:

@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 
 from dpsynth.bounds import cut_bound
-from dpsynth.core import Database, DataUniverse, RandomSource, ValidationError
+from dpsynth.core import (
+    Database,
+    DataUniverse,
+    EstimatorUndefinedError,
+    RandomSource,
+    ValidationError,
+    all_databases_matrix,
+)
 from dpsynth.graph import (
     CutQuery,
     Graph,
+    _cut_counts,
     answer_cut,
     cut_value,
     erdos_renyi_graph,
@@ -17,6 +25,17 @@ from dpsynth.graph import (
     read_edge_list,
     release_graph,
 )
+from dpsynth.mechanism import MechanismParams, log_pmf_all_outputs
+
+CUT_HAND_VALUE = -0.581976706869326424385  # -e^-1/(1-e^-1), frozen at 30 digits
+
+
+def edge_db(l, rows):
+    return Database(DataUniverse(l), np.asarray(rows, dtype=np.int64))
+
+
+def cut(s_set, t_set):
+    return CutQuery(frozenset(s_set), frozenset(t_set))
 
 
 class TestEncoding:
@@ -74,6 +93,23 @@ class TestCutValue:
         g = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(ValidationError):
             cut_value(g, CutQuery(frozenset({0}), frozenset({5})))
+
+    def test_counts_exact_beyond_float32(self):
+        # 4097^2 is odd and above 2^24: a float32 final sum would round it
+        v = 4097
+        ones = np.ones((1, v), dtype=np.float32)
+        assert int(_cut_counts(np.ones((v, v), dtype=bool), ones, ones)[0]) == v * v
+
+    @pytest.mark.parametrize("bad", [-1, 3, 2**70])
+    def test_vertex_outside_range_on_either_side(self, bad):
+        # -1 would wrap onto vertex 2 and 3 would overflow the indicator row
+        g = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+        y = release_graph(g, 1.0, RandomSource(0))
+        for q in (cut({0, bad}, {1}), cut({0}, {1, bad})):
+            with pytest.raises(ValidationError, match="outside"):
+                cut_value(g, q)
+            with pytest.raises(ValidationError, match="outside"):
+                answer_cut(y, q, 1.0)
 
 
 class TestReleaseGraph:
@@ -148,6 +184,47 @@ class TestAnswerCut:
         errors = np.array(errors)
         assert float(np.mean(errors <= bound)) >= 0.95
         assert errors.mean() <= bound
+
+
+class TestCutEstimator:
+    def test_identity_epsilon_returns_raw_count(self):
+        y = edge_db(1, [0, 1, 1, 0])  # 2 vertices
+        assert answer_cut(y, cut({0}, {1}), 700.0) == 1.0
+
+    def test_hand_value_edge_absent(self):
+        y = edge_db(1, [0, 0, 0, 0])
+        assert answer_cut(y, cut({0}, {1}), 1.0) == pytest.approx(CUT_HAND_VALUE, abs=1e-12)
+
+    def test_unbiased_by_enumeration_three_vertices(self):
+        # all 2^9 outputs of a 3-vertex graph release, weighted by the pmf
+        g = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+        x = g.to_database()
+        u = DataUniverse(1)
+        params = MechanismParams(1.0, u)
+        rows = all_databases_matrix(u, 9)
+        probs = np.exp(log_pmf_all_outputs(x, params, rows_matrix=rows))
+        q = cut({0, 1}, {2})
+        estimates = np.array([answer_cut(Database(u, r), q, 1.0) for r in rows])
+        true_cut = 1.0  # only (1, 2) crosses from S into T
+        assert float(probs @ estimates) == pytest.approx(true_cut, abs=1e-10)
+
+    def test_validation(self):
+        y = edge_db(1, [0, 0, 0, 0])
+        with pytest.raises(ValidationError):
+            answer_cut(y, cut({0}, {0}), 1.0)  # overlap
+        with pytest.raises(EstimatorUndefinedError):
+            answer_cut(y, cut({0}, {1}), 0.0)
+        for eps in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValidationError):
+                answer_cut(y, cut({0}, {1}), eps)
+        with pytest.raises(ValidationError):
+            answer_cut(edge_db(1, [0, 0, 0]), cut({0}, {1}), 1.0)  # not square
+        with pytest.raises(ValidationError):
+            answer_cut(edge_db(2, [0, 0, 0, 0]), cut({0}, {1}), 1.0)  # l != 1
+
+    def test_empty_side_gives_zero(self):
+        y = edge_db(1, [1, 1, 1, 1])
+        assert answer_cut(y, cut(set(), {1}), 1.0) == 0.0
 
 
 class TestRandomBisection:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,9 @@ from dpsynth.harness import (
     weighted_slope,
     write_results_csv,
 )
+from dpsynth import harness
 from dpsynth.core import DataUniverse
+from dpsynth.graph import erdos_renyi_graph, power_law_graph, random_bisection_cut, release_graph
 from dpsynth.mechanism import MechanismParams, sample_rows
 from dpsynth.queries import generate_random_query
 
@@ -65,6 +69,29 @@ class TestConfig:
         # an empty query set is unobservable through the config layer
         with pytest.raises(ConfigError):
             config_from_dict({"experiment": "heterogeneity", "query_count": 0})
+
+    @pytest.mark.parametrize("param", [2.5, 1.5, 0.05, 0, -2, 16, math.inf, math.nan])
+    def test_power_law_param_is_an_attachment_count(self, param):
+        # an integer in [1, min(vertex_grid)); the sweep used to truncate it
+        with pytest.raises(ConfigError, match="graph_param"):
+            config_from_dict({"experiment": "cut_scaling", "vertex_grid": [16, 32],
+                              "graph_model": "power_law", "graph_param": param})
+
+    def test_power_law_default_param_rejected(self):
+        with pytest.raises(ConfigError, match="graph_param"):
+            config_from_dict({"experiment": "cut_scaling", "graph_model": "power_law"})
+
+    @pytest.mark.parametrize("param", [1.5, -0.1, math.inf, math.nan])
+    def test_erdos_renyi_param_is_a_probability(self, param):
+        with pytest.raises(ConfigError, match="graph_param"):
+            config_from_dict({"experiment": "cut_scaling", "graph_param": param})
+
+    @pytest.mark.parametrize("model,param", [("power_law", 1), ("power_law", 15), ("power_law", 3.0),
+                                             ("erdos_renyi", 0), ("erdos_renyi", 1)])
+    def test_graph_param_edges_accepted(self, model, param):
+        cfg = config_from_dict({"experiment": "cut_scaling", "vertex_grid": [16, 32],
+                                "graph_model": model, "graph_param": param})
+        assert cfg.graph_param == param
 
 
 def tiny_config(**overrides):
@@ -253,6 +280,40 @@ class TestCutScaling:
         rows = run_cut_scaling(cfg, RandomSource(cfg.seed))
         assert len(rows) == 1
 
+    @pytest.mark.parametrize("model,param,eps", [("erdos_renyi", 0.3, 0.7), ("power_law", 2, 1.3)])
+    def test_per_cut_errors_match_gather_reference(self, monkeypatch, model, param, eps):
+        cfg = config_from_dict({"experiment": "cut_scaling", "vertex_grid": [12, 33], "cut_count": 6,
+                                "trial_count": 4, "graph_model": model, "graph_param": param,
+                                "epsilon": eps, "seed": 23})
+        seen = []
+        summarize = harness._summarize
+
+        def capture(errs):
+            seen.append(errs.copy())
+            return summarize(errs)
+
+        monkeypatch.setattr(harness, "_summarize", capture)
+        run_cut_scaling(cfg, RandomSource(cfg.seed))
+        # the debias of the cut estimator in closed form, l = 1: g = 1 + e^-eps
+        one_minus = -math.expm1(-eps)
+        scale, shift = (1.0 + math.exp(-eps)) / one_minus, math.exp(-eps) / one_minus
+        rng = RandomSource(cfg.seed)
+        for gi, v in enumerate(cfg.vertex_grid):
+            make = erdos_renyi_graph if model == "erdos_renyi" else power_law_graph
+            g = make(v, param, rng.derive(harness._S_GRAPH, gi))
+            cuts = [random_bisection_cut(g, rng.derive(harness._S_CUTS, gi, ci))
+                    for ci in range(cfg.cut_count)]
+            expected = np.empty((cfg.trial_count, cfg.cut_count))
+            for r in range(cfg.trial_count):
+                y = release_graph(g, eps, rng.derive(harness._S_RELEASE, gi, r)).rows.reshape(v, v)
+                for ci, q in enumerate(cuts):
+                    s, t = sorted(q.s_set), sorted(q.t_set)
+                    truth = float(g.adjacency[np.ix_(s, t)].sum())
+                    raw = float(y[np.ix_(s, t)].sum())
+                    expected[r, ci] = abs(scale * raw - shift * (len(s) * len(t)) - truth)
+            assert np.array_equal(seen[gi], expected)
+        assert len(seen) == len(cfg.vertex_grid)
+
 
 class TestDeterminism:
     def test_byte_identical_csv(self, tmp_path):
@@ -360,6 +421,32 @@ class TestIngestion:
             load_ingestion_schema({"columns": []})
         with pytest.raises(ConfigError):
             load_ingestion_schema({"nonsense": True})
+
+    @pytest.mark.parametrize(
+        "schema,match",
+        [
+            ({"columns": "rating"}, "columns"),
+            ({"columns": [5]}, "object"),
+            ({"columns": [{"name": "x", "cardinality": "five"}]}, "cardinality"),
+            ({"columns": [{"name": "x", "cardinality": 2.7}]}, "cardinality"),
+            ({"columns": [{"name": "x", "cardinality": True}]}, "cardinality"),
+            ({"columns": [{"name": "x", "values": 5}]}, "values"),
+            ({"columns": [{"name": "x", "values": "abc"}]}, "values"),
+            ({"columns": [{"name": "x", "values": ["a", "a"]}]}, "distinct"),
+            ({"columns": [{"name": 3, "cardinality": 2}]}, "name"),
+            ({"columns": [{"name": "a", "cardinality": 4}, {"name": "a", "cardinality": 2}]}, "unique"),
+            ({"columns": [{"name": "x", "cardinality": 2}], "has_header": "false"}, "has_header"),
+        ],
+    )
+    def test_malformed_schema_rejected(self, schema, match):
+        with pytest.raises(ConfigError, match=match):
+            load_ingestion_schema(schema)
+
+    def test_invalid_schema_json_rejected(self, tmp_path):
+        path = tmp_path / "schema.json"
+        path.write_text('{"columns": [')
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_ingestion_schema(path)
 
     def test_extension_table_replicates_top_code(self):
         table = category_extension_table(3, 5, [1.0, 2.0, 3.0, 4.0, 5.0])
