@@ -54,7 +54,6 @@ from .continuous import (
     LipschitzQuery,
     choose_k,
     discretize,
-    read_continuous_csv,
     release_continuous,
 )
 from .graph import (

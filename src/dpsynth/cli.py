@@ -3,9 +3,9 @@
 Subcommands: ``release`` (database in, synthetic database out), ``estimate``
 (synthetic database + query file -> answer), ``bounds`` (closed-form bound
 table), ``experiment`` (config JSON -> results CSV), ``graph-cut`` (edge list
-+ cut spec -> private answer), ``verify`` (oracle cross-check suite). All
-randomness is controlled by ``--seed``. Exit codes: 0 success, 2 usage or
-config errors, 1 anything else; data errors print a machine-parseable
++ cut spec -> private answer), ``verify`` (oracle cross-check suite). Releases
+draw fresh OS entropy; ``--seed`` is for tests. Exit codes: 0 success, 2 usage
+or config errors, 1 anything else; data errors print a machine-parseable
 ``error[<category>]`` prefix.
 """
 
@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import bounds as bounds_mod
-from .core import Database, DataUniverse, RandomSource, ValidationError
+from .core import Database, DataUniverse, RandomSource, ValidationError, _read_int_rows
 from .estimators import estimate_unbiased, project_proper
 from .graph import answer_cut, read_cut_spec, read_edge_list, release_graph
 from .harness import _fmt, fit_loglog_slope, ingest_csv, load_config, run_experiment
@@ -29,38 +29,40 @@ from .queries import load_query
 
 
 def read_database_codes(path, l: int) -> Database:
-    """Plain database file: one row code per line, '#' comments allowed."""
-    codes = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                codes.append(int(text))
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: not an integer row code: {text!r}") from None
-    if not codes:
+    """Plain database file: one integer row code per line, '#' comments allowed."""
+    codes = _read_int_rows(path, 1, 0)
+    if codes.size == 0:
         raise ValidationError(f"{path}: no rows")
-    return Database(DataUniverse(l), np.asarray(codes, dtype=np.int64))
+    return Database(DataUniverse(l), codes.reshape(-1))
 
 
 def write_database_codes(db: Database, path) -> None:
+    # One join per chunk: one join over every row would hold all their strings at once.
+    chunk = 1 << 14
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# l={db.universe.l} n={db.n}\n")
-        for code in db.rows:
-            fh.write(f"{int(code)}\n")
+        for start in range(0, db.n, chunk):
+            fh.write("\n".join(map(str, db.rows[start : start + chunk].tolist())) + "\n")
+
+
+def _release_seed(seed):
+    if seed is None:
+        return np.random.SeedSequence().entropy
+    print(f"warning: --seed {seed} makes this release reproducible by anyone who knows the seed", file=sys.stderr)
+    return seed
 
 
 def _cmd_release(args) -> int:
     if args.schema is not None:
+        if args.l is not None:
+            raise ValidationError("--l cannot be given with --schema, which fixes l")
         x = ingest_csv(args.input, args.schema)
     else:
         if args.l is None:
             raise ValidationError("--l is required when reading a plain code file")
         x = read_database_codes(args.input, args.l)
     params = MechanismParams(args.epsilon, x.universe)
-    y = sample_synthetic(x, params, RandomSource(args.seed))
+    y = sample_synthetic(x, params, RandomSource(_release_seed(args.seed)))
     write_database_codes(y, args.output)
     print(f"released n={y.n} rows over l={y.universe.l} at epsilon={args.epsilon}")
     return 0
@@ -110,7 +112,7 @@ def _cmd_graph_cut(args) -> int:
     g = read_edge_list(args.edges, one_based=args.one_based, symmetrize=not args.no_symmetrize)
     q = read_cut_spec(args.cut)
     q.validate_for(g.vertex_count)
-    y = release_graph(g, args.epsilon, RandomSource(args.seed))
+    y = release_graph(g, args.epsilon, RandomSource(_release_seed(args.seed)))
     answer = answer_cut(y, q, args.epsilon)
     if args.clamp:
         answer = min(max(answer, 0.0), len(q.s_set) * len(q.t_set))
@@ -138,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="input database (code file or CSV)")
     p.add_argument("--output", required=True, help="output synthetic database (code file)")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="tests only (default: fresh OS entropy)")
     p.add_argument("--l", type=int, default=None, help="attribute count for plain code files")
     p.add_argument("--schema", default=None, help="ingestion schema JSON for CSV input")
     p.set_defaults(func=_cmd_release)
@@ -171,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", required=True, help="edge list file (one 'i j' per line)")
     p.add_argument("--cut", required=True, help="cut spec file (two lines: S then T)")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="tests only (default: fresh OS entropy)")
     p.add_argument("--one-based", action="store_true", help="edge list uses 1-based vertex ids")
     p.add_argument("--no-symmetrize", action="store_true", help="treat the edge list as directed")
     p.add_argument("--clamp", action="store_true", help="clamp the answer to [0, |S||T|]")

@@ -6,7 +6,8 @@ the release and estimation run on the induced 2^k-code universe, and the
 Lipschitz constant controls how much the discretization can move the answer
 (at most L / (c 2^k)). Balancing discretization bias against estimator
 variance gives the grid-size rule 2^(2k) = sqrt(n); k is the integer
-rounding of that prescription.
+rounding of that prescription. A Lipschitz row function cannot be given on the
+command line, so this module is library-only and reads no files.
 """
 
 from __future__ import annotations
@@ -138,25 +139,3 @@ def release_continuous(
     raw = estimate_unbiased(gq, y, params)
     return project_proper(gq, raw, "interval_clamp")
 
-
-def read_continuous_csv(path) -> ContinuousDatabase:
-    """Read one real per line; a single non-numeric first line is treated as
-    a header. Out-of-range values are rejected with their line number."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                if lineno == 1:
-                    continue  # header
-                raise ValidationError(f"{path}:{lineno}: not a number: {text!r}") from None
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{path}:{lineno}: value {value} outside [0, 1]")
-            rows.append(value)
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    return ContinuousDatabase(rows)

@@ -8,11 +8,14 @@ bitwise: two databases are neighbors when they differ in exactly one row.
 All types are immutable after construction and safe to share across threads.
 Every stochastic operation in this package takes an explicit
 :class:`RandomSource`; there is no hidden global randomness.
+JSON files, code files and edge lists are parsed here (``_read_json``,
+``_read_int_rows``).
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -59,6 +62,41 @@ def _read_json(path, error=ValidationError):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise error(f"{path}: invalid JSON ({exc})") from None
+
+
+def _content_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each line with content before its '#'."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if text:
+                yield lineno, text
+
+
+def _read_int_rows(path, width: int, minimum: int) -> np.ndarray:
+    """(m, width) int64 rows of a file of ``width`` whitespace-separated
+    integers >= ``minimum`` (each as ``int()`` reads it) per non-blank line,
+    '#' comments allowed. One conversion parses the file; only if it or a
+    check fails are the lines walked, to name the first bad one."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = re.sub(r"#[^\n]*", "", fh.read())
+    # Text mode folded \r\n and \r into \n, so these are _content_lines' lines. Check
+    # each line's count: a 3-token and a 1-token line would cancel out in a total.
+    try:
+        if set(map(len, map(str.split, text.split("\n")))) <= {0, width}:
+            rows = np.array(text.split(), dtype=np.int64).reshape(-1, width)
+            if (rows >= minimum).all():
+                return rows
+    except (ValueError, OverflowError):
+        pass
+    for lineno, line in _content_lines(path):
+        try:
+            ok = (np.array(line.split(), dtype=np.int64).reshape(width) >= minimum).all()
+        except (ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ValidationError(f"{path}:{lineno}: expected {width} integer(s) >= {minimum} per line, got {line!r}")
+    raise ValidationError(f"{path}: file changed while being read")
 
 
 @dataclass(frozen=True)

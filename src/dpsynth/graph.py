@@ -6,6 +6,8 @@ edge level (neighbors differ in one vertex pair). Undirected input data is
 symmetrized at ingestion by default, setting both (i, j) and (j, i); a
 count-once mode keeps only the given orientation since the convention
 affects cut values and is a property of the dataset, not the mechanism.
+Edge lists are parsed by ``core._read_int_rows``, and |V|^2 is checked against
+``MAX_ENCODED_PAIRS`` before the adjacency matrix is allocated.
 
 Every cut count, exact (``cut_value``) or released (``answer_cut``, the cut
 estimator), is one contraction of (C, |V|) indicator matrices: the row sums
@@ -25,6 +27,8 @@ from .core import (
     DataUniverse,
     RandomSource,
     ValidationError,
+    _content_lines,
+    _read_int_rows,
 )
 from .estimators import _affine_coefficients
 from .mechanism import MechanismParams, sample_synthetic
@@ -60,14 +64,14 @@ class Graph:
 
     @classmethod
     def from_edges(cls, vertex_count: int, pairs, symmetrize: bool = False) -> "Graph":
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        bad = pairs[((pairs < 0) | (pairs >= vertex_count)).any(axis=1)]
+        if bad.size:
+            raise ValidationError(f"edge ({bad[0, 0]}, {bad[0, 1]}) has an endpoint outside [0, {vertex_count})")
         adj = np.zeros((vertex_count, vertex_count), dtype=bool)
-        for i, j in pairs:
-            i, j = int(i), int(j)
-            if not (0 <= i < vertex_count and 0 <= j < vertex_count):
-                raise ValidationError(f"edge ({i}, {j}) has an endpoint outside [0, {vertex_count})")
-            adj[i, j] = True
-            if symmetrize:
-                adj[j, i] = True
+        adj[pairs[:, 0], pairs[:, 1]] = True
+        if symmetrize:
+            adj[pairs[:, 1], pairs[:, 0]] = True
         return cls(adj)
 
     def to_database(self) -> Database:
@@ -136,6 +140,11 @@ def _answer_cuts(y: Database, s: np.ndarray, t: np.ndarray, epsilon: float) -> n
     return scale * _cut_counts(y.rows, s, t) - shift * sizes
 
 
+def _check_pair_cap(vertex_count: int) -> None:
+    if vertex_count**2 > MAX_ENCODED_PAIRS:
+        raise ValidationError(f"|V|^2 = {vertex_count**2} exceeds the {MAX_ENCODED_PAIRS} encoded-pair cap")
+
+
 def cut_value(g: Graph, q: CutQuery) -> int:
     """Exact number of edges (i, j) with i in S, j in T."""
     s, t = _cut_indicators([q], g.vertex_count)
@@ -148,10 +157,7 @@ def release_graph(g: Graph, epsilon: float, rng: RandomSource) -> Database:
     Each indicator independently survives with probability 1/(1 + e^-eps)
     and flips otherwise; one release answers every later cut query.
     """
-    if g.vertex_count**2 > MAX_ENCODED_PAIRS:
-        raise ValidationError(
-            f"|V|^2 = {g.vertex_count ** 2} exceeds the {MAX_ENCODED_PAIRS} encoded-pair cap"
-        )
+    _check_pair_cap(g.vertex_count)
     params = MechanismParams(epsilon, EDGE_UNIVERSE)
     return sample_synthetic(g.to_database(), params, rng)
 
@@ -216,46 +222,24 @@ def power_law_graph(vertex_count: int, attach_count: int, rng: RandomSource) -> 
     return Graph(adj)
 
 
-def read_edge_list(path, one_based: bool = False, symmetrize: bool = True, vertex_count: int | None = None) -> Graph:
-    """Parse a text edge list: one ``i j`` pair per line, '#' comments.
+def read_edge_list(path, one_based: bool = False, symmetrize: bool = True) -> Graph:
+    """Parse a text edge list: one ``i j`` pair of integers per line, '#'
+    comments.
 
-    ``one_based`` shifts ids down by one. The vertex count defaults to one
-    past the largest id seen.
+    ``one_based`` shifts ids down by one. The vertex count is one past the
+    largest id.
     """
-    pairs = []
-    largest = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 'i j', got {text!r}")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: non-integer vertex id in {text!r}") from None
-            if one_based:
-                i, j = i - 1, j - 1
-            if i < 0 or j < 0:
-                raise ValidationError(f"{path}:{lineno}: negative vertex id after indexing shift")
-            pairs.append((i, j))
-            largest = max(largest, i, j)
-    if not pairs:
+    pairs = _read_int_rows(path, 2, int(one_based)) - int(one_based)
+    if pairs.shape[0] == 0:
         raise ValidationError(f"{path}: no edges")
-    count = vertex_count if vertex_count is not None else largest + 1
-    return Graph.from_edges(count, pairs, symmetrize=symmetrize)
+    vertex_count = int(pairs.max()) + 1
+    _check_pair_cap(vertex_count)
+    return Graph.from_edges(vertex_count, pairs, symmetrize=symmetrize)
 
 
 def read_cut_spec(path) -> CutQuery:
     """Two lines of whitespace-separated vertex ids: S, then T."""
-    lines = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            text = line.split("#", 1)[0].strip()
-            if text:
-                lines.append(text)
+    lines = [text for _, text in _content_lines(path)]
     if len(lines) != 2:
         raise ValidationError(f"{path}: a cut spec needs exactly two non-empty lines (S then T)")
     try:

@@ -517,6 +517,8 @@ def load_ingestion_schema(source) -> dict:
             if not (isinstance(values, list) and all(isinstance(v, str) for v in values)
                     and len(set(values)) == len(values)):
                 raise ConfigError(f"column {name!r}: values must be a list of distinct string labels")
+            if col.get("cardinality", len(values)) != len(values):
+                raise ConfigError(f"column {name!r}: cardinality {col['cardinality']!r} disagrees with its values")
             cardinality = len(values)
         else:
             cardinality = col.get("cardinality")

@@ -9,7 +9,6 @@ from dpsynth.continuous import (
     choose_k,
     discretize,
     grid_query,
-    read_continuous_csv,
     release_continuous,
 )
 
@@ -130,33 +129,3 @@ class TestReleaseContinuous:
         b = release_continuous(x, q, 1.0, RandomSource(3))
         assert a == b
 
-
-class TestCsvIngestion:
-    def test_reads_plain_values(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        path.write_text("0.25\n0.5\n1.0\n")
-        db = read_continuous_csv(path)
-        assert np.allclose(db.rows, [0.25, 0.5, 1.0])
-
-    def test_header_skipped(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        path.write_text("value\n0.125\n")
-        assert read_continuous_csv(path).n == 1
-
-    def test_out_of_range_rejected_with_line(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        path.write_text("0.5\n1.5\n")
-        with pytest.raises(ValidationError, match="2"):
-            read_continuous_csv(path)
-
-    def test_empty_rejected(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        path.write_text("")
-        with pytest.raises(ValidationError):
-            read_continuous_csv(path)
-
-    def test_garbage_line_rejected(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        path.write_text("0.5\nnot-a-number\n")
-        with pytest.raises(ValidationError, match="2"):
-            read_continuous_csv(path)

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from dpsynth.core import (
     EnumerationTooLargeError,
     RandomSource,
     ValidationError,
+    _read_int_rows,
     all_databases_matrix,
     enumerate_databases,
     hamming_distance,
@@ -146,3 +149,127 @@ class TestRandomSource:
         assert not np.array_equal(
             base.derive(1).generator().random(10), base.derive(2).generator().random(10)
         )
+
+
+def reference_int_rows(path, width, minimum):
+    """The per-line loop the readers used before the one-pass parse: the
+    (m, width) rows, or the number of the first bad line. The lower bound
+    and the int64 range are checked per line here; the old edge-list loop
+    did the same for ids below 0 or 1, and the old code-file loop
+    overflowed after the loop, without a line number."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            parts = text.split()
+            if len(parts) != width:
+                return lineno
+            try:
+                row = [int(p) for p in parts]
+            except ValueError:
+                return lineno
+            if not all(minimum <= v < 2**63 for v in row):
+                return lineno
+            rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(-1, width)
+
+
+def read_or_line(path, width, minimum):
+    """_read_int_rows' rows, or the line number its error names."""
+    try:
+        return _read_int_rows(path, width, minimum)
+    except ValidationError as exc:
+        prefix = f"{path}:"
+        assert str(exc).startswith(prefix), str(exc)
+        return int(str(exc)[len(prefix):].split(":", 1)[0])
+
+
+_GOOD_TOKENS = ["0", "7", "42", "-3", "+5", "-0", "007", "1_0", "\u0663", "-9223372036854775808"]
+_BAD_TOKENS = ["x", "1.5", "0x1", "_1", "1__0", "12345678901234567890", "9223372036854775808"]
+_GAPS = [" ", "\t", "  ", "\f", "\u2028", "\x0b"]
+_ENDINGS = ["\n", "\r\n", "\r"]
+
+
+def _random_line(rnd, width):
+    kind = rnd.random()
+    if kind < 0.1:
+        return rnd.choice(["", "   ", "\t", "\f", "\u2028"])
+    if kind < 0.2:
+        return rnd.choice(["# only a comment", "#", "  # indented 1 2"])
+    count = width if rnd.random() < 0.85 else rnd.choice([width - 1, width + 1])
+    good = rnd.random() < 0.97
+    tokens = [rnd.choice(_GOOD_TOKENS if good else _GOOD_TOKENS + _BAD_TOKENS) for _ in range(count)]
+    text = "".join(rnd.choice(_GAPS) + t for t in tokens)
+    if rnd.random() < 0.3:
+        text = rnd.choice(["", " ", "\f"]) + text
+    if rnd.random() < 0.2:
+        text += rnd.choice([" # note", "#1 2 3", "\t#"])
+    return text
+
+
+class TestReadIntRows:
+    @pytest.mark.parametrize("width,minimum", [(1, -(2**63)), (2, -(2**63)), (1, 0), (2, 1)])
+    def test_matches_line_loop_on_random_corpus(self, tmp_path, width, minimum):
+        rnd = random.Random(2014 + width)
+        outcomes = {"rows": 0, "error": 0}
+        for k in range(400):
+            lines = [_random_line(rnd, width) for _ in range(rnd.randint(0, 8))]
+            body = "".join(line + rnd.choice(_ENDINGS) for line in lines)
+            if lines and rnd.random() < 0.3:
+                body = body.rstrip("\r\n")  # no trailing newline
+            path = tmp_path / f"f{k}.txt"
+            path.write_bytes(body.encode("utf-8"))
+            expected = reference_int_rows(path, width, minimum)
+            got = read_or_line(path, width, minimum)
+            if isinstance(expected, int):
+                outcomes["error"] += 1
+                assert got == expected, repr(body)
+            else:
+                outcomes["rows"] += 1
+                assert isinstance(got, np.ndarray), repr(body)
+                assert got.dtype == np.int64 and got.shape == expected.shape, repr(body)
+                assert np.array_equal(got, expected), repr(body)
+        assert min(outcomes.values()) >= 50, outcomes
+
+    @pytest.mark.parametrize(
+        "body,width,expected",
+        [
+            ("# head\n\n 3 # three\n\t4\n", 1, [[3], [4]]),
+            ("1\r\n\r\n2\r\n", 1, [[1], [2]]),
+            ("\f5\n6", 1, [[5], [6]]),
+            ("1_0\n-2\n+3\n\u0663\n", 1, [[10], [-2], [3], [3]]),
+            ("0 1\n2\t3 # c\n", 2, [[0, 1], [2, 3]]),
+            ("", 2, np.zeros((0, 2), dtype=np.int64)),
+            ("# only\n\n", 1, np.zeros((0, 1), dtype=np.int64)),
+        ],
+    )
+    def test_rows(self, tmp_path, body, width, expected):
+        path = tmp_path / "f.txt"
+        path.write_bytes(body.encode("utf-8"))
+        got = _read_int_rows(path, width, -(2**63))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.asarray(expected, dtype=np.int64).reshape(-1, width))
+
+    @pytest.mark.parametrize(
+        "body,width,line,quoted",
+        [
+            ("1\n1 2\n", 1, 2, "1 2"),
+            ("1\n\n# c\nx # y\n", 1, 4, "x"),
+            ("1\u20282\n", 1, 1, "1\u20282"),
+            ("3\n12345678901234567890\n", 1, 2, "12345678901234567890"),
+            ("3\n-1 # below the minimum\n", 1, 2, "-1"),
+            ("0 1\n2\n", 2, 2, "2"),
+            ("0 1 2\n", 2, 1, "0 1 2"),
+            ("0 1 2\n3\n", 2, 1, "0 1 2"),
+            ("0 1\r\n1 1.5\r\n", 2, 2, "1 1.5"),
+        ],
+    )
+    def test_first_bad_line_named(self, tmp_path, body, width, line, quoted):
+        path = tmp_path / "f.txt"
+        path.write_bytes(body.encode("utf-8"))
+        with pytest.raises(ValidationError) as info:
+            _read_int_rows(path, width, 0)
+        assert str(info.value).startswith(f"{path}:{line}: ")
+        assert repr(quoted) in str(info.value)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,22 @@ class TestEncoding:
     def test_bad_endpoint_rejected(self):
         with pytest.raises(ValidationError):
             Graph.from_edges(2, [(0, 5)])
+        with pytest.raises(ValidationError, match=r"\(-1, 0\)"):
+            Graph.from_edges(2, [(0, 1), (-1, 0)])
+
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    def test_from_edges_matches_per_edge_loop(self, symmetrize):
+        gen = RandomSource(5).generator()
+        v = 40
+        pairs = gen.integers(0, v, (500, 2))
+        reference = np.zeros((v, v), dtype=bool)
+        for i, j in pairs.tolist():
+            reference[i, j] = True
+            if symmetrize:
+                reference[j, i] = True
+        for given in (pairs, [tuple(p) for p in pairs.tolist()]):
+            g = Graph.from_edges(v, given, symmetrize=symmetrize)
+            assert np.array_equal(g.adjacency, reference)
 
     def test_non_square_database_rejected(self):
         with pytest.raises(ValidationError):
@@ -295,6 +312,29 @@ class TestFiles:
         path.write_text("")
         with pytest.raises(ValidationError):
             read_edge_list(path)
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [("1 2\n\n# c\n2 0 # zero\n", 4), ("1 -9223372036854775808\n", 1)],
+    )
+    def test_negative_after_shift_names_line(self, tmp_path, text, line):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as info:
+            read_edge_list(path, one_based=True)
+        assert str(info.value).startswith(f"{path}:{line}: expected 2 integer(s) >= 1")
+
+    def test_pair_cap_checked_before_allocation(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 10000\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="encoded-pair cap"):
+                read_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**7  # the 10001 x 10001 adjacency alone is 100 MB
 
     def test_cut_spec(self, tmp_path):
         path = tmp_path / "cut.txt"
