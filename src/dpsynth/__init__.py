@@ -58,9 +58,10 @@ from .continuous import (
 )
 from .graph import (
     CutQuery,
-    Graph,
+    adjacency_database,
     answer_cut,
     cut_value,
+    edges_database,
     random_bisection_cut,
     release_graph,
 )

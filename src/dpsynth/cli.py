@@ -21,7 +21,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .core import Database, DataUniverse, RandomSource, ValidationError, _read_int_rows
 from .estimators import estimate_unbiased, project_proper
-from .graph import answer_cut, read_cut_spec, read_edge_list, release_graph
+from .graph import answer_cut, read_cut_spec, read_edge_list, release_graph, vertex_count
 from .harness import _fmt, fit_loglog_slope, ingest_csv, load_config, run_experiment
 from .mechanism import MechanismParams, sample_synthetic
 from .oracle import run_verification_suite
@@ -109,10 +109,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_graph_cut(args) -> int:
-    g = read_edge_list(args.edges, one_based=args.one_based, symmetrize=not args.no_symmetrize)
+    x = read_edge_list(args.edges, one_based=args.one_based, symmetrize=not args.no_symmetrize)
     q = read_cut_spec(args.cut)
-    q.validate_for(g.vertex_count)
-    y = release_graph(g, args.epsilon, RandomSource(_release_seed(args.seed)))
+    q.validate_for(vertex_count(x))
+    y = release_graph(x, args.epsilon, RandomSource(_release_seed(args.seed)))
     answer = answer_cut(y, q, args.epsilon)
     if args.clamp:
         answer = min(max(answer, 0.0), len(q.s_set) * len(q.t_set))
@@ -121,7 +121,7 @@ def _cmd_graph_cut(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_verification_suite(quick=args.quick)
+    results = run_verification_suite()
     failed = 0
     for name, passed, detail in results:
         status = "PASS" if passed else "FAIL"
@@ -180,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_graph_cut)
 
     p = sub.add_parser("verify", help="run the enumeration-oracle verification suite")
-    p.add_argument("--quick", action="store_true", help="smaller instance set")
     p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -55,19 +55,34 @@ class ConfigError(ValidationError):
     category = "config"
 
 
+def _not_utf8(path, exc: UnicodeDecodeError, error=ValidationError) -> ValidationError:
+    return error(f"{path}: not UTF-8 text ({exc.reason})")
+
+
 def _read_json(path, error=ValidationError):
-    """Parse a JSON file; invalid JSON raises ``error`` naming the file."""
+    """Parse a JSON file; invalid JSON or non-UTF-8 bytes raise ``error``
+    naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise error(f"{path}: invalid JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc, error) from None
+
+
+def _utf8_lines(fh, path) -> Iterator[str]:
+    """The lines of the text file ``fh``, opened from ``path`` as UTF-8."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
 
 
 def _content_lines(path) -> Iterator[tuple[int, str]]:
     """(line number, stripped text) of each line with content before its '#'."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
             text = line.split("#", 1)[0].strip()
             if text:
                 yield lineno, text
@@ -79,7 +94,10 @@ def _read_int_rows(path, width: int, minimum: int) -> np.ndarray:
     '#' comments allowed. One conversion parses the file; only if it or a
     check fails are the lines walked, to name the first bad one."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = re.sub(r"#[^\n]*", "", fh.read())
+        try:
+            text = re.sub(r"#[^\n]*", "", fh.read())
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
     # Text mode folded \r\n and \r into \n, so these are _content_lines' lines. Check
     # each line's count: a 3-token and a 1-token line would cancel out in a total.
     try:

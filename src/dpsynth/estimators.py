@@ -42,7 +42,7 @@ from .core import (
     ValidationError,
     all_databases_matrix,
 )
-from .mechanism import IDENTITY_EPSILON, MechanismParams, log_pmf_all_outputs, sample_histograms
+from .mechanism import MechanismParams, log_pmf_all_outputs, sample_histograms
 from .queries import StatisticalQuery
 
 EXACT_BIT_CAP = 12
@@ -78,17 +78,16 @@ class DistortionReport:
 def _affine_coefficients(params: MechanismParams) -> tuple[float, float]:
     """(scale, shift) with est_u = scale * q(y) - shift * C.
 
-    At the identity boundary (eps >= IDENTITY_EPSILON) e^-eps is treated as
-    exact zero so the estimator returns q(y) unchanged.
+    At the identity boundary (eps >= IDENTITY_EPSILON) ``params`` holds e^-eps
+    as exact zero, so this is exactly (1, 0) and the estimator returns q(y)
+    unchanged.
     """
     if params.epsilon == 0.0:
         raise EstimatorUndefinedError(
             "the companion estimators are undefined at epsilon = 0 (zero denominator)"
         )
-    if params.is_identity:
-        return 1.0, 0.0
     one_minus = -math.expm1(-params.epsilon)
-    return params.g / one_minus, math.exp(-params.epsilon) / one_minus
+    return params.g / one_minus, params.exp_neg_eps / one_minus
 
 
 def _estimates(
@@ -195,7 +194,7 @@ def _project_vector(q: StatisticalQuery, raw: np.ndarray, strategy: str) -> np.n
 def _distortion_bound(q: StatisticalQuery, n: int, params: MechanismParams, estimator: str, measure: str) -> float:
     """The closed-form bound on the chosen distortion for q's class constants."""
     inputs = bounds_mod.BoundInputs(
-        n=n, l=q.universe.l, epsilon=min(params.epsilon, IDENTITY_EPSILON), a=q.a, b=q.b, c=q.c
+        n=n, l=q.universe.l, epsilon=params.epsilon, a=q.a, b=q.b, c=q.c
     )
     proper = estimator == "proper"
     if measure == "squared":
@@ -235,7 +234,7 @@ def exact_distortion(
             f"exact distortion enumerates 2^{bits} outputs; the cap is 2^{EXACT_BIT_CAP}"
         )
     if params.is_identity:
-        # the release is an exact identity: Y = x with probability 1
+        # Y = x with probability 1; the log-space pmf would give e^-eps > 0 off x
         rows, probs = x.rows[None, :], np.ones(1)
     else:
         rows = all_databases_matrix(x.universe, x.n, bit_cap=EXACT_BIT_CAP)
@@ -259,15 +258,13 @@ def exact_unbiased_mse(q: StatisticalQuery, x: Database, params: MechanismParams
     variance gives Var_v = alpha * (s_t + (1 - alpha) * (phi_t(v) - mean_t)**2)
     with mean_t and s_t the mean and the population variance of table t over
     the codes: a sum of nonnegative terms, O(k * 2**l) for k tables. Zero at
-    the identity boundary.
+    the identity boundary, where alpha is exactly 0.
     """
     _check_single(q, "exact_unbiased_mse")
     if params.universe != q.universe:
         raise DimensionMismatchError("mechanism parameters and query use different universes")
     q._check(x)
     scale, _ = _affine_coefficients(params)
-    if params.is_identity:
-        return 0.0
     stay = -math.expm1(-params.epsilon) / params.g  # 1 - alpha without cancellation
     dev2 = (q.tables - q.tables.mean(axis=-1, keepdims=True)) ** 2
     var = params.redraw_prob * (dev2.mean(axis=-1, keepdims=True) + stay * dev2)

@@ -1,13 +1,17 @@
 """Graphs as edge-indicator databases and private cut-function release.
 
-A graph on V vertices becomes a database with l = 1 and n = |V|^2: row
-i*|V| + j holds the indicator of the directed pair (i, j). Privacy is at the
-edge level (neighbors differ in one vertex pair). Undirected input data is
+A graph on V vertices is a ``Database`` with l = 1 and n = |V|^2: row
+i*|V| + j holds the indicator of the directed pair (i, j). There is no
+separate graph type: the input graph and its release are the same kind of
+database. ``adjacency_database``, ``edges_database``, ``read_edge_list`` and
+the two generators build it; ``vertex_count`` checks it (l = 1, n a perfect
+square) wherever a graph is read, input or release. Privacy is at the edge
+level (neighbors differ in one vertex pair). Undirected input data is
 symmetrized at ingestion by default, setting both (i, j) and (j, i); a
 count-once mode keeps only the given orientation since the convention
 affects cut values and is a property of the dataset, not the mechanism.
-Edge lists are parsed by ``core._read_int_rows``, and |V|^2 is checked against
-``MAX_ENCODED_PAIRS`` before the adjacency matrix is allocated.
+Edge lists are parsed by ``core._read_int_rows``. |V|^2 is checked against
+``MAX_ENCODED_PAIRS`` before any |V| x |V| array is allocated.
 
 Every cut count, exact (``cut_value``) or released (``answer_cut``, the cut
 estimator), is one contraction of (C, |V|) indicator matrices: the row sums
@@ -38,53 +42,30 @@ MAX_ENCODED_PAIRS = 10**8
 EDGE_UNIVERSE = DataUniverse(1)
 
 
-class Graph:
-    """Directed graph stored as a dense boolean adjacency matrix."""
-
-    __slots__ = ("adjacency",)
-
-    def __init__(self, adjacency):
-        adj = np.asarray(adjacency, dtype=bool)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or adj.shape[0] < 1:
-            raise ValidationError("adjacency must be a nonempty square matrix")
-        adj = adj.copy()
-        adj.setflags(write=False)
-        object.__setattr__(self, "adjacency", adj)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
-    @property
-    def vertex_count(self) -> int:
-        return int(self.adjacency.shape[0])
-
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        return [(int(i), int(j)) for i, j in zip(*np.nonzero(self.adjacency))]
-
-    @classmethod
-    def from_edges(cls, vertex_count: int, pairs, symmetrize: bool = False) -> "Graph":
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        bad = pairs[((pairs < 0) | (pairs >= vertex_count)).any(axis=1)]
-        if bad.size:
-            raise ValidationError(f"edge ({bad[0, 0]}, {bad[0, 1]}) has an endpoint outside [0, {vertex_count})")
-        adj = np.zeros((vertex_count, vertex_count), dtype=bool)
-        adj[pairs[:, 0], pairs[:, 1]] = True
-        if symmetrize:
-            adj[pairs[:, 1], pairs[:, 0]] = True
-        return cls(adj)
-
-    def to_database(self) -> Database:
-        """Edge-indicator database; row (i, j) sits at index i*|V| + j."""
-        return Database(EDGE_UNIVERSE, self.adjacency.reshape(-1).astype(np.uint8))
-
-    @classmethod
-    def from_database(cls, db: Database) -> "Graph":
-        v = _edge_vertex_count(db)
-        return cls(db.rows.reshape(v, v).astype(bool))
+def adjacency_database(adjacency) -> Database:
+    """Edge-indicator database of a square adjacency matrix (nonzero = edge)."""
+    adj = np.asarray(adjacency, dtype=bool)
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or adj.shape[0] < 1:
+        raise ValidationError("adjacency must be a nonempty square matrix")
+    return Database(EDGE_UNIVERSE, adj.reshape(-1).view(np.uint8))
 
 
-def _edge_vertex_count(db: Database) -> int:
+def edges_database(vertex_count: int, pairs, symmetrize: bool = False) -> Database:
+    """Edge-indicator database on ``vertex_count`` vertices with the (i, j)
+    rows of ``pairs`` set; ``symmetrize`` sets (j, i) as well."""
+    _check_pair_cap(vertex_count)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    bad = pairs[((pairs < 0) | (pairs >= vertex_count)).any(axis=1)]
+    if bad.size:
+        raise ValidationError(f"edge ({bad[0, 0]}, {bad[0, 1]}) has an endpoint outside [0, {vertex_count})")
+    rows = np.zeros(vertex_count * vertex_count, dtype=np.uint8)
+    rows[pairs[:, 0] * vertex_count + pairs[:, 1]] = 1
+    if symmetrize:
+        rows[pairs[:, 1] * vertex_count + pairs[:, 0]] = 1
+    return Database(EDGE_UNIVERSE, rows)
+
+
+def vertex_count(db: Database) -> int:
     """|V| of an edge-indicator database, which must have l = 1 and n = |V|^2."""
     if db.universe.l != 1:
         raise ValidationError("an edge-indicator database must have l = 1")
@@ -145,35 +126,34 @@ def _check_pair_cap(vertex_count: int) -> None:
         raise ValidationError(f"|V|^2 = {vertex_count**2} exceeds the {MAX_ENCODED_PAIRS} encoded-pair cap")
 
 
-def cut_value(g: Graph, q: CutQuery) -> int:
+def cut_value(x: Database, q: CutQuery) -> int:
     """Exact number of edges (i, j) with i in S, j in T."""
-    s, t = _cut_indicators([q], g.vertex_count)
-    return int(_cut_counts(g.adjacency, s, t)[0])
+    s, t = _cut_indicators([q], vertex_count(x))
+    return int(_cut_counts(x.rows, s, t)[0])
 
 
-def release_graph(g: Graph, epsilon: float, rng: RandomSource) -> Database:
-    """Private synthetic edge-indicator database for the whole graph.
+def release_graph(x: Database, epsilon: float, rng: RandomSource) -> Database:
+    """Private synthetic edge-indicator database for the whole graph x.
 
     Each indicator independently survives with probability 1/(1 + e^-eps)
     and flips otherwise; one release answers every later cut query.
     """
-    _check_pair_cap(g.vertex_count)
-    params = MechanismParams(epsilon, EDGE_UNIVERSE)
-    return sample_synthetic(g.to_database(), params, rng)
+    _check_pair_cap(vertex_count(x))
+    return sample_synthetic(x, MechanismParams(epsilon, EDGE_UNIVERSE), rng)
 
 
 def answer_cut(y: Database, q: CutQuery, epsilon: float) -> float:
     """Unbiased directed-cut count from a released edge-indicator database
     (l = 1, n = |V|^2). Answers below 0 or above |S||T| are legal; clamp
     separately if a proper value is needed."""
-    s, t = _cut_indicators([q], _edge_vertex_count(y))
+    s, t = _cut_indicators([q], vertex_count(y))
     return float(_answer_cuts(y, s, t, epsilon)[0])
 
 
-def random_bisection_cut(g: Graph, rng: RandomSource) -> CutQuery:
+def random_bisection_cut(x: Database, rng: RandomSource) -> CutQuery:
     """S = uniform floor(|V|/2)-subset, T = the complement; the largest
     |S||T| product, hence the worst case of the cut distortion bound."""
-    v = g.vertex_count
+    v = vertex_count(x)
     if v < 2:
         raise ValidationError("a bisection cut needs at least two vertices")
     gen = rng.generator()
@@ -183,19 +163,20 @@ def random_bisection_cut(g: Graph, rng: RandomSource) -> CutQuery:
     return CutQuery(s_set, t_set)
 
 
-def erdos_renyi_graph(vertex_count: int, edge_prob: float, rng: RandomSource) -> Graph:
+def erdos_renyi_graph(vertex_count: int, edge_prob: float, rng: RandomSource) -> Database:
     """Undirected G(V, p) without self-loops, symmetrized into the directed
     encoding (each undirected edge sets both rows)."""
     if vertex_count < 1:
         raise ValidationError("vertex_count must be >= 1")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValidationError(f"edge probability must lie in [0, 1], got {edge_prob}")
+    _check_pair_cap(vertex_count)
     gen = rng.generator()
     upper = np.triu(gen.random((vertex_count, vertex_count)) < edge_prob, k=1)
-    return Graph(upper | upper.T)
+    return adjacency_database(upper | upper.T)
 
 
-def power_law_graph(vertex_count: int, attach_count: int, rng: RandomSource) -> Graph:
+def power_law_graph(vertex_count: int, attach_count: int, rng: RandomSource) -> Database:
     """Preferential-attachment (Barabasi-Albert style) undirected graph.
 
     Starts from a star on attach_count + 1 vertices; every later vertex
@@ -206,6 +187,7 @@ def power_law_graph(vertex_count: int, attach_count: int, rng: RandomSource) -> 
         raise ValidationError("attach_count must be >= 1")
     if vertex_count < attach_count + 1:
         raise ValidationError("need vertex_count >= attach_count + 1")
+    _check_pair_cap(vertex_count)
     gen = rng.generator()
     adj = np.zeros((vertex_count, vertex_count), dtype=bool)
     degree_pool: list[int] = []
@@ -219,10 +201,10 @@ def power_law_graph(vertex_count: int, attach_count: int, rng: RandomSource) -> 
         for u in targets:
             adj[w, u] = adj[u, w] = True
             degree_pool.extend((w, u))
-    return Graph(adj)
+    return adjacency_database(adj)
 
 
-def read_edge_list(path, one_based: bool = False, symmetrize: bool = True) -> Graph:
+def read_edge_list(path, one_based: bool = False, symmetrize: bool = True) -> Database:
     """Parse a text edge list: one ``i j`` pair of integers per line, '#'
     comments.
 
@@ -232,9 +214,7 @@ def read_edge_list(path, one_based: bool = False, symmetrize: bool = True) -> Gr
     pairs = _read_int_rows(path, 2, int(one_based)) - int(one_based)
     if pairs.shape[0] == 0:
         raise ValidationError(f"{path}: no edges")
-    vertex_count = int(pairs.max()) + 1
-    _check_pair_cap(vertex_count)
-    return Graph.from_edges(vertex_count, pairs, symmetrize=symmetrize)
+    return edges_database(int(pairs.max()) + 1, pairs, symmetrize=symmetrize)
 
 
 def read_cut_spec(path) -> CutQuery:

@@ -34,9 +34,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bounds import BOUND_TABLE_COLUMNS, BoundInputs, bound_table_row, cut_bound
-from .core import ConfigError, Database, DataUniverse, RandomSource, ValidationError, _read_json
+from .core import ConfigError, Database, DataUniverse, RandomSource, ValidationError, _read_json, _utf8_lines
 from .estimators import _distortion_bound, _estimates
 from .graph import (
+    MAX_ENCODED_PAIRS,
     _answer_cuts,
     _cut_counts,
     _cut_indicators,
@@ -163,6 +164,9 @@ class ExperimentConfig:
                 raise ConfigError("vertex_grid must be nonempty with |V| >= 2")
             if list(self.vertex_grid) != sorted(set(self.vertex_grid)):
                 raise ConfigError("vertex_grid must be ascending and distinct")
+            if max(self.vertex_grid) ** 2 > MAX_ENCODED_PAIRS:
+                raise ConfigError(f"vertex_grid: |V|^2 = {max(self.vertex_grid) ** 2} exceeds the "
+                                  f"{MAX_ENCODED_PAIRS} encoded-pair cap")
             if self.graph_model not in GRAPH_MODELS:
                 raise ConfigError(f"graph_model must be one of {GRAPH_MODELS}")
             p = self.graph_param
@@ -404,16 +408,16 @@ def run_cut_scaling(config: ExperimentConfig, rng: RandomSource) -> list[ResultR
     out = []
     for gi, v in enumerate(config.vertex_grid):
         if config.graph_model == "erdos_renyi":
-            g = erdos_renyi_graph(v, config.graph_param, rng.derive(_S_GRAPH, gi))
+            x = erdos_renyi_graph(v, config.graph_param, rng.derive(_S_GRAPH, gi))
         else:
-            g = power_law_graph(v, int(config.graph_param), rng.derive(_S_GRAPH, gi))
+            x = power_law_graph(v, int(config.graph_param), rng.derive(_S_GRAPH, gi))
         s, t = _cut_indicators(
-            [random_bisection_cut(g, rng.derive(_S_CUTS, gi, ci)) for ci in range(config.cut_count)], v
+            [random_bisection_cut(x, rng.derive(_S_CUTS, gi, ci)) for ci in range(config.cut_count)], v
         )
-        truths = _cut_counts(g.adjacency, s, t)
+        truths = _cut_counts(x.rows, s, t)
         errs = np.empty((config.trial_count, config.cut_count))
         for r in range(config.trial_count):
-            y = release_graph(g, config.epsilon, rng.derive(_S_RELEASE, gi, r))
+            y = release_graph(x, config.epsilon, rng.derive(_S_RELEASE, gi, r))
             errs[r] = np.abs(_answer_cuts(y, s, t, config.epsilon) - truths)
         stats = _summarize(errs)
         bound = cut_bound(v // 2, v - v // 2, config.epsilon)
@@ -551,7 +555,7 @@ def ingest_csv(path, schema) -> Database:
     columns = schema["columns"]
     codes = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             first = next(reader)
         except StopIteration:

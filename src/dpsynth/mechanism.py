@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,8 +56,8 @@ from .core import (
     _check_compatible,
 )
 
-# exp(-eps) is below 1e-304 here; the release is an exact identity and the
-# estimator corrections vanish.
+# exp(-eps) is below 1e-304 here; MechanismParams stores it as exact 0, so the
+# release is an exact identity and the estimator corrections vanish.
 IDENTITY_EPSILON = 700.0
 
 VERIFY_BIT_CAP = 12
@@ -69,12 +69,16 @@ class MechanismParams:
 
     epsilon: float
     universe: DataUniverse
+    # exp(-eps), exactly 0.0 from IDENTITY_EPSILON on: there keep_prob is 1
+    # and flip_prob, redraw_prob and log_g are 0, so samplers need no branch
+    exp_neg_eps: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         eps = float(self.epsilon)
         if not math.isfinite(eps) or eps < 0.0:
             raise ValidationError(f"epsilon must be a finite nonnegative real, got {self.epsilon!r}")
         object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "exp_neg_eps", 0.0 if eps >= IDENTITY_EPSILON else math.exp(-eps))
 
     @property
     def is_identity(self) -> bool:
@@ -83,11 +87,11 @@ class MechanismParams:
     @property
     def g(self) -> float:
         """g(eps) = 1 + (2**l - 1) exp(-eps); lies in [1, 2**l]."""
-        return 1.0 + (self.universe.cardinality - 1) * math.exp(-self.epsilon)
+        return 1.0 + (self.universe.cardinality - 1) * self.exp_neg_eps
 
     @property
     def log_g(self) -> float:
-        return math.log1p((self.universe.cardinality - 1) * math.exp(-self.epsilon))
+        return math.log1p((self.universe.cardinality - 1) * self.exp_neg_eps)
 
     @property
     def keep_prob(self) -> float:
@@ -97,13 +101,13 @@ class MechanismParams:
     @property
     def flip_prob(self) -> float:
         """Probability mass assigned to each of the 2**l - 1 alternatives."""
-        return math.exp(-self.epsilon) / self.g
+        return self.exp_neg_eps / self.g
 
     @property
     def redraw_prob(self) -> float:
         """alpha = 2**l exp(-eps) / g: the kernel keeps a row or, with this
         probability, redraws it uniformly over all 2**l codes; in [0, 1]."""
-        return self.universe.cardinality * math.exp(-self.epsilon) / self.g
+        return self.universe.cardinality * self.exp_neg_eps / self.g
 
 
 def sample_rows(rows: np.ndarray, params: MechanismParams, gen: np.random.Generator, trials: int) -> np.ndarray:
@@ -114,8 +118,6 @@ def sample_rows(rows: np.ndarray, params: MechanismParams, gen: np.random.Genera
     alternative index is shifted past the input code so that exactly the
     2**l - 1 other values are reachable.
     """
-    if params.is_identity:
-        return np.broadcast_to(rows, (trials, rows.size)).copy()
     card = params.universe.cardinality
     keep = gen.random((trials, rows.size)) < params.keep_prob
     alt = gen.integers(0, card - 1, size=(trials, rows.size), dtype=np.int64)
@@ -137,9 +139,6 @@ def sample_histograms(hist, params: MechanismParams, gen: np.random.Generator, t
     card = params.universe.cardinality
     if hist.ndim != 2 or hist.shape[1] != card:
         raise DimensionMismatchError(f"histogram must have shape (k, {card})")
-    if params.is_identity:
-        # alpha is about 1e-303 here, not 0: keep the exact identity
-        return np.broadcast_to(hist, (trials,) + hist.shape).copy()
     redrawn = gen.binomial(hist, params.redraw_prob, size=(trials,) + hist.shape)
     arrivals = gen.multinomial(redrawn.sum(axis=-1), np.full(card, 1.0 / card))
     return hist - redrawn + arrivals
@@ -149,8 +148,6 @@ def sample_synthetic(x: Database, params: MechanismParams, rng: RandomSource) ->
     """Release one synthetic database for x at privacy level params.epsilon."""
     if x.universe != params.universe:
         raise DimensionMismatchError("database universe does not match mechanism parameters")
-    if params.is_identity:
-        return Database(x.universe, x.rows)
     out = sample_rows(x.rows, params, rng.generator(), 1)[0]
     return Database(x.universe, out.astype(x.rows.dtype, copy=False))
 

@@ -34,6 +34,7 @@ from .core import (
     ValidationError,
     all_databases_matrix,
 )
+from .mechanism import IDENTITY_EPSILON
 
 ORACLE_BIT_CAP = 12
 MINIMAX_BIT_CAP = 6
@@ -82,7 +83,7 @@ def exact_distribution(x: Database, params) -> ExactDistribution:
     for i in range(x.n):
         dists += rows[:, i] != int(x.rows[i])
     eps = float(params.epsilon)
-    if eps >= 700.0:
+    if eps >= IDENTITY_EPSILON:
         # identity release: exact point mass at x
         scores = np.where(dists == 0, 0.0, -np.inf)
     else:
@@ -206,7 +207,7 @@ def micro_minimax_report(
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise ValidationError(f"epsilon must be a nonnegative real, got {epsilon}")
     card = universe.cardinality
-    eps = min(epsilon, 700.0)
+    eps = min(epsilon, IDENTITY_EPSILON)
     keep_e = 1.0 / (1.0 + (card - 1) * math.exp(-eps))
     if keep_prob_grid is None:
         # DP-feasible symmetric keep probabilities: from uniform output up to
@@ -259,7 +260,7 @@ def micro_minimax_report(
     }
 
 
-def run_verification_suite(quick: bool = False) -> list[tuple[str, bool, str]]:
+def run_verification_suite() -> list[tuple[str, bool, str]]:
     """Cross-check the production modules against the oracle.
 
     Returns (check name, passed, detail) triples; used by the ``verify`` CLI
@@ -271,9 +272,7 @@ def run_verification_suite(quick: bool = False) -> list[tuple[str, bool, str]]:
     from .core import RandomSource
 
     results: list[tuple[str, bool, str]] = []
-    instances = [(1, 1, math.log(3.0)), (2, 1, 1.0), (2, 2, 0.5), (3, 1, 0.25)]
-    if not quick:
-        instances += [(4, 2, 1.0), (2, 3, 2.0), (6, 1, 1.0)]
+    instances = [(1, 1, math.log(3.0)), (2, 1, 1.0), (2, 2, 0.5), (3, 1, 0.25), (4, 2, 1.0), (2, 3, 2.0), (6, 1, 1.0)]
 
     worst_gap = 0.0
     for n, l, eps in instances:
@@ -322,7 +321,7 @@ def run_verification_suite(quick: bool = False) -> list[tuple[str, bool, str]]:
     )
 
     worst_bias = 0.0
-    count = 10 if quick else 30
+    count = 30
     for k in range(count):
         rng = RandomSource(99, k)
         gen = rng.generator()

@@ -35,7 +35,7 @@ from dpsynth.estimators import (
     measure_distortion,
     project_proper,
 )
-from dpsynth.graph import Graph, CutQuery, answer_cut, cut_value, erdos_renyi_graph, random_bisection_cut
+from dpsynth.graph import CutQuery, answer_cut, cut_value, edges_database, erdos_renyi_graph, random_bisection_cut
 from dpsynth.harness import (
     config_from_dict,
     fit_loglog_slope,
@@ -244,24 +244,22 @@ def test_criterion_08_cut_release():
             ([(0, 1), (1, 2), (2, 0)], 3, {0, 1}, {2}),
             ([(0, 1), (1, 2)], 3, {0}, {1, 2}),
         ]:
-            g = Graph.from_edges(v, edges)
-            x = g.to_database()
+            x = edges_database(v, edges)
             u = DataUniverse(1)
             params = MechanismParams(1.0, u)
             rows = all_databases_matrix(u, v * v)
             probs = np.exp(log_pmf_all_outputs(x, params, rows_matrix=rows))
             q = CutQuery(frozenset(s_set), frozenset(t_set))
-            truth = cut_value(g, q)
+            truth = cut_value(x, q)
             errors = np.array([abs(answer_cut(Database(u, r), q, 1.0) - truth) for r in rows])
             assert float(probs @ errors) <= cut_bound(len(s_set), len(t_set), 1.0)
 
         # Monte Carlo at |V| in {64, 256}: 10^4 trials, mean <= bound
         for v in (64, 256):
-            g = erdos_renyi_graph(v, 0.05, RandomSource(SEED, v))
-            q = random_bisection_cut(g, RandomSource(SEED, v + 1))
-            truth = cut_value(g, q)
+            x = erdos_renyi_graph(v, 0.05, RandomSource(SEED, v))
+            q = random_bisection_cut(x, RandomSource(SEED, v + 1))
+            truth = cut_value(x, q)
             bound = cut_bound(len(q.s_set), len(q.t_set), 1.0)
-            x = g.to_database()
             params = MechanismParams(1.0, DataUniverse(1))
             s = sorted(q.s_set)
             t = sorted(q.t_set)

@@ -375,6 +375,16 @@ class TestExperiment:
         code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
         assert code == 2
 
+    def test_vertex_grid_over_pair_cap_exit_2(self, tmp_path, capsys):
+        # 20000^2 pairs: the sweep would allocate gigabytes before any check
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "cut_scaling", "vertex_grid": [64, 20000],
+                                        "output": str(tmp_path / "a.csv")}))
+        code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+        assert code == 2
+        assert err.startswith("error[config]: vertex_grid") and "encoded-pair cap" in err
+        assert not (tmp_path / "a.csv").exists()
+
 
 class TestGraphCut:
     def test_identity_epsilon_exact_answer(self, tmp_path, capsys):
@@ -431,8 +441,97 @@ class TestGraphCut:
 
 
 class TestVerify:
-    def test_quick_suite_passes(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--quick")
+    def test_suite_passes(self, capsys):
+        code, out, err = run_cli(capsys, "verify")
         assert code == 0, out + err
         assert "[PASS]" in out
         assert "[FAIL]" not in out
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 in any input file exits 2 naming the file:
+    error[config] for config and schema JSON, error[validation] otherwise."""
+
+    GOOD = {
+        "db.txt": b"0\n1\n",
+        "q.json": json.dumps({"type": "predicate", "l": 1, "n": 2, "conjunct_bits": [0]}).encode(),
+        "g.txt": b"0 1\n",
+        "cut.txt": b"0\n1\n",
+        "cfg.json": json.dumps({"experiment": "bounds_table"}).encode(),
+        "data.csv": b"rating\n3\n1\n",
+        "schema.json": json.dumps({"columns": [{"name": "rating", "cardinality": 5}]}).encode(),
+    }
+    BAD = {
+        "db.txt": b"0\n1\n\xff\n",
+        "q.json": b'{"type": "\xff"}',
+        "g.txt": b"0 1\n\xff 2\n",
+        "cut.txt": b"0\n\xff\n",
+        "cfg.json": b'{"experiment": "\xff"}',
+        "data.csv": b"rating\n3\n\xff\n",
+        "schema.json": b'{"columns": "\xff"}',
+    }
+
+    @pytest.mark.parametrize(
+        "bad,argv,category",
+        [
+            ("db.txt", ["release", "--input", "db.txt", "--l", "1", "--output", "out.txt"], "validation"),
+            ("db.txt", ["estimate", "--input", "db.txt", "--query", "q.json"], "validation"),
+            ("q.json", ["estimate", "--input", "db.txt", "--query", "q.json"], "validation"),
+            ("g.txt", ["graph-cut", "--edges", "g.txt", "--cut", "cut.txt"], "validation"),
+            ("cut.txt", ["graph-cut", "--edges", "g.txt", "--cut", "cut.txt"], "validation"),
+            ("cfg.json", ["experiment", "--config", "cfg.json", "--output", "out.csv"], "config"),
+            ("data.csv", ["release", "--input", "data.csv", "--schema", "schema.json", "--output", "out.txt"],
+             "validation"),
+            ("schema.json", ["release", "--input", "data.csv", "--schema", "schema.json", "--output", "out.txt"],
+             "config"),
+        ],
+        ids=["code-file-release", "code-file-estimate", "query-json", "edge-list", "cut-spec", "config-json",
+             "csv", "schema-json"],
+    )
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, bad, argv, category):
+        for name, data in self.GOOD.items():
+            (tmp_path / name).write_bytes(self.BAD[name] if name == bad else data)
+        argv = [str(tmp_path / a) if (tmp_path / a).exists() or a.startswith("out") else a for a in argv]
+        if argv[0] != "experiment":
+            argv += ["--epsilon", "1.0"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error[{category}]: {tmp_path / bad}: not UTF-8 text"), err
+
+
+class TestCutPathPinned:
+    """sha256 of cut outputs as written before the input graph became an
+    edge-indicator Database: the representation change moves no draw."""
+
+    CUT_SCALING_SHA256 = {
+        "erdos_renyi": "0f9d7273279291b7d5e837df93e21ffdd901bf0c3ea2f26d4a8611c409bbf63f",
+        "power_law": "a531dcb6ff95b95871f0753dc98d1d78108860c87027acee0b3bc9698d94e5e8",
+    }
+    GRAPH_CUT_SEED_7_SHA256 = "7e1d0f2a59b83d9c95867800a1175a2c15c8bf690ec484a5f0faaa3b1bbc4858"
+
+    @pytest.mark.parametrize("model,param", [("erdos_renyi", 0.2), ("power_law", 3)])
+    def test_cut_scaling_csv(self, tmp_path, capsys, model, param):
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "cut.csv"
+        cfg_path.write_text(json.dumps({
+            "experiment": "cut_scaling", "vertex_grid": [16, 24, 40], "graph_model": model,
+            "graph_param": param, "cut_count": 10, "trial_count": 4, "epsilon": 0.5, "seed": 3,
+            "output": str(out),
+        }))
+        code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+        assert code == 0, err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.CUT_SCALING_SHA256[model]
+
+    def test_graph_cut_answers(self, tmp_path, capsys):
+        edges, cut = tmp_path / "g.txt", tmp_path / "cut.txt"
+        edges.write_text("".join(f"{(7 * k) % 23 + 1} {(11 * k + 5) % 23 + 1}\n" for k in range(60)))
+        cut.write_text("0 1 2 3 4 5\n10 11 12 13 14 15 16\n")
+        answers = []
+        for eps in ("1", "0.3", "700"):
+            for flags in ((), ("--no-symmetrize",), ("--one-based",), ("--clamp",)):
+                code, out, err = run_cli(
+                    capsys, "graph-cut", "--edges", str(edges), "--cut", str(cut), "--epsilon", eps,
+                    "--seed", "7", *flags,
+                )
+                assert code == 0, err
+                answers.append(out)
+        assert hashlib.sha256("".join(answers).encode()).hexdigest() == self.GRAPH_CUT_SEED_7_SHA256

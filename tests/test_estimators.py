@@ -14,6 +14,7 @@ from dpsynth.core import (
     all_databases_matrix,
 )
 from dpsynth.estimators import (
+    _distortion_bound,
     _mean_and_stderr,
     achievable_values,
     estimate_unbiased,
@@ -54,6 +55,15 @@ class TestUnbiasedEstimator:
         y = db(2, [0, 3, 1, 2])
         p = MechanismParams(700.0, DataUniverse(2))
         assert estimate_unbiased(q, y, p) == q.evaluate(y)
+
+    @pytest.mark.parametrize("estimator", ["unbiased", "proper"])
+    @pytest.mark.parametrize("measure", ["squared", "absolute"])
+    def test_bound_constant_beyond_identity_epsilon(self, estimator, measure):
+        # the bound reads eps unclamped: past 700 it no longer changes
+        q = generate_random_query(DataUniverse(3), 8, 2, RandomSource(1))
+        bounds = {_distortion_bound(q, 8, MechanismParams(eps, DataUniverse(3)), estimator, measure)
+                  for eps in (700.0, 745.0, 1e4, 1e300)}
+        assert len(bounds) == 1
 
     def test_hand_value(self):
         # n=1, l=1, eps=ln3, phi=(0,1), y=(1): 2*1 - (1/2)*1 = 1.5

@@ -93,6 +93,13 @@ class TestConfig:
                                 "graph_model": model, "graph_param": param})
         assert cfg.graph_param == param
 
+    def test_vertex_grid_over_pair_cap_rejected(self):
+        # 20000^2 pairs would ask for gigabytes before any release ran
+        with pytest.raises(ConfigError, match="encoded-pair cap"):
+            config_from_dict({"experiment": "cut_scaling", "vertex_grid": [64, 20000]})
+        cfg = config_from_dict({"experiment": "cut_scaling", "vertex_grid": [64, 10000]})
+        assert cfg.vertex_grid == (64, 10000)
+
 
 def tiny_config(**overrides):
     base = {
@@ -300,15 +307,16 @@ class TestCutScaling:
         rng = RandomSource(cfg.seed)
         for gi, v in enumerate(cfg.vertex_grid):
             make = erdos_renyi_graph if model == "erdos_renyi" else power_law_graph
-            g = make(v, param, rng.derive(harness._S_GRAPH, gi))
-            cuts = [random_bisection_cut(g, rng.derive(harness._S_CUTS, gi, ci))
+            x = make(v, param, rng.derive(harness._S_GRAPH, gi))
+            adjacency = x.rows.reshape(v, v)
+            cuts = [random_bisection_cut(x, rng.derive(harness._S_CUTS, gi, ci))
                     for ci in range(cfg.cut_count)]
             expected = np.empty((cfg.trial_count, cfg.cut_count))
             for r in range(cfg.trial_count):
-                y = release_graph(g, eps, rng.derive(harness._S_RELEASE, gi, r)).rows.reshape(v, v)
+                y = release_graph(x, eps, rng.derive(harness._S_RELEASE, gi, r)).rows.reshape(v, v)
                 for ci, q in enumerate(cuts):
                     s, t = sorted(q.s_set), sorted(q.t_set)
-                    truth = float(g.adjacency[np.ix_(s, t)].sum())
+                    truth = float(adjacency[np.ix_(s, t)].sum())
                     raw = float(y[np.ix_(s, t)].sum())
                     expected[r, ci] = abs(scale * raw - shift * (len(s) * len(t)) - truth)
             assert np.array_equal(seen[gi], expected)

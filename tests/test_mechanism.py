@@ -15,11 +15,13 @@ from dpsynth.core import (
     hamming_distance,
     is_neighbor,
 )
+from dpsynth.estimators import _affine_coefficients
 from dpsynth.mechanism import (
     MechanismParams,
     exact_log_pmf,
     log_pmf_all_outputs,
     sample_histograms,
+    sample_rows,
     sample_synthetic,
     verify_dp,
 )
@@ -52,6 +54,18 @@ class TestParams:
         assert 1.0 - p.redraw_prob + p.redraw_prob / card == pytest.approx(p.keep_prob, abs=1e-12)
         assert p.redraw_prob / card == pytest.approx(p.flip_prob, abs=1e-12)
 
+    @pytest.mark.parametrize("l", [1, 30])
+    @pytest.mark.parametrize("eps", [700.0, 1e4])
+    def test_identity_constants_are_exact(self, l, eps):
+        # the one place the identity boundary is decided: no sampler or
+        # estimator branches on it
+        p = MechanismParams(eps, DataUniverse(l))
+        assert p.exp_neg_eps == 0.0 and p.is_identity
+        assert (p.g, p.log_g, p.keep_prob, p.flip_prob, p.redraw_prob) == (1.0, 0.0, 1.0, 0.0, 0.0)
+        assert _affine_coefficients(p) == (1.0, 0.0)
+        below = MechanismParams(699.9, DataUniverse(l))
+        assert below.exp_neg_eps == math.exp(-699.9) > 0.0 and not below.is_identity
+
     def test_epsilon_validated(self):
         with pytest.raises(Exception):
             MechanismParams(-0.5, DataUniverse(1))
@@ -64,6 +78,8 @@ class TestSampler:
         x = db(3, [0, 5, 7, 2, 2])
         y = sample_synthetic(x, MechanismParams(700.0, DataUniverse(3)), RandomSource(1))
         assert y == x
+        rows = sample_rows(x.rows, MechanismParams(1e4, DataUniverse(3)), RandomSource(2).generator(), 4)
+        assert (rows == x.rows).all()
 
     def test_universe_mismatch(self):
         x = db(1, [0, 1])

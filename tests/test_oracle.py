@@ -145,7 +145,7 @@ class TestMicroMinimax:
 
 class TestVerificationSuite:
     def test_all_checks_pass(self):
-        results = run_verification_suite(quick=True)
+        results = run_verification_suite()
         assert results
         for name, passed, detail in results:
             assert passed, f"{name}: {detail}"
