@@ -7,6 +7,10 @@ table), ``experiment`` (config JSON -> results CSV), ``graph-cut`` (edge list
 draw fresh OS entropy; ``--seed`` is for tests. Exit codes: 0 success, 2 usage
 or config errors, 1 anything else; data errors print a machine-parseable
 ``error[<category>]`` prefix.
+
+Code files are read by ``core._read_int_rows`` (numpy's C reader, a line
+walk as the fallback) and written by ``write_database_codes`` as byte
+matrices of digits, not one string per row.
 """
 
 from __future__ import annotations
@@ -37,12 +41,27 @@ def read_database_codes(path, l: int) -> Database:
 
 
 def write_database_codes(db: Database, path) -> None:
-    # One join per chunk: one join over every row would hold all their strings at once.
-    chunk = 1 << 14
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# l={db.universe.l} n={db.n}\n")
+    """Code file of db: a '# l=.. n=..' header, then one decimal code per line.
+
+    Each chunk of rows is rendered as a (rows, D + 1) byte matrix, D the digit
+    count of 2**l - 1: the digits right-aligned, then a newline. Its bytes
+    with the leading zeros masked off are the chunk's text."""
+    digits = len(str(db.universe.cardinality - 1))
+    chunk = 1 << 16
+    with open(path, "wb") as fh:
+        fh.write(f"# l={db.universe.l} n={db.n}\n".encode())
         for start in range(0, db.n, chunk):
-            fh.write("\n".join(map(str, db.rows[start : start + chunk].tolist())) + "\n")
+            codes = db.rows[start : start + chunk].astype(np.uint32)  # codes < 2**30
+            text = np.empty((codes.size, digits + 1), dtype=np.uint8)
+            text[:, digits] = ord("\n")
+            keep = np.ones(text.shape, dtype=bool)
+            for j in range(digits - 1):
+                keep[:, j] = codes >= 10 ** (digits - 1 - j)
+            for j in range(digits - 1, -1, -1):
+                rest = codes // 10
+                text[:, j] = codes - 10 * rest + ord("0")
+                codes = rest
+            fh.write(text[keep].tobytes())
 
 
 def _release_seed(seed):

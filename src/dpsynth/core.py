@@ -9,13 +9,15 @@ All types are immutable after construction and safe to share across threads.
 Every stochastic operation in this package takes an explicit
 :class:`RandomSource`; there is no hidden global randomness.
 JSON files, code files and edge lists are parsed here (``_read_json``,
-``_read_int_rows``).
+``_read_int_rows``). A code file or edge list is parsed by numpy's C
+reader, ``np.loadtxt``; a walk over its lines is the fallback, to name a bad
+line.
 """
 
 from __future__ import annotations
 
 import json
-import re
+import warnings
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -91,30 +93,33 @@ def _content_lines(path) -> Iterator[tuple[int, str]]:
 def _read_int_rows(path, width: int, minimum: int) -> np.ndarray:
     """(m, width) int64 rows of a file of ``width`` whitespace-separated
     integers >= ``minimum`` (each as ``int()`` reads it) per non-blank line,
-    '#' comments allowed. One conversion parses the file; only if it or a
-    check fails are the lines walked, to name the first bad one."""
-    with open(path, "r", encoding="utf-8") as fh:
+    '#' comments allowed. numpy's C reader parses the file, first with its own
+    integer grammar, a subset of ``int()``'s, then, if that fails, calling
+    ``int()`` per token (for ``1_0`` or non-ASCII digits). If both fail, or a
+    check does, the lines are walked instead: the walk returns the rows, or
+    names the first bad line."""
+    for converters in (None, int):
         try:
-            text = re.sub(r"#[^\n]*", "", fh.read())
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
-    # Text mode folded \r\n and \r into \n, so these are _content_lines' lines. Check
-    # each line's count: a 3-token and a 1-token line would cancel out in a total.
-    try:
-        if set(map(len, map(str.split, text.split("\n")))) <= {0, width}:
-            rows = np.array(text.split(), dtype=np.int64).reshape(-1, width)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                rows = np.loadtxt(path, dtype=np.int64, ndmin=2, encoding="utf-8", converters=converters)
+        except (ValueError, OverflowError):  # UnicodeDecodeError included
+            continue
+        if rows.shape[1] == width or rows.size == 0:
+            rows = rows.reshape(-1, width)
             if (rows >= minimum).all():
                 return rows
-    except (ValueError, OverflowError):
-        pass
+    walked = []
     for lineno, line in _content_lines(path):
         try:
-            ok = (np.array(line.split(), dtype=np.int64).reshape(width) >= minimum).all()
+            row = np.array(line.split(), dtype=np.int64)
+            ok = row.shape == (width,) and (row >= minimum).all()
         except (ValueError, OverflowError):
             ok = False
         if not ok:
             raise ValidationError(f"{path}:{lineno}: expected {width} integer(s) >= {minimum} per line, got {line!r}")
-    raise ValidationError(f"{path}: file changed while being read")
+        walked.append(row)
+    return np.array(walked, dtype=np.int64).reshape(-1, width)
 
 
 @dataclass(frozen=True)

@@ -171,8 +171,16 @@ def erdos_renyi_graph(vertex_count: int, edge_prob: float, rng: RandomSource) ->
     if not 0.0 <= edge_prob <= 1.0:
         raise ValidationError(f"edge probability must lie in [0, 1], got {edge_prob}")
     _check_pair_cap(vertex_count)
+    # Row blocks of at most 2**16 draws: the same stream as one (|V|, |V|)
+    # draw, without its float64 matrix.
     gen = rng.generator()
-    upper = np.triu(gen.random((vertex_count, vertex_count)) < edge_prob, k=1)
+    upper = np.empty((vertex_count, vertex_count), dtype=bool)
+    step = max(1, (1 << 16) // vertex_count)
+    cols = np.arange(vertex_count)
+    for start in range(0, vertex_count, step):
+        block = upper[start : start + step]
+        np.less(gen.random(block.shape), edge_prob, out=block)
+        block &= cols > np.arange(start, start + len(block))[:, None]
     return adjacency_database(upper | upper.T)
 
 

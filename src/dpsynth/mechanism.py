@@ -122,7 +122,8 @@ def sample_rows(rows: np.ndarray, params: MechanismParams, gen: np.random.Genera
     keep = gen.random((trials, rows.size)) < params.keep_prob
     alt = gen.integers(0, card - 1, size=(trials, rows.size), dtype=np.int64)
     alt += alt >= rows
-    return np.where(keep, rows, alt)
+    np.copyto(alt, rows, where=keep)
+    return alt
 
 
 def sample_histograms(hist, params: MechanismParams, gen: np.random.Generator, trials: int) -> np.ndarray:

@@ -183,6 +183,18 @@ class TestWriteDatabaseCodes:
         reference = f"# l=3 n={n}\n" + "".join(f"{int(code)}\n" for code in db.rows)
         assert path.read_bytes() == reference.encode("utf-8")
 
+    @pytest.mark.parametrize("n", [1, 2**16 - 1, 2**16, 2**16 + 1])
+    @pytest.mark.parametrize("l", [1, 4, 10, 17, 30])
+    def test_digit_boundaries_match_per_row_writer(self, tmp_path, l, n):
+        top = 2**l - 1
+        edges = [0, top] + [c for k in range(1, 10) for c in (10**k - 1, 10**k) if c <= top]
+        codes = np.resize(np.array(sorted(edges)[::-1], dtype=np.int64), n)
+        db = Database(DataUniverse(l), codes)
+        path = tmp_path / "out.txt"
+        write_database_codes(db, path)
+        reference = f"# l={l} n={n}\n" + "".join(f"{int(code)}\n" for code in db.rows)
+        assert path.read_bytes() == reference.encode("utf-8")
+
 
 class TestMalformedLineFiles:
     """Every malformed code file or edge list exits 2 naming the first bad

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +234,58 @@ class TestReadIntRows:
                 assert got.dtype == np.int64 and got.shape == expected.shape, repr(body)
                 assert np.array_equal(got, expected), repr(body)
         assert min(outcomes.values()) >= 50, outcomes
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "1\x002\n", "\x00\n", "\ufeff1 2\n", "\ufeff\n", "1\x1c2\n", "1\x852\n", "1\u20282\n",
+            "\uff11 \uff12\n", "1,2\n", '"1" "2"\n', "'1'\n", "+ 1\n", "- 1 2\n", "1 2.0\n", "1e3 2\n",
+            "0x1 2\n", "nan 1\n", "-0 +0\n", "1_0 2\n", "\u0663 \u0664\n", "9223372036854775808 1\n",
+        ],
+    )
+    def test_odd_bodies_match_line_loop(self, tmp_path, body, width):
+        # The C parser must never accept a token or a line break that int() and
+        # the per-line loop reject, nor reject what they accept.
+        path = tmp_path / "f.txt"
+        path.write_bytes(("0 " * width + "\n" + body + "1 " * width + "\n").encode("utf-8"))
+        expected = reference_int_rows(path, width, -(2**63))
+        got = read_or_line(path, width, -(2**63))
+        if isinstance(expected, int):
+            assert got == expected
+        else:
+            assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("body", ["", "# only\n\n"])
+    def test_no_rows_warns_nothing(self, tmp_path, body):
+        # np.loadtxt warns "input contained no data"; the CLI's stderr must not show it
+        path = tmp_path / "f.txt"
+        path.write_text(body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _read_int_rows(path, 2, 0).shape == (0, 2)
+
+    def test_int_only_tokens_parsed_without_walking_lines(self, tmp_path, monkeypatch):
+        # 1_0 and non-ASCII digits are valid; the per-line walk costs ~25x a C parse
+        import dpsynth.core as core
+
+        monkeypatch.setattr(core, "_content_lines", None)
+        path = tmp_path / "f.txt"
+        path.write_text("1_0 \u0663\n+4 \uff15 # c\n")
+        assert _read_int_rows(path, 2, 0).tolist() == [[10, 3], [4, 5]]
+
+    def test_peak_memory_near_output(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        pairs = np.random.default_rng(5).integers(0, 3000, size=(10**5, 2))
+        path.write_text("".join(f"{i} {j}\n" for i, j in pairs.tolist()))
+        tracemalloc.start()
+        try:
+            rows = _read_int_rows(path, 2, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(rows, pairs)
+        assert peak <= 3 * rows.nbytes
 
     @pytest.mark.parametrize(
         "body,width,expected",

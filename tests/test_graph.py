@@ -276,6 +276,23 @@ class TestGenerators:
         assert not adj.diagonal().any()
         assert (adj == adj.T).all()
 
+    @pytest.mark.parametrize("v", [1, 2, 300, 1001])
+    def test_erdos_renyi_matches_one_matrix_draw(self, v):
+        # drawn in row blocks, but the same stream as one (|V|, |V|) draw
+        gen = RandomSource(8).generator()
+        upper = np.triu(gen.random((v, v)) < 0.3, k=1)
+        assert erdos_renyi_graph(v, 0.3, RandomSource(8)) == adjacency_database(upper | upper.T)
+
+    def test_erdos_renyi_peak_memory(self):
+        # 1001^2 pairs: 1 MB per bool matrix, against 8 MB for one float64 draw
+        tracemalloc.start()
+        try:
+            x = erdos_renyi_graph(1001, 0.1, RandomSource(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * x.n
+
     def test_power_law_degree_and_determinism(self):
         v, m = 60, 3
         a = power_law_graph(v, m, RandomSource(2))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,22 @@ class TestSampler:
         a = sample_synthetic(x, p, RandomSource(5, 3))
         b = sample_synthetic(x, p, RandomSource(5, 3))
         assert a == b
+
+    def test_peak_memory_per_row(self):
+        # a float64 uniform and an int64 alternative per row, but no third
+        # int64 array for the result: the kept rows are written into the
+        # alternatives
+        n = 10**6
+        rows = np.zeros(n, dtype=np.uint8)
+        gen = RandomSource(3).generator()
+        tracemalloc.start()
+        try:
+            out = sample_rows(rows, MechanismParams(1.0, DataUniverse(1)), gen, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, n)
+        assert peak <= 12 * n
 
     def test_row_independence_chi_square(self):
         # empirical joint of (Y_1, Y_2) factorizes at significance 1e-3
