@@ -10,8 +10,8 @@ Every stochastic operation in this package takes an explicit
 :class:`RandomSource`; there is no hidden global randomness.
 JSON files, code files and edge lists are parsed here (``_read_json``,
 ``_read_int_rows``). A code file or edge list is parsed by numpy's C
-reader, ``np.loadtxt``; a walk over its lines is the fallback, to name a bad
-line.
+reader, ``np.loadtxt``; where that parse fails, a walk over its lines returns
+the rows or names the first bad line.
 """
 
 from __future__ import annotations
@@ -93,18 +93,21 @@ def _content_lines(path) -> Iterator[tuple[int, str]]:
 def _read_int_rows(path, width: int, minimum: int) -> np.ndarray:
     """(m, width) int64 rows of a file of ``width`` whitespace-separated
     integers >= ``minimum`` (each as ``int()`` reads it) per non-blank line,
-    '#' comments allowed. numpy's C reader parses the file, first with its own
-    integer grammar, a subset of ``int()``'s, then, if that fails, calling
-    ``int()`` per token (for ``1_0`` or non-ASCII digits). If both fail, or a
-    check does, the lines are walked instead: the walk returns the rows, or
-    names the first bad line."""
-    for converters in (None, int):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                rows = np.loadtxt(path, dtype=np.int64, ndmin=2, encoding="utf-8", converters=converters)
-        except (ValueError, OverflowError):  # UnicodeDecodeError included
-            continue
+    '#' comments allowed. numpy's C reader parses the file; its integer
+    grammar is a subset of ``int()``'s, so if it fails, or a check does, the
+    lines are walked instead: the walk returns the rows, or names the first
+    bad line. Not thread-safe: the process's warning filters are swapped
+    during the parse, to drop np.loadtxt's warning on a file with no rows."""
+    try:
+        # a handle, not the path: numpy opens a path string through its
+        # DataSource, which decompresses by suffix, reads a compressed
+        # sibling of a missing file and fetches URLs
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(fh, dtype=np.int64, ndmin=2)
+    except (ValueError, OverflowError):  # UnicodeDecodeError included
+        pass
+    else:
         if rows.shape[1] == width or rows.size == 0:
             rows = rows.reshape(-1, width)
             if (rows >= minimum).all():

@@ -1,3 +1,4 @@
+import gzip
 import hashlib
 import json
 
@@ -254,6 +255,33 @@ class TestMalformedLineFiles:
         else:
             assert f"{path}:{line}: " in err
             assert repr(quoted) in err
+
+
+class TestCompressorSuffixes:
+    """A code file is plain UTF-8 text whatever its name ends in: a gzip
+    file is not decompressed, and a missing file is not replaced by a
+    compressed sibling."""
+
+    def _release(self, capsys, tmp_path, source):
+        return run_cli(
+            capsys,
+            "release", "--input", str(source), "--output", str(tmp_path / "out.txt"),
+            "--epsilon", "1.0", "--l", "2", "--seed", "7",
+        )
+
+    def test_gzip_bytes_are_not_utf8(self, tmp_path, capsys):
+        with gzip.open(tmp_path / "codes.gz", "wt") as fh:
+            fh.write("3\n1\n")
+        code, _, err = self._release(capsys, tmp_path, tmp_path / "codes.gz")
+        assert code == 2
+        assert "not UTF-8" in err
+
+    def test_missing_file_exit_2(self, tmp_path, capsys):
+        with gzip.open(tmp_path / "codes.txt.gz", "wt") as fh:
+            fh.write("3\n1\n")
+        code, _, err = self._release(capsys, tmp_path, tmp_path / "codes.txt")
+        assert code == 2
+        assert "error[io]" in err
 
 
 class TestMalformedQueryFile:

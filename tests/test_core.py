@@ -1,3 +1,4 @@
+import gzip
 import random
 import tracemalloc
 import warnings
@@ -265,14 +266,17 @@ class TestReadIntRows:
             warnings.simplefilter("error")
             assert _read_int_rows(path, 2, 0).shape == (0, 2)
 
-    def test_int_only_tokens_parsed_without_walking_lines(self, tmp_path, monkeypatch):
-        # 1_0 and non-ASCII digits are valid; the per-line walk costs ~25x a C parse
-        import dpsynth.core as core
+    @pytest.mark.parametrize("name", ["codes.gz", "codes.bz2", "codes.xz", "codes.lzma"])
+    def test_compressor_suffix_is_plain_text(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text("3\n# c\n4\n")
+        assert _read_int_rows(path, 1, 0).tolist() == [[3], [4]]
 
-        monkeypatch.setattr(core, "_content_lines", None)
-        path = tmp_path / "f.txt"
-        path.write_text("1_0 \u0663\n+4 \uff15 # c\n")
-        assert _read_int_rows(path, 2, 0).tolist() == [[10, 3], [4, 5]]
+    def test_missing_file_not_replaced_by_compressed_sibling(self, tmp_path):
+        with gzip.open(tmp_path / "codes.txt.gz", "wt") as fh:
+            fh.write("1\n")
+        with pytest.raises(FileNotFoundError):
+            _read_int_rows(tmp_path / "codes.txt", 1, 0)
 
     def test_peak_memory_near_output(self, tmp_path):
         path = tmp_path / "edges.txt"
