@@ -37,7 +37,7 @@ def read_database_codes(path, l: int) -> Database:
     codes = _read_int_rows(path, 1, 0)
     if codes.size == 0:
         raise ValidationError(f"{path}: no rows")
-    return Database(DataUniverse(l), codes.reshape(-1))
+    return Database._adopt(DataUniverse(l), codes.reshape(-1))
 
 
 def write_database_codes(db: Database, path) -> None:

@@ -6,13 +6,17 @@ the release and estimation run on the induced 2^k-code universe, and the
 Lipschitz constant controls how much the discretization can move the answer
 (at most L / (c 2^k)). Balancing discretization bias against estimator
 variance gives the grid-size rule 2^(2k) = sqrt(n); k is the integer
-rounding of that prescription. A Lipschitz row function cannot be given on the
-command line, so this module is library-only and reads no files.
+rounding of that prescription. The grid query depends only on the query, n
+and k, not on the release, so each ``LipschitzQuery`` builds it once per
+(n, k) and every later release at that size reuses it. A Lipschitz row
+function cannot be given on the command line, so this module is library-only
+and reads no files.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -56,10 +60,16 @@ class LipschitzQuery:
     are spot-checked on a dense grid at construction: adjacent grid points
     must satisfy the Lipschitz inequality (which extends to all grid pairs by
     the triangle inequality) and values must stay inside [a, b]. A constant
-    function is rejected; the induced query would have zero spread.
+    function is rejected, as the induced query would have zero spread; so is
+    a row value that is not a real number.
+
+    The row function must be deterministic: ``grid_query`` evaluates it once
+    per (n, k) and keeps the induced query on this object, so a release
+    reuses the table of an earlier one. Each cached (n, k) entry holds n int64
+    row offsets; entries are freed with the query.
     """
 
-    __slots__ = ("fn", "lipschitz", "lower", "upper")
+    __slots__ = ("fn", "lipschitz", "lower", "upper", "_grids", "__weakref__")
 
     def __init__(self, fn, lipschitz: float, lower: float, upper: float):
         if not (math.isfinite(lipschitz) and lipschitz >= 0.0):
@@ -67,7 +77,7 @@ class LipschitzQuery:
         if not upper > lower:
             raise ValidationError("row function needs a positive declared spread (b > a)")
         grid = np.linspace(0.0, 1.0, _LIPSCHITZ_GRID_POINTS)
-        vals = np.asarray([float(fn(u)) for u in grid])
+        vals = np.asarray([_row_value(fn, u) for u in grid])
         if not np.isfinite(vals).all():
             raise ValidationError("row function must be finite on [0, 1]")
         tol = 1e-9 * (1.0 + lipschitz)
@@ -82,9 +92,23 @@ class LipschitzQuery:
         object.__setattr__(self, "lipschitz", float(lipschitz))
         object.__setattr__(self, "lower", float(lower))
         object.__setattr__(self, "upper", float(upper))
+        object.__setattr__(self, "_grids", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("LipschitzQuery is immutable")
+
+
+def _row_value(fn, u: float) -> float:
+    """fn(u) as a float. A value that is not a real number (None, complex,
+    a string, an array that is not 0-d ...) is a ValidationError naming u;
+    bools count as 0 and 1."""
+    v = fn(u)
+    if isinstance(v, np.ndarray) and v.ndim == 0:
+        v = v[()]
+    # concrete types first: the ABC check costs several times the call
+    if not isinstance(v, (float, int, np.bool_)) and not isinstance(v, numbers.Real):
+        raise ValidationError(f"row function must return a real number, got {v!r} at u = {float(u)!r}")
+    return float(v)
 
 
 def choose_k(n: int) -> int:
@@ -105,7 +129,7 @@ def discretize(x: ContinuousDatabase, k: int) -> Database:
         raise ValidationError(f"k must lie in [1, 30], got {k}")
     scale = 1 << k
     codes = np.minimum(np.floor(x.rows * scale).astype(np.int64), scale - 1)
-    return Database(DataUniverse(k), codes)
+    return Database._adopt(DataUniverse(k), codes)
 
 
 def grid_query(q: LipschitzQuery, n: int, k: int) -> StatisticalQuery:
@@ -115,12 +139,18 @@ def grid_query(q: LipschitzQuery, n: int, k: int) -> StatisticalQuery:
     code / 2^k, matching the represented values of ``discretize``. Constants
     (a, b, c) of the induced query are computed from the table itself; they
     can differ from the declared continuous constants by up to L * 2^-k.
+    Built on the first call for each (n, k) and kept on ``q``; later calls
+    return the same immutable query.
     """
-    scale = 1 << k
-    table = np.asarray([float(q.fn(code / scale)) for code in range(scale)])
-    return StatisticalQuery(
-        DataUniverse(k), table[None, :], np.zeros(n, dtype=np.int64), label=f"grid(k={k})"
-    )
+    gq = q._grids.get((n, k))
+    if gq is None:
+        scale = 1 << k
+        table = np.asarray([_row_value(q.fn, code / scale) for code in range(scale)])
+        gq = StatisticalQuery(
+            DataUniverse(k), table[None, :], np.zeros(n, dtype=np.int64), label=f"grid(k={k})"
+        )
+        q._grids[(n, k)] = gq
+    return gq
 
 
 def release_continuous(

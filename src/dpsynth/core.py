@@ -145,14 +145,25 @@ class DataUniverse:
 class Database:
     """A length-n vector of universe-encoded rows.
 
-    Rows are stored as a read-only integer array; the constructor validates
-    every code against the universe cardinality.
+    Rows are stored as a read-only integer array; the constructor copies
+    them and validates every code against the universe cardinality.
     """
 
     __slots__ = ("universe", "rows")
 
     def __init__(self, universe: DataUniverse, rows):
-        arr = np.asarray(rows)
+        self._own(universe, np.array(rows))
+
+    @classmethod
+    def _adopt(cls, universe: DataUniverse, arr: np.ndarray) -> "Database":
+        """A Database over ``arr`` itself, validated and made read-only but
+        not copied. Only for an array the package has just built and keeps
+        no other reference to."""
+        db = cls.__new__(cls)
+        db._own(universe, arr)
+        return db
+
+    def _own(self, universe: DataUniverse, arr: np.ndarray) -> None:
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("a database is a nonempty 1-d sequence of row codes")
         if not np.issubdtype(arr.dtype, np.integer):
@@ -163,7 +174,6 @@ class Database:
             raise ValidationError(
                 f"row codes must lie in [0, {universe.cardinality}), found range [{lo}, {hi}]"
             )
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "rows", arr)

@@ -62,7 +62,7 @@ def edges_database(vertex_count: int, pairs, symmetrize: bool = False) -> Databa
     rows[pairs[:, 0] * vertex_count + pairs[:, 1]] = 1
     if symmetrize:
         rows[pairs[:, 1] * vertex_count + pairs[:, 0]] = 1
-    return Database(EDGE_UNIVERSE, rows)
+    return Database._adopt(EDGE_UNIVERSE, rows)
 
 
 def vertex_count(db: Database) -> int:

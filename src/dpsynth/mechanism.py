@@ -150,7 +150,7 @@ def sample_synthetic(x: Database, params: MechanismParams, rng: RandomSource) ->
     if x.universe != params.universe:
         raise DimensionMismatchError("database universe does not match mechanism parameters")
     out = sample_rows(x.rows, params, rng.generator(), 1)[0]
-    return Database(x.universe, out.astype(x.rows.dtype, copy=False))
+    return Database._adopt(x.universe, out.astype(x.rows.dtype, copy=False))
 
 
 def exact_log_pmf(x: Database, y: Database, params: MechanismParams) -> float:

@@ -1,6 +1,7 @@
 import gzip
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,23 @@ class TestSeed:
         assert code == 0 and err == ""
         code, _, err = run_cli(capsys, *argv, "--seed", "3")
         assert code == 0 and "warning: --seed 3" in err
+
+
+class TestReadDatabaseCodes:
+    def test_peak_memory_near_output(self, tmp_path):
+        # the Database adopts the parsed array; a copy would read 2.0x. What
+        # is left above 1x is np.loadtxt's own growth slack (1.22x here)
+        path = tmp_path / "codes.txt"
+        codes = np.random.default_rng(3).integers(0, 8, size=10**6)
+        path.write_bytes(b"".join(b"%d\n" % c for c in codes.tolist()))
+        tracemalloc.start()
+        try:
+            x = read_database_codes(path, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(x.rows, codes) and not x.rows.flags.writeable
+        assert peak <= 1.3 * x.rows.nbytes
 
 
 class TestWriteDatabaseCodes:

@@ -1,3 +1,7 @@
+import gc
+import hashlib
+import weakref
+
 import numpy as np
 import pytest
 
@@ -50,6 +54,9 @@ class TestDiscretize:
         with pytest.raises(ValidationError):
             discretize(ContinuousDatabase([0.5]), 0)
 
+    def test_rows_read_only(self):
+        assert not discretize(ContinuousDatabase([0.5]), 2).rows.flags.writeable
+
     def test_rows_validated(self):
         with pytest.raises(ValidationError):
             ContinuousDatabase([0.5, 1.2])
@@ -77,6 +84,22 @@ class TestLipschitzQuery:
     def test_range_violation_rejected(self):
         with pytest.raises(ValidationError):
             LipschitzQuery(lambda u: u, lipschitz=1.0, lower=0.2, upper=1.0)
+
+    @pytest.mark.parametrize(
+        "value", [None, 0.5j, np.array([0.5, 0.5]), np.array([0.5]), "x", "0.5", object()]
+    )
+    def test_non_real_value_rejected(self, value):
+        # the first value is fine; the bad one is named with its u
+        def fn(u):
+            return u if u < 0.5 else value
+
+        with pytest.raises(ValidationError, match=r"real number.*u = 0\.5\b"):
+            LipschitzQuery(fn, lipschitz=1.0, lower=0.0, upper=1.0)
+
+    def test_numpy_scalars_accepted(self):
+        q = LipschitzQuery(lambda u: np.asarray(u), lipschitz=1.0, lower=0.0, upper=1.0)
+        assert np.allclose(grid_query(q, 2, 2).tables[0], [0.0, 0.25, 0.5, 0.75])
+        LipschitzQuery(lambda u: np.float64(u) > 0.5, lipschitz=10**9, lower=0.0, upper=1.0)
 
 
 class TestGridQuery:
@@ -129,3 +152,49 @@ class TestReleaseContinuous:
         b = release_continuous(x, q, 1.0, RandomSource(3))
         assert a == b
 
+
+
+class TestGridCache:
+    def test_grid_built_once_per_n(self):
+        calls = []
+
+        def fn(u):
+            calls.append(u)
+            return u
+
+        q = LipschitzQuery(fn, lipschitz=1.0, lower=0.0, upper=1.0)
+        calls.clear()
+        x = ContinuousDatabase(np.linspace(0, 1, 256))
+        answers = [release_continuous(x, q, 1.0, RandomSource(4, 0, (t,))) for t in range(100)]
+        assert len(calls) == 4  # 2^k, k = 2 at n = 256
+        release_continuous(ContinuousDatabase(np.linspace(0, 1, 4096)), q, 1.0, RandomSource(4))
+        assert len(calls) == 4 + 8  # k = 3 at n = 4096
+        assert grid_query(q, 256, 2) is grid_query(q, 256, 2)
+        assert len(calls) == 12
+        assert len(set(answers)) > 1  # the releases differ; only the query is shared
+
+        ref = weakref.ref(q)
+        del q
+        gc.collect()
+        assert ref() is None  # no module-level cache keeps the query alive
+
+
+class TestContinuousPinned:
+    """sha256 of release_continuous answers as computed before the grid query
+    was cached on the LipschitzQuery: the cache moves no draw."""
+
+    ANSWERS_SHA256 = "515d79290e810d129076bc174709d259aec452420de8d4ba8113a66e7f5f791c"
+
+    def test_answers(self):
+        queries = [
+            LipschitzQuery(lambda u: u, 1.0, 0.0, 1.0),
+            LipschitzQuery(lambda u: u * u, 2.0, 0.0, 1.0),
+        ]
+        answers = []
+        for n in (256, 4096):
+            x = ContinuousDatabase(RandomSource(5, 1, (n,)).generator().random(n))
+            for q in queries:
+                for eps in (1.0, 0.3):
+                    base = RandomSource(29, 2, (n,))
+                    answers += [release_continuous(x, q, eps, base.derive(t)) for t in range(50)]
+        assert hashlib.sha256(repr(answers).encode()).hexdigest() == self.ANSWERS_SHA256

@@ -57,6 +57,20 @@ class TestDatabase:
         with pytest.raises(AttributeError):
             x.universe = DataUniverse(1)
 
+    def test_caller_array_copied(self):
+        arr = np.array([0, 1, 2])
+        x = Database(DataUniverse(2), arr)
+        arr[0] = 3
+        assert list(x.rows) == [0, 1, 2]
+        assert arr.flags.writeable
+
+    def test_adopted_rows_validated_and_read_only(self):
+        arr = np.array([0, 3])
+        x = Database._adopt(DataUniverse(2), arr)
+        assert x.rows is arr and not arr.flags.writeable
+        with pytest.raises(ValidationError):
+            Database._adopt(DataUniverse(1), np.array([0, 2]))
+
     def test_equality(self):
         assert db(2, [1, 2]) == db(2, [1, 2])
         assert db(2, [1, 2]) != db(2, [2, 1])

@@ -94,6 +94,14 @@ class TestEncoding:
             x = edges_database(v, given, symmetrize=symmetrize)
             assert np.array_equal(adjacency(x), reference)
 
+    def test_adjacency_copied_edges_adopted(self):
+        adj = np.zeros((2, 2), dtype=bool)
+        x = adjacency_database(adj)  # rows are a view of adj, so they are copied
+        adj[0, 1] = True
+        assert x.rows.sum() == 0 and adj.flags.writeable
+        assert not x.rows.flags.writeable
+        assert not edges_database(2, [(0, 1)]).rows.flags.writeable
+
     def test_non_square_database_rejected(self):
         # the one check for inputs and releases alike
         with pytest.raises(ValidationError, match="perfect square"):
@@ -337,6 +345,20 @@ class TestFiles:
         path = tmp_path / "g.txt"
         path.write_text("0 1\n")
         assert edge_set(read_edge_list(path)) == {(0, 1), (1, 0)}
+
+    def test_edge_list_peak_memory_near_output(self, tmp_path):
+        # the Database adopts the indicator array; a copy would read 2.0x
+        path = tmp_path / "g.txt"
+        path.write_text("0 2999\n")
+        tracemalloc.start()
+        try:
+            x = read_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vertex_count(x) == 3000 and edge_set(x) == {(0, 2999), (2999, 0)}
+        assert not x.rows.flags.writeable
+        assert peak <= 1.2 * x.rows.nbytes
 
     def test_one_based(self, tmp_path):
         path = tmp_path / "g.txt"

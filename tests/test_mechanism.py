@@ -82,6 +82,12 @@ class TestSampler:
         rows = sample_rows(x.rows, MechanismParams(1e4, DataUniverse(3)), RandomSource(2).generator(), 4)
         assert (rows == x.rows).all()
 
+    def test_release_rows_own_and_read_only(self):
+        x = db(3, [0, 5, 7, 2, 2])
+        y = sample_synthetic(x, MechanismParams(700.0, DataUniverse(3)), RandomSource(1))
+        assert not y.rows.flags.writeable
+        assert not np.shares_memory(y.rows, x.rows)
+
     def test_universe_mismatch(self):
         x = db(1, [0, 1])
         with pytest.raises(DimensionMismatchError):
