@@ -26,6 +26,8 @@ from .mechanism import MechanismParams, sample_synthetic
 from .queries import StatisticalQuery
 
 _LIPSCHITZ_GRID_POINTS = 10_001
+# rounding slack, in ulps of a row function's float type coarser than float64
+_ROUNDING_ULPS = 4
 
 
 class ContinuousDatabase:
@@ -59,7 +61,9 @@ class LipschitzQuery:
     The row function arrives as an opaque callable, so the declared constants
     are spot-checked on a dense grid at construction: adjacent grid points
     must satisfy the Lipschitz inequality (which extends to all grid pairs by
-    the triangle inequality) and values must stay inside [a, b]. A constant
+    the triangle inequality) and values must stay inside [a, b], both within
+    1e-9 (1 + L), widened by a few ulps times max(|a|, |b|, 1) when the
+    function returns a float type coarser than float64. A constant
     function is rejected, as the induced query would have zero spread; so is
     a row value that is not a real number.
 
@@ -77,10 +81,17 @@ class LipschitzQuery:
         if not upper > lower:
             raise ValidationError("row function needs a positive declared spread (b > a)")
         grid = np.linspace(0.0, 1.0, _LIPSCHITZ_GRID_POINTS)
-        vals = np.asarray([_row_value(fn, u) for u in grid])
+        raw = [_real(fn(u), u) for u in grid]
+        vals = np.asarray([float(v) for v in raw])
         if not np.isfinite(vals).all():
             raise ValidationError("row function must be finite on [0, 1]")
         tol = 1e-9 * (1.0 + lipschitz)
+        # a row function computing in a coarser float type rounds each value
+        # by up to half an ulp of that type
+        kinds = {type(v) for v in raw}
+        coarsest = max((np.finfo(t).eps for t in kinds if issubclass(t, np.floating)), default=0.0)
+        if coarsest > np.finfo(np.float64).eps:
+            tol += _ROUNDING_ULPS * coarsest * max(abs(lower), abs(upper), 1.0)
         if vals.min() < lower - tol or vals.max() > upper + tol:
             raise ValidationError("row function leaves its declared [a, b] range")
         step = grid[1] - grid[0]
@@ -98,17 +109,21 @@ class LipschitzQuery:
         raise AttributeError("LipschitzQuery is immutable")
 
 
-def _row_value(fn, u: float) -> float:
-    """fn(u) as a float. A value that is not a real number (None, complex,
-    a string, an array that is not 0-d ...) is a ValidationError naming u;
-    bools count as 0 and 1."""
-    v = fn(u)
+def _real(v, u: float):
+    """The row value v returned at u, a 0-d array unwrapped to its scalar. A
+    value that is not a real number (None, complex, a string, an array that
+    is not 0-d ...) is a ValidationError naming u; bools count as 0 and 1."""
     if isinstance(v, np.ndarray) and v.ndim == 0:
         v = v[()]
     # concrete types first: the ABC check costs several times the call
     if not isinstance(v, (float, int, np.bool_)) and not isinstance(v, numbers.Real):
         raise ValidationError(f"row function must return a real number, got {v!r} at u = {float(u)!r}")
-    return float(v)
+    return v
+
+
+def _row_value(fn, u: float) -> float:
+    """fn(u) as a float, checked by ``_real``."""
+    return float(_real(fn(u), u))
 
 
 def choose_k(n: int) -> int:

@@ -10,10 +10,11 @@ where
     g(eps) = 1 + (2**l - 1) * exp(-eps).
 
 Sampling therefore costs two draws per row (a keep/flip Bernoulli and, on
-flip, an alternative index), never materializing the 2**l-entry row
-distribution. All probability arithmetic for exact pmf evaluation is done in
-log space; the normalizer n*log(g) grows linearly in n and would underflow
-the plain pmf at realistic sizes.
+flip, an alternative index; at l = 1 the alternative is the other bit and
+needs no draw), never materializing the 2**l-entry row distribution. All
+probability arithmetic for exact pmf evaluation is done in log space; the
+normalizer n*log(g) grows linearly in n and would underflow the plain pmf
+at realistic sizes.
 
 The same kernel is a mixture: with probability alpha = 2**l * exp(-eps) / g
 (``MechanismParams.redraw_prob``) a row is redrawn uniformly over all 2**l
@@ -35,7 +36,10 @@ every neighbor pair and every output and reports the largest log-probability
 ratio, which equals eps exactly for this mechanism. It is one pure-numpy
 path for every (n, l): an int8 distance matrix over all 2**(n*l) databases,
 scanned once per row position for the largest integer distance gap between
-neighbors, then multiplied by eps.
+neighbors, then multiplied by eps. The matrix is still a full enumeration,
+materialized entry by entry, but it is built by recursion over row
+positions: each added row multiplies the side by 2**l, and block (b, b') of
+the larger matrix is the smaller one plus [b != b'], one broadcast add.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .core import (
     RandomSource,
     ValidationError,
     all_databases_matrix,
+    enumeration_size,
     _check_compatible,
 )
 
@@ -116,14 +121,36 @@ def sample_rows(rows: np.ndarray, params: MechanismParams, gen: np.random.Genera
     Returns an array of shape (trials, n). Each entry keeps the input row
     with probability 1/g and otherwise flips to a uniform alternative; the
     alternative index is shifted past the input code so that exactly the
-    2**l - 1 other values are reachable.
+    2**l - 1 other values are reachable. At l = 1 the alternative is the
+    other bit, so the result is ``rows`` with the flipped entries inverted,
+    in the dtype of ``rows``; otherwise it is int64.
     """
     card = params.universe.cardinality
-    keep = gen.random((trials, rows.size)) < params.keep_prob
+    keep = _keep_mask(gen, (trials, rows.size), params.keep_prob)
+    if card == 2:
+        # the alternatives are gen.integers(0, 1, ...): all 0, and drawn
+        # without consuming the stream, so skipping them changes no draw
+        return rows ^ np.logical_not(keep, out=keep)
     alt = gen.integers(0, card - 1, size=(trials, rows.size), dtype=np.int64)
     alt += alt >= rows
     np.copyto(alt, rows, where=keep)
     return alt
+
+
+_UNIFORM_BLOCK = 1 << 16
+
+
+def _keep_mask(gen: np.random.Generator, shape: tuple, keep_prob: float) -> np.ndarray:
+    """gen.random(shape) < keep_prob, drawn 2**16 uniforms at a time: the
+    same stream as one draw, without a float64 per entry."""
+    keep = np.empty(shape, dtype=bool)
+    flat = keep.reshape(-1)
+    buf = np.empty(min(flat.size, _UNIFORM_BLOCK))
+    for start in range(0, flat.size, _UNIFORM_BLOCK):
+        block = buf[: min(_UNIFORM_BLOCK, flat.size - start)]
+        gen.random(out=block)
+        np.less(block, keep_prob, out=flat[start : start + block.size])
+    return keep
 
 
 def sample_histograms(hist, params: MechanismParams, gen: np.random.Generator, trials: int) -> np.ndarray:
@@ -177,11 +204,25 @@ def log_pmf_all_outputs(x: Database, params: MechanismParams, rows_matrix: np.nd
 
 
 def _distance_matrix(l: int, n: int) -> np.ndarray:
-    """int8 Hamming distances between all 2**(n*l) databases, in code order."""
-    rows = all_databases_matrix(DataUniverse(l), n, bit_cap=VERIFY_BIT_CAP)
-    dist = np.zeros((rows.shape[0], rows.shape[0]), dtype=np.int8)
-    for col in rows.T:
-        dist += col[:, None] != col[None, :]
+    """int8 Hamming distances between all 2**(n*l) databases, in code order.
+
+    Built by recursion over row positions. Code order packs row r into bits
+    [l*r, l*(r+1)), so adding row r makes its value the outer block index:
+    block (b, b') of the new matrix is the previous matrix plus [b != b'].
+    Each step is one broadcast add into a fresh array, so the peak is the
+    output plus the previous matrix, 1/4 of it or less. The cap is checked
+    before anything is allocated.
+    """
+    enumeration_size(DataUniverse(l), n, bit_cap=VERIFY_BIT_CAP)
+    card = 1 << l
+    differ = np.ones((card, card), dtype=np.int8)
+    np.fill_diagonal(differ, 0)
+    dist = differ
+    for _ in range(1, n):
+        side = dist.shape[0]
+        out = np.empty((card, side, card, side), dtype=np.int8)
+        np.add(differ[:, None, :, None], dist[None, :, None, :], out=out)
+        dist = out.reshape(card * side, card * side)
     return dist
 
 
@@ -219,8 +260,10 @@ def verify_dp(universe: DataUniverse, n: int, params: MechanismParams) -> float:
     at output y is the clique's column max minus its column min; the max of
     that over all cliques and all y is the exact max over every triple. This
     is an enumeration, not the analytic |d(x, y) - d(x', y)| <= 1 argument.
-    The integer gap does not depend on eps, so it is computed once per
-    (n, l) and cached; eps multiplies it at the end.
+    The distance matrix holds d(x, y) for every pair, built block by block
+    over row positions (``_distance_matrix``); n*l is checked against the
+    cap before it is allocated. The integer gap does not depend on eps, so
+    it is computed once per (n, l) and cached; eps multiplies it at the end.
     """
     if universe != params.universe:
         raise DimensionMismatchError("universe does not match mechanism parameters")

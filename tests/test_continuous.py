@@ -81,6 +81,19 @@ class TestLipschitzQuery:
         with pytest.raises(ValidationError):
             LipschitzQuery(lambda u: u, lipschitz=1.0, lower=0.5, upper=0.5)
 
+    def test_float32_identity_accepted(self):
+        # float32 rounding (about 6e-8) exceeds the float64 tolerance
+        LipschitzQuery(lambda u: np.float32(u), lipschitz=1.0, lower=0.0, upper=1.0)
+
+    def test_float32_violation_rejected(self):
+        with pytest.raises(ValidationError, match="Lipschitz"):
+            LipschitzQuery(lambda u: np.float32(2 * u), lipschitz=1.0, lower=0.0, upper=2.0)
+
+    def test_small_float64_violation_rejected(self):
+        # 1e-8 over L * step per grid step, above the float64 tolerance 2e-9
+        with pytest.raises(ValidationError, match="Lipschitz"):
+            LipschitzQuery(lambda u: (1.0 + 1e-4) * u, lipschitz=1.0, lower=0.0, upper=1.001)
+
     def test_range_violation_rejected(self):
         with pytest.raises(ValidationError):
             LipschitzQuery(lambda u: u, lipschitz=1.0, lower=0.2, upper=1.0)

@@ -19,6 +19,8 @@ from dpsynth.core import (
 from dpsynth.estimators import _affine_coefficients
 from dpsynth.mechanism import (
     MechanismParams,
+    _distance_matrix,
+    _neighbor_gap,
     exact_log_pmf,
     log_pmf_all_outputs,
     sample_histograms,
@@ -118,9 +120,8 @@ class TestSampler:
         assert a == b
 
     def test_peak_memory_per_row(self):
-        # a float64 uniform and an int64 alternative per row, but no third
-        # int64 array for the result: the kept rows are written into the
-        # alternatives
+        # l = 1: a bool keep mask and the result in the rows' own uint8, the
+        # uniforms drawn in blocks of 2**16; no float64 or int64 per row
         n = 10**6
         rows = np.zeros(n, dtype=np.uint8)
         gen = RandomSource(3).generator()
@@ -130,8 +131,24 @@ class TestSampler:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.shape == (1, n)
-        assert peak <= 12 * n
+        assert out.shape == (1, n) and out.dtype == np.uint8
+        assert peak <= 3 * n
+
+    @pytest.mark.parametrize("l,dtype", [(1, np.uint8), (1, np.int64), (3, np.int64)])
+    def test_blocked_draw_matches_one_draw(self, l, dtype):
+        # several 2**16 blocks of uniforms consume the stream exactly as one
+        # draw of every uniform, then one of every alternative, would
+        u = DataUniverse(l)
+        p = MechanismParams(0.7, u)
+        rows = RandomSource(8).generator().integers(0, u.cardinality, size=50_001).astype(dtype)
+        gen, ref = RandomSource(9, l).generator(), RandomSource(9, l).generator()
+        out = sample_rows(rows, p, gen, 3)
+        keep = ref.random((3, rows.size)) < p.keep_prob
+        alt = ref.integers(0, u.cardinality - 1, size=(3, rows.size), dtype=np.int64)
+        alt += alt >= rows
+        assert out.dtype == (dtype if l == 1 else np.int64)
+        assert np.array_equal(out, np.where(keep, rows, alt))
+        assert gen.random() == ref.random()
 
     def test_row_independence_chi_square(self):
         # empirical joint of (Y_1, Y_2) factorizes at significance 1e-3
@@ -217,13 +234,60 @@ class TestVerifyDp:
 
 
 SMALL_VERIFY_CASES = [(1, 1), (3, 1), (1, 3), (2, 2), (2, 3), (3, 2)]
+VERIFY_SHAPES = [(n, l) for l in range(1, 13) for n in range(1, 12 // l + 1)]
+
+
+def column_compare_distances(l, n):
+    """The Hamming matrix as one comparison per row position over the
+    enumerated databases: the plain reference for the block builder."""
+    rows = all_databases_matrix(DataUniverse(l), n, bit_cap=12)
+    dist = np.zeros((rows.shape[0], rows.shape[0]), dtype=np.int8)
+    for col in rows.T:
+        dist += col[:, None] != col[None, :]
+    return dist
 
 
 class TestVerifierScan:
+    @pytest.mark.parametrize("n,l", VERIFY_SHAPES)
+    def test_distance_matrix_matches_column_compare(self, n, l):
+        dist = _distance_matrix(l, n)
+        expected = column_compare_distances(l, n)
+        assert dist.dtype == np.int8 and dist.shape == expected.shape
+        assert dist.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n,l", [(n, l) for n, l in VERIFY_SHAPES if n * l == 12])
+    def test_distance_matrix_peak_memory(self, n, l):
+        # the output plus the matrix one row position smaller
+        tracemalloc.start()
+        try:
+            dist = _distance_matrix(l, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * dist.nbytes
+
+    @pytest.mark.parametrize("n,l", [(13, 1), (1, 13)])
+    def test_cap_checked_before_allocating(self, n, l):
+        u = DataUniverse(l)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationTooLargeError):
+                verify_dp(u, n, MechanismParams(1.0, u))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n,l", [(1, 3), (3, 2)])
+    def test_distance_matrix_writable_and_contiguous(self, n, l):
+        # the tampered-matrix test writes into it; _neighbor_gap reshapes it
+        # without copying
+        dist = _distance_matrix(l, n)
+        assert dist.flags.writeable and dist.flags.c_contiguous
+        assert np.shares_memory(dist.reshape(-1, 1 << l, dist.shape[0]), dist)
+
     @pytest.mark.parametrize("n,l", SMALL_VERIFY_CASES)
     def test_distance_matrix_is_hamming(self, n, l):
-        from dpsynth.mechanism import _distance_matrix
-
         u = DataUniverse(l)
         dbs = list(enumerate_databases(u, n))
         expected = [[hamming_distance(x, y) for y in dbs] for x in dbs]
@@ -232,8 +296,6 @@ class TestVerifierScan:
     @pytest.mark.parametrize("n,l", SMALL_VERIFY_CASES)
     def test_gap_matches_naive_triple_scan_on_tampered_matrix(self, n, l):
         # a skipped row position or clique would miss the tampered entry
-        from dpsynth.mechanism import _distance_matrix, _neighbor_gap
-
         dbs = list(enumerate_databases(DataUniverse(l), n))
         pairs = [(i, j) for i, x in enumerate(dbs) for j, x2 in enumerate(dbs) if is_neighbor(x, x2)]
         gen = RandomSource(n * 10 + l).generator()
