@@ -16,7 +16,6 @@ matrices of digits, not one string per row.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 
@@ -24,9 +23,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .core import Database, DataUniverse, RandomSource, ValidationError, _read_int_rows
-from .estimators import estimate_unbiased, project_proper
+from .estimators import ESTIMATORS, PROJECTIONS, estimate_unbiased, project_proper
 from .graph import answer_cut, read_cut_spec, read_edge_list, release_graph, vertex_count
-from .harness import _fmt, fit_loglog_slope, ingest_csv, load_config, run_experiment
+from .harness import _write_csv, fit_loglog_slope, ingest_csv, load_config, run_experiment
 from .mechanism import MechanismParams, sample_synthetic
 from .oracle import run_verification_suite
 from .queries import load_query
@@ -104,10 +103,7 @@ def _cmd_bounds(args) -> int:
     inputs = bounds_mod.BoundInputs(
         n=args.n, l=args.l, epsilon=args.epsilon, a=args.a, b=args.b, c=args.c, L=args.L
     )
-    row = bounds_mod.bound_table_row(inputs)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(bounds_mod.BOUND_TABLE_COLUMNS)
-    writer.writerow([_fmt(row[col]) for col in bounds_mod.BOUND_TABLE_COLUMNS])
+    _write_csv(sys.stdout, bounds_mod.BOUND_TABLE_COLUMNS, [bounds_mod.bound_table_row(inputs)])
     return 0
 
 
@@ -168,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="synthetic database code file")
     p.add_argument("--query", required=True, help="query definition JSON")
     p.add_argument("--epsilon", type=float, required=True, help="epsilon used at release time")
-    p.add_argument("--estimator", choices=("unbiased", "proper"), default="unbiased")
-    p.add_argument("--projection", choices=("interval_clamp", "exact_range"), default="interval_clamp")
+    p.add_argument("--estimator", choices=ESTIMATORS, default="unbiased")
+    p.add_argument("--projection", choices=PROJECTIONS, default="interval_clamp")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("bounds", help="print the closed-form bound table as CSV")

@@ -64,7 +64,7 @@ def _not_utf8(path, exc: UnicodeDecodeError, error=ValidationError) -> Validatio
 def _read_json(path, error=ValidationError):
     """Parse a JSON file; invalid JSON or non-UTF-8 bytes raise ``error``
     naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -83,7 +83,7 @@ def _utf8_lines(fh, path) -> Iterator[str]:
 
 def _content_lines(path) -> Iterator[tuple[int, str]]:
     """(line number, stripped text) of each line with content before its '#'."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
             text = line.split("#", 1)[0].strip()
             if text:
@@ -102,7 +102,7 @@ def _read_int_rows(path, width: int, minimum: int) -> np.ndarray:
         # a handle, not the path: numpy opens a path string through its
         # DataSource, which decompresses by suffix, reads a compressed
         # sibling of a missing file and fetches URLs
-        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+        with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             rows = np.loadtxt(fh, dtype=np.int64, ndmin=2)
     except (ValueError, OverflowError):  # UnicodeDecodeError included
@@ -254,30 +254,30 @@ def enumeration_size(universe: DataUniverse, n: int, bit_cap: int = ENUMERATION_
         )
     return 1 << bits
 
-def all_databases_matrix(universe: DataUniverse, n: int, bit_cap: int = ENUMERATION_BIT_CAP) -> np.ndarray:
-    """Matrix of shape (2**(n*l), n) whose k-th row decodes database code k.
 
-    Database code k packs row i into bits [l*i, l*(i+1)). The matrix is the
-    workhorse of every exact-enumeration oracle in the package.
-    """
-    size = enumeration_size(universe, n, bit_cap)
-    codes = np.arange(size, dtype=np.int64)
-    out = np.empty((size, n), dtype=np.int64)
+def _decode(universe: DataUniverse, n: int, start: int, stop: int) -> np.ndarray:
+    """(stop - start, n) rows of the database codes start .. stop - 1."""
+    codes = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((codes.size, n), dtype=np.int64)
     mask = universe.cardinality - 1
     for r in range(n):
         out[:, r] = (codes >> (universe.l * r)) & mask
     return out
 
 
+def all_databases_matrix(universe: DataUniverse, n: int, bit_cap: int = ENUMERATION_BIT_CAP) -> np.ndarray:
+    """Matrix of shape (2**(n*l), n) whose k-th row decodes database code k.
+
+    Database code k packs row i into bits [l*i, l*(i+1)). The matrix is the
+    workhorse of every exact-enumeration oracle in the package.
+    """
+    return _decode(universe, n, 0, enumeration_size(universe, n, bit_cap))
+
+
 def enumerate_databases(universe: DataUniverse, n: int) -> Iterator[Database]:
     """Yield every database in (D^n), each exactly once, in code order."""
     size = enumeration_size(universe, n)
-    mask = universe.cardinality - 1
     chunk = 1 << 16
     for start in range(0, size, chunk):
-        codes = np.arange(start, min(start + chunk, size), dtype=np.int64)
-        rows = np.empty((codes.size, n), dtype=np.int64)
-        for r in range(n):
-            rows[:, r] = (codes >> (universe.l * r)) & mask
-        for row in rows:
+        for row in _decode(universe, n, start, min(start + chunk, size)):
             yield Database(universe, row)

@@ -41,6 +41,7 @@ from .core import (
     RandomSource,
     ValidationError,
     all_databases_matrix,
+    enumeration_size,
 )
 from .mechanism import MechanismParams, log_pmf_all_outputs, sample_histograms
 from .queries import StatisticalQuery
@@ -64,15 +65,6 @@ class DistortionReport:
     empirical_stderr: float
     sample_count: int
     analytic_bound: float
-    exact_value: float | None = None
-
-    @property
-    def flagged(self) -> bool:
-        """True when the Monte Carlo mean is further than 6 standard errors
-        from the enumerated exact value (suspicious, not fatal)."""
-        if self.exact_value is None:
-            return False
-        return abs(self.empirical_mean - self.exact_value) > 6.0 * self.empirical_stderr
 
 
 def _affine_coefficients(params: MechanismParams) -> tuple[float, float]:
@@ -155,12 +147,6 @@ def achievable_values(q: StatisticalQuery, cap: int = ACHIEVABLE_CAP) -> np.ndar
                     f"achievable-value set exceeds the cap of {cap} distinct sums"
                 )
         return states[n] / q.c_sum
-    bits = n * q.universe.l
-    if bits > _ENUM_ACHIEVABLE_BIT_CAP:
-        raise EnumerationTooLargeError(
-            "exact achievable set of a heterogeneous query needs enumeration; "
-            f"n*l = {bits} exceeds {_ENUM_ACHIEVABLE_BIT_CAP}"
-        )
     rows = all_databases_matrix(q.universe, n, bit_cap=_ENUM_ACHIEVABLE_BIT_CAP)
     return _distinct(q.evaluate_rows(rows), tol / q.c_sum)
 
@@ -228,11 +214,7 @@ def exact_distortion(
     _check_enums(estimator, measure, projection)
     _check_single(q, "exact_distortion")
     q._check(x)
-    bits = x.n * x.universe.l
-    if bits > EXACT_BIT_CAP:
-        raise EnumerationTooLargeError(
-            f"exact distortion enumerates 2^{bits} outputs; the cap is 2^{EXACT_BIT_CAP}"
-        )
+    enumeration_size(x.universe, x.n, EXACT_BIT_CAP)  # the cap holds at the identity too
     if params.is_identity:
         # Y = x with probability 1; the log-space pmf would give e^-eps > 0 off x
         rows, probs = x.rows[None, :], np.ones(1)
@@ -292,7 +274,6 @@ def measure_distortion(
     trials: int = 1000,
     rng: RandomSource | None = None,
     projection: str = "interval_clamp",
-    with_exact: bool = False,
 ) -> DistortionReport:
     """Monte Carlo distortion of the chosen estimator at one database.
 
@@ -324,9 +305,6 @@ def measure_distortion(
         err = _estimates(q, q.answers(synthetic), params, estimator, projection) - qx
         values[start : start + count] = err * err if measure == "squared" else np.abs(err)
     mean, stderr = _mean_and_stderr(values)
-    exact = None
-    if with_exact:
-        exact = exact_distortion(q, x, params, estimator, measure, projection)
     return DistortionReport(
         query_id=q.label or "query",
         distortion_measure=measure,
@@ -334,5 +312,4 @@ def measure_distortion(
         empirical_stderr=stderr,
         sample_count=trials,
         analytic_bound=_distortion_bound(q, x.n, params, estimator, measure),
-        exact_value=exact,
     )

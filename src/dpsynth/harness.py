@@ -27,6 +27,7 @@ produce byte-identical CSV files.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -34,8 +35,17 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bounds import BOUND_TABLE_COLUMNS, BoundInputs, bound_table_row, cut_bound
-from .core import ConfigError, Database, DataUniverse, RandomSource, ValidationError, _read_json, _utf8_lines
-from .estimators import _distortion_bound, _estimates
+from .core import (
+    MAX_ATTRIBUTES,
+    ConfigError,
+    Database,
+    DataUniverse,
+    RandomSource,
+    ValidationError,
+    _read_json,
+    _utf8_lines,
+)
+from .estimators import ESTIMATORS, _distortion_bound, _estimates
 from .graph import (
     MAX_ENCODED_PAIRS,
     _answer_cuts,
@@ -49,27 +59,9 @@ from .graph import (
 from .mechanism import MechanismParams, sample_rows
 from .queries import generate_random_query
 
-EXPERIMENTS = (
-    "heterogeneity",
-    "query_set_size",
-    "database_scaling",
-    "cut_scaling",
-    "bounds_table",
-)
+EXPERIMENTS = ("heterogeneity", "query_set_size", "database_scaling", "cut_scaling", "bounds_table")
 
 GRAPH_MODELS = ("erdos_renyi", "power_law")
-
-RESULT_COLUMNS = (
-    "experiment",
-    "grid_point",
-    "worst_case_distortion",
-    "worst_case_stderr",
-    "mean_distortion",
-    "analytic_bound",
-    "runs",
-    "seed",
-    "relative_error",
-)
 
 # stream indices hung off the config seed; fixed so results are reproducible
 _S_DATABASE = 1
@@ -130,40 +122,33 @@ class ExperimentConfig:
             raise ConfigError("trial_count must be >= 1")
         if self.query_count < 1:
             raise ConfigError("query_count must be >= 1")
-        if self.estimator not in ("unbiased", "proper"):
-            raise ConfigError(f"estimator must be 'unbiased' or 'proper', got {self.estimator!r}")
+        if self.estimator not in ESTIMATORS:
+            raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
         if self.experiment == "heterogeneity":
-            grid = self.heterogeneity_grid or _default_heterogeneity_grid(self.n)
+            # default: every power of two up to n/2
+            grid = self.heterogeneity_grid or tuple(1 << k for k in range(int(self.n).bit_length() - 1))
             if not grid:
                 raise ConfigError("heterogeneity grid must be nonempty")
             for h in grid:
                 if not 1 <= h <= self.n or self.n % h != 0:
                     raise ConfigError(f"heterogeneity {h} must divide n={self.n}")
-            object.__setattr__(self, "heterogeneity_grid", tuple(int(h) for h in grid))
+            object.__setattr__(self, "heterogeneity_grid", grid)
         if self.experiment == "query_set_size":
-            if not self.set_sizes or list(self.set_sizes) != sorted(set(self.set_sizes)):
-                raise ConfigError("set_sizes must be nonempty, ascending, and distinct")
-            if min(self.set_sizes) < 1:
-                raise ConfigError("set sizes must be >= 1")
+            _check_ascending("set_sizes", self.set_sizes, 1)
             if self.database_count < 1:
                 raise ConfigError("database_count must be >= 1")
-            object.__setattr__(self, "set_sizes", tuple(int(s) for s in self.set_sizes))
         if self.experiment == "database_scaling":
             grid = self.n_grid or tuple(2**k for k in range(10, 17))
-            if len(grid) < 1 or list(grid) != sorted(set(grid)) or min(grid) < 1:
-                raise ConfigError("n_grid must be nonempty, ascending, and distinct")
+            _check_ascending("n_grid", grid, 1)
             if len(grid) >= 2 and max(grid) < 10 * min(grid):
                 raise ConfigError("n_grid should span at least one decade for a slope fit")
-            object.__setattr__(self, "n_grid", tuple(int(n) for n in grid))
+            object.__setattr__(self, "n_grid", grid)
         if self.experiment == "cut_scaling":
-            if not self.vertex_grid or min(self.vertex_grid) < 2:
-                raise ConfigError("vertex_grid must be nonempty with |V| >= 2")
-            if list(self.vertex_grid) != sorted(set(self.vertex_grid)):
-                raise ConfigError("vertex_grid must be ascending and distinct")
+            _check_ascending("vertex_grid", self.vertex_grid, 2)
             if max(self.vertex_grid) ** 2 > MAX_ENCODED_PAIRS:
                 raise ConfigError(f"vertex_grid: |V|^2 = {max(self.vertex_grid) ** 2} exceeds the "
                                   f"{MAX_ENCODED_PAIRS} encoded-pair cap")
@@ -176,18 +161,15 @@ class ExperimentConfig:
                 raise ConfigError(f"power_law graph_param must be an integer in [1, min(vertex_grid)), got {p}")
             if self.cut_count < 1:
                 raise ConfigError("cut_count must be >= 1")
-            object.__setattr__(self, "vertex_grid", tuple(int(v) for v in self.vertex_grid))
         if self.experiment == "bounds_table":
-            grid = self.n_grid or (1000, 10000, 100000)
-            eps_grid = self.epsilon_grid or (self.epsilon,)
-            object.__setattr__(self, "n_grid", tuple(int(n) for n in grid))
-            object.__setattr__(self, "epsilon_grid", tuple(float(e) for e in eps_grid))
+            object.__setattr__(self, "n_grid", self.n_grid or (1000, 10000, 100000))
+            object.__setattr__(self, "epsilon_grid", self.epsilon_grid or (float(self.epsilon),))
 
     def _check_types(self):
         """Reject a field of the wrong type with ConfigError, before any
-        comparison or arithmetic could raise TypeError; grids given as lists
-        become tuples. ``L`` may be None, and so may a grid (read as empty,
-        which selects its default)."""
+        comparison or arithmetic could raise TypeError; each grid becomes a
+        tuple of ints (or floats). ``L`` may be None, and so may a grid (read
+        as empty, which selects its default)."""
         for name in _STR_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, str):
@@ -197,23 +179,20 @@ class ExperimentConfig:
                 value = getattr(self, name)
                 if not ok(value) and not (name == "L" and value is None):
                     raise ConfigError(f"{name} must be {what}, got {value!r}")
-        for names, ok, what in ((_INT_GRIDS, _is_int, "integers"), (_REAL_GRIDS, _is_real, "numbers")):
+        for names, ok, kind, what in ((_INT_GRIDS, _is_int, int, "integers"),
+                                      (_REAL_GRIDS, _is_real, float, "numbers")):
             for name in names:
                 value = getattr(self, name)
                 if value is None:
                     continue
                 if not isinstance(value, (list, tuple)) or not all(ok(v) for v in value):
                     raise ConfigError(f"{name} must be a list of {what}, got {value!r}")
-                object.__setattr__(self, name, tuple(value))
+                object.__setattr__(self, name, tuple(kind(v) for v in value))
 
 
-def _default_heterogeneity_grid(n: int) -> tuple:
-    grid = []
-    h = 1
-    while h <= n // 2:
-        grid.append(h)
-        h *= 2
-    return tuple(grid)
+def _check_ascending(name: str, grid, minimum: int) -> None:
+    if not grid or list(grid) != sorted(set(grid)) or grid[0] < minimum:
+        raise ConfigError(f"{name} must be nonempty, ascending and distinct, each >= {minimum}, got {grid!r}")
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -248,6 +227,9 @@ class ResultRow:
     relative_error: float | None = None
 
 
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -258,21 +240,19 @@ def _fmt(value) -> str:
     return f"{float(value):.9g}"
 
 
+def _write_csv(fh, columns, rows) -> None:
+    """RFC-4180 CSV to the text handle fh: a header of ``columns``, then one
+    line per row (a mapping of column to value), floats at 9 significant
+    digits. Every CSV the package writes goes through here."""
+    writer = csv.writer(fh)
+    writer.writerow(columns)
+    writer.writerows([_fmt(row[col]) for col in columns] for row in rows)
+
+
 def write_results_csv(rows, path) -> None:
-    """RFC-4180 CSV, one header line, floats at 9 significant digits."""
+    """The CSV of result rows, one line per grid point."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(getattr(row, col)) for col in RESULT_COLUMNS])
-
-
-def write_bounds_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BOUND_TABLE_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) for col in BOUND_TABLE_COLUMNS])
+        _write_csv(fh, RESULT_COLUMNS, map(vars, rows))
 
 
 def _random_database(universe: DataUniverse, n: int, rng: RandomSource) -> Database:
@@ -290,15 +270,9 @@ def _release_runs(x: Database, params: MechanismParams, rng: RandomSource, runs:
     )
 
 
-@dataclass(frozen=True)
-class _Stats:
-    worst: float
-    worst_se: float
-    mean: float
-
-
-def _summarize(errs: np.ndarray) -> _Stats:
-    """errs has runs on axis 0; the rest indexes (query [, database]).
+def _summarize(errs: np.ndarray) -> tuple[float, float, float]:
+    """(worst, stderr of worst, mean) of errs, which has runs on axis 0; the
+    rest indexes (query [, database]).
 
     Per-query distortion = across-run mean; worst case = max of those means;
     the stderr of the worst case is the leave-one-run-out jackknife.
@@ -309,13 +283,37 @@ def _summarize(errs: np.ndarray) -> _Stats:
     worst = float(means.max())
     mean = float(means.mean())
     if runs < 2:
-        return _Stats(worst, float("inf"), mean)
+        return worst, float("inf"), mean
     total = flat.sum(axis=0)
     loo_worst = np.empty(runs)
     for r in range(runs):
         loo_worst[r] = ((total - flat[r]) / (runs - 1)).max()
     se = math.sqrt((runs - 1) / runs * ((loo_worst - loo_worst.mean()) ** 2).sum())
-    return _Stats(worst, se, mean)
+    return worst, se, mean
+
+
+def _result_row(config: ExperimentConfig, point: int, errs: np.ndarray, bound: float, relative=None) -> ResultRow:
+    """The row of one grid point from its errors (runs on axis 0)."""
+    worst, stderr, mean = _summarize(errs)
+    return ResultRow(
+        config.experiment, point, worst, stderr, mean, bound, config.trial_count, config.seed, relative
+    )
+
+
+def _statistical_row(config, point, qs, dbs, releases, params: MechanismParams, measure: str) -> ResultRow:
+    """One grid point of a statistical sweep: the errors of the batch qs on
+    each database dbs[d], from its (runs, n) released rows releases[d],
+    against the closed-form bound of qs's own class constants."""
+    errs = np.empty((config.trial_count, len(dbs), len(qs.tables)))
+    for di, x in enumerate(dbs):
+        # no estimate array is kept past its subtraction, so the summary's
+        # temporaries can reuse its memory
+        est = _estimates(qs, qs.evaluate_rows(releases[di]), params, config.estimator)
+        np.subtract(est, qs.evaluate(x), out=errs[:, di])
+        del est
+    transform = np.square if measure == "squared" else np.abs
+    transform(errs, out=errs)
+    return _result_row(config, point, errs, _distortion_bound(qs, qs.n, params, config.estimator, measure))
 
 
 def run_heterogeneity_sweep(config: ExperimentConfig, rng: RandomSource) -> list[ResultRow]:
@@ -328,21 +326,11 @@ def run_heterogeneity_sweep(config: ExperimentConfig, rng: RandomSource) -> list
     universe = DataUniverse(config.l)
     params = MechanismParams(config.epsilon, universe)
     x = _random_database(universe, config.n, rng.derive(_S_DATABASE))
-    releases = _release_runs(x, params, rng, config.trial_count)
+    releases = [_release_runs(x, params, rng, config.trial_count)]
     out = []
     for gi, h in enumerate(config.heterogeneity_grid):
-        qs = generate_random_query(
-            universe, config.n, h, rng.derive(_S_QUERIES, gi), count=config.query_count
-        )
-        est = _estimates(qs, qs.evaluate_rows(releases), params, config.estimator)
-        stats = _summarize(np.abs(est - qs.evaluate(x)))
-        bound = _distortion_bound(qs, config.n, params, config.estimator, "absolute")
-        out.append(
-            ResultRow(
-                "heterogeneity", h, stats.worst, stats.worst_se, stats.mean, bound,
-                config.trial_count, config.seed,
-            )
-        )
+        qs = generate_random_query(universe, config.n, h, rng.derive(_S_QUERIES, gi), count=config.query_count)
+        out.append(_statistical_row(config, h, qs, [x], releases, params, "absolute"))
     return out
 
 
@@ -357,26 +345,12 @@ def run_query_set_size_sweep(config: ExperimentConfig, rng: RandomSource) -> lis
     """
     universe = DataUniverse(config.l)
     params = MechanismParams(config.epsilon, universe)
-    dbs = [
-        _random_database(universe, config.n, rng.derive(_S_DATABASE, d))
-        for d in range(config.database_count)
-    ]
+    dbs = [_random_database(universe, config.n, rng.derive(_S_DATABASE, d)) for d in range(config.database_count)]
     releases = [_release_runs(x, params, rng, config.trial_count, di) for di, x in enumerate(dbs)]
     out = []
     for gi, size in enumerate(config.set_sizes):
         qs = generate_random_query(universe, config.n, 1, rng.derive(_S_QUERIES, gi), count=size)
-        errs = np.empty((config.trial_count, config.database_count, size))
-        for di, x in enumerate(dbs):
-            est = _estimates(qs, qs.evaluate_rows(releases[di]), params, config.estimator)
-            errs[:, di] = np.abs(est - qs.evaluate(x))
-        stats = _summarize(errs)
-        bound = _distortion_bound(qs, config.n, params, config.estimator, "absolute")
-        out.append(
-            ResultRow(
-                "query_set_size", size, stats.worst, stats.worst_se, stats.mean, bound,
-                config.trial_count, config.seed,
-            )
-        )
+        out.append(_statistical_row(config, size, qs, dbs, releases, params, "absolute"))
     return out
 
 
@@ -389,16 +363,8 @@ def run_database_scaling(config: ExperimentConfig, rng: RandomSource) -> list[Re
     for gi, n in enumerate(config.n_grid):
         qs = generate_random_query(universe, n, 1, rng.derive(_S_QUERIES), count=config.query_count)
         x = _random_database(universe, n, rng.derive(_S_DATABASE, gi))
-        releases = _release_runs(x, params, rng, config.trial_count, gi)
-        est = _estimates(qs, qs.evaluate_rows(releases), params, config.estimator)
-        stats = _summarize((est - qs.evaluate(x)) ** 2)
-        bound = _distortion_bound(qs, n, params, config.estimator, "squared")
-        out.append(
-            ResultRow(
-                "database_scaling", n, stats.worst, stats.worst_se, stats.mean, bound,
-                config.trial_count, config.seed,
-            )
-        )
+        releases = [_release_runs(x, params, rng, config.trial_count, gi)]
+        out.append(_statistical_row(config, n, qs, [x], releases, params, "squared"))
     return out
 
 
@@ -419,52 +385,41 @@ def run_cut_scaling(config: ExperimentConfig, rng: RandomSource) -> list[ResultR
         for r in range(config.trial_count):
             y = release_graph(x, config.epsilon, rng.derive(_S_RELEASE, gi, r))
             errs[r] = np.abs(_answer_cuts(y, s, t, config.epsilon) - truths)
-        stats = _summarize(errs)
-        bound = cut_bound(v // 2, v - v // 2, config.epsilon)
         positive = truths > 0
         relative = None
         if positive.any():
             relative = float((errs.mean(axis=0)[positive] / truths[positive]).max())
-        out.append(
-            ResultRow(
-                "cut_scaling", v, stats.worst, stats.worst_se, stats.mean, bound,
-                config.trial_count, config.seed, relative_error=relative,
-            )
-        )
+        out.append(_result_row(config, v, errs, cut_bound(v // 2, v - v // 2, config.epsilon), relative))
     return out
 
 
 def run_bounds_table(config: ExperimentConfig) -> list[dict]:
-    rows = []
-    for eps in config.epsilon_grid:
-        for n in config.n_grid:
-            rows.append(
-                bound_table_row(
-                    BoundInputs(
-                        n=n, l=config.l, epsilon=eps, a=config.a, b=config.b, c=config.c,
-                        L=config.L,
-                    )
-                )
-            )
-    return rows
+    return [
+        bound_table_row(
+            BoundInputs(n=n, l=config.l, epsilon=eps, a=config.a, b=config.b, c=config.c, L=config.L)
+        )
+        for eps in config.epsilon_grid
+        for n in config.n_grid
+    ]
+
+
+_SWEEPS = {
+    "heterogeneity": run_heterogeneity_sweep,
+    "query_set_size": run_query_set_size_sweep,
+    "database_scaling": run_database_scaling,
+    "cut_scaling": run_cut_scaling,
+}
 
 
 def run_experiment(config: ExperimentConfig, output=None):
     """Dispatch one experiment and write its CSV; returns the result rows."""
     path = output if output is not None else config.output
-    rng = RandomSource(config.seed)
     if config.experiment == "bounds_table":
         rows = run_bounds_table(config)
-        write_bounds_csv(rows, path)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            _write_csv(fh, BOUND_TABLE_COLUMNS, rows)
         return rows
-    if config.experiment == "heterogeneity":
-        rows = run_heterogeneity_sweep(config, rng)
-    elif config.experiment == "query_set_size":
-        rows = run_query_set_size_sweep(config, rng)
-    elif config.experiment == "database_scaling":
-        rows = run_database_scaling(config, rng)
-    else:
-        rows = run_cut_scaling(config, rng)
+    rows = _SWEEPS[config.experiment](config, RandomSource(config.seed))
     write_results_csv(rows, path)
     return rows
 
@@ -536,8 +491,8 @@ def load_ingestion_schema(source) -> dict:
         total_bits += bits
     if not columns:
         raise ConfigError("schema needs at least one column")
-    if total_bits > 30:
-        raise ConfigError(f"schema needs {total_bits} bits; the universe cap is 30")
+    if total_bits > MAX_ATTRIBUTES:
+        raise ConfigError(f"schema needs {total_bits} bits; the universe cap is {MAX_ATTRIBUTES}")
     return {"columns": columns, "has_header": has_header, "l": total_bits}
 
 
@@ -554,7 +509,7 @@ def ingest_csv(path, schema) -> Database:
     schema = load_ingestion_schema(schema)
     columns = schema["columns"]
     codes = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
         try:
             first = next(reader)
@@ -570,7 +525,7 @@ def ingest_csv(path, schema) -> Database:
             start_line = 2
         else:
             positions = list(range(len(columns)))
-            reader = _chain_rows(first, reader)
+            reader = itertools.chain([first], reader)
             start_line = 1
         for lineno, row in enumerate(reader, start=start_line):
             if not row or all(not cell.strip() for cell in row):
@@ -604,11 +559,6 @@ def ingest_csv(path, schema) -> Database:
     if not codes:
         raise ValidationError(f"{path}: no data rows")
     return Database(DataUniverse(schema["l"]), np.asarray(codes, dtype=np.int64))
-
-
-def _chain_rows(first, reader):
-    yield first
-    yield from reader
 
 
 def category_extension_table(l: int, valid_count: int, values) -> np.ndarray:

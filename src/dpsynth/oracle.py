@@ -33,12 +33,14 @@ from .core import (
     EnumerationTooLargeError,
     ValidationError,
     all_databases_matrix,
+    enumeration_size,
 )
 from .mechanism import IDENTITY_EPSILON
 
 ORACLE_BIT_CAP = 12
 MINIMAX_BIT_CAP = 6
 MINIMAX_GRID_CAP = 1000
+MINIMAX_GRID_POINTS = 17
 _PROPER_SEARCH_CAP = 300_000
 
 
@@ -73,11 +75,6 @@ def exact_distribution(x: Database, params) -> ExactDistribution:
     output is recomputed here and the distribution is normalized numerically,
     independent of the mechanism module's closed form.
     """
-    bits = x.n * x.universe.l
-    if bits > ORACLE_BIT_CAP:
-        raise EnumerationTooLargeError(
-            f"oracle enumeration needs n*l <= {ORACLE_BIT_CAP}, got {bits}"
-        )
     rows = all_databases_matrix(x.universe, x.n, bit_cap=ORACLE_BIT_CAP)
     dists = np.zeros(rows.shape[0])
     for i in range(x.n):
@@ -188,7 +185,6 @@ def micro_minimax_report(
     epsilon: float,
     queries=None,
     keep_prob_grid=None,
-    grid_points: int = 17,
 ) -> dict:
     """Full micro-minimax search report.
 
@@ -199,11 +195,7 @@ def micro_minimax_report(
     grid point; None when not enumerable), and ``note`` documenting that the
     grid brackets rather than solves the infimum.
     """
-    bits = n * universe.l
-    if bits > MINIMAX_BIT_CAP:
-        raise EnumerationTooLargeError(
-            f"micro-minimax needs n*l <= {MINIMAX_BIT_CAP}, got {bits}"
-        )
+    enumeration_size(universe, n, MINIMAX_BIT_CAP)
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise ValidationError(f"epsilon must be a nonnegative real, got {epsilon}")
     card = universe.cardinality
@@ -212,7 +204,7 @@ def micro_minimax_report(
     if keep_prob_grid is None:
         # DP-feasible symmetric keep probabilities: from uniform output up to
         # the release mechanism's keep probability (the tightest allowed)
-        keep_prob_grid = np.linspace(1.0 / card, keep_e, grid_points)
+        keep_prob_grid = np.linspace(1.0 / card, keep_e, MINIMAX_GRID_POINTS)
     grid = np.asarray(keep_prob_grid, dtype=np.float64)
     if grid.size > MINIMAX_GRID_CAP:
         raise EnumerationTooLargeError(f"mechanism grid exceeds {MINIMAX_GRID_CAP} points")

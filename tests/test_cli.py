@@ -557,6 +557,45 @@ class TestNonUtf8Input:
         assert err.startswith(f"error[{category}]: {tmp_path / bad}: not UTF-8 text"), err
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte order mark, which Excel's "CSV UTF-8" writes, is skipped
+    in every text input: each command prints and writes what it does for the
+    same file without one. (TestNonUtf8Input runs the same decoder.)"""
+
+    BOM = b"\xef\xbb\xbf"
+
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("db.txt", ["release", "--input", "db.txt", "--l", "1", "--output", "out.txt", "--seed", "3"]),
+            ("db.txt", ["estimate", "--input", "db.txt", "--query", "q.json"]),
+            ("q.json", ["estimate", "--input", "db.txt", "--query", "q.json"]),
+            ("g.txt", ["graph-cut", "--edges", "g.txt", "--cut", "cut.txt", "--seed", "3"]),
+            ("cut.txt", ["graph-cut", "--edges", "g.txt", "--cut", "cut.txt", "--seed", "3"]),
+            ("cfg.json", ["experiment", "--config", "cfg.json", "--output", "out.csv"]),
+            ("data.csv", ["release", "--input", "data.csv", "--schema", "schema.json", "--output", "out.txt",
+                          "--seed", "3"]),
+            ("schema.json", ["release", "--input", "data.csv", "--schema", "schema.json", "--output", "out.txt",
+                             "--seed", "3"]),
+        ],
+        ids=["code-file-release", "code-file-estimate", "query-json", "edge-list", "cut-spec", "config-json",
+             "csv", "schema-json"],
+    )
+    def test_same_output_as_without(self, tmp_path, capsys, name, argv):
+        argv = [str(tmp_path / a) if "." in a else a for a in argv]
+        if argv[0] != "experiment":
+            argv += ["--epsilon", "1.0"]
+        results = []
+        for prefix in (b"", self.BOM):
+            for file, data in TestNonUtf8Input.GOOD.items():
+                (tmp_path / file).write_bytes(prefix + data if file == name else data)
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            written = [p.read_bytes() for p in sorted(tmp_path.glob("out.*"))]
+            results.append((out, written))
+        assert results[0] == results[1]
+
+
 class TestCutPathPinned:
     """sha256 of cut outputs as written before the input graph became an
     edge-indicator Database: the representation change moves no draw."""

@@ -217,12 +217,9 @@ class TestMeasureDistortion:
     @pytest.mark.parametrize("seed", [0, 3, 8])
     def test_within_six_stderr_of_exact(self, seed):
         q, x, params = random_micro_instance(seed)
-        report = measure_distortion(
-            q, x, params, trials=4000, rng=RandomSource(seed, 2), with_exact=True
-        )
-        assert report.exact_value is not None
-        assert not report.flagged
-        assert abs(report.empirical_mean - report.exact_value) <= 6 * report.empirical_stderr
+        report = measure_distortion(q, x, params, trials=4000, rng=RandomSource(seed, 2))
+        exact = exact_distortion(q, x, params)
+        assert abs(report.empirical_mean - exact) <= 6 * report.empirical_stderr
 
     def test_reproducible_and_chunk_invariant(self):
         q, x, params = random_micro_instance(5)

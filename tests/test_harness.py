@@ -1,9 +1,12 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from dpsynth.bounds import BoundInputs, cut_bound, upper_bound_absolute, upper_bound_squared
+from dpsynth.cli import main
 from dpsynth.core import ConfigError, RandomSource, ValidationError
 from dpsynth.harness import (
     category_extension_table,
@@ -476,6 +479,47 @@ class TestIngestion:
         q = StatisticalQuery(x.universe, table[None, :], np.zeros(50, dtype=np.int64))
         value = estimate_unbiased(q, y, params)
         assert np.isfinite(value)
+
+
+class TestSweepPinned:
+    """sha256 of experiment CSVs and of one ``dpsynth bounds`` stdout, as
+    written before the sweeps shared one grid-point path and one CSV writer:
+    the refactor moves no draw and no byte."""
+
+    CONFIGS = {
+        "heterogeneity": {"experiment": "heterogeneity", "n": 64, "l": 2, "query_count": 16,
+                          "trial_count": 5, "heterogeneity_grid": [1, 4, 32], "seed": 42},
+        # the default grid, (1, 2, 4, 8, 16), and the projection
+        "heterogeneity_proper": {"experiment": "heterogeneity", "n": 32, "l": 3, "query_count": 12,
+                                 "trial_count": 4, "estimator": "proper", "epsilon": 0.5, "seed": 5},
+        "query_set_size": {"experiment": "query_set_size", "n": 24, "l": 2, "set_sizes": [1, 6, 40],
+                           "database_count": 3, "trial_count": 4, "epsilon": 2.0, "seed": 8},
+        "database_scaling": {"experiment": "database_scaling", "n_grid": [64, 256, 1024], "l": 1,
+                             "query_count": 10, "trial_count": 4, "seed": 11},
+        "bounds_table": {"experiment": "bounds_table", "n_grid": [100, 1000], "epsilon_grid": [0.5, 1.0],
+                         "l": 2, "a": -1.0, "b": 3.0, "c": 0.5, "L": 2.0},
+    }
+    CSV_SHA256 = {
+        "heterogeneity": "e7d914da3266ba745aa57be8df572f748bf84739eda11c2f1e494bbc7ca3bc22",
+        "heterogeneity_proper": "43445c344045649b4cf762ea4061be27d1834a41871e6389552c64ea7c6dfb09",
+        "query_set_size": "1aeed62485631d9c105e263c4af1aaf02759757d9647cef609f1a8efc220c72e",
+        "database_scaling": "703a90d2627a84f2f3ffff04518c6873deb096b00d5ed11dc0e4f0c0fbd44313",
+        "bounds_table": "256073baf8a767982b60a8837b76aa3ef1892be0f5309516a134b12987e24d77",
+    }
+    BOUNDS_STDOUT_SHA256 = "2f12792494795b9fa6f33322515f555c53c8ba3fad82a8a50b7a100feeeb43f6"
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_experiment_csv(self, tmp_path, capsys, name):
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg_path.write_text(json.dumps({**self.CONFIGS[name], "output": str(out)}))
+        assert main(["experiment", "--config", str(cfg_path)]) == 0, capsys.readouterr().err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.CSV_SHA256[name]
+
+    def test_bounds_stdout(self, capsys):
+        assert main(["bounds", "--n", "5000", "--l", "3", "--epsilon", "0.8", "--a", "0.5",
+                     "--b", "2.0", "--c", "0.25", "--L", "1.5"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.BOUNDS_STDOUT_SHA256
 
 
 class TestResultCsv:
