@@ -17,6 +17,7 @@ the rows or names the first bad line.
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -132,10 +133,10 @@ class DataUniverse:
     l: int
 
     def __post_init__(self):
-        if not isinstance(self.l, int) or not 1 <= self.l <= MAX_ATTRIBUTES:
-            raise ValidationError(
-                f"universe dimension must be an integer in [1, {MAX_ATTRIBUTES}], got {self.l!r}"
-            )
+        if isinstance(self.l, bool) or not isinstance(self.l, int):
+            raise ValidationError(f"universe dimension must be an integer, got {self.l!r}")
+        if not 1 <= self.l <= MAX_ATTRIBUTES:
+            raise ValidationError(f"universe dimension must be in [1, {MAX_ATTRIBUTES}], got {self.l}")
 
     @property
     def cardinality(self) -> int:
@@ -245,6 +246,8 @@ def is_neighbor(x: Database, y: Database) -> bool:
 
 def enumeration_size(universe: DataUniverse, n: int, bit_cap: int = ENUMERATION_BIT_CAP) -> int:
     """Validate n*l against the cap and return 2**(n*l)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValidationError(f"database size must be an integer, got {n!r}")
     if n < 1:
         raise ValidationError(f"database size must be >= 1, got {n}")
     bits = n * universe.l

@@ -39,7 +39,10 @@ scanned once per row position for the largest integer distance gap between
 neighbors, then multiplied by eps. The matrix is still a full enumeration,
 materialized entry by entry, but it is built by recursion over row
 positions: each added row multiplies the side by 2**l, and block (b, b') of
-the larger matrix is the smaller one plus [b != b'], one broadcast add.
+the larger matrix is the smaller one plus [b != b'], one broadcast add. The
+scan reads every entry once per row position, in blocks of 2**18 clique
+columns that reduce into two small buffers reused across blocks and row
+positions, so it allocates nothing the size of the matrix.
 """
 
 from __future__ import annotations
@@ -226,23 +229,46 @@ def _distance_matrix(l: int, n: int) -> np.ndarray:
     return dist
 
 
+_SCAN_BLOCK = 1 << 18
+
+
 def _neighbor_gap(dist: np.ndarray, l: int, n: int) -> int:
     """max |dist[x, y] - dist[x', y]| over every neighbor pair (x, x') and y.
 
     Members of a row-r clique sit 2**(l*r) codes apart, so the reshape puts
-    each clique on axis 1 (see ``verify_dp`` for why cliques suffice).
+    each clique on axis 1 (see ``verify_dp`` for why cliques suffice). The
+    clique column max, min and their difference are taken 2**18 clique
+    columns at a time, in two int8 buffers allocated once per call and
+    reused across blocks and row positions: a block spans several leading
+    cliques when a clique's inner run (2**(l*r) * m entries) is shorter than
+    a block, and is a slice of one run otherwise. Every entry of ``dist`` is
+    still read once per row position.
     """
     m = dist.shape[0]
     card = 1 << l
+    hi = np.empty(min(_SCAN_BLOCK, m * m // card), dtype=np.int8)
+    lo = np.empty_like(hi)
     gap = 0
     for r in range(n):
-        stride = 1 << (l * r)
-        cliques = dist.reshape(m // (card * stride), card, stride, m)
-        gap = max(gap, int((cliques.max(axis=1) - cliques.min(axis=1)).max()))
+        inner = (1 << (l * r)) * m
+        cols = min(inner, hi.size)
+        lead = m * m // (card * inner)
+        cliques = dist.reshape(lead, card, inner // cols, cols)
+        k = hi.size // cols  # cliques per block; powers of two, so k divides lead
+        hi_k, lo_k = hi.reshape(k, cols), lo.reshape(k, cols)
+        for a in range(0, lead, k):
+            for j in range(inner // cols):
+                block = cliques[a : a + k, :, j]
+                np.maximum.reduce(block, axis=1, out=hi_k)
+                np.minimum.reduce(block, axis=1, out=lo_k)
+                np.subtract(hi_k, lo_k, out=hi_k)
+                gap = max(gap, int(hi_k.max()))
     return gap
 
 
-@functools.lru_cache(maxsize=None)
+# typed: True and 2.0 must not hit the entries of 1 and 2, but reach the
+# size check in _distance_matrix
+@functools.lru_cache(maxsize=None, typed=True)
 def _verify_gap(l: int, n: int) -> int:
     return _neighbor_gap(_distance_matrix(l, n), l, n)
 
@@ -262,8 +288,10 @@ def verify_dp(universe: DataUniverse, n: int, params: MechanismParams) -> float:
     is an enumeration, not the analytic |d(x, y) - d(x', y)| <= 1 argument.
     The distance matrix holds d(x, y) for every pair, built block by block
     over row positions (``_distance_matrix``); n*l is checked against the
-    cap before it is allocated. The integer gap does not depend on eps, so
-    it is computed once per (n, l) and cached; eps multiplies it at the end.
+    cap before it is allocated. The scan (``_neighbor_gap``) reads it in
+    blocks of clique columns, into two buffers it reuses across blocks and
+    row positions. The integer gap does not depend on eps, so it is computed
+    once per (n, l) and cached; eps multiplies it at the end.
     """
     if universe != params.universe:
         raise DimensionMismatchError("universe does not match mechanism parameters")

@@ -259,7 +259,7 @@ def run_verification_suite() -> list[tuple[str, bool, str]]:
     subcommand.
     """
     from .estimators import estimate_unbiased, exact_distortion
-    from .mechanism import MechanismParams, log_pmf_all_outputs, verify_dp
+    from .mechanism import VERIFY_BIT_CAP, MechanismParams, log_pmf_all_outputs, verify_dp
     from .queries import generate_random_query, make_hamming_query
     from .core import RandomSource
 
@@ -298,17 +298,19 @@ def run_verification_suite() -> list[tuple[str, bool, str]]:
         )
     )
 
+    shapes = [(n, l) for l in range(1, VERIFY_BIT_CAP + 1) for n in range(1, VERIFY_BIT_CAP // l + 1)]
     worst_dp = 0.0
-    for n, l, eps in instances:
+    for n, l in shapes:
         universe = DataUniverse(l)
-        params = MechanismParams(eps, universe)
-        ratio = verify_dp(universe, n, params)
-        worst_dp = max(worst_dp, abs(ratio - eps))
+        for eps in (0.25, 1.0, 2.0):
+            ratio = verify_dp(universe, n, MechanismParams(eps, universe))
+            worst_dp = max(worst_dp, abs(ratio - eps))
     results.append(
         (
             "exhaustive neighbor log-ratio equals epsilon",
             worst_dp <= 1e-12,
-            f"max |ratio - eps| = {worst_dp:.3e} (tolerance 1e-12)",
+            f"max |ratio - eps| = {worst_dp:.3e} over all {len(shapes)} shapes with n*l <= {VERIFY_BIT_CAP}"
+            " at eps 0.25, 1, 2 (tolerance 1e-12)",
         )
     )
 

@@ -140,11 +140,38 @@ class TestEnumeration:
         with pytest.raises(EnumerationTooLargeError):
             list(enumerate_databases(DataUniverse(5), 5))
 
+    @pytest.mark.parametrize(
+        "call,bad",
+        [
+            (lambda: DataUniverse(True), "True"),
+            (lambda: DataUniverse(2.0), "2.0"),
+            (lambda: all_databases_matrix(DataUniverse(1), True), "True"),
+            (lambda: list(enumerate_databases(DataUniverse(1), 1.5)), "1.5"),
+            (lambda: _verify(1, True), "True"),
+            (lambda: _verify(1, 2.0), "2.0"),
+            (lambda: _verify(1, "2"), "'2'"),
+        ],
+        ids=["universe-bool", "universe-float", "matrix-bool", "enumerate-float",
+             "verify-bool", "verify-float", "verify-str"],
+    )
+    def test_sizes_must_be_integers(self, call, bad):
+        for size in (1, 2):  # cache the sizes that equal True and 2.0
+            _verify(1, size)
+        with pytest.raises(ValidationError, match=f"must be an integer, got {bad}$"):
+            call()
+
     def test_matrix_matches_generator(self):
         u = DataUniverse(2)
         mat = all_databases_matrix(u, 2)
         gen = [tuple(d.rows) for d in enumerate_databases(u, 2)]
         assert [tuple(r) for r in mat] == gen
+
+
+def _verify(l, n):
+    from dpsynth.mechanism import MechanismParams, verify_dp
+
+    u = DataUniverse(l)
+    return verify_dp(u, n, MechanismParams(1.0, u))
 
 
 class TestRandomSource:

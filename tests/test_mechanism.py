@@ -18,6 +18,7 @@ from dpsynth.core import (
 )
 from dpsynth.estimators import _affine_coefficients
 from dpsynth.mechanism import (
+    _SCAN_BLOCK,
     MechanismParams,
     _distance_matrix,
     _neighbor_gap,
@@ -247,6 +248,37 @@ def column_compare_distances(l, n):
     return dist
 
 
+def one_shot_gap(dist, l, n):
+    """The neighbour scan as one max and one min over each row position's
+    whole clique view: the plain reference for the blocked scan."""
+    m = dist.shape[0]
+    card = 1 << l
+    gap = 0
+    for r in range(n):
+        stride = 1 << (l * r)
+        cliques = dist.reshape(m // (card * stride), card, stride, m)
+        gap = max(gap, int((cliques.max(axis=1) - cliques.min(axis=1)).max()))
+    return gap
+
+
+def block_boundary_entries(l, n, r):
+    """(row, column) of the first clique member at the two clique columns
+    on either side of the first block boundary of row position r, or none
+    when a single block covers the whole scan."""
+    m = 1 << (n * l)
+    card = 1 << l
+    columns = m * m // card
+    block = min(_SCAN_BLOCK, columns)
+    if block == columns:
+        return []
+    inner = (1 << (l * r)) * m
+    entries = []
+    for col in (block - 1, block):
+        a, t = divmod(col, inner)
+        entries.append(divmod(a * card * inner + t, m))
+    return entries
+
+
 class TestVerifierScan:
     @pytest.mark.parametrize("n,l", VERIFY_SHAPES)
     def test_distance_matrix_matches_column_compare(self, n, l):
@@ -306,6 +338,39 @@ class TestVerifierScan:
                 abs(int(dist[i, y]) - int(dist[j, y])) for i, j in pairs for y in range(len(dbs))
             )
             assert _neighbor_gap(dist, l, n) == naive
+
+    @pytest.mark.parametrize("n,l", [(n, l) for n, l in VERIFY_SHAPES if n * l == 12])
+    def test_blocked_gap_matches_one_shot_on_tampered_matrix(self, n, l):
+        # a skipped block, or an off-by-one at a block's edge, would miss
+        # one of these entries
+        dist = _distance_matrix(l, n)
+        m = dist.shape[0]
+        entries = [(0, 0), (m - 1, m - 1)]
+        entries += block_boundary_entries(l, n, 0) + block_boundary_entries(l, n, n - 1)
+        if l <= 4:
+            assert len(entries) == 6  # blocking splits the scan at these shapes
+        for i, j in entries:
+            # its clique mates' distances to j lie within 1 of the old
+            # value, so the gap becomes at least 4 wherever the scan sees it
+            dist[i, j] += 5
+            assert _neighbor_gap(dist, l, n) == one_shot_gap(dist, l, n) >= 4, (i, j)
+            # every row position sees the entry, so a block skipped at one
+            # position alone can hide behind the others; n = 1 scans only
+            # row position 0, where blocks span the most cliques
+            assert _neighbor_gap(dist, l, 1) == one_shot_gap(dist, l, 1) >= 4, (i, j)
+            dist[i, j] -= 5
+
+    @pytest.mark.parametrize("n,l", [(n, l) for n, l in VERIFY_SHAPES if n * l == 12])
+    def test_scan_peak_memory(self, n, l):
+        # the two block buffers, not an m/2**l x m temporary per row position
+        dist = _distance_matrix(l, n)
+        tracemalloc.start()
+        try:
+            assert _neighbor_gap(dist, l, n) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
 
 class TestSamplerMatchesPmf:
