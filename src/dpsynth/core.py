@@ -133,8 +133,9 @@ class DataUniverse:
     l: int
 
     def __post_init__(self):
-        if isinstance(self.l, bool) or not isinstance(self.l, int):
+        if isinstance(self.l, bool) or not isinstance(self.l, numbers.Integral):
             raise ValidationError(f"universe dimension must be an integer, got {self.l!r}")
+        object.__setattr__(self, "l", int(self.l))
         if not 1 <= self.l <= MAX_ATTRIBUTES:
             raise ValidationError(f"universe dimension must be in [1, {MAX_ATTRIBUTES}], got {self.l}")
 

@@ -16,6 +16,7 @@ Conventions shared by the statistical sweeps:
   across-run mean; ``worst_case_distortion`` is the maximum of those means
   over the query set (and database set, where applicable), and
   ``worst_case_stderr`` is its leave-one-run-out jackknife standard error.
+  Both are summarized one database's (runs, queries) errors at a time.
 * Every ``analytic_bound`` column is computed by the ``bounds`` module from
   the generated query set's own class constants.
 
@@ -270,31 +271,33 @@ def _release_runs(x: Database, params: MechanismParams, rng: RandomSource, runs:
     )
 
 
-def _summarize(errs: np.ndarray) -> tuple[float, float, float]:
-    """(worst, stderr of worst, mean) of errs, which has runs on axis 0; the
-    rest indexes (query [, database]).
-
-    Per-query distortion = across-run mean; worst case = max of those means;
-    the stderr of the worst case is the leave-one-run-out jackknife.
-    """
-    runs = errs.shape[0]
-    flat = errs.reshape(runs, -1)
-    means = flat.mean(axis=0)
-    worst = float(means.max())
-    mean = float(means.mean())
-    if runs < 2:
-        return worst, float("inf"), mean
-    total = flat.sum(axis=0)
-    loo_worst = np.empty(runs)
-    for r in range(runs):
-        loo_worst[r] = ((total - flat[r]) / (runs - 1)).max()
-    se = math.sqrt((runs - 1) / runs * ((loo_worst - loo_worst.mean()) ** 2).sum())
-    return worst, se, mean
+def _block_summary(errs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(per-cell sum over runs, per-run leave-one-out worst case) of one
+    (runs, cells) block of errors; the second is empty at one run."""
+    total = errs[0].copy()
+    for row in errs[1:]:  # run by run, as add.reduce sums axis 0 of blocks wider than one cell
+        total += row
+    runs = len(errs)
+    loo = ((total - errs) / (runs - 1)).max(axis=1) if runs > 1 else np.empty(0)
+    return total, loo
 
 
-def _result_row(config: ExperimentConfig, point: int, errs: np.ndarray, bound: float, relative=None) -> ResultRow:
-    """The row of one grid point from its errors (runs on axis 0)."""
-    worst, stderr, mean = _summarize(errs)
+def _summarize(blocks, runs: int) -> tuple[float, float, float]:
+    """(worst, stderr of worst, mean) of the errors in ``blocks``, (runs,
+    cells) arrays taken one at a time. Per-cell distortion = across-run mean;
+    worst case = max of those means; its stderr is the leave-one-run-out
+    jackknife over the blocks' per-run maxima. A grid point of one (database,
+    query) cell sums its runs in order, not pairwise as the earlier
+    whole-array summary did, so its last bits can differ."""
+    sums, loos = zip(*map(_block_summary, blocks))
+    means, loo_worst = np.concatenate(sums) / runs, np.max(loos, axis=0)
+    se = math.sqrt((runs - 1) / runs * ((loo_worst - loo_worst.mean()) ** 2).sum()) if runs > 1 else math.inf
+    return float(means.max()), se, float(means.mean())
+
+
+def _result_row(config: ExperimentConfig, point: int, blocks, bound: float, relative=None) -> ResultRow:
+    """The row of one grid point from its blocks of errors, one per database."""
+    worst, stderr, mean = _summarize(blocks, config.trial_count)
     return ResultRow(
         config.experiment, point, worst, stderr, mean, bound, config.trial_count, config.seed, relative
     )
@@ -303,17 +306,13 @@ def _result_row(config: ExperimentConfig, point: int, errs: np.ndarray, bound: f
 def _statistical_row(config, point, qs, dbs, releases, params: MechanismParams, measure: str) -> ResultRow:
     """One grid point of a statistical sweep: the errors of the batch qs on
     each database dbs[d], from its (runs, n) released rows releases[d],
-    against the closed-form bound of qs's own class constants."""
-    errs = np.empty((config.trial_count, len(dbs), len(qs.tables)))
-    for di, x in enumerate(dbs):
-        # no estimate array is kept past its subtraction, so the summary's
-        # temporaries can reuse its memory
-        est = _estimates(qs, qs.evaluate_rows(releases[di]), params, config.estimator)
-        np.subtract(est, qs.evaluate(x), out=errs[:, di])
-        del est
+    against the closed-form bound of qs's own class constants. The errors
+    are computed and summarized one database at a time."""
     transform = np.square if measure == "squared" else np.abs
-    transform(errs, out=errs)
-    return _result_row(config, point, errs, _distortion_bound(qs, qs.n, params, config.estimator, measure))
+    errs = (_estimates(qs, qs.evaluate_rows(rows), params, config.estimator) - qs.evaluate(x)
+            for x, rows in zip(dbs, releases))
+    bound = _distortion_bound(qs, qs.n, params, config.estimator, measure)
+    return _result_row(config, point, (transform(e, out=e) for e in errs), bound)
 
 
 def run_heterogeneity_sweep(config: ExperimentConfig, rng: RandomSource) -> list[ResultRow]:
@@ -389,7 +388,7 @@ def run_cut_scaling(config: ExperimentConfig, rng: RandomSource) -> list[ResultR
         relative = None
         if positive.any():
             relative = float((errs.mean(axis=0)[positive] / truths[positive]).max())
-        out.append(_result_row(config, v, errs, cut_bound(v // 2, v - v // 2, config.epsilon), relative))
+        out.append(_result_row(config, v, [errs], cut_bound(v // 2, v - v // 2, config.epsilon), relative))
     return out
 
 

@@ -164,7 +164,8 @@ def sample_histograms(hist, params: MechanismParams, gen: np.random.Generator, t
     (trials, k, 2**l), has the distribution of the histograms of ``trials``
     releases by ``sample_rows``: each bin loses Binomial(count, alpha)
     redrawn rows, and each table's redrawn rows land Multinomial-uniformly
-    over all 2**l codes (see the module docstring).
+    over all 2**l codes (see the module docstring). The result reuses the
+    redrawn counts' array, so the peak is about twice the result's size.
     """
     hist = np.asarray(hist, dtype=np.int64)
     card = params.universe.cardinality
@@ -172,7 +173,7 @@ def sample_histograms(hist, params: MechanismParams, gen: np.random.Generator, t
         raise DimensionMismatchError(f"histogram must have shape (k, {card})")
     redrawn = gen.binomial(hist, params.redraw_prob, size=(trials,) + hist.shape)
     arrivals = gen.multinomial(redrawn.sum(axis=-1), np.full(card, 1.0 / card))
-    return hist - redrawn + arrivals
+    return np.add(np.subtract(hist, redrawn, out=redrawn), arrivals, out=redrawn)
 
 
 def sample_synthetic(x: Database, params: MechanismParams, rng: RandomSource) -> Database:

@@ -38,6 +38,12 @@ class TestDataUniverse:
         with pytest.raises(ValidationError):
             DataUniverse(l)
 
+    @pytest.mark.parametrize("l", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_is_a_python_int(self, l):
+        u = DataUniverse(l)
+        assert u == DataUniverse(3) and hash(u) == hash(DataUniverse(3))
+        assert type(u.l) is int and type(u.cardinality) is int and u.cardinality == 8
+
 
 class TestDatabase:
     def test_rows_validated(self):
@@ -145,14 +151,16 @@ class TestEnumeration:
         [
             (lambda: DataUniverse(True), "True"),
             (lambda: DataUniverse(2.0), "2.0"),
+            (lambda: DataUniverse("3"), "'3'"),
+            (lambda: DataUniverse(np.True_), "np.True_"),
             (lambda: all_databases_matrix(DataUniverse(1), True), "True"),
             (lambda: list(enumerate_databases(DataUniverse(1), 1.5)), "1.5"),
             (lambda: _verify(1, True), "True"),
             (lambda: _verify(1, 2.0), "2.0"),
             (lambda: _verify(1, "2"), "'2'"),
         ],
-        ids=["universe-bool", "universe-float", "matrix-bool", "enumerate-float",
-             "verify-bool", "verify-float", "verify-str"],
+        ids=["universe-bool", "universe-float", "universe-str", "universe-numpy-bool", "matrix-bool",
+             "enumerate-float", "verify-bool", "verify-float", "verify-str"],
     )
     def test_sizes_must_be_integers(self, call, bad):
         for size in (1, 2):  # cache the sizes that equal True and 2.0

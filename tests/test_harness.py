@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,13 +297,13 @@ class TestCutScaling:
                                 "trial_count": 4, "graph_model": model, "graph_param": param,
                                 "epsilon": eps, "seed": 23})
         seen = []
-        summarize = harness._summarize
+        block_summary = harness._block_summary
 
         def capture(errs):
             seen.append(errs.copy())
-            return summarize(errs)
+            return block_summary(errs)
 
-        monkeypatch.setattr(harness, "_summarize", capture)
+        monkeypatch.setattr(harness, "_block_summary", capture)
         run_cut_scaling(cfg, RandomSource(cfg.seed))
         # the debias of the cut estimator in closed form, l = 1: g = 1 + e^-eps
         one_minus = -math.expm1(-eps)
@@ -324,6 +325,68 @@ class TestCutScaling:
                     expected[r, ci] = abs(scale * raw - shift * (len(s) * len(t)) - truth)
             assert np.array_equal(seen[gi], expected)
         assert len(seen) == len(cfg.vertex_grid)
+
+
+def whole_array_summary(errs):
+    """(worst, stderr of worst, mean) from one whole error array with runs on
+    axis 0, as the harness computed it before it took one database at a time."""
+    runs = errs.shape[0]
+    flat = errs.reshape(runs, -1)
+    means = flat.mean(axis=0)
+    worst = float(means.max())
+    mean = float(means.mean())
+    if runs < 2:
+        return worst, float("inf"), mean
+    total = flat.sum(axis=0)
+    loo_worst = np.empty(runs)
+    for r in range(runs):
+        loo_worst[r] = ((total - flat[r]) / (runs - 1)).max()
+    se = math.sqrt((runs - 1) / runs * ((loo_worst - loo_worst.mean()) ** 2).sum())
+    return worst, se, mean
+
+
+class TestBlockSummary:
+    @pytest.mark.parametrize("runs", [1, 2, 20])
+    @pytest.mark.parametrize("databases,queries", [(1, 5), (1, 64), (3, 1), (3, 64), (7, 1), (7, 5)])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_equals_whole_array_summary(self, runs, databases, queries, tied):
+        gen = RandomSource(runs).derive(databases, queries).generator()
+        if tied:  # few distinct values: the cell means and the left-out maxima tie
+            blocks = [gen.integers(0, 3, size=(runs, queries)) / 4.0 for _ in range(databases)]
+        else:
+            blocks = [np.abs(gen.normal(size=(runs, queries))) for _ in range(databases)]
+        whole = np.stack(blocks, axis=1)
+        assert harness._summarize(iter(blocks), runs) == whole_array_summary(whole)
+
+    def test_single_cell_sums_runs_in_order(self):
+        # add.reduce sums a lone (runs, 1) column pairwise; the block path
+        # adds the runs in order, as it does for every wider block
+        errs = np.abs(RandomSource(9).generator().normal(size=(20, 1)))
+        total = 0.0
+        for value in errs[:, 0]:
+            total += value
+        worst, _, mean = harness._summarize([errs], 20)
+        assert worst == mean == total / 20
+
+    def test_peak_memory_below_whole_array(self):
+        # 20 runs x 20 databases x 4096 queries: the whole float64 error
+        # array would be 12.5 MB
+        cfg = config_from_dict({"experiment": "query_set_size", "n": 256, "l": 3, "set_sizes": [4096],
+                                "database_count": 20, "trial_count": 20, "seed": 1})
+        universe = DataUniverse(cfg.l)
+        params = MechanismParams(cfg.epsilon, universe)
+        rng = RandomSource(cfg.seed)
+        dbs = [harness._random_database(universe, cfg.n, rng.derive(harness._S_DATABASE, d))
+               for d in range(cfg.database_count)]
+        releases = [harness._release_runs(x, params, rng, cfg.trial_count, d) for d, x in enumerate(dbs)]
+        qs = generate_random_query(universe, cfg.n, 1, rng.derive(harness._S_QUERIES), count=4096)
+        tracemalloc.start()
+        try:
+            harness._statistical_row(cfg, 4096, qs, dbs, releases, params, "absolute")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * cfg.trial_count * cfg.database_count * 4096 * 8
 
 
 class TestDeterminism:
@@ -484,7 +547,10 @@ class TestIngestion:
 class TestSweepPinned:
     """sha256 of experiment CSVs and of one ``dpsynth bounds`` stdout, as
     written before the sweeps shared one grid-point path and one CSV writer:
-    the refactor moves no draw and no byte."""
+    the refactor moves no draw and no byte. ``query_set_size_large`` is
+    criterion 7's size, where summation order is most exposed; it was
+    pinned while the summary still read one whole (runs, databases,
+    queries) error array."""
 
     CONFIGS = {
         "heterogeneity": {"experiment": "heterogeneity", "n": 64, "l": 2, "query_count": 16,
@@ -494,6 +560,9 @@ class TestSweepPinned:
                                  "trial_count": 4, "estimator": "proper", "epsilon": 0.5, "seed": 5},
         "query_set_size": {"experiment": "query_set_size", "n": 24, "l": 2, "set_sizes": [1, 6, 40],
                            "database_count": 3, "trial_count": 4, "epsilon": 2.0, "seed": 8},
+        "query_set_size_large": {"experiment": "query_set_size", "n": 1024, "l": 3,
+                                 "set_sizes": [64, 1024, 16384], "database_count": 50,
+                                 "trial_count": 20, "seed": 7},
         "database_scaling": {"experiment": "database_scaling", "n_grid": [64, 256, 1024], "l": 1,
                              "query_count": 10, "trial_count": 4, "seed": 11},
         "bounds_table": {"experiment": "bounds_table", "n_grid": [100, 1000], "epsilon_grid": [0.5, 1.0],
@@ -503,6 +572,7 @@ class TestSweepPinned:
         "heterogeneity": "e7d914da3266ba745aa57be8df572f748bf84739eda11c2f1e494bbc7ca3bc22",
         "heterogeneity_proper": "43445c344045649b4cf762ea4061be27d1834a41871e6389552c64ea7c6dfb09",
         "query_set_size": "1aeed62485631d9c105e263c4af1aaf02759757d9647cef609f1a8efc220c72e",
+        "query_set_size_large": "103b5ee64ea329c614437087a2f43418ef7066215e08cca9fffb5802c1364b50",
         "database_scaling": "703a90d2627a84f2f3ffff04518c6873deb096b00d5ed11dc0e4f0c0fbd44313",
         "bounds_table": "256073baf8a767982b60a8837b76aa3ef1892be0f5309516a134b12987e24d77",
     }

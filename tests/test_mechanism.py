@@ -434,6 +434,35 @@ class TestSampleHistograms:
         assert out.shape == (3, 2, 4)
         assert (out == hist).all()
 
+    def test_in_place_result_equals_formula(self):
+        # the result is hist - redrawn + arrivals, built in the redrawn array
+        u = DataUniverse(3)
+        params = MechanismParams(0.7, u)
+        hist = RandomSource(4).generator().integers(0, 9, size=(5, u.cardinality))
+        gen = RandomSource(12).generator()
+        redrawn = gen.binomial(hist, params.redraw_prob, size=(50,) + hist.shape)
+        arrivals = gen.multinomial(redrawn.sum(axis=-1), np.full(u.cardinality, 1.0 / u.cardinality))
+        expected = hist - redrawn + arrivals
+        out = sample_histograms(hist, params, RandomSource(12).generator(), 50)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+    def test_peak_memory_near_output(self):
+        # h = 64 tables at l = 3 and 4096 trials, as perfbench's
+        # measure_distortion draws them: the binomial draw and the
+        # arrivals, with the result written over the draw
+        u = DataUniverse(3)
+        hist = np.full((64, u.cardinality), 8, dtype=np.int64)
+        gen = RandomSource(2).generator()
+        tracemalloc.start()
+        try:
+            out = sample_histograms(hist, MechanismParams(1.0, u), gen, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (4096, 64, u.cardinality)
+        assert peak <= 2.25 * out.nbytes
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             sample_histograms(
