@@ -8,7 +8,7 @@ draw fresh OS entropy; ``--seed`` is for tests. Exit codes: 0 success, 2 usage
 or config errors, 1 anything else; data errors print a machine-parseable
 ``error[<category>]`` prefix.
 
-Code files are read by ``core._read_int_rows`` (numpy's C reader, a line
+Code files are read by ``core._read_int_rows`` (a numpy byte scan, a line
 walk as the fallback) and written by ``write_database_codes`` as byte
 matrices of digits, not one string per row.
 """

@@ -9,16 +9,18 @@ All types are immutable after construction and safe to share across threads.
 Every stochastic operation in this package takes an explicit
 :class:`RandomSource`; there is no hidden global randomness.
 JSON files, code files and edge lists are parsed here (``_read_json``,
-``_read_int_rows``). A code file or edge list is parsed by numpy's C
-reader, ``np.loadtxt``; where that parse fails, a walk over its lines returns
-the rows or names the first bad line.
+``_read_int_rows``). A code file or edge list is read in blocks of whole
+lines, and numpy scans each block's bytes; only a block that leaves the
+scan's grammar (plain ASCII digits, spaces, tabs and comments) is walked line
+by line, which returns its rows or names the first bad line.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import numbers
-import warnings
+import os
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -82,48 +84,198 @@ def _utf8_lines(fh, path) -> Iterator[str]:
         raise _not_utf8(path, exc) from None
 
 
-def _content_lines(path) -> Iterator[tuple[int, str]]:
-    """(line number, stripped text) of each line with content before its '#'."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
+def _content_lines(path, block: bytes | None = None, first: int = 1) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each line with content before its '#',
+    of the file at ``path``, or else of ``block``: whole lines of that file,
+    the first of them line number ``first``."""
+    if block is None:
+        fh = open(path, "r", encoding="utf-8-sig")
+    else:
+        fh = io.TextIOWrapper(io.BytesIO(block), encoding="utf-8")
+    with fh:
+        for lineno, line in enumerate(_utf8_lines(fh, path), start=first):
             text = line.split("#", 1)[0].strip()
             if text:
                 yield lineno, text
 
 
-def _read_int_rows(path, width: int, minimum: int) -> np.ndarray:
-    """(m, width) int64 rows of a file of ``width`` whitespace-separated
-    integers >= ``minimum`` (each as ``int()`` reads it) per non-blank line,
-    '#' comments allowed. numpy's C reader parses the file; its integer
-    grammar is a subset of ``int()``'s, so if it fails, or a check does, the
-    lines are walked instead: the walk returns the rows, or names the first
-    bad line. Not thread-safe: the process's warning filters are swapped
-    during the parse, to drop np.loadtxt's warning on a file with no rows."""
-    try:
-        # a handle, not the path: numpy opens a path string through its
-        # DataSource, which decompresses by suffix, reads a compressed
-        # sibling of a missing file and fetches URLs
-        with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(fh, dtype=np.int64, ndmin=2)
-    except (ValueError, OverflowError):  # UnicodeDecodeError included
-        pass
-    else:
-        if rows.shape[1] == width or rows.size == 0:
-            rows = rows.reshape(-1, width)
-            if (rows >= minimum).all():
-                return rows
-    walked = []
-    for lineno, line in _content_lines(path):
+# _read_int_rows reads a file in blocks of whole lines of about this size
+_SCAN_BLOCK_BYTES = 1 << 15
+# 10**18 - 1 < 2**63: a token of at most 18 digits fits an int64
+_SCAN_MAX_DIGITS = 18
+# bytes kept before a block, so that each 8-byte word of a token that
+# _token_values loads starts inside the buffer
+_SCAN_PAD = 24
+_BOM = b"\xef\xbb\xbf"
+_DIGIT, _GAP, _NEWLINE, _CR, _HASH, _ASCII, _NON_ASCII = range(7)
+_BYTE_CLASS = bytes(
+    _DIGIT if 0x30 <= b <= 0x39
+    else _GAP if b in b" \t"
+    else _NEWLINE if b == 0x0A
+    else _CR if b == 0x0D
+    else _HASH if b == 0x23
+    else _ASCII if b < 0x80
+    else _NON_ASCII
+    for b in range(256)
+)
+
+
+def _digit_masks(w: int, group: int) -> np.ndarray:
+    """By token length k, the mask of the little-endian w-byte word that
+    ends digit group ``group`` (the group-th 8 digits from a token's end) to
+    the low 4 bits of that group's digits, its last min(max(k - 8 * group,
+    0), w) bytes."""
+    counts = np.clip(np.arange(_SCAN_MAX_DIGITS + 1) - 8 * group, 0, w).tolist()
+    return np.array([int.from_bytes(bytes(w - d) + b"\x0f" * d, "little") for d in counts], dtype=f"<u{w}")
+
+
+_DIGIT_MASKS = {(w, group): _digit_masks(w, group) for w in (1, 2, 4, 8) for group in range(3)}
+
+
+def _token_values(buf: bytearray, stops: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """int64 values of the tokens of ``lengths`` ASCII digits that end
+    before bytes ``stops`` of ``buf`` (SWAR). Each group of up to 8 digits,
+    counted from a token's end, is loaded as one little-endian word of w
+    bytes, w the smallest power of two that holds the group in every token,
+    and masked to its digits' values. log2(w) steps then fold the word's
+    lanes pairwise: two lanes of s digits become one lane of 2s digits, the
+    first times 10**s plus the second."""
+    longest = int(lengths.max())
+    for group in range(-(-longest // 8)):
+        w = 1 << (min(longest - 8 * group, 8) - 1).bit_length()
+        words = np.ndarray((len(buf) - w + 1,), dtype=f"<u{w}", buffer=buf, strides=(1,))
+        x = words.take(stops - 8 * group - w) & _DIGIT_MASKS[w, group].take(lengths)
+        s = 1
+        while s < w:
+            if s > 1:  # keep the first lane of s // 2 bytes of each pair
+                x &= int.from_bytes((b"\xff" * (s // 2) + bytes(s // 2)) * (w // s), "little")
+            x = (x * (10**s << 8 * s | 1)) >> 8 * s
+            s *= 2
+        x = x.astype(np.int64)
+        values = x if group == 0 else values + x * 10 ** (8 * group)
+    return values
+
+
+def _scan_block(buf: bytearray, lo: int, hi: int, width: int, minimum: int):
+    """(values, '\n' count) of the whole lines ``buf[lo:hi]``, or None where
+    they leave the scan's grammar: runs of at most 18 ASCII digits separated
+    by ' ' or '\t', ``width`` of them on each line that has any, each >=
+    ``minimum``; lines end in '\n' or '\r\n'; a '#' comment, ASCII only,
+    runs to the end of its line."""
+    # the class of each byte, between two sentinels that end no run
+    padded = np.frombuffer(bytearray(b"\xff") + buf[lo:hi].translate(_BYTE_CLASS) + b"\xff", dtype=np.uint8)
+    cls = padded[1:-1]
+    top = cls.max()
+    if top == _NON_ASCII:
+        return None
+    if top > _NEWLINE:
+        cr = np.flatnonzero(cls == _CR)
+        if cr.size and (cr[-1] + 1 == cls.size or (cls[cr + 1] != _NEWLINE).any()):
+            return None
+        cls[cr] = _GAP
+        hashes = np.flatnonzero(cls == _HASH)
+        if hashes.size:
+            newlines = np.flatnonzero(cls == _NEWLINE)
+            ends = np.append(newlines, cls.size)[np.searchsorted(newlines, hashes)]
+            depth = np.bincount(hashes, minlength=cls.size + 1) - np.bincount(ends, minlength=cls.size + 1)
+            cls[np.cumsum(depth[:-1]) > 0] = _GAP
+        if cls.max() > _NEWLINE:
+            return None
+    newline_count = np.count_nonzero(cls == _NEWLINE)
+    # runs of one class: run i is cls[bounds[i]:bounds[i + 1]], of class kinds[i]
+    bounds = np.flatnonzero(padded[1:] != padded[:-1])
+    kinds = padded[1:].take(bounds)
+    tokens = np.flatnonzero(kinds == _DIGIT)
+    if tokens.size % width:
+        return None
+    if tokens.size == 0:
+        return np.zeros(0, dtype=np.int64), newline_count
+    # the gap between two tokens on one line is one run of ' ' and '\t';
+    # any other gap holds a newline, since runs alternate between classes
+    same_line = np.append((np.diff(tokens) == 2) & (kinds.take(tokens[:-1] + 1) == _GAP), False)
+    same_line = same_line.reshape(-1, width)
+    if not (same_line[:, :-1].all() and not same_line[:, -1].any()):
+        return None
+    starts, stops = bounds.take(tokens), bounds.take(tokens + 1)
+    del bounds, kinds, tokens, same_line  # before the values' temporaries
+    lengths = stops - starts
+    if lengths.max() > _SCAN_MAX_DIGITS:
+        return None
+    values = _token_values(buf, stops + lo, lengths)
+    if minimum > 0 and values.min() < minimum:
+        return None
+    return values, newline_count
+
+
+def _walk_block(path, block: bytes, lineno: int, width: int, minimum: int):
+    """(values, line count) of the whole lines ``block``, the first of them
+    line ``lineno`` + 1, walked line by line with ``int()`` per token; the
+    first bad line is named."""
+    rows = []
+    for number, text in _content_lines(path, block, lineno + 1):
         try:
-            row = np.array(line.split(), dtype=np.int64)
+            row = np.array(text.split(), dtype=np.int64)
             ok = row.shape == (width,) and (row >= minimum).all()
         except (ValueError, OverflowError):
             ok = False
         if not ok:
-            raise ValidationError(f"{path}:{lineno}: expected {width} integer(s) >= {minimum} per line, got {line!r}")
-        walked.append(row)
-    return np.array(walked, dtype=np.int64).reshape(-1, width)
+            raise ValidationError(f"{path}:{number}: expected {width} integer(s) >= {minimum} per line, got {text!r}")
+        rows.append(row)
+    # lines end in '\n', '\r\n' or a bare '\r', as in a file read as text
+    lines = block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+    return np.array(rows, dtype=np.int64).reshape(-1), lines
+
+
+def _read_int_rows(path, width: int, minimum: int) -> np.ndarray:
+    """(m, width) int64 rows of a file of ``width`` whitespace-separated
+    integers >= ``minimum`` (each as ``int()`` reads it) per non-blank line,
+    '#' comments allowed.
+
+    The file is read in blocks of whole lines through one reused buffer.
+    numpy scans each block's bytes (``_scan_block``); a block that leaves
+    the scan's grammar is walked line by line instead, which returns its
+    rows or names the first bad line. The rows go into one int64 array,
+    grown geometrically and trimmed at the end."""
+    buf = bytearray(_SCAN_PAD + _SCAN_BLOCK_BYTES)
+    out = np.empty(0, dtype=np.int64)
+    count = lineno = 0
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(len(_BOM))
+        consumed = len(head)
+        held = 0 if head == _BOM else len(head)
+        buf[_SCAN_PAD : _SCAN_PAD + held] = head
+        while True:
+            if held == len(buf) - _SCAN_PAD:  # one line fills the buffer
+                buf += bytes(held)
+            with memoryview(buf) as view:
+                got = fh.readinto(view[_SCAN_PAD + held :])
+            consumed += got
+            end = _SCAN_PAD + held + got
+            cut = buf.rfind(b"\n", _SCAN_PAD, end) + 1 if got else end
+            if cut <= _SCAN_PAD:
+                if not got:
+                    break
+                held += got
+                continue
+            scanned = _scan_block(buf, _SCAN_PAD, cut, width, minimum)
+            if scanned is None:
+                scanned = _walk_block(path, bytes(buf[_SCAN_PAD:cut]), lineno, width, minimum)
+            values, lines = scanned
+            lineno += lines
+            if count + values.size > out.size:
+                # room for the rows that the bytes read so far predict for
+                # the file, and a block more; at least an eighth more rows
+                predicted = (count + values.size) * size // consumed + values.size
+                out.resize(max(predicted, out.size + out.size // 8, count + values.size), refcheck=False)
+            out[count : count + values.size] = values
+            count += values.size
+            held = end - cut
+            buf[_SCAN_PAD : _SCAN_PAD + held] = buf[cut:end]
+            if not got:
+                break
+    out.resize(count, refcheck=False)
+    return out.reshape(-1, width)
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,8 @@ class TestSeed:
 class TestReadDatabaseCodes:
     def test_peak_memory_near_output(self, tmp_path):
         # the Database adopts the parsed array; a copy would read 2.0x. What
-        # is left above 1x is np.loadtxt's own growth slack (1.22x here)
+        # is left above 1x is the reader's growth slack and one block's
+        # temporaries (1.15x here)
         path = tmp_path / "codes.txt"
         codes = np.random.default_rng(3).integers(0, 8, size=10**6)
         path.write_bytes(b"".join(b"%d\n" % c for c in codes.tolist()))
@@ -202,17 +203,27 @@ class TestWriteDatabaseCodes:
         reference = f"# l=3 n={n}\n" + "".join(f"{int(code)}\n" for code in db.rows)
         assert path.read_bytes() == reference.encode("utf-8")
 
+    @staticmethod
+    def _digit_boundary_database(l, n):
+        top = 2**l - 1
+        edges = [0, top] + [c for k in range(1, 10) for c in (10**k - 1, 10**k) if c <= top]
+        return Database(DataUniverse(l), np.resize(np.array(sorted(edges)[::-1], dtype=np.int64), n))
+
     @pytest.mark.parametrize("n", [1, 2**16 - 1, 2**16, 2**16 + 1])
     @pytest.mark.parametrize("l", [1, 4, 10, 17, 30])
     def test_digit_boundaries_match_per_row_writer(self, tmp_path, l, n):
-        top = 2**l - 1
-        edges = [0, top] + [c for k in range(1, 10) for c in (10**k - 1, 10**k) if c <= top]
-        codes = np.resize(np.array(sorted(edges)[::-1], dtype=np.int64), n)
-        db = Database(DataUniverse(l), codes)
+        db = self._digit_boundary_database(l, n)
         path = tmp_path / "out.txt"
         write_database_codes(db, path)
         reference = f"# l={l} n={n}\n" + "".join(f"{int(code)}\n" for code in db.rows)
         assert path.read_bytes() == reference.encode("utf-8")
+
+    @pytest.mark.parametrize("l", [1, 4, 10, 17, 30])
+    def test_digit_boundaries_round_trip(self, tmp_path, l):
+        db = self._digit_boundary_database(l, 2**16 + 1)
+        path = tmp_path / "out.txt"
+        write_database_codes(db, path)
+        assert read_database_codes(path, l) == db
 
 
 class TestMalformedLineFiles:
@@ -555,6 +566,21 @@ class TestNonUtf8Input:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.startswith(f"error[{category}]: {tmp_path / bad}: not UTF-8 text"), err
+
+    @pytest.mark.parametrize("command", ["release", "estimate"])
+    def test_code_file_comment(self, tmp_path, capsys, command):
+        # comment text is never parsed, but it must still be UTF-8
+        for name, data in self.GOOD.items():
+            (tmp_path / name).write_bytes(data)
+        path = tmp_path / "db.txt"
+        path.write_bytes(b"0\n# note \xff\n1\n")
+        if command == "release":
+            argv = ["--l", "1", "--output", str(tmp_path / "out.txt")]
+        else:
+            argv = ["--query", str(tmp_path / "q.json")]
+        code, _, err = run_cli(capsys, command, "--input", str(path), "--epsilon", "1.0", *argv)
+        assert code == 2
+        assert err.startswith(f"error[validation]: {path}: not UTF-8 text"), err
 
 
 class TestByteOrderMark:

@@ -1,13 +1,17 @@
 import gzip
+import os
 import random
+import tempfile
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpsynth import core
 from dpsynth.core import (
     Database,
     DataUniverse,
@@ -261,9 +265,19 @@ def _random_line(rnd, width):
     return text
 
 
+_CORPUS_BOUNDS = [(1, -(2**63)), (2, -(2**63)), (1, 0), (2, 1)]
+
+
 class TestReadIntRows:
-    @pytest.mark.parametrize("width,minimum", [(1, -(2**63)), (2, -(2**63)), (1, 0), (2, 1)])
-    def test_matches_line_loop_on_random_corpus(self, tmp_path, width, minimum):
+    @pytest.mark.parametrize(
+        "width,minimum,block_bytes",
+        [pytest.param(w, m, None, id=f"{w}-{m}") for w, m in _CORPUS_BOUNDS]
+        + [pytest.param(w, m, 16, id=f"{w}-{m}-16-byte-blocks") for w, m in _CORPUS_BOUNDS],
+    )
+    def test_matches_line_loop_on_random_corpus(self, tmp_path, monkeypatch, width, minimum, block_bytes):
+        # 16-byte blocks cut almost every line, token and comment of the corpus
+        if block_bytes is not None:
+            monkeypatch.setattr(core, "_SCAN_BLOCK_BYTES", block_bytes)
         rnd = random.Random(2014 + width)
         outcomes = {"rows": 0, "error": 0}
         for k in range(400):
@@ -308,7 +322,7 @@ class TestReadIntRows:
 
     @pytest.mark.parametrize("body", ["", "# only\n\n"])
     def test_no_rows_warns_nothing(self, tmp_path, body):
-        # np.loadtxt warns "input contained no data"; the CLI's stderr must not show it
+        # a warning here would reach the CLI's stderr
         path = tmp_path / "f.txt"
         path.write_text(body)
         with warnings.catch_warnings():
@@ -350,6 +364,9 @@ class TestReadIntRows:
             ("0 1\n2\t3 # c\n", 2, [[0, 1], [2, 3]]),
             ("", 2, np.zeros((0, 2), dtype=np.int64)),
             ("# only\n\n", 1, np.zeros((0, 1), dtype=np.int64)),
+            ("\ufeff3\n# c\n4", 1, [[3], [4]]),
+            ("\ufeff", 1, np.zeros((0, 1), dtype=np.int64)),
+            ("0 1\r\n2\t3 # c", 2, [[0, 1], [2, 3]]),
         ],
     )
     def test_rows(self, tmp_path, body, width, expected):
@@ -380,3 +397,86 @@ class TestReadIntRows:
             _read_int_rows(path, width, 0)
         assert str(info.value).startswith(f"{path}:{line}: ")
         assert repr(quoted) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "body,width,expected,walked",
+        [
+            pytest.param("1\n" * 7 + "123456\n", 1, [1] * 7 + [123456], False, id="token"),
+            pytest.param("1\n" * 6 + "2 # a comment\n3\n", 1, [1] * 6 + [2, 3], False, id="comment"),
+            pytest.param("1\n" * 7 + "5\r\n6\n", 1, [1] * 7 + [5, 6], False, id="crlf"),
+            pytest.param("0 1\n" * 3 + "22 33\n", 2, [0, 1] * 3 + [22, 33], False, id="row"),
+            pytest.param("\ufeff" + "1\n" * 7 + "123456\n", 1, [1] * 7 + [123456], False, id="bom"),
+            pytest.param("1\n  7" + " " * 30 + "# " + "x" * 40 + "\n8\n", 1, [1, 7, 8], False, id="long-line"),
+            pytest.param("1\n" + "0" * 30 + "42\n8", 1, [1, 42, 8], True, id="long-token"),
+        ],
+    )
+    def test_block_boundary_inside(self, tmp_path, monkeypatch, body, width, expected, walked):
+        # with 16-byte blocks, the first block ends inside the named piece;
+        # only a token of more than 18 digits sends its block to the walk
+        walks = []
+        walk = core._walk_block
+        monkeypatch.setattr(core, "_SCAN_BLOCK_BYTES", 16)
+        monkeypatch.setattr(core, "_walk_block", lambda *args: walks.append(args) or walk(*args))
+        path = tmp_path / "f.txt"
+        path.write_bytes(body.encode("utf-8"))
+        got = _read_int_rows(path, width, 0)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.array(expected, dtype=np.int64).reshape(-1, width))
+        assert bool(walks) == walked
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_every_token_length_is_scanned(self, tmp_path, monkeypatch, width):
+        # every token here is in the scan's grammar, so no line may be walked
+        def walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(core, "_walk_block", walk)
+        rnd = random.Random(width)
+        tokens = ["0", "00"]
+        for k in range(1, 19):
+            for value in (10 ** (k - 1), 10**k - 1, rnd.randrange(10 ** (k - 1), 10**k)):
+                tokens += [str(value), str(value).zfill(18), str(value).zfill(min(k + 3, 18))]
+        tokens = tokens[: len(tokens) // width * width]
+        rnd.shuffle(tokens)
+        rows = [tokens[i : i + width] for i in range(0, len(tokens), width)]
+        path = tmp_path / "f.txt"
+        path.write_text("".join(" ".join(row) + "\n" for row in rows))
+        got = _read_int_rows(path, width, 0)
+        assert got.tolist() == [[int(t) for t in row] for row in rows]
+
+    def test_large_file_walks_only_its_bad_block(self, tmp_path):
+        codes = np.random.default_rng(8).integers(0, 8, size=10**6 - 1)
+        body = b"".join(b"%d\n" % c for c in codes.tolist())
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(body + b"x\n")
+        assert read_or_line(bad, 1, 0) == 10**6
+        walked = tmp_path / "walked.txt"
+        walked.write_bytes(body + b"1_0\n")
+        got = _read_int_rows(walked, 1, 0)
+        assert got.dtype == np.int64 and np.array_equal(got, reference_int_rows(walked, 1, 0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), width=st.sampled_from([1, 2]), block_bytes=st.sampled_from([16, 37, 1 << 15]))
+    def test_fast_grammar_matches_line_loop(self, data, width, block_bytes):
+        # the scan's alphabet: digit runs, ' ' and '\t', '\n' and '\r\n',
+        # ASCII comments; runs of 19 digits and wrong counts reach the walk
+        body = ""
+        for k in range(data.draw(st.integers(0, 12)), 0, -1):
+            count = data.draw(st.sampled_from([0, width, width, width, width + 1]))
+            tokens = data.draw(st.lists(st.text("0123456789", min_size=1, max_size=19), min_size=count, max_size=count))
+            body += data.draw(st.text(" \t", max_size=2))
+            body += "".join(t + data.draw(st.text(" \t", min_size=1, max_size=2)) for t in tokens)
+            if data.draw(st.booleans()):
+                comment = st.characters(max_codepoint=127, blacklist_characters="\r\n")
+                body += "#" + data.draw(st.text(comment, max_size=6))
+            body += data.draw(st.sampled_from(["\n", "\r\n"] + ([""] if k == 1 else [])))
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(core, "_SCAN_BLOCK_BYTES", block_bytes):
+            path = os.path.join(tmp, "f.txt")
+            with open(path, "wb") as fh:
+                fh.write(body.encode("ascii"))
+            expected = reference_int_rows(path, width, 0)
+            got = read_or_line(path, width, 0)
+        if isinstance(expected, int):
+            assert got == expected
+        else:
+            assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
