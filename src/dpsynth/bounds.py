@@ -3,29 +3,33 @@
 Every function here evaluates one analytic expression; nothing is fitted or
 sampled. Conventions shared by all of them:
 
-* ``g = 1 + (2**l - 1) * exp(-eps)`` is the mechanism normalizer.
+* g, e^-eps and the estimators' ``scale`` and ``shift`` are read from
+  ``BoundInputs.params``, a ``MechanismParams``; written in e^-eps, no
+  eps > 0 overflows. l is validated as a universe's, an integer in [1, 30].
 * Squared-error bounds are per-query expected squared distortion; absolute
   bounds are expected absolute distortion.
-* The two lower bounds are stated for normalized queries (a = 0, b = c = 1);
-  the query-class constants a, b, c enter the upper bounds only.
+* The two lower bounds are stated for normalized queries (a = 0, b = c = 1)
+  over {0,1}^l; the query-class constants a, b, c enter the upper bounds only.
 * The finite-n lower bound depends on the universal Berry-Esseen constant,
-  which has no canonical value; 0.56 is the best published bound and the
-  field is configurable.
+  which has no canonical value; 0.56 is the best published bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+import sys
+from dataclasses import dataclass, field
 
-from .core import ValidationError
+from .core import DataUniverse, ValidationError
+from .mechanism import MechanismParams
 
 BERRY_ESSEEN_CONSTANT = 0.56
 
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Inputs shared by the bound calculators."""
+    """Inputs shared by the bound calculators, and their MechanismParams."""
 
     n: int
     l: int
@@ -34,27 +38,23 @@ class BoundInputs:
     b: float = 1.0
     c: float = 1.0
     L: float | None = None
-    berry_esseen_c: float = BERRY_ESSEEN_CONSTANT
+    params: MechanismParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
-        if self.l < 1:
-            raise ValidationError(f"l must be >= 1, got {self.l}")
+        # at most the largest float, so that n / x and sqrt(n) cannot overflow
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= sys.float_info.max:
+            raise ValidationError(f"n must be an integer in [1, {sys.float_info.max:g}], got {n!r}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValidationError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not self.b > self.a:
             raise ValidationError(f"need b > a, got a={self.a}, b={self.b}")
         if not self.c > 0.0:
             raise ValidationError(f"need c > 0, got {self.c}")
-        if self.L is not None and self.L < 0.0:
+        if self.L is not None and not self.L >= 0.0:
             raise ValidationError(f"Lipschitz constant must be >= 0, got {self.L}")
-        if not self.berry_esseen_c > 0.0:
-            raise ValidationError("the Berry-Esseen constant must be positive")
-
-    @property
-    def g(self) -> float:
-        return 1.0 + ((1 << self.l) - 1) * math.exp(-self.epsilon)
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "params", MechanismParams(self.epsilon, DataUniverse(self.l)))
 
 
 def std_normal_cdf(t: float) -> float:
@@ -70,36 +70,34 @@ _ONE_MINUS_PHI1 = 1.0 - std_normal_cdf(1.0)
 
 
 def upper_bound_squared(inputs: BoundInputs, proper: bool = False) -> float:
-    """(b-a)^2 g^2 / (c^2 (1-e^-eps)^2 n); quantizing onto achievable answers
-    costs at most a factor 4."""
-    span = (inputs.b - inputs.a) / inputs.c
-    ratio = span * inputs.g / (-math.expm1(-inputs.epsilon))
+    """(b-a)^2 g^2 / (c^2 (1-e^-eps)^2 n), the unbiased estimator's variance
+    bound; quantizing onto achievable answers costs at most a factor 4."""
+    ratio = (inputs.b - inputs.a) / inputs.c * inputs.params.scale
     value = ratio * ratio / inputs.n
     return 4.0 * value if proper else value
 
 
 def upper_bound_absolute(inputs: BoundInputs, proper: bool = False) -> float:
     """(b-a) g / (c (1-e^-eps)) / sqrt(n); doubled for the proper estimator."""
-    span = (inputs.b - inputs.a) / inputs.c
-    ratio = span * inputs.g / (-math.expm1(-inputs.epsilon))
-    value = ratio / math.sqrt(inputs.n)
+    value = (inputs.b - inputs.a) / inputs.c * inputs.params.scale / math.sqrt(inputs.n)
     return 2.0 * value if proper else value
 
 
 def _gamma(inputs: BoundInputs) -> float:
-    return 1.0 / (2.0 * (1.0 + math.exp(inputs.epsilon) / ((1 << inputs.l) - 1)))
+    """gamma = (2^l - 1) e^-eps / (2 g) = 1 / (2 (1 + e^eps / (2^l - 1)))."""
+    p = inputs.params
+    return (p.universe.cardinality - 1) * p.exp_neg_eps / (2.0 * p.g)
 
 
 def lower_bound_squared_asymptotic(inputs: BoundInputs) -> float:
     """Leading term of the asymptotic minimax lower bound,
 
-        (1 - Phi(1))^2 / (2^(l+4) (1 + e^eps / (2^l - 1))^3) / n.
+        (1 - Phi(1))^2 (2 gamma)^3 / 2^(l+4) / n.
 
     The o(1/n) residual is not modeled; use lower_bound_lemma4 for a bound
     that is rigorous at finite n.
     """
-    denom = (1 << (inputs.l + 4)) * (1.0 + math.exp(inputs.epsilon) / ((1 << inputs.l) - 1)) ** 3
-    return _ONE_MINUS_PHI1**2 / denom / inputs.n
+    return _ONE_MINUS_PHI1**2 * (2.0 * _gamma(inputs)) ** 3 / (1 << (inputs.l + 4)) / inputs.n
 
 
 def lower_bound_lemma4(inputs: BoundInputs) -> float:
@@ -108,10 +106,10 @@ def lower_bound_lemma4(inputs: BoundInputs) -> float:
         (1 / (4 n^2)) * max(0, (1-Phi(1)) sigma gamma^(3/2) sqrt(n)
                                - C rho gamma / sigma^3)^2,
 
-    with gamma = 1 / (2 (1 + e^eps/(2^l-1))) and sigma^2 = rho = 2^(1-l).
-    The 1/n^2 scale converts the Hamming-count statement into the squared
-    distortion of the normalized distance query, so the result is directly
-    comparable to upper_bound_squared. A negative inner term means the
+    with C = BERRY_ESSEEN_CONSTANT and sigma^2 = rho = 2^(1-l). The 1/n^2
+    scale converts the Hamming-count statement into the squared distortion
+    of the normalized distance query, so the result is directly comparable
+    to upper_bound_squared. A negative inner term means the
     normal-approximation penalty swallows the bound; it is clamped to zero
     rather than squared into a fictitious positive value.
     """
@@ -121,7 +119,7 @@ def lower_bound_lemma4(inputs: BoundInputs) -> float:
     sigma = math.sqrt(sigma2)
     inner = (
         _ONE_MINUS_PHI1 * sigma * gamma**1.5 * math.sqrt(inputs.n)
-        - inputs.berry_esseen_c * rho * gamma / sigma**3
+        - BERRY_ESSEEN_CONSTANT * rho * gamma / sigma**3
     )
     if inner <= 0.0:
         return 0.0
@@ -131,30 +129,25 @@ def lower_bound_lemma4(inputs: BoundInputs) -> float:
 def continuous_bound(inputs: BoundInputs) -> float:
     """Leading term of the continuous-universe upper bound,
 
-        (L^2 / c^2 + 4 (b-a)^2 e^(-2 eps) / (c^2 (1-e^-eps)^2)) / sqrt(n),
+        ((L / c)^2 + 4 ((b-a) shift / c)^2) / sqrt(n),  shift = e^-eps / (1-e^-eps),
 
     for L-Lipschitz row functions on [0,1] released through the k-bit
     discretization pipeline.
     """
     if inputs.L is None:
         raise ValidationError("the continuous bound needs a Lipschitz constant L")
-    one_minus = -math.expm1(-inputs.epsilon)
-    span = (inputs.b - inputs.a) / inputs.c
-    term = (inputs.L / inputs.c) ** 2 + 4.0 * span * span * math.exp(-2.0 * inputs.epsilon) / (
-        one_minus * one_minus
-    )
-    return term / math.sqrt(inputs.n)
+    lipschitz = inputs.L / inputs.c
+    moved = (inputs.b - inputs.a) / inputs.c * inputs.params.shift
+    return (lipschitz * lipschitz + 4.0 * moved * moved) / math.sqrt(inputs.n)
 
 
 def cut_bound(s_size: int, t_size: int, epsilon: float) -> float:
-    """(1 + e^-eps) / (1 - e^-eps) * sqrt(|S| |T|) — expected absolute error
-    of the cut estimator; |S||T| <= |V|^2 gives the graph-level bound."""
+    """(1 + e^-eps) / (1 - e^-eps) * sqrt(|S| |T|), the edge universe's scale
+    times sqrt(|S| |T|) — expected absolute error of the cut estimator;
+    |S||T| <= |V|^2 gives the graph-level bound."""
     if s_size < 1 or t_size < 1:
         raise ValidationError("cut bound needs nonempty vertex sets")
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValidationError(f"epsilon must be positive and finite, got {epsilon}")
-    e = math.exp(-epsilon)
-    return (1.0 + e) / (1.0 - e) * math.sqrt(s_size * t_size)
+    return MechanismParams(epsilon, DataUniverse(1)).scale * math.sqrt(s_size * t_size)
 
 
 BOUND_TABLE_COLUMNS = (
@@ -177,7 +170,7 @@ BOUND_TABLE_COLUMNS = (
 
 def bound_table_row(inputs: BoundInputs) -> dict:
     """All applicable bounds for one parameter point (CSV emission helper)."""
-    row = {
+    return {
         "n": inputs.n,
         "l": inputs.l,
         "epsilon": inputs.epsilon,
@@ -193,4 +186,3 @@ def bound_table_row(inputs: BoundInputs) -> dict:
         "lower_lemma4": lower_bound_lemma4(inputs),
         "continuous": "" if inputs.L is None else continuous_bound(inputs),
     }
-    return row

@@ -28,6 +28,9 @@ import numpy as np
 
 MAX_ATTRIBUTES = 30
 ENUMERATION_BIT_CAP = 24
+# n*l cap of every exact check over the full output distribution: the exact
+# distortion, the oracle's distribution and verify_dp
+EXACT_BIT_CAP = 12
 
 
 class ValidationError(ValueError):

@@ -7,11 +7,12 @@ that row-level channel in aggregate,
     est_u(y) = g/(1 - e^-eps) * q(y) - e^-eps/(1 - e^-eps) * C,
 
 where C is the query's centering constant (the mean table mass picked up by
-uniform flips). It is exactly unbiased for every input database but may
-return values no real database can produce; ``project_proper`` maps the raw
-value onto achievable answers, at most doubling the pointwise error. The
-cut estimator in ``graph`` debiases released edge counts by the same map
-(``_affine_coefficients``), with C = |S||T|.
+uniform flips); the two factors are ``MechanismParams.scale`` and ``shift``.
+It is exactly unbiased for every input database but may return values no
+real database can produce; ``project_proper`` maps the raw value onto
+achievable answers, at most doubling the pointwise error. The cut estimator
+in ``graph`` debiases released edge counts by the same map, with
+C = |S||T|.
 
 Distortion is measured three ways. ``exact_distortion`` enumerates every
 output (n*l <= 12) and is the oracle-grade ground truth.
@@ -34,10 +35,10 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .core import (
+    EXACT_BIT_CAP,
     Database,
     DimensionMismatchError,
     EnumerationTooLargeError,
-    EstimatorUndefinedError,
     RandomSource,
     ValidationError,
     all_databases_matrix,
@@ -46,7 +47,6 @@ from .core import (
 from .mechanism import MechanismParams, log_pmf_all_outputs, sample_histograms
 from .queries import StatisticalQuery
 
-EXACT_BIT_CAP = 12
 ACHIEVABLE_CAP = 10**6
 _ENUM_ACHIEVABLE_BIT_CAP = 16
 
@@ -67,21 +67,6 @@ class DistortionReport:
     analytic_bound: float
 
 
-def _affine_coefficients(params: MechanismParams) -> tuple[float, float]:
-    """(scale, shift) with est_u = scale * q(y) - shift * C.
-
-    At the identity boundary (eps >= IDENTITY_EPSILON) ``params`` holds e^-eps
-    as exact zero, so this is exactly (1, 0) and the estimator returns q(y)
-    unchanged.
-    """
-    if params.epsilon == 0.0:
-        raise EstimatorUndefinedError(
-            "the companion estimators are undefined at epsilon = 0 (zero denominator)"
-        )
-    one_minus = -math.expm1(-params.epsilon)
-    return params.g / one_minus, params.exp_neg_eps / one_minus
-
-
 def _estimates(
     q: StatisticalQuery,
     answers,
@@ -92,8 +77,7 @@ def _estimates(
     """Estimates from plain answers q(y): scale * q(y) - shift * C, projected
     onto achievable answers when the estimator is proper. ``answers`` may
     carry any leading shape; a batch's answers end in the query axis."""
-    scale, shift = _affine_coefficients(params)
-    est = scale * answers - shift * q.centering
+    est = params.scale * answers - params.shift * q.centering
     if estimator == "proper":
         est = _project_vector(q, est, projection)
     return est
@@ -246,8 +230,8 @@ def exact_unbiased_mse(q: StatisticalQuery, x: Database, params: MechanismParams
     if params.universe != q.universe:
         raise DimensionMismatchError("mechanism parameters and query use different universes")
     q._check(x)
-    scale, _ = _affine_coefficients(params)
-    stay = -math.expm1(-params.epsilon) / params.g  # 1 - alpha without cancellation
+    scale = params.scale
+    stay = 1.0 / scale  # 1 - alpha without cancellation
     dev2 = (q.tables - q.tables.mean(axis=-1, keepdims=True)) ** 2
     var = params.redraw_prob * (dev2.mean(axis=-1, keepdims=True) + stay * dev2)
     return float((scale / q.c_sum) ** 2 * np.vdot(q.histogram(x.rows), var))

@@ -22,6 +22,7 @@ statistical query, with centering constant |S||T|.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,7 @@ from .core import (
     _content_lines,
     _read_int_rows,
 )
-from .estimators import _affine_coefficients
-from .mechanism import MechanismParams, sample_synthetic
+from .mechanism import MechanismParams, _keep_mask, sample_synthetic
 
 MAX_ENCODED_PAIRS = 10**8
 
@@ -83,8 +83,13 @@ class CutQuery:
     t_set: frozenset
 
     def __post_init__(self):
-        s = frozenset(int(i) for i in self.s_set)
-        t = frozenset(int(j) for j in self.t_set)
+        # operator.index takes ints, bools and numpy ints; int() would
+        # truncate a float id onto another vertex
+        try:
+            s = frozenset(map(operator.index, self.s_set))
+            t = frozenset(map(operator.index, self.t_set))
+        except TypeError:
+            raise ValidationError("cut query vertex ids must be integers") from None
         if s & t:
             raise ValidationError("cut query needs disjoint vertex sets")
         object.__setattr__(self, "s_set", s)
@@ -116,9 +121,9 @@ def _cut_counts(m: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _answer_cuts(y: Database, s: np.ndarray, t: np.ndarray, epsilon: float) -> np.ndarray:
     """Debiased cut answers, scale * count - shift * |S||T|, from a release y."""
-    scale, shift = _affine_coefficients(MechanismParams(epsilon, y.universe))
+    params = MechanismParams(epsilon, y.universe)
     sizes = s.sum(axis=1, dtype=np.float64) * t.sum(axis=1, dtype=np.float64)
-    return scale * _cut_counts(y.rows, s, t) - shift * sizes
+    return params.scale * _cut_counts(y.rows, s, t) - params.shift * sizes
 
 
 def _check_pair_cap(vertex_count: int) -> None:
@@ -156,9 +161,7 @@ def random_bisection_cut(x: Database, rng: RandomSource) -> CutQuery:
     v = vertex_count(x)
     if v < 2:
         raise ValidationError("a bisection cut needs at least two vertices")
-    gen = rng.generator()
-    s = gen.choice(v, size=v // 2, replace=False)
-    s_set = frozenset(int(i) for i in s)
+    s_set = frozenset(rng.generator().choice(v, size=v // 2, replace=False).tolist())
     t_set = frozenset(range(v)) - s_set
     return CutQuery(s_set, t_set)
 
@@ -171,16 +174,8 @@ def erdos_renyi_graph(vertex_count: int, edge_prob: float, rng: RandomSource) ->
     if not 0.0 <= edge_prob <= 1.0:
         raise ValidationError(f"edge probability must lie in [0, 1], got {edge_prob}")
     _check_pair_cap(vertex_count)
-    # Row blocks of at most 2**16 draws: the same stream as one (|V|, |V|)
-    # draw, without its float64 matrix.
-    gen = rng.generator()
-    upper = np.empty((vertex_count, vertex_count), dtype=bool)
-    step = max(1, (1 << 16) // vertex_count)
-    cols = np.arange(vertex_count)
-    for start in range(0, vertex_count, step):
-        block = upper[start : start + step]
-        np.less(gen.random(block.shape), edge_prob, out=block)
-        block &= cols > np.arange(start, start + len(block))[:, None]
+    # the same stream as one (|V|, |V|) draw of uniforms, without its float64 matrix
+    upper = np.triu(_keep_mask(rng.generator(), (vertex_count, vertex_count), edge_prob), 1)
     return adjacency_database(upper | upper.T)
 
 

@@ -54,9 +54,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    EXACT_BIT_CAP,
     Database,
     DataUniverse,
     DimensionMismatchError,
+    EstimatorUndefinedError,
     RandomSource,
     ValidationError,
     all_databases_matrix,
@@ -67,8 +69,6 @@ from .core import (
 # exp(-eps) is below 1e-304 here; MechanismParams stores it as exact 0, so the
 # release is an exact identity and the estimator corrections vanish.
 IDENTITY_EPSILON = 700.0
-
-VERIFY_BIT_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,26 @@ class MechanismParams:
         """alpha = 2**l exp(-eps) / g: the kernel keeps a row or, with this
         probability, redraws it uniformly over all 2**l codes; in [0, 1]."""
         return self.universe.cardinality * self.exp_neg_eps / self.g
+
+    @property
+    def scale(self) -> float:
+        """g / (1 - e^-eps). The companion estimators debias a plain answer
+        q(y) as scale * q(y) - shift * C (see ``estimators``), and the upper
+        bounds are that estimator's spread. (scale, shift) is exactly (1, 0)
+        from IDENTITY_EPSILON on."""
+        return self.g / self._one_minus_exp_neg_eps()
+
+    @property
+    def shift(self) -> float:
+        """e^-eps / (1 - e^-eps), the factor on the centering constant C."""
+        return self.exp_neg_eps / self._one_minus_exp_neg_eps()
+
+    def _one_minus_exp_neg_eps(self) -> float:
+        if self.epsilon == 0.0:
+            raise EstimatorUndefinedError(
+                "the companion estimators are undefined at epsilon = 0 (zero denominator)"
+            )
+        return -math.expm1(-self.epsilon)
 
 
 def sample_rows(rows: np.ndarray, params: MechanismParams, gen: np.random.Generator, trials: int) -> np.ndarray:
@@ -217,7 +237,7 @@ def _distance_matrix(l: int, n: int) -> np.ndarray:
     output plus the previous matrix, 1/4 of it or less. The cap is checked
     before anything is allocated.
     """
-    enumeration_size(DataUniverse(l), n, bit_cap=VERIFY_BIT_CAP)
+    enumeration_size(DataUniverse(l), n, bit_cap=EXACT_BIT_CAP)
     card = 1 << l
     differ = np.ones((card, card), dtype=np.int8)
     np.fill_diagonal(differ, 0)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    EXACT_BIT_CAP,
     Database,
     DataUniverse,
     EnumerationTooLargeError,
@@ -37,7 +38,6 @@ from .core import (
 )
 from .mechanism import IDENTITY_EPSILON
 
-ORACLE_BIT_CAP = 12
 MINIMAX_BIT_CAP = 6
 MINIMAX_GRID_CAP = 1000
 MINIMAX_GRID_POINTS = 17
@@ -75,7 +75,7 @@ def exact_distribution(x: Database, params) -> ExactDistribution:
     output is recomputed here and the distribution is normalized numerically,
     independent of the mechanism module's closed form.
     """
-    rows = all_databases_matrix(x.universe, x.n, bit_cap=ORACLE_BIT_CAP)
+    rows = all_databases_matrix(x.universe, x.n, bit_cap=EXACT_BIT_CAP)
     dists = np.zeros(rows.shape[0])
     for i in range(x.n):
         dists += rows[:, i] != int(x.rows[i])
@@ -259,7 +259,7 @@ def run_verification_suite() -> list[tuple[str, bool, str]]:
     subcommand.
     """
     from .estimators import estimate_unbiased, exact_distortion
-    from .mechanism import VERIFY_BIT_CAP, MechanismParams, log_pmf_all_outputs, verify_dp
+    from .mechanism import MechanismParams, log_pmf_all_outputs, verify_dp
     from .queries import generate_random_query, make_hamming_query
     from .core import RandomSource
 
@@ -298,7 +298,7 @@ def run_verification_suite() -> list[tuple[str, bool, str]]:
         )
     )
 
-    shapes = [(n, l) for l in range(1, VERIFY_BIT_CAP + 1) for n in range(1, VERIFY_BIT_CAP // l + 1)]
+    shapes = [(n, l) for l in range(1, EXACT_BIT_CAP + 1) for n in range(1, EXACT_BIT_CAP // l + 1)]
     worst_dp = 0.0
     for n, l in shapes:
         universe = DataUniverse(l)
@@ -309,7 +309,7 @@ def run_verification_suite() -> list[tuple[str, bool, str]]:
         (
             "exhaustive neighbor log-ratio equals epsilon",
             worst_dp <= 1e-12,
-            f"max |ratio - eps| = {worst_dp:.3e} over all {len(shapes)} shapes with n*l <= {VERIFY_BIT_CAP}"
+            f"max |ratio - eps| = {worst_dp:.3e} over all {len(shapes)} shapes with n*l <= {EXACT_BIT_CAP}"
             " at eps 0.25, 1, 2 (tolerance 1e-12)",
         )
     )
@@ -328,7 +328,7 @@ def run_verification_suite() -> list[tuple[str, bool, str]]:
         x = Database(universe, gen.integers(0, universe.cardinality, size=n))
         params = MechanismParams(eps, universe)
         dist = exact_distribution(x, params)
-        rows = all_databases_matrix(universe, n, bit_cap=ORACLE_BIT_CAP)
+        rows = all_databases_matrix(universe, n, bit_cap=EXACT_BIT_CAP)
         probs = np.exp(dist.log_probs)
         est = np.array(
             [estimate_unbiased(q, Database(universe, row), params) for row in rows]

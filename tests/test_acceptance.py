@@ -30,7 +30,6 @@ from dpsynth.core import (
     all_databases_matrix,
 )
 from dpsynth.estimators import (
-    _affine_coefficients,
     exact_distortion,
     measure_distortion,
     project_proper,
@@ -94,10 +93,9 @@ def test_criterion_02_unbiasedness():
     with criterion(2, "unbiasedness", 30.0):
         for seed in range(100):
             q, x, params = micro_instance(seed)
-            scale, shift = _affine_coefficients(params)
             rows = all_databases_matrix(x.universe, x.n)
             probs = np.exp(log_pmf_all_outputs(x, params, rows_matrix=rows))
-            estimates = scale * q.evaluate_rows(rows) - shift * q.centering
+            estimates = params.scale * q.evaluate_rows(rows) - params.shift * q.centering
             assert abs(float(probs @ estimates) - q.evaluate(x)) <= 1e-10
 
 
@@ -137,8 +135,7 @@ def test_criterion_04_factor_four_quantization():
             q, x, params = micro_instance(seed, max_bits=8)
             rows = all_databases_matrix(x.universe, x.n)
             qx = q.evaluate(x)
-            scale, shift = _affine_coefficients(params)
-            raw = scale * q.evaluate_rows(rows) - shift * q.centering
+            raw = params.scale * q.evaluate_rows(rows) - params.shift * q.centering
             lo, hi = q.value_range()
             clamped = np.clip(raw, lo, hi)
             assert (np.abs(clamped - qx) <= 2.0 * np.abs(raw - qx) + 1e-12).all()

@@ -206,3 +206,53 @@ class TestInvariantsOnGrid:
             BoundInputs(n=10, l=1, epsilon=1.0, b=0.0, a=0.5)
         with pytest.raises(ValidationError):
             BoundInputs(n=10, l=1, epsilon=1.0, c=0.0)
+
+    @pytest.mark.parametrize("n", [1.5, True, 10.0, pytest.param(10**400, id="10**400")])
+    def test_n_must_be_a_float_sized_integer(self, n):
+        with pytest.raises(ValidationError, match="n must be"):
+            BoundInputs(n=n, l=1, epsilon=1.0)
+
+    @pytest.mark.parametrize("l", [0, 31, 1030, 2.0, True])
+    def test_l_validated_as_a_universe(self, l):
+        with pytest.raises(ValidationError, match="universe dimension"):
+            BoundInputs(n=10, l=l, epsilon=1.0)
+
+    @pytest.mark.parametrize("L", [-1.0, math.nan])
+    def test_lipschitz_constant_validated(self, L):
+        with pytest.raises(ValidationError, match="Lipschitz"):
+            BoundInputs(n=10, l=1, epsilon=1.0, L=L)
+
+
+class TestMechanismConstants:
+    """The bounds read g, the scale and the shift from MechanismParams."""
+
+    @pytest.mark.parametrize("n,l,eps", GRID[::7])
+    def test_upper_bound_is_the_estimator_variance_scale(self, n, l, eps):
+        inputs = BoundInputs(n=n, l=l, epsilon=eps, a=-0.5, b=2.0, c=0.75)
+        p = inputs.params
+        assert (p.epsilon, p.universe.l) == (eps, l)
+        assert upper_bound_squared(inputs) == pytest.approx((2.5 / 0.75 * p.scale) ** 2 / n, rel=1e-15)
+
+    @pytest.mark.parametrize("n,l,eps", GRID[::7])
+    def test_asymptotic_lower_bound_matches_the_exp_plus_form(self, n, l, eps):
+        expected = (1.0 - PHI_1) ** 2 / (2 ** (l + 4) * (1.0 + math.exp(eps) / (2**l - 1)) ** 3) / n
+        value = lower_bound_squared_asymptotic(BoundInputs(n=n, l=l, epsilon=eps))
+        assert value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("l", [1, 3, 30])
+    @pytest.mark.parametrize("eps", [709.0, 710.0, 800.0, 1e300])
+    def test_no_overflow_at_large_epsilon(self, l, eps):
+        # e^eps overflows a float from eps = 709.79; every bound is written in e^-eps
+        row = bound_table_row(BoundInputs(n=10, l=l, epsilon=eps, L=1.0))
+        assert row["upper_squared"] == pytest.approx(0.1, rel=1e-12)
+        assert row["continuous"] == pytest.approx(1.0 / math.sqrt(10.0), rel=1e-12)
+        assert 0.0 <= row["lower_asymptotic"] < 1e-300
+        assert row["lower_lemma4"] == 0.0
+
+    def test_cut_bound_is_the_edge_scale(self):
+        # (1 + e) / (1 - e) without the cancellation of 1 - e at small eps
+        eps = 1e-6
+        assert cut_bound(1, 1, eps) == pytest.approx(2.0 / eps + eps / 6.0, rel=1e-15)
+
+    def test_huge_lipschitz_constant_gives_inf_not_an_error(self):
+        assert continuous_bound(BoundInputs(n=10, l=1, epsilon=1.0, L=1e200)) == math.inf

@@ -371,6 +371,33 @@ class TestBounds:
         assert code == 2
         assert "error[validation]" in err
 
+    def test_large_epsilon_prints(self, capsys):
+        # e^800 overflows a float; the bounds are written in e^-800 = 0
+        code, out, err = run_cli(capsys, "bounds", "--n", "10", "--l", "3", "--epsilon", "800")
+        assert code == 0, err
+        assert out.splitlines()[1] == "10,3,800,0,1,1,,0.1,0.4,0.316227766,0.632455532,0,0,"
+
+    @pytest.mark.parametrize("argv", [
+        ["--l", "31", "--epsilon", "1"],
+        ["--l", "1030", "--epsilon", "1"],
+        ["--l", "3", "--epsilon", "1", "--L", "nan"],
+    ])
+    def test_out_of_range_inputs_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "bounds", "--n", "10", *argv)
+        assert code == 2
+        assert err.startswith("error[validation]") and out == ""
+
+    def test_bounds_table_at_large_epsilon(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "experiment": "bounds_table", "n_grid": [10], "epsilon_grid": [1000], "l": 3,
+            "output": str(tmp_path / "bounds.csv"),
+        }))
+        code, _, err = run_cli(capsys, "experiment", "--config", str(config_path))
+        assert code == 0, err
+        lines = (tmp_path / "bounds.csv").read_text().splitlines()
+        assert lines[1] == "10,3,1000,0,1,1,,0.1,0.4,0.316227766,0.632455532,0,0,"
+
 
 class TestExperiment:
     def test_runs_config_and_is_deterministic(self, tmp_path, capsys):

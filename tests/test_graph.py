@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -133,6 +134,18 @@ class TestCutValue:
     def test_disjointness_enforced(self):
         with pytest.raises(ValidationError):
             CutQuery(frozenset({0, 1}), frozenset({1, 2}))
+
+    @pytest.mark.parametrize("bad", [0.9, np.float64(1.0), "1"])
+    def test_non_integer_vertex_rejected(self, bad):
+        # int() would truncate 0.9 onto vertex 0
+        for s_set, t_set in (({bad}, {2}), ({2}, {bad})):
+            with pytest.raises(ValidationError, match="integers"):
+                CutQuery(frozenset(s_set), frozenset(t_set))
+
+    def test_integer_like_vertices_accepted(self):
+        q = CutQuery(frozenset({np.int64(2), True}), frozenset({np.uint8(0)}))
+        assert q.s_set == {1, 2} and q.t_set == {0}
+        assert all(type(w) is int for w in q.s_set | q.t_set)
 
     def test_out_of_range_vertex(self):
         x = edges_database(2, [(0, 1)])
@@ -290,6 +303,15 @@ class TestGenerators:
         gen = RandomSource(8).generator()
         upper = np.triu(gen.random((v, v)) < 0.3, k=1)
         assert erdos_renyi_graph(v, 0.3, RandomSource(8)) == adjacency_database(upper | upper.T)
+
+    def test_erdos_renyi_pinned(self):
+        # sha256 of the |V| = 2000 graph's rows, pinned while the generator
+        # still drew the uniforms in row blocks of its own: the keep-mask
+        # draw reads the same stream in the same order
+        x = erdos_renyi_graph(2000, 0.05, RandomSource(2000))
+        assert hashlib.sha256(x.rows.tobytes()).hexdigest() == (
+            "e20803eec977f9fd25bfb5b1c8f3a9a8886a50fee035d2d9ec31691bf087b8a8"
+        )
 
     def test_erdos_renyi_peak_memory(self):
         # 1001^2 pairs: 1 MB per bool matrix, against 8 MB for one float64 draw

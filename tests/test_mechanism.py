@@ -16,7 +16,6 @@ from dpsynth.core import (
     hamming_distance,
     is_neighbor,
 )
-from dpsynth.estimators import _affine_coefficients
 from dpsynth.mechanism import (
     _SCAN_BLOCK,
     MechanismParams,
@@ -61,12 +60,12 @@ class TestParams:
     @pytest.mark.parametrize("l", [1, 30])
     @pytest.mark.parametrize("eps", [700.0, 1e4])
     def test_identity_constants_are_exact(self, l, eps):
-        # the one place the identity boundary is decided: no sampler or
-        # estimator branches on it
+        # the one place the identity boundary is decided: no sampler,
+        # debiasing map or bound branches on it
         p = MechanismParams(eps, DataUniverse(l))
         assert p.exp_neg_eps == 0.0 and p.is_identity
         assert (p.g, p.log_g, p.keep_prob, p.flip_prob, p.redraw_prob) == (1.0, 0.0, 1.0, 0.0, 0.0)
-        assert _affine_coefficients(p) == (1.0, 0.0)
+        assert (p.scale, p.shift) == (1.0, 0.0)
         below = MechanismParams(699.9, DataUniverse(l))
         assert below.exp_neg_eps == math.exp(-699.9) > 0.0 and not below.is_identity
 
