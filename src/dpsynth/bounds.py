@@ -106,12 +106,12 @@ def lower_bound_lemma4(inputs: BoundInputs) -> float:
         (1 / (4 n^2)) * max(0, (1-Phi(1)) sigma gamma^(3/2) sqrt(n)
                                - C rho gamma / sigma^3)^2,
 
-    with C = BERRY_ESSEEN_CONSTANT and sigma^2 = rho = 2^(1-l). The 1/n^2
-    scale converts the Hamming-count statement into the squared distortion
-    of the normalized distance query, so the result is directly comparable
-    to upper_bound_squared. A negative inner term means the
-    normal-approximation penalty swallows the bound; it is clamped to zero
-    rather than squared into a fictitious positive value.
+    with gamma = (2^l - 1) e^-eps / (2 g), C = BERRY_ESSEEN_CONSTANT and
+    sigma^2 = rho = 2^(1-l). The 1/n^2 scale converts the Hamming-count
+    statement into the squared distortion of the normalized distance query,
+    so the result is directly comparable to upper_bound_squared. A negative
+    inner term means the normal-approximation penalty swallows the bound; it
+    is clamped to zero rather than squared into a fictitious positive value.
     """
     gamma = _gamma(inputs)
     sigma2 = 2.0 ** (1 - inputs.l)
