@@ -10,7 +10,9 @@ or config errors, 1 anything else; data errors print a machine-parseable
 
 Code files are read by ``core._read_int_rows`` (a numpy byte scan, a line
 walk as the fallback) and written by ``write_database_codes`` as byte
-matrices of digits, not one string per row.
+matrices of digits, not one string per row. The same scan reads a query
+file's per-row integer arrays (``core._read_json_int_arrays``, json as the
+fallback).
 """
 
 from __future__ import annotations

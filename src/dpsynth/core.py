@@ -12,7 +12,11 @@ JSON files, code files and edge lists are parsed here (``_read_json``,
 ``_read_int_rows``). A code file or edge list is read in blocks of whole
 lines, and numpy scans each block's bytes; only a block that leaves the
 scan's grammar (plain ASCII digits, spaces, tabs and comments) is walked line
-by line, which returns its rows or names the first bad line.
+by line, which returns its rows or names the first bad line. The same scan
+reads a query file's long integer arrays (``_read_json_int_arrays``): JSON
+integers without sign, fraction, exponent or leading zero, separated by
+commas; json parses the rest of the file, and any array or file outside that
+grammar is left to json whole.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import io
 import json
 import numbers
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -102,7 +107,8 @@ def _content_lines(path, block: bytes | None = None, first: int = 1) -> Iterator
                 yield lineno, text
 
 
-# _read_int_rows reads a file in blocks of whole lines of about this size
+# the scan reads a file or a JSON array in blocks of whole rows of about
+# this size
 _SCAN_BLOCK_BYTES = 1 << 15
 # 10**18 - 1 < 2**63: a token of at most 18 digits fits an int64
 _SCAN_MAX_DIGITS = 18
@@ -110,17 +116,46 @@ _SCAN_MAX_DIGITS = 18
 # _token_values loads starts inside the buffer
 _SCAN_PAD = 24
 _BOM = b"\xef\xbb\xbf"
-_DIGIT, _GAP, _NEWLINE, _CR, _HASH, _ASCII, _NON_ASCII = range(7)
-_BYTE_CLASS = bytes(
-    _DIGIT if 0x30 <= b <= 0x39
-    else _GAP if b in b" \t"
-    else _NEWLINE if b == 0x0A
-    else _CR if b == 0x0D
-    else _HASH if b == 0x23
-    else _ASCII if b < 0x80
-    else _NON_ASCII
-    for b in range(256)
+# byte classes of the scan; an _END byte ends a row
+_DIGIT, _GAP, _END, _CR, _HASH, _ASCII, _NON_ASCII = range(7)
+
+
+# A grammar of the scan is (classes, end, leading_zeros): ``classes`` maps
+# each byte to its class, ``end`` is the byte that ends a row, and
+# ``leading_zeros`` says whether a token of two or more digits may start
+# with '0'.
+# A code file or edge list: rows are lines, tokens are separated by ' ' and
+# '\t', a '#' comment runs to the end of its line.
+_LINES = (
+    bytes(
+        _DIGIT if 0x30 <= b <= 0x39
+        else _GAP if b in b" \t"
+        else _END if b == 0x0A
+        else _CR if b == 0x0D
+        else _HASH if b == 0x23
+        else _ASCII if b < 0x80
+        else _NON_ASCII
+        for b in range(256)
+    ),
+    b"\n",
+    True,
 )
+# The body of a JSON array of integers: one token per row, rows end in ','
+# and JSON whitespace may stand around each token.
+_JSON_INTS = (
+    bytes(
+        _DIGIT if 0x30 <= b <= 0x39
+        else _GAP if b in b" \t\n\r"
+        else _END if b == 0x2C
+        else _ASCII if b < 0x80
+        else _NON_ASCII
+        for b in range(256)
+    ),
+    b",",
+    False,
+)
+# the least value of a token of k + 1 digits without a leading zero
+_LEAST_BY_LENGTH = np.array([0] + [10**k for k in range(1, _SCAN_MAX_DIGITS)], dtype=np.int64)
 
 
 def _digit_masks(w: int, group: int) -> np.ndarray:
@@ -159,55 +194,66 @@ def _token_values(buf: bytearray, stops: np.ndarray, lengths: np.ndarray) -> np.
     return values
 
 
-def _scan_block(buf: bytearray, lo: int, hi: int, width: int, minimum: int):
-    """(values, '\n' count) of the whole lines ``buf[lo:hi]``, or None where
-    they leave the scan's grammar: runs of at most 18 ASCII digits separated
-    by ' ' or '\t', ``width`` of them on each line that has any, each >=
-    ``minimum``; lines end in '\n' or '\r\n'; a '#' comment, ASCII only,
-    runs to the end of its line."""
+def _scan_block(buf: bytearray, lo: int, hi: int, width: int, minimum: int, grammar: tuple):
+    """(values, row count) of the whole rows ``buf[lo:hi]``, or None where
+    they leave ``grammar``: runs of at most 18 ASCII digits separated by gap
+    bytes, ``width`` of them on each row that has any, each >= ``minimum``.
+    In a code file (``_LINES``) rows end in '\n' or '\r\n', gaps are ' ' and
+    '\t', and a '#' comment, ASCII only, runs to the end of its line. In a
+    JSON array body (``_JSON_INTS``) rows end in ',', gaps are JSON
+    whitespace, and no token has a leading zero."""
+    classes, _, leading_zeros = grammar
     # the class of each byte, between two sentinels that end no run
-    padded = np.frombuffer(bytearray(b"\xff") + buf[lo:hi].translate(_BYTE_CLASS) + b"\xff", dtype=np.uint8)
+    padded = np.frombuffer(bytearray(b"\xff") + buf[lo:hi].translate(classes) + b"\xff", dtype=np.uint8)
     cls = padded[1:-1]
     top = cls.max()
     if top == _NON_ASCII:
         return None
-    if top > _NEWLINE:
+    if top > _END:
         cr = np.flatnonzero(cls == _CR)
-        if cr.size and (cr[-1] + 1 == cls.size or (cls[cr + 1] != _NEWLINE).any()):
+        if cr.size and (cr[-1] + 1 == cls.size or (cls[cr + 1] != _END).any()):
             return None
         cls[cr] = _GAP
         hashes = np.flatnonzero(cls == _HASH)
         if hashes.size:
-            newlines = np.flatnonzero(cls == _NEWLINE)
+            newlines = np.flatnonzero(cls == _END)
             ends = np.append(newlines, cls.size)[np.searchsorted(newlines, hashes)]
             depth = np.bincount(hashes, minlength=cls.size + 1) - np.bincount(ends, minlength=cls.size + 1)
             cls[np.cumsum(depth[:-1]) > 0] = _GAP
-        if cls.max() > _NEWLINE:
+        if cls.max() > _END:
             return None
-    newline_count = np.count_nonzero(cls == _NEWLINE)
-    # runs of one class: run i is cls[bounds[i]:bounds[i + 1]], of class kinds[i]
-    bounds = np.flatnonzero(padded[1:] != padded[:-1])
-    kinds = padded[1:].take(bounds)
-    tokens = np.flatnonzero(kinds == _DIGIT)
-    if tokens.size % width:
+    row_count = np.count_nonzero(cls == _END)
+    # token i is cls[starts[i]:stops[i]], a run of digits; the sentinels are
+    # no digits, so the edges of the runs alternate between start and stop
+    digits = padded == _DIGIT
+    edges = np.flatnonzero(digits[1:] != digits[:-1])
+    starts, stops = edges[0::2], edges[1::2]
+    if starts.size % width:
         return None
-    if tokens.size == 0:
-        return np.zeros(0, dtype=np.int64), newline_count
-    # the gap between two tokens on one line is one run of ' ' and '\t';
-    # any other gap holds a newline, since runs alternate between classes
-    same_line = np.append((np.diff(tokens) == 2) & (kinds.take(tokens[:-1] + 1) == _GAP), False)
-    same_line = same_line.reshape(-1, width)
-    if not (same_line[:, :-1].all() and not same_line[:, -1].any()):
+    if starts.size == 0:
+        return np.zeros(0, dtype=np.int64), row_count
+    # whether a row ends between token i and token i + 1, that is whether
+    # the gap, all _GAP and _END bytes, holds an _END: known when one of its
+    # outer bytes is one, or when it is a single byte; else counted
+    gap_ends = (padded.take(stops[:-1] + 1) == _END) | (padded.take(starts[1:]) == _END)
+    unknown = np.flatnonzero(~gap_ends & (starts[1:] - stops[:-1] > 1))
+    if unknown.size:
+        row_ends = np.flatnonzero(cls == _END)
+        gap_ends[unknown] = np.searchsorted(row_ends, starts[unknown + 1]) > np.searchsorted(row_ends, stops[unknown])
+    # the last token ends its row; each row holds ``width`` tokens
+    gap_ends = np.append(gap_ends, True).reshape(-1, width)
+    if gap_ends[:, :-1].any() or not gap_ends[:, -1].all():
         return None
-    starts, stops = bounds.take(tokens), bounds.take(tokens + 1)
-    del bounds, kinds, tokens, same_line  # before the values' temporaries
+    del digits, gap_ends, unknown  # before the values' temporaries
     lengths = stops - starts
     if lengths.max() > _SCAN_MAX_DIGITS:
         return None
     values = _token_values(buf, stops + lo, lengths)
     if minimum > 0 and values.min() < minimum:
         return None
-    return values, newline_count
+    if not leading_zeros and (values < _LEAST_BY_LENGTH.take(lengths - 1)).any():
+        return None
+    return values, row_count
 
 
 def _walk_block(path, block: bytes, lineno: int, width: int, minimum: int):
@@ -229,56 +275,148 @@ def _walk_block(path, block: bytes, lineno: int, width: int, minimum: int):
     return np.array(rows, dtype=np.int64).reshape(-1), lines
 
 
+def _scan_stream(fh, size: int, head: bytes, width: int, minimum: int, grammar: tuple, walk):
+    """(values, row count) of the bytes ``head`` and then the rest of the
+    binary stream ``fh``, ``size`` bytes in all, read in blocks of whole
+    rows through one reused buffer. numpy scans each block's bytes
+    (``_scan_block``). A block that leaves ``grammar`` goes to
+    ``walk(block, rows before it)``, which returns its (values, row count)
+    or raises; without ``walk`` the stream is out of grammar and the result
+    is None. The values go into one int64 array, grown geometrically and
+    trimmed at the end."""
+    row_end = grammar[1]
+    buf = bytearray(_SCAN_PAD + _SCAN_BLOCK_BYTES)
+    out = np.empty(0, dtype=np.int64)
+    count = rows = 0
+    consumed = held = len(head)
+    buf[_SCAN_PAD : _SCAN_PAD + held] = head
+    while True:
+        if held == len(buf) - _SCAN_PAD:  # one row fills the buffer
+            buf += bytes(held)
+        with memoryview(buf) as view:
+            got = fh.readinto(view[_SCAN_PAD + held :])
+        consumed += got
+        end = _SCAN_PAD + held + got
+        cut = buf.rfind(row_end, _SCAN_PAD, end) + 1 if got else end
+        if cut <= _SCAN_PAD:
+            if not got:
+                break
+            held += got
+            continue
+        scanned = _scan_block(buf, _SCAN_PAD, cut, width, minimum, grammar)
+        if scanned is None:
+            if walk is None:
+                return None
+            scanned = walk(bytes(buf[_SCAN_PAD:cut]), rows)
+        values, block_rows = scanned
+        rows += block_rows
+        if count + values.size > out.size:
+            # room for the values that the bytes read so far predict for
+            # the stream, and a block more; at least an eighth more values
+            predicted = (count + values.size) * size // consumed + values.size
+            out.resize(max(predicted, out.size + out.size // 8, count + values.size), refcheck=False)
+        out[count : count + values.size] = values
+        count += values.size
+        held = end - cut
+        buf[_SCAN_PAD : _SCAN_PAD + held] = buf[cut:end]
+        if not got:
+            break
+    out.resize(count, refcheck=False)
+    return out, rows
+
+
 def _read_int_rows(path, width: int, minimum: int) -> np.ndarray:
     """(m, width) int64 rows of a file of ``width`` whitespace-separated
     integers >= ``minimum`` (each as ``int()`` reads it) per non-blank line,
     '#' comments allowed.
 
-    The file is read in blocks of whole lines through one reused buffer.
-    numpy scans each block's bytes (``_scan_block``); a block that leaves
-    the scan's grammar is walked line by line instead, which returns its
-    rows or names the first bad line. The rows go into one int64 array,
-    grown geometrically and trimmed at the end."""
-    buf = bytearray(_SCAN_PAD + _SCAN_BLOCK_BYTES)
-    out = np.empty(0, dtype=np.int64)
-    count = lineno = 0
+    numpy scans the file block by block (``_scan_stream``); a block that
+    leaves the scan's grammar is walked line by line instead, which returns
+    its rows or names the first bad line."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(len(_BOM))
-        consumed = len(head)
-        held = 0 if head == _BOM else len(head)
-        buf[_SCAN_PAD : _SCAN_PAD + held] = head
-        while True:
-            if held == len(buf) - _SCAN_PAD:  # one line fills the buffer
-                buf += bytes(held)
-            with memoryview(buf) as view:
-                got = fh.readinto(view[_SCAN_PAD + held :])
-            consumed += got
-            end = _SCAN_PAD + held + got
-            cut = buf.rfind(b"\n", _SCAN_PAD, end) + 1 if got else end
-            if cut <= _SCAN_PAD:
-                if not got:
-                    break
-                held += got
-                continue
-            scanned = _scan_block(buf, _SCAN_PAD, cut, width, minimum)
-            if scanned is None:
-                scanned = _walk_block(path, bytes(buf[_SCAN_PAD:cut]), lineno, width, minimum)
-            values, lines = scanned
-            lineno += lines
-            if count + values.size > out.size:
-                # room for the rows that the bytes read so far predict for
-                # the file, and a block more; at least an eighth more rows
-                predicted = (count + values.size) * size // consumed + values.size
-                out.resize(max(predicted, out.size + out.size // 8, count + values.size), refcheck=False)
-            out[count : count + values.size] = values
-            count += values.size
-            held = end - cut
-            buf[_SCAN_PAD : _SCAN_PAD + held] = buf[cut:end]
-            if not got:
-                break
-    out.resize(count, refcheck=False)
-    return out.reshape(-1, width)
+        values, _ = _scan_stream(
+            fh,
+            size,
+            b"" if head == _BOM else head,
+            width,
+            minimum,
+            _LINES,
+            lambda block, lineno: _walk_block(path, block, lineno, width, minimum),
+        )
+    return values.reshape(-1, width)
+
+
+# a member array of fewer bytes than this is left to json, which parses it
+# faster than the scan's fixed cost per array
+_LIFT_MIN_BYTES = 1 << 13
+# whitespace, ':' and whitespace, then '[': after a member's name, the start
+# of an array as its value (compiled on first use, through re's cache)
+_ARRAY_VALUE = rb"[ \t\n\r]*:[ \t\n\r]*\["
+
+
+def _member_array_spans(data: bytes, members) -> list[tuple[int, int]]:
+    """(start, stop) of each '[' up to the next ']' in the JSON text
+    ``data`` that opens the value of an object member named in ``members``
+    (bytes) and spans at least _LIFT_MIN_BYTES; what lies between is not
+    checked. Strings are told apart by quote parity, so ``data`` must hold
+    no backslash."""
+    spans = []
+    close = -1
+    while (opening := data.find(b'"', close + 1)) >= 0 and (close := data.find(b'"', opening + 1)) >= 0:
+        if data[opening + 1 : close] in members and (value := re.compile(_ARRAY_VALUE).match(data, close + 1)):
+            start = value.end() - 1
+            stop = data.find(b"]", start) + 1
+            if stop - start >= _LIFT_MIN_BYTES:
+                spans.append((start, stop))
+    return spans
+
+
+def _scan_json_ints(body: bytes):
+    """int64 values of the JSON array body ``body`` (the text between its
+    brackets), or None unless it is one or more JSON integers of at most 18
+    digits, without sign, fraction or exponent, one ',' between each two."""
+    scanned = _scan_stream(io.BytesIO(body), len(body), b"", 1, 0, _JSON_INTS, None)
+    if scanned is None:
+        return None
+    values, commas = scanned
+    return values if values.size == commas + 1 else None
+
+
+def _read_json_int_arrays(path, members):
+    """``_read_json(path)``, except that a long array of non-negative
+    integers that is the value of an object member named in ``members`` is
+    read by the byte scan, straight into an int64 array.
+
+    Such an array is lifted out of the text only when the file holds no
+    backslash and the array's body is in the ``_JSON_INTS`` grammar (see
+    ``_scan_json_ints``). json then parses the rest of the text, in which
+    each lifted array stands as the constant ``NaN``; ``parse_constant``
+    hands json the arrays in document order. A text in which json would
+    meet another ``NaN`` or ``Infinity``, and any text json rejects, is
+    parsed again by ``_read_json``, so every result and error message is
+    json's own."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.startswith(_BOM):
+        data = data[len(_BOM) :]
+    arrays, pieces, start = [], [], 0
+    if b"\\" not in data:
+        for lo, hi in _member_array_spans(data, {name.encode() for name in members}):
+            values = _scan_json_ints(data[lo + 1 : hi - 1])
+            if values is not None:
+                arrays.append(values)
+                pieces.append(data[start:lo])
+                start = hi
+    pieces.append(data[start:])
+    if not any(b"NaN" in piece or b"Infinity" in piece for piece in pieces):
+        lifted = iter(arrays)
+        try:
+            return json.loads(b"NaN".join(pieces).decode("utf-8"), parse_constant=lambda _: next(lifted))
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            pass
+    return _read_json(path)
 
 
 @dataclass(frozen=True)

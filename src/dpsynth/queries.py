@@ -31,7 +31,7 @@ from .core import (
     DimensionMismatchError,
     RandomSource,
     ValidationError,
-    _read_json,
+    _read_json_int_arrays,
 )
 
 # cap on the counts one chunk of histograms holds, in ``evaluate_rows`` and
@@ -307,13 +307,30 @@ def _int_field(spec: dict, key: str) -> int:
     return value
 
 
+def _holds_bool(value) -> bool:
+    """Whether a bool, Python's or numpy's, sits anywhere in ``value``: an
+    array, or nested lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return value.dtype == bool or (value.dtype == object and _holds_bool(value.tolist()))
+    if not isinstance(value, (list, tuple)):
+        return isinstance(value, (bool, np.bool_))
+    # one pass over the item types, so a long flat list costs no Python call per item
+    types = set(map(type, value))
+    if bool in types or np.bool_ in types:
+        return True
+    return any(issubclass(t, (list, tuple, np.ndarray)) for t in types) and any(map(_holds_bool, value))
+
+
 def _array_field(spec: dict, key: str, ndim: int, integer: bool = False) -> np.ndarray:
+    value = _field(spec, key)
     try:
-        arr = np.asarray(_field(spec, key), dtype=None if integer else np.float64)
+        arr = np.asarray(value, dtype=None if integer else np.float64)
     except (TypeError, ValueError):
         raise ValidationError(f"query field {key!r} must be a numeric array") from None
     if arr.ndim != ndim:
         raise ValidationError(f"query field {key!r} must be a {ndim}-d array")
+    if _holds_bool(value):
+        raise ValidationError(f"query field {key!r} must hold numbers, not booleans")
     if integer and arr.size and arr.dtype.kind not in "iu":
         raise ValidationError(f"query field {key!r} must hold integers")
     return arr.astype(np.int64, copy=False) if integer else arr
@@ -351,5 +368,12 @@ def query_from_dict(spec: dict) -> StatisticalQuery:
     )
 
 
+# the query fields that hold one integer per row (or per conjunct); long ones
+# are read from a file by the byte scan. Other fields keep json's lists, so a
+# message that quotes a field's value reads as before.
+_INT_ARRAY_FIELDS = ("assignment", "z", "conjunct_bits")
+
+
 def load_query(path) -> StatisticalQuery:
-    return query_from_dict(_read_json(path))
+    """The query in the JSON file ``path`` (see ``query_from_dict``)."""
+    return query_from_dict(_read_json_int_arrays(path, _INT_ARRAY_FIELDS))

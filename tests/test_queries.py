@@ -1,14 +1,24 @@
+import json
+import os
+import random
+import tempfile
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpsynth import core
 from dpsynth.core import (
     Database,
     DataUniverse,
     DimensionMismatchError,
     RandomSource,
     ValidationError,
+    _read_json,
+    _read_json_int_arrays,
     enumerate_databases,
 )
 from dpsynth.estimators import (
@@ -20,6 +30,7 @@ from dpsynth.estimators import (
 )
 from dpsynth.mechanism import MechanismParams
 from dpsynth.queries import (
+    _INT_ARRAY_FIELDS,
     StatisticalQuery,
     centering_constant,
     generate_random_query,
@@ -323,6 +334,10 @@ class TestSerialization:
             {"type": "tables", "l": 1, "tables": [["a", "b"]], "assignment": [0]},
             {"type": "tables", "l": 1, "tables": [[0.0, 1.0]], "assignment": [0.0]},
             [1, 2],
+            {"type": "predicate", "l": 2, "n": 4, "conjunct_bits": [0, True]},
+            {"type": "tables", "l": 1, "tables": [[0.0, 1.0], [1.0, 0.0]], "assignment": [0, True]},
+            {"type": "hamming", "l": 1, "z": [0, True]},
+            {"type": "tables", "l": 1, "tables": [[0.0, True]], "assignment": [0]},
         ],
     )
     def test_malformed_specs_raise_validation_error(self, spec):
@@ -334,3 +349,156 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(ValidationError, match="invalid JSON"):
             load_query(path)
+
+
+def _json_path(path):
+    """The query that json's own parse of ``path`` gives, or its exception."""
+    try:
+        return query_from_dict(_read_json(path))
+    except Exception as exc:
+        return exc
+
+
+def _load(path):
+    try:
+        return load_query(path)
+    except Exception as exc:
+        return exc
+
+
+def _assert_same(got, expected, l):
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected) and str(got) == str(expected)
+        return
+    assert isinstance(got, StatisticalQuery), got
+    assert got.label == expected.label
+    assert np.array_equal(got.assignment, expected.assignment)
+    assert np.array_equal(got.tables, expected.tables)
+    x = Database(DataUniverse(l), np.random.default_rng(got.n).integers(0, 1 << l, size=got.n))
+    assert got.evaluate(x) == expected.evaluate(x)
+
+
+# JSON whitespace and commas between the elements of an integer array
+_SEPARATORS = [",", ", ", " ,", " , ", ",\n", "\r\n,\t", ",\r\n  ", "\t,"]
+# out of the scan's grammar; "1 2," leaves as many commas as a valid array
+# needs; TRAILING adds a comma after the last element and UNTERMINATED drops
+# the array's ']'
+_BAD_ELEMENTS = ["-1", "1.0", "1e3", "01", "true", "", "1 2,", "1234567890123456789", "TRAILING", "UNTERMINATED"]
+
+
+def _query_text(data, bad=None):
+    """(JSON text of a random predicate, hamming or tables query, its l).
+    ``bad`` replaces one element of its per-row array."""
+    kind = data.draw(st.sampled_from(["tables", "hamming", "predicate"]))
+    l = data.draw(st.integers(1, 2))
+    rnd = random.Random(data.draw(st.integers(0, 2**32)))
+    n = rnd.choice([1, 2, 7, 40, 3000])
+    newline = data.draw(st.sampled_from(["\n", "\r\n", " ", ""]))
+
+    def int_array(values, bad=None):
+        tokens = [str(v) for v in values]
+        if bad not in (None, "TRAILING", "UNTERMINATED"):
+            tokens[rnd.randrange(len(tokens))] = bad
+        text = tokens[0] + "".join(rnd.choice(_SEPARATORS) + t for t in tokens[1:])
+        pad = rnd.choice(["", " ", newline])
+        return "[" + pad + text + ("," if bad == "TRAILING" else "") + pad + ("" if bad == "UNTERMINATED" else "]")
+
+    tables_count = rnd.randint(1, 3)
+    if kind == "tables":
+        key, values = "assignment", [rnd.randrange(tables_count) for _ in range(n)]
+        members = [("l", str(l)), ("tables", json.dumps([[0.0, 1.0 + j] + [0.5] * ((1 << l) - 2) for j in range(tables_count)]))]
+    elif kind == "hamming":
+        key, values = "z", [rnd.randrange(1 << l) for _ in range(n)]
+        members = [("l", str(l))]
+    else:
+        key, values = "conjunct_bits", [rnd.randrange(l) for _ in range(n)]
+        members = [("l", str(l)), ("n", str(rnd.randint(1, 5)))]
+    members += [("type", f'"{kind}"'), (key, int_array(values, bad))]
+    # strings that hold brackets or a member's name, and nested lists
+    members += [("label", '"[1, 2]"'), ("note", f'"{key}"'), ("[1, 2] x", "[[1, 2], [3]]")]
+    if data.draw(st.booleans()):  # an escaped quote, so no array is lifted
+        members.append(("escaped", f'"\\"{key}\\": [9]"'))
+    if data.draw(st.booleans()):  # json's other constants
+        members.append(("constants", "[NaN, -Infinity]"))
+    members = data.draw(st.permutations(members))
+    if data.draw(st.booleans()):  # json keeps the last of two equal names
+        members = [(key, int_array([0] * n))] + list(members)
+    colon = data.draw(st.sampled_from([":", ": ", " :\t", ":" + newline]))
+    text = "{" + newline + ("," + newline).join(f'"{name}"{colon}{value}' for name, value in members) + newline + "}"
+    if data.draw(st.booleans()):
+        text = "\ufeff" + text
+    return text, l
+
+
+class TestLoadQueryScan:
+    """load_query reads long per-row integer arrays with the byte scan; every
+    result and error must be the one json's own parse gives."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), lift_min=st.sampled_from([0, 64]), block_bytes=st.sampled_from([16, 1 << 15]))
+    def test_valid_file_equals_json_path(self, data, lift_min, block_bytes):
+        text, l = _query_text(data)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            core, "_LIFT_MIN_BYTES", lift_min
+        ), mock.patch.object(core, "_SCAN_BLOCK_BYTES", block_bytes):
+            path = os.path.join(tmp, "q.json")
+            with open(path, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+            if lift_min == 0 and "\\" not in text and "NaN" not in text:  # the scan reads the arrays
+                spec = _read_json_int_arrays(path, _INT_ARRAY_FIELDS)
+                key = next(k for k in _INT_ARRAY_FIELDS if k in spec)
+                assert isinstance(spec[key], np.ndarray) and spec[key].dtype == np.int64
+            _assert_same(_load(path), _json_path(path), l)
+
+    @pytest.mark.parametrize("bad", _BAD_ELEMENTS)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(), lift_min=st.sampled_from([0, 64]))
+    def test_out_of_grammar_file_equals_json_path(self, bad, data, lift_min):
+        text, l = _query_text(data, bad)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(core, "_LIFT_MIN_BYTES", lift_min):
+            path = os.path.join(tmp, "q.json")
+            with open(path, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+            expected = _json_path(path)
+            _assert_same(_load(path), expected, l)
+        if bad == "true":
+            assert isinstance(expected, ValidationError) and "booleans" in str(expected)
+
+    def test_syntax_error_after_long_array_keeps_json_message(self, tmp_path):
+        path = tmp_path / "q.json"
+        line = '"assignment": [' + ", ".join(["0"] * 10**5) + "] x"
+        path.write_text('{"type": "tables", "l": 1, "tables": [[0.0, 1.0]],\n' + line + "}")
+        with pytest.raises(ValidationError) as info:
+            load_query(path)
+        assert str(info.value) == str(_json_path(path))
+        # the position is in the file's own text, not in the text json saw
+        # with the array lifted out
+        assert f"line 2 column {len(line)}" in str(info.value)
+
+    def test_long_array_read_by_scan(self, tmp_path):
+        path = tmp_path / "q.json"
+        assignment = np.random.default_rng(3).integers(0, 1000, size=10**5)
+        tables = np.random.default_rng(4).random((1000, 8))
+        path.write_text(json.dumps({"type": "tables", "l": 3, "tables": tables.tolist(), "assignment": assignment.tolist()}))
+        spec = _read_json_int_arrays(path, _INT_ARRAY_FIELDS)
+        assert spec["assignment"].dtype == np.int64 and np.array_equal(spec["assignment"], assignment)
+        _assert_same(load_query(path), _json_path(path), 3)
+
+    def test_peak_memory_near_int64_array(self, tmp_path):
+        # the json path's list of 10**6 Python ints alone is over 30 MB
+        n = 10**6
+        path = tmp_path / "q.json"
+        tables = [[0.0, 1.0 + j / 1000] for j in range(1000)]
+        assignment = ", ".join(map(str, np.repeat(np.arange(1000), n // 1000).tolist()))
+        path.write_text(f'{{"type": "tables", "l": 1, "tables": {json.dumps(tables)}, "assignment": [{assignment}]}}')
+        tracemalloc.start()
+        try:
+            q = load_query(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.n == n
+        # about 2.9x: the file's bytes, a copy of the array's text, and the
+        # int64 array, which the first block's prediction overshoots (the
+        # first rows hold fewer digits) until its final trim
+        assert peak <= 3.5 * n * 8
