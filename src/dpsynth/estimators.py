@@ -48,7 +48,6 @@ from .mechanism import MechanismParams, log_pmf_all_outputs, sample_histograms
 from .queries import StatisticalQuery
 
 ACHIEVABLE_CAP = 10**6
-_ENUM_ACHIEVABLE_BIT_CAP = 16
 
 ESTIMATORS = ("unbiased", "proper")
 MEASURES = ("squared", "absolute")
@@ -103,36 +102,35 @@ def _distinct(values: np.ndarray, tol: float) -> np.ndarray:
 def achievable_values(q: StatisticalQuery, cap: int = ACHIEVABLE_CAP) -> np.ndarray:
     """Sorted array of every value q can take on a real database.
 
-    Linear queries are handled by dynamic programming over row counts per
-    table value; general heterogeneous queries fall back to exhaustive
-    enumeration when n*l is small and error out otherwise (their achievable
-    set is generically exponential). Sums that are equal in exact arithmetic
-    can round differently (0.1 + 0.2 vs 0.3), so on either path values
-    within 1e-12 * n * max|table| (before normalization) count as one.
+    One dynamic program over the query's tables, each seeded with the
+    distinct sums of the tables before it. Per table value, state t holds
+    the distinct sums with t of the table's rows assigned so far; the last
+    value takes the rest. Sums that are equal in exact arithmetic can round
+    differently (0.1 + 0.2 vs 0.3), so values within 1e-12 * n * max|table|
+    (before normalization) count as one. The cap counts one value's merged
+    states as they are built, each target left counting one sum, and raises
+    as soon as they exceed it, so no step holds much more than ``cap`` sums.
     """
     _check_single(q, "achievable_values")
-    n = q.n
-    tol = 1e-12 * n * float(np.abs(q.tables).max())
-    if q.heterogeneity == 1:
-        # states map rows used -> distinct partial sums; each distinct table
-        # value may be assigned to any number of remaining rows, and the last
-        # value must absorb the rest
-        values = np.unique(q.tables[0])
-        states = {0: np.zeros(1)}
+    tol = 1e-12 * q.n * float(np.abs(q.tables).max())
+    sums = np.zeros(1)
+    for table, count in zip(q.tables, q._counts.astype(np.int64).tolist()):
+        values = np.unique(table).tolist()
+        states = [sums]
         for idx, v in enumerate(values):
-            last = idx == values.size - 1
-            parts: dict[int, list] = {}
-            for used, sums in states.items():
-                for m in ([n - used] if last else range(n - used + 1)):
-                    parts.setdefault(used + m, []).append(sums + float(v) * m)
-            states = {used: _distinct(np.concatenate(ps), tol) for used, ps in parts.items()}
-            if sum(sums.size for sums in states.values()) > cap:
-                raise EnumerationTooLargeError(
-                    f"achievable-value set exceeds the cap of {cap} distinct sums"
-                )
-        return states[n] / q.c_sum
-    rows = all_databases_matrix(q.universe, n, bit_cap=_ENUM_ACHIEVABLE_BIT_CAP)
-    return _distinct(q.evaluate_rows(rows), tol / q.c_sum)
+            targets = range(count + 1) if idx < len(values) - 1 else [count]
+            built, total = [], 0
+            for t in targets:
+                parts = [s + v * (t - u) for u, s in enumerate(states[: t + 1])]
+                built.append(_distinct(np.concatenate(parts), tol))
+                total += built[-1].size
+                if total + len(targets) - len(built) > cap:
+                    raise EnumerationTooLargeError(
+                        f"achievable-value set exceeds the cap of {cap} distinct sums"
+                    )
+            states = built
+        sums = states[-1]
+    return sums / q.c_sum
 
 
 def project_proper(q: StatisticalQuery, raw: float, strategy: str = "interval_clamp") -> float:

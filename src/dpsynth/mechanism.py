@@ -147,9 +147,20 @@ def sample_rows(rows: np.ndarray, params: MechanismParams, gen: np.random.Genera
     2**l - 1 other values are reachable. At l = 1 the alternative is the
     other bit, so the result is ``rows`` with the flipped entries inverted,
     in the dtype of ``rows``; otherwise it is int64.
+
+    Below IDENTITY_EPSILON, an epsilon at which keep_prob rounds to 1.0
+    raises ValidationError: every row would be kept, an infinite privacy
+    loss at a finite nominal epsilon.
     """
     card = params.universe.cardinality
-    keep = _keep_mask(gen, (trials, rows.size), params.keep_prob)
+    keep_prob = params.keep_prob
+    if keep_prob == 1.0 and not params.is_identity:
+        raise ValidationError(
+            f"epsilon={params.epsilon} at l={params.universe.l} rounds the keep probability "
+            f"to 1, so the release would be its input; use a smaller epsilon, or "
+            f"epsilon >= {IDENTITY_EPSILON} for the documented identity"
+        )
+    keep = _keep_mask(gen, (trials, rows.size), keep_prob)
     if card == 2:
         # the alternatives are gen.integers(0, 1, ...): all 0, and drawn
         # without consuming the stream, so skipping them changes no draw

@@ -136,6 +136,40 @@ class TestReleaseEstimate:
         assert 0.0 <= float(out.strip()) <= 1.0
 
 
+    def test_proper_exact_range_on_multi_table_query(self, tmp_path, capsys):
+        # a hamming query with four tables, n * l = 128
+        db_path = tmp_path / "synthetic.txt"
+        write_database_codes(Database(DataUniverse(2), np.arange(64) % 3), db_path)
+        query_path = tmp_path / "q.json"
+        query_path.write_text(json.dumps({"type": "hamming", "l": 2, "z": [i % 4 for i in range(64)]}))
+        code, out, err = run_cli(
+            capsys,
+            "estimate", "--input", str(db_path), "--query", str(query_path),
+            "--epsilon", "1.0", "--estimator", "proper", "--projection", "exact_range",
+        )
+        assert code == 0, err
+        assert float(out) * 64 == round(float(out) * 64)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["release", "--input", "db.txt", "--output", "o.txt", "--l", "1"],
+            ["graph-cut", "--edges", "g.txt", "--cut", "cut.txt"],
+        ],
+        ids=["release", "graph-cut"],
+    )
+    def test_epsilon_whose_keep_prob_rounds_to_one_exit_2(self, tmp_path, capsys, argv):
+        # l = 1 at eps = 40 < 700: every row would be kept
+        (tmp_path / "db.txt").write_text("0\n1\n")
+        (tmp_path / "g.txt").write_text("0 1\n")
+        (tmp_path / "cut.txt").write_text("0\n1\n")
+        argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+        code, _, err = run_cli(capsys, *argv, "--epsilon", "40")
+        assert code == 2
+        assert err.startswith("error[validation]: epsilon=40.0 at l=1")
+        assert not (tmp_path / "o.txt").exists()
+
+
 class TestSeed:
     N = 10**4
     # sha256 of the release of ``i % 8`` (i < 10^4), l = 3, eps = 1, --seed 7,

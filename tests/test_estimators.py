@@ -1,4 +1,7 @@
+import hashlib
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from dpsynth.core import (
     all_databases_matrix,
 )
 from dpsynth.estimators import (
+    _distinct,
     _distortion_bound,
     _mean_and_stderr,
     achievable_values,
@@ -27,12 +31,20 @@ from dpsynth.mechanism import MechanismParams, log_pmf_all_outputs
 from dpsynth.queries import (
     StatisticalQuery,
     generate_random_query,
+    make_hamming_query,
     make_predicate_query,
 )
 
 
 def db(l, rows):
     return Database(DataUniverse(l), np.asarray(rows, dtype=np.int64))
+
+
+def enumerated_achievable_values(q):
+    """Every answer of q over every database, enumerated, with sums within
+    achievable_values' tolerance merged: the reference for its DP."""
+    tol = 1e-12 * q.n * float(np.abs(q.tables).max()) / q.c_sum
+    return _distinct(q.evaluate_rows(all_databases_matrix(q.universe, q.n)), tol)
 
 
 def random_micro_instance(seed, max_bits=10):
@@ -113,18 +125,63 @@ class TestProjection:
         assert project_proper(q, 9.0, "exact_range") == 1.0
 
     def test_achievable_dp_matches_enumeration(self):
-        # the DP and brute enumeration sum in different orders, so identical
-        # achievable values can differ in the last ulp; compare as sets with
-        # a tolerance
-        for seed in range(5):
-            q = generate_random_query(DataUniverse(2), 3, 1, RandomSource(seed, 7))
-            rows = all_databases_matrix(DataUniverse(2), 3)
-            brute = np.unique(q.evaluate_rows(rows))
+        # the DP and the enumeration sum in different orders, so identical
+        # achievable values can differ in the last bits; both merge sums
+        # within the same tolerance, so the sets have the same size
+        gen = RandomSource(7).generator()
+        queries = [generate_random_query(DataUniverse(2), 3, 1, RandomSource(seed, 7)) for seed in range(5)]
+        for seed in range(20):
+            l = int(gen.integers(1, 4))
+            n = int(gen.integers(2, 10 // l + 1))
+            h = int(gen.choice([h for h in range(2, n + 1) if n % h == 0]))
+            queries.append(generate_random_query(DataUniverse(l), n, h, RandomSource(seed, 8)))
+        # sums that are equal up to rounding, over tables of unequal counts
+        queries.append(
+            StatisticalQuery(DataUniverse(2), [[0.1, 0.2, 0.3, 0.0], [0.3, 0.0, 0.1, 0.1]], [0, 1, 0, 1, 1])
+        )
+        for q in queries:
+            brute = enumerated_achievable_values(q)
             dp = achievable_values(q)
-            for v in brute:
-                assert np.abs(dp - v).min() < 1e-9
-            for v in dp:
-                assert np.abs(brute - v).min() < 1e-9
+            assert dp.size == brute.size
+            assert np.abs(dp - brute).max() <= 1e-12
+
+    # sha256 of achievable_values(q).tobytes() for one-table queries, taken
+    # from the per-value DP that preceded the per-table one: the DP over
+    # tables must reproduce its floats bit for bit
+    ONE_TABLE_PINS = [
+        (("random", 1, 5, 0), "88731f4df9b7d6e45d20637af19c2a6509141d4b3657b8cca70ecad5e7d80114"),
+        (("random", 1, 17, 1), "bb2a2d22b26fdd8cc0b164f5bc355901f6eb23ccd062e945c57b7aebb0527537"),
+        (("random", 2, 3, 2), "4b99a7d8c9e374a21e11661bcb2e61d6389b1951bd9e385592c3c6c505151638"),
+        (("random", 2, 9, 3), "832487d429a41df409b1ffc10f4f6d5f509d37997e23b6c49dbb91a5b8e09694"),
+        (("random", 2, 14, 4), "8b1517cc736eda64738f191b184d79aef81b712b39ffece1b304ade5b2310211"),
+        (("random", 3, 4, 5), "a58f3ad9c03017ac275dd66038132c91e16aa896bbeb419efdb1c8c5424aafa4"),
+        (("random", 3, 7, 6), "554737defb23c2c1a25316412b3f14c48432c4beee5e7664f9ecaacbb8cd743b"),
+        (("random", 3, 10, 7), "62c434943500251b8a07909ab53ce1ca427ee130aa10ef814c1a30786b4e23db"),
+        (("random", 4, 3, 8), "1d569040189d6de40d307bcebc3d38992e7613bc2fd59536ca18f1a4fdef3072"),
+        (("random", 4, 5, 9), "fa85b41dfb0bad557e9bb3682c486552e30e6c96b7ce1864b3b49cbdca0b0081"),
+        (("random", 1, 39, 10), "90a92be24e15ee0cc75916b1e1a3dc2ef9778a5a98516f8321e9dd228ec1f0d1"),
+        (("random", 2, 25, 11), "660f96815c82ab3cea9a7638d349170d31d509c89ef09b1e90e7824f89666fa5"),
+        (("predicate", 1, 1, [0]), "fc62429c3e69001d65972cdeb94fb9aa18a7d9c16bc449e1e474e7e41bb95a7d"),
+        (("predicate", 2, 33, [1]), "13b45639766cdaf100cebc35c140c300a54c365288594345337db0c9d6604c7b"),
+        (("predicate", 3, 100, [0, 2]), "6ff5a490c4af336396f71333a00dc29634990e3634707582f53174ca62b498b2"),
+        (("predicate", 3, 1000, [0]), "53485b9d5d16c7af8d1141d6fe0fc5cef936f58b6739027906a55c56d0090cd5"),
+        (("predicate", 5, 257, [4]), "16727ec1add4f1ea887ff31a8c8fc231c1494c52b49b5d509beb529da7bc870b"),
+        (("table", 2, 3, None), "de9c58ba57fa169478018f5cf8794170fd239106787cd1d723347c2d6e8d0e0c"),
+        (("table", 2, 20, None), "7543cea8b0340a6716c24f97a46bc6ea95fd2b5492589e328ff9f509d28dd2f5"),
+        (("table", 2, 37, None), "ef8f49fda8a27ea98117aba6e08d2ae8573f168a99d8f687497c5ab6426234fd"),
+    ]
+
+    @pytest.mark.parametrize("case,digest", ONE_TABLE_PINS)
+    def test_one_table_achievable_bytes_pinned(self, case, digest):
+        kind, l, n, arg = case
+        u = DataUniverse(l)
+        if kind == "random":
+            q = generate_random_query(u, n, 1, RandomSource(arg, 17))
+        elif kind == "predicate":
+            q = make_predicate_query(u, n, arg)
+        else:
+            q = StatisticalQuery(u, [[0.1, 0.2, 0.3, 0.0]], [0] * n)
+        assert hashlib.sha256(achievable_values(q).tobytes()).hexdigest() == digest
 
     def test_achievable_merges_sums_equal_up_to_rounding(self):
         # 0.1 + 0.2 and 0.3 + 0.0 round differently; both are 1/3 of the range
@@ -142,7 +199,7 @@ class TestProjection:
 
     def test_heterogeneous_achievable_merges_sums_equal_up_to_rounding(self):
         # 0.1 + 0.2 and 0.3 + 0.0 (and 0.1 + 0.2 + 0.3 and 0.3 + 0.0 + 0.3)
-        # round differently; the enumerated set has 6 values, not 8
+        # round differently; the achievable set has 6 values, not 8
         q = StatisticalQuery(DataUniverse(1), [[0.1, 0.3], [0.2, 0.0], [0.0, 0.3]], [0, 1, 2])
         vals = achievable_values(q)
         assert vals.size == 6
@@ -154,14 +211,38 @@ class TestProjection:
         with pytest.raises(EnumerationTooLargeError):
             achievable_values(q)
 
+    def test_cap_bounds_memory_of_a_refused_query(self):
+        # 8 distinct values over 400 rows: far more than 10**6 sums. The cap
+        # is checked as each merged state is built, not after a value's step
+        q = generate_random_query(DataUniverse(3), 400, 1, RandomSource(5))
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationTooLargeError):
+                achievable_values(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_table_longer_than_cap_fails_fast(self):
+        q = make_predicate_query(DataUniverse(3), 10**6, [0])
+        start = time.perf_counter()
+        with pytest.raises(EnumerationTooLargeError):
+            achievable_values(q)
+        assert time.perf_counter() - start < 0.5
+
+    def test_multi_table_query_beyond_enumeration(self):
+        # four tables of 250 rows each, n * l = 2000
+        z = Database(DataUniverse(2), np.arange(1000) % 4)
+        vals = achievable_values(make_hamming_query(z))
+        assert np.array_equal(vals, np.arange(1001) / 1000)
+
     @pytest.mark.parametrize("strategy", ["interval_clamp", "exact_range"])
     @pytest.mark.parametrize("seed", range(6))
     def test_pointwise_factor_two(self, strategy, seed):
         # whenever q(x) is in the projection set, projecting at most doubles
         # the pointwise error
         q, x, params = random_micro_instance(seed, max_bits=8)
-        if strategy == "exact_range" and q.heterogeneity > 1:
-            pytest.skip("exact range only enumerable for this instance shape")
         rows = all_databases_matrix(x.universe, x.n)
         qx = q.evaluate(x)
         for r in rows[:: max(1, rows.shape[0] // 64)]:

@@ -11,6 +11,7 @@ from dpsynth.core import (
     DimensionMismatchError,
     EnumerationTooLargeError,
     RandomSource,
+    ValidationError,
     all_databases_matrix,
     enumerate_databases,
     hamming_distance,
@@ -83,6 +84,23 @@ class TestSampler:
         assert y == x
         rows = sample_rows(x.rows, MechanismParams(1e4, DataUniverse(3)), RandomSource(2).generator(), 4)
         assert (rows == x.rows).all()
+
+    @pytest.mark.parametrize("l", [1, 30])
+    def test_keep_prob_rounded_to_one_refused(self, l):
+        # below the identity boundary, a keep probability of exactly 1.0
+        # would publish the input at a finite nominal eps
+        p = MechanismParams(699.9, DataUniverse(l))
+        assert p.keep_prob == 1.0 and not p.is_identity
+        with pytest.raises(ValidationError, match=f"epsilon=699.9 at l={l}"):
+            sample_rows(np.zeros(4, dtype=np.int64), p, RandomSource(0).generator(), 1)
+
+    def test_eps_just_below_rounding_still_samples(self):
+        # l = 1: keep_prob rounds to 1.0 from about eps = 36.74; at 36.7 it
+        # is below 1, and about one row in 10**16 flips
+        x = db(1, [0, 1, 1, 0])
+        p = MechanismParams(36.7, DataUniverse(1))
+        assert p.keep_prob < 1.0
+        assert sample_synthetic(x, p, RandomSource(3)) == x
 
     def test_release_rows_own_and_read_only(self):
         x = db(3, [0, 5, 7, 2, 2])
