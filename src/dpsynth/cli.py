@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 
 import numpy as np
 
 from . import bounds as bounds_mod
-from .core import Database, DataUniverse, RandomSource, ValidationError, _read_int_rows
+from .core import Database, DataUniverse, DimensionMismatchError, RandomSource, ValidationError, _read_int_rows
 from .estimators import ESTIMATORS, PROJECTIONS, estimate_unbiased, project_proper
 from .graph import answer_cut, read_cut_spec, read_edge_list, release_graph, vertex_count
 from .harness import _write_csv, fit_loglog_slope, ingest_csv, load_config, run_experiment
@@ -34,10 +35,20 @@ from .queries import load_query
 
 
 def read_database_codes(path, l: int) -> Database:
-    """Plain database file: one integer row code per line, '#' comments allowed."""
+    """Plain database file: one integer row code per line, '#' comments allowed.
+
+    A first line that is exactly the ``# l=.. n=..`` header of
+    ``write_database_codes`` must name l and the number of codes read."""
+    with open(path, "rb") as fh:
+        header = re.fullmatch(rb"# l=(\d+) n=(\d+)\r?\n", fh.readline(64))
     codes = _read_int_rows(path, 1, 0)
     if codes.size == 0:
         raise ValidationError(f"{path}: no rows")
+    if header and (int(header[1]), int(header[2])) != (l, codes.size):
+        raise DimensionMismatchError(
+            f"{path}: header '{header[0].decode().strip()}' does not match l={l} "
+            f"and the {codes.size} codes read"
+        )
     return Database._adopt(DataUniverse(l), codes.reshape(-1))
 
 

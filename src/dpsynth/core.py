@@ -32,9 +32,8 @@ from typing import Iterator
 import numpy as np
 
 MAX_ATTRIBUTES = 30
-ENUMERATION_BIT_CAP = 24
-# n*l cap of every exact check over the full output distribution: the exact
-# distortion, the oracle's distribution and verify_dp
+# n*l cap of every exhaustive enumeration: the enumerators, and through them
+# the exact distortion, the oracle's distribution and verify_dp
 EXACT_BIT_CAP = 12
 
 
@@ -538,7 +537,7 @@ def is_neighbor(x: Database, y: Database) -> bool:
     return hamming_distance(x, y) == 1
 
 
-def enumeration_size(universe: DataUniverse, n: int, bit_cap: int = ENUMERATION_BIT_CAP) -> int:
+def enumeration_size(universe: DataUniverse, n: int, bit_cap: int = EXACT_BIT_CAP) -> int:
     """Validate n*l against the cap and return 2**(n*l)."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise ValidationError(f"database size must be an integer, got {n!r}")
@@ -552,29 +551,18 @@ def enumeration_size(universe: DataUniverse, n: int, bit_cap: int = ENUMERATION_
     return 1 << bits
 
 
-def _decode(universe: DataUniverse, n: int, start: int, stop: int) -> np.ndarray:
-    """(stop - start, n) rows of the database codes start .. stop - 1."""
-    codes = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((codes.size, n), dtype=np.int64)
-    mask = universe.cardinality - 1
-    for r in range(n):
-        out[:, r] = (codes >> (universe.l * r)) & mask
-    return out
-
-
-def all_databases_matrix(universe: DataUniverse, n: int, bit_cap: int = ENUMERATION_BIT_CAP) -> np.ndarray:
+def all_databases_matrix(universe: DataUniverse, n: int, bit_cap: int = EXACT_BIT_CAP) -> np.ndarray:
     """Matrix of shape (2**(n*l), n) whose k-th row decodes database code k.
 
     Database code k packs row i into bits [l*i, l*(i+1)). The matrix is the
     workhorse of every exact-enumeration oracle in the package.
     """
-    return _decode(universe, n, 0, enumeration_size(universe, n, bit_cap))
+    codes = np.arange(enumeration_size(universe, n, bit_cap), dtype=np.int64)
+    shifts = universe.l * np.arange(n, dtype=np.int64)
+    return (codes[:, None] >> shifts) & (universe.cardinality - 1)
 
 
 def enumerate_databases(universe: DataUniverse, n: int) -> Iterator[Database]:
     """Yield every database in (D^n), each exactly once, in code order."""
-    size = enumeration_size(universe, n)
-    chunk = 1 << 16
-    for start in range(0, size, chunk):
-        for row in _decode(universe, n, start, min(start + chunk, size)):
-            yield Database(universe, row)
+    for row in all_databases_matrix(universe, n):
+        yield Database(universe, row)

@@ -35,7 +35,6 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .core import (
-    EXACT_BIT_CAP,
     Database,
     DimensionMismatchError,
     EnumerationTooLargeError,
@@ -195,14 +194,16 @@ def exact_distortion(
     """Expected distortion by full enumeration of the output distribution."""
     _check_enums(estimator, measure, projection)
     _check_single(q, "exact_distortion")
+    if params.universe != q.universe:
+        raise DimensionMismatchError("mechanism parameters and query use different universes")
     q._check(x)
-    enumeration_size(x.universe, x.n, EXACT_BIT_CAP)  # the cap holds at the identity too
+    enumeration_size(x.universe, x.n)  # the cap holds at the identity too
     if params.is_identity:
         # Y = x with probability 1; the log-space pmf would give e^-eps > 0 off x
         rows, probs = x.rows[None, :], np.ones(1)
     else:
-        rows = all_databases_matrix(x.universe, x.n, bit_cap=EXACT_BIT_CAP)
-        probs = np.exp(log_pmf_all_outputs(x, params, rows_matrix=rows))
+        rows = all_databases_matrix(x.universe, x.n)
+        probs = np.exp(log_pmf_all_outputs(x, params))
     err = _estimates(q, q.evaluate_rows(rows), params, estimator, projection) - q.evaluate(x)
     rho = err * err if measure == "squared" else np.abs(err)
     return float(probs @ rho)

@@ -54,7 +54,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    EXACT_BIT_CAP,
     Database,
     DataUniverse,
     DimensionMismatchError,
@@ -63,7 +62,7 @@ from .core import (
     ValidationError,
     all_databases_matrix,
     enumeration_size,
-    _check_compatible,
+    hamming_distance,
 )
 
 # exp(-eps) is below 1e-304 here; MechanismParams stores it as exact 0, so the
@@ -219,22 +218,15 @@ def exact_log_pmf(x: Database, y: Database, params: MechanismParams) -> float:
     """log Pr[Y = y | x] = -eps * d(x, y) - n * log g(eps)."""
     if x.universe != params.universe:
         raise DimensionMismatchError("database universe does not match mechanism parameters")
-    _check_compatible(x, y)
-    d = int(np.count_nonzero(x.rows != y.rows))
-    return -params.epsilon * d - x.n * params.log_g
+    return -params.epsilon * hamming_distance(x, y) - x.n * params.log_g
 
 
-def log_pmf_all_outputs(x: Database, params: MechanismParams, rows_matrix: np.ndarray | None = None) -> np.ndarray:
-    """Vector of log Pr[Y = y | x] over every output code, in code order.
-
-    ``rows_matrix`` may pass a precomputed ``all_databases_matrix`` to share
-    the enumeration across calls.
-    """
+def log_pmf_all_outputs(x: Database, params: MechanismParams) -> np.ndarray:
+    """Vector of log Pr[Y = y | x] over every output code, in code order:
+    the order of ``all_databases_matrix``."""
     if x.universe != params.universe:
         raise DimensionMismatchError("database universe does not match mechanism parameters")
-    if rows_matrix is None:
-        rows_matrix = all_databases_matrix(x.universe, x.n)
-    dists = (rows_matrix != x.rows).sum(axis=1)
+    dists = (all_databases_matrix(x.universe, x.n) != x.rows).sum(axis=1)
     return -params.epsilon * dists - x.n * params.log_g
 
 
@@ -248,7 +240,7 @@ def _distance_matrix(l: int, n: int) -> np.ndarray:
     output plus the previous matrix, 1/4 of it or less. The cap is checked
     before anything is allocated.
     """
-    enumeration_size(DataUniverse(l), n, bit_cap=EXACT_BIT_CAP)
+    enumeration_size(DataUniverse(l), n)
     card = 1 << l
     differ = np.ones((card, card), dtype=np.int8)
     np.fill_diagonal(differ, 0)

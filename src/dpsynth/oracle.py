@@ -75,7 +75,7 @@ def exact_distribution(x: Database, params) -> ExactDistribution:
     output is recomputed here and the distribution is normalized numerically,
     independent of the mechanism module's closed form.
     """
-    rows = all_databases_matrix(x.universe, x.n, bit_cap=EXACT_BIT_CAP)
+    rows = all_databases_matrix(x.universe, x.n)
     dists = np.zeros(rows.shape[0])
     for i in range(x.n):
         dists += rows[:, i] != int(x.rows[i])
@@ -328,7 +328,7 @@ def run_verification_suite() -> list[tuple[str, bool, str]]:
         x = Database(universe, gen.integers(0, universe.cardinality, size=n))
         params = MechanismParams(eps, universe)
         dist = exact_distribution(x, params)
-        rows = all_databases_matrix(universe, n, bit_cap=EXACT_BIT_CAP)
+        rows = all_databases_matrix(universe, n)
         probs = np.exp(dist.log_probs)
         est = np.array(
             [estimate_unbiased(q, Database(universe, row), params) for row in rows]
@@ -348,8 +348,7 @@ def run_verification_suite() -> list[tuple[str, bool, str]]:
     params = MechanismParams(eps, universe)
     kernel = symmetric_row_kernel(universe, params.keep_prob)
     transition = _full_transition(rows, kernel)
-    ok = True
-    detail = ""
+    worst_excess = -math.inf
     for z in rows:
         q = make_hamming_query(Database(universe, z))
         answers = q.evaluate_rows(rows)
@@ -362,11 +361,14 @@ def run_verification_suite() -> list[tuple[str, bool, str]]:
                 for xr in rows
             ]
         )
-        gap = float((cm - companion).max())
-        if gap > 1e-10:
-            ok = False
-        detail = f"max (conditional-mean - companion) distortion gap {gap:.3e}"
-    results.append(("conditional mean dominates the companion estimator per input", ok, detail))
+        worst_excess = max(worst_excess, float((cm - companion).max()))
+    results.append(
+        (
+            "conditional mean dominates the companion estimator per input",
+            worst_excess <= 1e-10,
+            f"max (conditional-mean - companion) distortion gap {worst_excess:.3e}",
+        )
+    )
 
     report = micro_minimax_report(universe, 2, 1.0)
     results.append(

@@ -94,7 +94,7 @@ def test_criterion_02_unbiasedness():
         for seed in range(100):
             q, x, params = micro_instance(seed)
             rows = all_databases_matrix(x.universe, x.n)
-            probs = np.exp(log_pmf_all_outputs(x, params, rows_matrix=rows))
+            probs = np.exp(log_pmf_all_outputs(x, params))
             estimates = params.scale * q.evaluate_rows(rows) - params.shift * q.centering
             assert abs(float(probs @ estimates) - q.evaluate(x)) <= 1e-10
 
@@ -139,9 +139,8 @@ def test_criterion_04_factor_four_quantization():
             lo, hi = q.value_range()
             clamped = np.clip(raw, lo, hi)
             assert (np.abs(clamped - qx) <= 2.0 * np.abs(raw - qx) + 1e-12).all()
-            if q.heterogeneity == 1 and x.n * x.universe.l <= 8:
-                projected = np.array([project_proper(q, r, "exact_range") for r in raw])
-                assert (np.abs(projected - qx) <= 2.0 * np.abs(raw - qx) + 1e-12).all()
+            projected = np.array([project_proper(q, r, "exact_range") for r in raw])
+            assert (np.abs(projected - qx) <= 2.0 * np.abs(raw - qx) + 1e-12).all()
 
             unbiased_bound = upper_bound_squared(
                 BoundInputs(n=x.n, l=x.universe.l, epsilon=params.epsilon, a=q.a, b=q.b, c=q.c)
@@ -245,7 +244,7 @@ def test_criterion_08_cut_release():
             u = DataUniverse(1)
             params = MechanismParams(1.0, u)
             rows = all_databases_matrix(u, v * v)
-            probs = np.exp(log_pmf_all_outputs(x, params, rows_matrix=rows))
+            probs = np.exp(log_pmf_all_outputs(x, params))
             q = CutQuery(frozenset(s_set), frozenset(t_set))
             truth = cut_value(x, q)
             errors = np.array([abs(answer_cut(Database(u, r), q, 1.0) - truth) for r in rows])

@@ -227,6 +227,40 @@ class TestReadDatabaseCodes:
         assert np.array_equal(x.rows, codes) and not x.rows.flags.writeable
         assert peak <= 1.3 * x.rows.nbytes
 
+    # the release of a 4-row database at l = 2, estimated at l = 3, or cut
+    # short and released again: both read a wrong database without the check
+    @pytest.mark.parametrize(
+        "text,command",
+        [
+            ("# l=2 n=4\n0\n1\n2\n3\n", "estimate"),
+            ("# l=2 n=4\r\n0\r\n1\r\n2\r\n3\r\n", "estimate"),
+            ("# l=2 n=4\n0\n1\n2\n", "release"),
+        ],
+        ids=["other-l", "crlf-other-l", "truncated"],
+    )
+    def test_header_mismatch_exits_2(self, tmp_path, capsys, text, command):
+        db_path = tmp_path / "synthetic.txt"
+        db_path.write_bytes(text.encode())
+        if command == "estimate":
+            query_path = tmp_path / "q.json"
+            query_path.write_text(json.dumps({"type": "predicate", "l": 3, "n": 4, "conjunct_bits": [0]}))
+            args = ["--query", str(query_path)]
+        else:
+            args = ["--l", "2", "--output", str(tmp_path / "out.txt")]
+        code, out, err = run_cli(capsys, command, "--input", str(db_path), "--epsilon", "1.0", *args)
+        assert (code, out) == (2, "")
+        assert err.startswith("error[dimension-mismatch]") and "# l=2 n=4" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["# l=2 n=4\n0\n1\n2\n3\n", "0\n1\n2\n3\n", "# l=3 n=4 eps=1\n0\n1\n2\n3\n", "0\n# l=3 n=9\n1\n2\n3\n"],
+        ids=["matching-header", "headerless", "other-comment", "header-not-first"],
+    )
+    def test_files_without_a_mismatched_header_read(self, tmp_path, text):
+        path = tmp_path / "codes.txt"
+        path.write_bytes(text.encode())
+        assert list(read_database_codes(path, 2).rows) == [0, 1, 2, 3]
+
 
 class TestWriteDatabaseCodes:
     @pytest.mark.parametrize("n", [1, 2**14 + 1, 2**16 - 1, 2**16, 2**16 + 1])

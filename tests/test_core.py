@@ -138,6 +138,21 @@ class TestNeighbors:
         assert not is_neighbor(x, x)
 
 
+def _log_pmf_outputs(u, n):
+    from dpsynth.mechanism import MechanismParams, log_pmf_all_outputs
+
+    return log_pmf_all_outputs(Database(u, np.zeros(n, dtype=np.int64)), MechanismParams(1.0, u)).size
+
+
+# the number of databases each public enumerator walks
+ENUMERATION_COUNTS = {
+    "enumeration_size": core.enumeration_size,
+    "all_databases_matrix": lambda u, n: all_databases_matrix(u, n).shape[0],
+    "enumerate_databases": lambda u, n: sum(1 for _ in enumerate_databases(u, n)),
+    "log_pmf_all_outputs": _log_pmf_outputs,
+}
+
+
 class TestEnumeration:
     @pytest.mark.parametrize(
         "l,n,expected", [(1, 2, 4), (2, 1, 4), (2, 3, 64), (1, 1, 2), (3, 2, 64)]
@@ -149,6 +164,17 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(EnumerationTooLargeError):
             list(enumerate_databases(DataUniverse(5), 5))
+
+    @pytest.mark.parametrize("count", ENUMERATION_COUNTS.values(), ids=ENUMERATION_COUNTS.keys())
+    @pytest.mark.parametrize("l,n", [(1, 12), (3, 4), (12, 1)])
+    def test_every_enumerator_reaches_twelve_bits(self, count, l, n):
+        assert count(DataUniverse(l), n) == 1 << 12
+
+    @pytest.mark.parametrize("count", ENUMERATION_COUNTS.values(), ids=ENUMERATION_COUNTS.keys())
+    @pytest.mark.parametrize("l,n", [(1, 13), (13, 1)])
+    def test_every_enumerator_refuses_thirteen_bits(self, count, l, n):
+        with pytest.raises(EnumerationTooLargeError, match=r"2\^13 databases exceeds the 2\^12 cap"):
+            count(DataUniverse(l), n)
 
     @pytest.mark.parametrize(
         "call,bad",

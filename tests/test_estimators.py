@@ -92,7 +92,7 @@ class TestUnbiasedEstimator:
     def test_unbiased_by_enumeration(self, seed):
         q, x, params = random_micro_instance(seed)
         rows = all_databases_matrix(x.universe, x.n)
-        probs = np.exp(log_pmf_all_outputs(x, params, rows_matrix=rows))
+        probs = np.exp(log_pmf_all_outputs(x, params))
         scale_est = np.array(
             [estimate_unbiased(q, Database(x.universe, r), params) for r in rows]
         )
@@ -286,6 +286,13 @@ class TestExactDistortion:
         x = db(2, [0] * 8)
         with pytest.raises(EnumerationTooLargeError):
             exact_distortion(q, x, MechanismParams(1.0, DataUniverse(2)))
+
+    @pytest.mark.parametrize("eps", [1.0, 800.0])
+    def test_universe_mismatch(self, eps):
+        q = generate_random_query(DataUniverse(3), 2, 1, RandomSource(0))
+        x = db(3, [1, 6])
+        with pytest.raises(DimensionMismatchError):
+            exact_distortion(q, x, MechanismParams(eps, DataUniverse(5)))
 
 
 class TestMeasureDistortion:

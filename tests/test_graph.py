@@ -214,7 +214,7 @@ class TestAnswerCut:
         u = DataUniverse(1)
         params = MechanismParams(0.8, u)
         rows = all_databases_matrix(u, 4)
-        probs = np.exp(log_pmf_all_outputs(x, params, rows_matrix=rows))
+        probs = np.exp(log_pmf_all_outputs(x, params))
         q = CutQuery(frozenset({0}), frozenset({1}))
         answers = np.array([answer_cut(Database(u, r), q, 0.8) for r in rows])
         assert float(probs @ answers) == pytest.approx(cut_value(x, q), abs=1e-10)
@@ -251,7 +251,7 @@ class TestCutEstimator:
         u = DataUniverse(1)
         params = MechanismParams(1.0, u)
         rows = all_databases_matrix(u, 9)
-        probs = np.exp(log_pmf_all_outputs(x, params, rows_matrix=rows))
+        probs = np.exp(log_pmf_all_outputs(x, params))
         q = cut({0, 1}, {2})
         estimates = np.array([answer_cut(Database(u, r), q, 1.0) for r in rows])
         true_cut = 1.0  # only (1, 2) crosses from S into T

@@ -258,7 +258,7 @@ VERIFY_SHAPES = [(n, l) for l in range(1, 13) for n in range(1, 12 // l + 1)]
 def column_compare_distances(l, n):
     """The Hamming matrix as one comparison per row position over the
     enumerated databases: the plain reference for the block builder."""
-    rows = all_databases_matrix(DataUniverse(l), n, bit_cap=12)
+    rows = all_databases_matrix(DataUniverse(l), n)
     dist = np.zeros((rows.shape[0], rows.shape[0]), dtype=np.int8)
     for col in rows.T:
         dist += col[:, None] != col[None, :]
@@ -425,7 +425,7 @@ class TestSampleHistograms:
         x = Database(u, RandomSource(n, l).generator().integers(0, u.cardinality, size=n))
         params = MechanismParams(eps, u)
         rows = all_databases_matrix(u, n)
-        probs = np.exp(log_pmf_all_outputs(x, params, rows_matrix=rows))
+        probs = np.exp(log_pmf_all_outputs(x, params))
         support = q.histogram(rows).reshape(rows.shape[0], -1)
         trials = 20000
         drawn = sample_histograms(
