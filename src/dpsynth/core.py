@@ -281,8 +281,9 @@ def _scan_stream(fh, size: int, head: bytes, width: int, minimum: int, grammar: 
     (``_scan_block``). A block that leaves ``grammar`` goes to
     ``walk(block, rows before it)``, which returns its (values, row count)
     or raises; without ``walk`` the stream is out of grammar and the result
-    is None. The values go into one int64 array, grown geometrically and
-    trimmed at the end."""
+    is None. The values go into one int64 array, grown geometrically (a
+    fresh uninitialized array that takes the values so far, so no slot is
+    zero-filled) and trimmed at the end."""
     row_end = grammar[1]
     buf = bytearray(_SCAN_PAD + _SCAN_BLOCK_BYTES)
     out = np.empty(0, dtype=np.int64)
@@ -313,7 +314,9 @@ def _scan_stream(fh, size: int, head: bytes, width: int, minimum: int, grammar: 
             # room for the values that the bytes read so far predict for
             # the stream, and a block more; at least an eighth more values
             predicted = (count + values.size) * size // consumed + values.size
-            out.resize(max(predicted, out.size + out.size // 8, count + values.size), refcheck=False)
+            grown = np.empty(max(predicted, out.size + out.size // 8, count + values.size), dtype=np.int64)
+            grown[:count] = out[:count]
+            out = grown
         out[count : count + values.size] = values
         count += values.size
         held = end - cut

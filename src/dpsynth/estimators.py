@@ -74,11 +74,16 @@ def _estimates(
 ):
     """Estimates from plain answers q(y): scale * q(y) - shift * C, projected
     onto achievable answers when the estimator is proper. ``answers`` may
-    carry any leading shape; a batch's answers end in the query axis."""
-    est = params.scale * answers - params.shift * q.centering
+    carry any leading shape; a batch's answers end in the query axis.
+
+    ``answers`` is consumed: an array is debiased in place (a float, one
+    query's ``evaluate``, is rebound), so callers pass the fresh array that
+    ``answers``, ``evaluate`` or ``evaluate_rows`` returned."""
+    answers *= params.scale
+    answers -= params.shift * q.centering
     if estimator == "proper":
-        est = _project_vector(q, est, projection)
-    return est
+        return _project_vector(q, answers, projection)
+    return answers
 
 
 def estimate_unbiased(q: StatisticalQuery, y: Database, params: MechanismParams):
@@ -204,8 +209,9 @@ def exact_distortion(
     else:
         rows = all_databases_matrix(x.universe, x.n)
         probs = np.exp(log_pmf_all_outputs(x, params))
-    err = _estimates(q, q.evaluate_rows(rows), params, estimator, projection) - q.evaluate(x)
-    rho = err * err if measure == "squared" else np.abs(err)
+    err = _estimates(q, q.evaluate_rows(rows), params, estimator, projection)
+    err -= q.evaluate(x)
+    rho = np.square(err, out=err) if measure == "squared" else np.abs(err, out=err)
     return float(probs @ rho)
 
 
@@ -280,13 +286,15 @@ def measure_distortion(
     hist = q.histogram(x.rows)
     qx = q.answers(hist)
     gen = rng.generator()
+    transform = np.square if measure == "squared" else np.abs
     values = np.empty(trials)
     step = q._histograms_per_step()
     for start in range(0, trials, step):
         count = min(step, trials - start)
         synthetic = sample_histograms(hist, params, gen, count)
-        err = _estimates(q, q.answers(synthetic), params, estimator, projection) - qx
-        values[start : start + count] = err * err if measure == "squared" else np.abs(err)
+        err = _estimates(q, q.answers(synthetic), params, estimator, projection)
+        err -= qx
+        transform(err, out=values[start : start + count])
     mean, stderr = _mean_and_stderr(values)
     return DistortionReport(
         query_id=q.label or "query",

@@ -273,12 +273,18 @@ def _release_runs(x: Database, params: MechanismParams, rng: RandomSource, runs:
 
 def _block_summary(errs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(per-cell sum over runs, per-run leave-one-out worst case) of one
-    (runs, cells) block of errors; the second is empty at one run."""
+    (runs, cells) block of errors; the second is empty at one run. The
+    leave-one-out sums overwrite ``errs``, which is consumed; each run's
+    largest is divided by runs - 1 after the max, which rounding, being
+    monotone, leaves bit for bit as dividing every cell first."""
     total = errs[0].copy()
     for row in errs[1:]:  # run by run, as add.reduce sums axis 0 of blocks wider than one cell
         total += row
     runs = len(errs)
-    loo = ((total - errs) / (runs - 1)).max(axis=1) if runs > 1 else np.empty(0)
+    if runs == 1:
+        return total, np.empty(0)
+    loo = np.subtract(total, errs, out=errs).max(axis=1)
+    loo /= runs - 1
     return total, loo
 
 
@@ -290,7 +296,8 @@ def _summarize(blocks, runs: int) -> tuple[float, float, float]:
     query) cell sums its runs in order, not pairwise as the earlier
     whole-array summary did, so its last bits can differ."""
     sums, loos = zip(*map(_block_summary, blocks))
-    means, loo_worst = np.concatenate(sums) / runs, np.max(loos, axis=0)
+    means, loo_worst = np.concatenate(sums), np.max(loos, axis=0)
+    means /= runs
     se = math.sqrt((runs - 1) / runs * ((loo_worst - loo_worst.mean()) ** 2).sum()) if runs > 1 else math.inf
     return float(means.max()), se, float(means.mean())
 
@@ -307,12 +314,18 @@ def _statistical_row(config, point, qs, dbs, releases, params: MechanismParams, 
     """One grid point of a statistical sweep: the errors of the batch qs on
     each database dbs[d], from its (runs, n) released rows releases[d],
     against the closed-form bound of qs's own class constants. The errors
-    are computed and summarized one database at a time."""
+    are computed and summarized one database at a time, each in the one
+    (runs, Q) array its answers arrive in."""
     transform = np.square if measure == "squared" else np.abs
-    errs = (_estimates(qs, qs.evaluate_rows(rows), params, config.estimator) - qs.evaluate(x)
-            for x, rows in zip(dbs, releases))
+
+    def errors():
+        for x, rows in zip(dbs, releases):
+            err = _estimates(qs, qs.evaluate_rows(rows), params, config.estimator)
+            err -= qs.evaluate(x)
+            yield transform(err, out=err)
+
     bound = _distortion_bound(qs, qs.n, params, config.estimator, measure)
-    return _result_row(config, point, (transform(e, out=e) for e in errs), bound)
+    return _result_row(config, point, errors(), bound)
 
 
 def run_heterogeneity_sweep(config: ExperimentConfig, rng: RandomSource) -> list[ResultRow]:
@@ -431,20 +444,6 @@ def fit_loglog_slope(grid, values):
     if grid.size < 2 or (values <= 0).any():
         return None
     return float(np.polyfit(np.log(grid), np.log(values), 1)[0])
-
-
-def weighted_slope(xs, ys, ses) -> tuple[float, float]:
-    """Weighted least-squares slope of ys on xs and its standard error,
-    weighting each point by 1/se^2."""
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    se = np.maximum(np.asarray(ses, dtype=np.float64), 1e-300)
-    w = 1.0 / (se * se)
-    xbar = float((w * x).sum() / w.sum())
-    ybar = float((w * y).sum() / w.sum())
-    sxx = float((w * (x - xbar) ** 2).sum())
-    slope = float((w * (x - xbar) * (y - ybar)).sum() / sxx)
-    return slope, math.sqrt(1.0 / sxx)
 
 
 def load_ingestion_schema(source) -> dict:

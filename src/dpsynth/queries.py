@@ -45,7 +45,8 @@ class StatisticalQuery:
 
     Every evaluation goes through ``histogram`` (the per-(table, code)
     counts of the rows, a sufficient statistic for every query on the same
-    assignment) and ``answers`` (those counts contracted with the tables).
+    assignment) and ``answers`` (those counts contracted with the tables in
+    one matrix product).
 
     Parameters
     ----------
@@ -180,11 +181,17 @@ class StatisticalQuery:
 
     def answers(self, hist: np.ndarray) -> np.ndarray:
         """Answers from per-(table, code) counts ``hist`` (..., k, 2**l):
-        (...) for one query, (..., Q) for a batch."""
-        card = self.universe.cardinality
-        stacked = self.tables.reshape(-1, self.heterogeneity, card)
-        total = np.einsum("...kv,qkv->...q", hist, stacked)
-        return total.reshape(hist.shape[:-2] + self.tables.shape[:-2]) / self.c_sum
+        (...) for one query, (..., Q) for a batch, in a fresh float array.
+        The counts and the tables are contracted in one matrix product, the
+        flat (table, code) bins of every histogram against those of every
+        query."""
+        shape = (self.heterogeneity, self.universe.cardinality)
+        if hist.shape[-2:] != shape:
+            raise DimensionMismatchError(f"histograms must end in shape {shape}, got {hist.shape}")
+        size = math.prod(shape)
+        total = hist.reshape(-1, size) @ self.tables.reshape(-1, size).T
+        total = total.reshape(hist.shape[:-2] + self.tables.shape[:-2])
+        return np.divide(total, self.c_sum, out=total)
 
     def evaluate(self, x: Database):
         """(1 / sum_i c_i) * sum_i phi_i(x_i)."""
@@ -195,9 +202,11 @@ class StatisticalQuery:
         """Vectorized evaluate over a (m, n) matrix of row codes: (m,) for one
         query, (m, Q) for a batch. Rows go through ``histogram`` in chunks of
         at most _HIST_BINS counts, so a wide row domain never makes the
-        counts outgrow the rows."""
+        counts outgrow the rows. No rows give an empty (0,) or (0, Q)."""
         rows = np.asarray(rows)
         step = self._histograms_per_step()
+        if len(rows) <= step:
+            return self.answers(self.histogram(rows))
         return np.concatenate(
             [self.answers(self.histogram(rows[i : i + step])) for i in range(0, len(rows), step)]
         )

@@ -43,12 +43,25 @@ from dpsynth.harness import (
     run_experiment,
     run_heterogeneity_sweep,
     run_query_set_size_sweep,
-    weighted_slope,
 )
 from dpsynth.mechanism import MechanismParams, log_pmf_all_outputs, sample_rows, verify_dp
 from dpsynth.queries import generate_random_query, make_predicate_query
 
 SEED = 20250809
+
+
+def weighted_slope(xs, ys, ses) -> tuple[float, float]:
+    """Weighted least-squares slope of ys on xs and its standard error,
+    weighting each point by 1/se^2."""
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    se = np.maximum(np.asarray(ses, dtype=np.float64), 1e-300)
+    w = 1.0 / (se * se)
+    xbar = float((w * x).sum() / w.sum())
+    ybar = float((w * y).sum() / w.sum())
+    sxx = float((w * (x - xbar) ** 2).sum())
+    slope = float((w * (x - xbar) * (y - ybar)).sum() / sxx)
+    return slope, math.sqrt(1.0 / sxx)
 
 
 @contextmanager

@@ -470,6 +470,19 @@ class TestReadIntRows:
         got = _read_int_rows(path, width, 0)
         assert got.tolist() == [[int(t) for t in row] for row in rows]
 
+    @pytest.mark.parametrize("first,then", [("1", "123456789012"), ("123456789012", "1")])
+    def test_output_size_mispredicted_by_first_block(self, tmp_path, first, then):
+        # the output is sized from the values per byte read so far: short
+        # rows first over-predict the count about fourfold (the array is
+        # trimmed), long rows first under-predict it (the array grows three
+        # times, each time taking the values read so far)
+        path = tmp_path / "f.txt"
+        path.write_text(f"{first}\n" * 40000 + f"{then}\n" * 40000)
+        got = _read_int_rows(path, 1, 0)
+        expected = reference_int_rows(path, 1, 0)
+        assert got.dtype == np.int64 and got.shape == (80000, 1)
+        assert np.array_equal(got, expected)
+
     def test_large_file_walks_only_its_bad_block(self, tmp_path):
         codes = np.random.default_rng(8).integers(0, 8, size=10**6 - 1)
         body = b"".join(b"%d\n" % c for c in codes.tolist())

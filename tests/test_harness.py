@@ -20,7 +20,6 @@ from dpsynth.harness import (
     run_experiment,
     run_heterogeneity_sweep,
     run_query_set_size_sweep,
-    weighted_slope,
     write_results_csv,
 )
 from dpsynth import harness
@@ -28,6 +27,7 @@ from dpsynth.core import DataUniverse
 from dpsynth.graph import erdos_renyi_graph, power_law_graph, random_bisection_cut, release_graph
 from dpsynth.mechanism import MechanismParams, sample_rows
 from dpsynth.queries import generate_random_query
+from test_acceptance import weighted_slope
 
 
 class TestConfig:
@@ -368,25 +368,41 @@ class TestBlockSummary:
         worst, _, mean = harness._summarize([errs], 20)
         assert worst == mean == total / 20
 
-    def test_peak_memory_below_whole_array(self):
-        # 20 runs x 20 databases x 4096 queries: the whole float64 error
-        # array would be 12.5 MB
-        cfg = config_from_dict({"experiment": "query_set_size", "n": 256, "l": 3, "set_sizes": [4096],
-                                "database_count": 20, "trial_count": 20, "seed": 1})
+    @staticmethod
+    def grid_point_peak(n, databases, runs, size):
+        """Traced peak of one query_set_size grid point (l = 3) of ``size``
+        linear queries, with its databases and releases built untraced."""
+        cfg = config_from_dict({"experiment": "query_set_size", "n": n, "l": 3, "set_sizes": [size],
+                                "database_count": databases, "trial_count": runs, "seed": 1})
         universe = DataUniverse(cfg.l)
         params = MechanismParams(cfg.epsilon, universe)
         rng = RandomSource(cfg.seed)
         dbs = [harness._random_database(universe, cfg.n, rng.derive(harness._S_DATABASE, d))
                for d in range(cfg.database_count)]
         releases = [harness._release_runs(x, params, rng, cfg.trial_count, d) for d, x in enumerate(dbs)]
-        qs = generate_random_query(universe, cfg.n, 1, rng.derive(harness._S_QUERIES), count=4096)
+        qs = generate_random_query(universe, cfg.n, 1, rng.derive(harness._S_QUERIES), count=size)
         tracemalloc.start()
         try:
-            harness._statistical_row(cfg, 4096, qs, dbs, releases, params, "absolute")
+            row = harness._statistical_row(cfg, size, qs, dbs, releases, params, "absolute")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.5 * cfg.trial_count * cfg.database_count * 4096 * 8
+        assert 0.0 < row.worst_case_distortion <= row.analytic_bound
+        return peak
+
+    def test_peak_memory_below_whole_array(self):
+        # 20 runs x 20 databases x 4096 queries: the whole float64 error
+        # array would be 12.5 MB
+        assert self.grid_point_peak(256, 20, 20, 4096) <= 0.5 * 20 * 20 * 4096 * 8
+
+    def test_error_path_has_no_full_size_temporaries(self):
+        # criterion 7's largest grid point: 16384 queries, 50 databases of
+        # 1024 rows, 20 runs. A database's errors are debiased, compared
+        # and summarized in the (runs, Q) array its answers arrive in (2.5
+        # MiB), so the peak is the 50 databases' per-query sums (6.25 MiB)
+        # and their concatenation: 12.5 MiB. The bound leaves less than one
+        # more (runs, Q) array above that.
+        assert self.grid_point_peak(1024, 50, 20, 16384) < 14 * 2**20
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import tempfile
@@ -264,6 +265,60 @@ class TestBatchedQuery:
         whole = q.evaluate_rows(rows)
         monkeypatch.setattr(queries_mod, "_HIST_BINS", 16)  # one row per histogram
         assert np.array_equal(q.evaluate_rows(rows), whole)
+
+    def test_evaluate_rows_of_no_rows(self):
+        universe = DataUniverse(2)
+        empty = np.zeros((0, 6), dtype=np.int64)
+        q = generate_random_query(universe, 6, 2, RandomSource(15))
+        got = q.evaluate_rows(empty)
+        assert got.shape == (0,) and got.dtype == np.float64
+        qs = generate_random_query(universe, 6, 2, RandomSource(15), count=3)
+        got = qs.evaluate_rows(empty)
+        assert got.shape == (0, 3) and got.dtype == np.float64
+
+
+def fsum_answers(q, hist):
+    """``q.answers(hist)`` by exact summation: one fsum of the (table, code)
+    products per histogram and query, divided by the query's c_sum."""
+    size = q.heterogeneity * q.universe.cardinality
+    flat_tables = q.tables.reshape(-1, size)
+    c_sums = np.atleast_1d(q.c_sum)
+    out = [
+        [math.fsum((h * t).tolist()) / c for t, c in zip(flat_tables, c_sums)]
+        for h in hist.reshape(-1, size)
+    ]
+    return np.array(out).reshape(hist.shape[:-2] + q.tables.shape[:-2])
+
+
+class TestAnswers:
+    """``answers`` contracts counts with tables in one matrix product; it
+    must agree with exact summation to a few units in the last place."""
+
+    @pytest.mark.parametrize("count", [None, 5], ids=["one-query", "batch"])
+    @pytest.mark.parametrize("heterogeneity", [1, 4])
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 4)], ids=["k-2^l", "m-k-2^l", "m-m'-k-2^l"])
+    def test_matches_fsum(self, count, heterogeneity, lead):
+        q = generate_random_query(DataUniverse(3), 40, heterogeneity, RandomSource(16), count=count)
+        hist = RandomSource(17).generator().integers(0, 10**6, size=lead + (heterogeneity, 8))
+        got = q.answers(hist)
+        expected = fsum_answers(q, hist)
+        assert got.shape == expected.shape == lead + ((count,) if count else ())
+        # every table value and count is nonnegative: no cancellation
+        assert (np.abs(got - expected) <= 4 * np.spacing(expected)).all()
+
+    def test_histograms_of_rows_match_fsum(self):
+        qs = generate_random_query(DataUniverse(2), 12, 3, RandomSource(18), count=4)
+        rows = RandomSource(19).generator().integers(0, 4, size=(2, 5, 12))
+        hist = qs.histogram(rows)
+        expected = fsum_answers(qs, hist)
+        assert (np.abs(qs.answers(hist) - expected) <= 4 * np.spacing(expected)).all()
+        assert np.array_equal(qs.evaluate_rows(rows[0]), qs.answers(hist[0]))
+
+    @pytest.mark.parametrize("shape", [(2, 8), (1, 4), (5, 4, 2), (8,)])
+    def test_other_histogram_shape_rejected(self, shape):
+        q = generate_random_query(DataUniverse(2), 4, 2, RandomSource(20))
+        with pytest.raises(DimensionMismatchError):
+            q.answers(np.ones(shape, dtype=np.int64))
 
 
 class TestConstruction:
