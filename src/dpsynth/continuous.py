@@ -69,8 +69,9 @@ class LipschitzQuery:
 
     The row function must be deterministic: ``grid_query`` evaluates it once
     per (n, k) and keeps the induced query on this object, so a release
-    reuses the table of an earlier one. Each cached (n, k) entry holds n int64
-    row offsets; entries are freed with the query.
+    reuses the table of an earlier one. Each cached (n, k) entry is a
+    one-table query, so it holds its table and no per-row array; entries are
+    freed with the query.
     """
 
     __slots__ = ("fn", "lipschitz", "lower", "upper", "_grids", "__weakref__")

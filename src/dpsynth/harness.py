@@ -271,40 +271,50 @@ def _release_runs(x: Database, params: MechanismParams, rng: RandomSource, runs:
     )
 
 
-def _block_summary(errs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(per-cell sum over runs, per-run leave-one-out worst case) of one
-    (runs, cells) block of errors; the second is empty at one run. The
-    leave-one-out sums overwrite ``errs``, which is consumed; each run's
-    largest is divided by runs - 1 after the max, which rounding, being
-    monotone, leaves bit for bit as dividing every cell first."""
-    total = errs[0].copy()
+def _block_summary(errs: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Per-run leave-one-out worst case of one (runs, cells) block of
+    errors, empty at one run; the per-cell sum over runs goes to ``total``
+    (cells,). The leave-one-out sums overwrite ``errs``, which is consumed;
+    each run's largest is divided by runs - 1 after the max, which
+    rounding, being monotone, leaves bit for bit as dividing every cell
+    first."""
+    np.copyto(total, errs[0])
     for row in errs[1:]:  # run by run, as add.reduce sums axis 0 of blocks wider than one cell
         total += row
     runs = len(errs)
     if runs == 1:
-        return total, np.empty(0)
+        return np.empty(0)
     loo = np.subtract(total, errs, out=errs).max(axis=1)
     loo /= runs - 1
-    return total, loo
+    return loo
 
 
-def _summarize(blocks, runs: int) -> tuple[float, float, float]:
-    """(worst, stderr of worst, mean) of the errors in ``blocks``, (runs,
-    cells) arrays taken one at a time. Per-cell distortion = across-run mean;
-    worst case = max of those means; its stderr is the leave-one-run-out
-    jackknife over the blocks' per-run maxima. A grid point of one (database,
-    query) cell sums its runs in order, not pairwise as the earlier
-    whole-array summary did, so its last bits can differ."""
-    sums, loos = zip(*map(_block_summary, blocks))
-    means, loo_worst = np.concatenate(sums), np.max(loos, axis=0)
+def _summarize(blocks, runs: int, count: int) -> tuple[float, float, float]:
+    """(worst, stderr of worst, mean) of the errors in ``blocks``, ``count``
+    (runs, cells) arrays taken one at a time and held no longer. Per-cell
+    distortion = across-run mean; worst case = max of those means; its
+    stderr is the leave-one-run-out jackknife over the blocks' per-run
+    maxima. Each block's per-cell sums fill one row of a (count, cells)
+    array. A grid point of one (database, query) cell sums its runs in
+    order, not pairwise as the earlier whole-array summary did, so its last
+    bits can differ."""
+    sums, loos = None, []
+    # each block is dropped before the next is made: hence the ``del``, and
+    # no enumerate, whose cached result tuple would keep it alive
+    for errs in blocks:
+        if sums is None:
+            sums = np.empty((count, errs.shape[1]))
+        loos.append(_block_summary(errs, sums[len(loos)]))
+        del errs
+    means, loo_worst = sums.reshape(-1), np.max(loos, axis=0)
     means /= runs
     se = math.sqrt((runs - 1) / runs * ((loo_worst - loo_worst.mean()) ** 2).sum()) if runs > 1 else math.inf
     return float(means.max()), se, float(means.mean())
 
 
-def _result_row(config: ExperimentConfig, point: int, blocks, bound: float, relative=None) -> ResultRow:
-    """The row of one grid point from its blocks of errors, one per database."""
-    worst, stderr, mean = _summarize(blocks, config.trial_count)
+def _result_row(config: ExperimentConfig, point: int, blocks, count: int, bound: float, relative=None) -> ResultRow:
+    """The row of one grid point from its ``count`` blocks of errors, one per database."""
+    worst, stderr, mean = _summarize(blocks, config.trial_count, count)
     return ResultRow(
         config.experiment, point, worst, stderr, mean, bound, config.trial_count, config.seed, relative
     )
@@ -323,9 +333,10 @@ def _statistical_row(config, point, qs, dbs, releases, params: MechanismParams, 
             err = _estimates(qs, qs.evaluate_rows(rows), params, config.estimator)
             err -= qs.evaluate(x)
             yield transform(err, out=err)
+            del err  # dropped before the next database's answers are made
 
     bound = _distortion_bound(qs, qs.n, params, config.estimator, measure)
-    return _result_row(config, point, errors(), bound)
+    return _result_row(config, point, errors(), len(dbs), bound)
 
 
 def run_heterogeneity_sweep(config: ExperimentConfig, rng: RandomSource) -> list[ResultRow]:
@@ -401,7 +412,7 @@ def run_cut_scaling(config: ExperimentConfig, rng: RandomSource) -> list[ResultR
         relative = None
         if positive.any():
             relative = float((errs.mean(axis=0)[positive] / truths[positive]).max())
-        out.append(_result_row(config, v, [errs], cut_bound(v // 2, v - v // 2, config.epsilon), relative))
+        out.append(_result_row(config, v, [errs], 1, cut_bound(v // 2, v - v // 2, config.epsilon), relative))
     return out
 
 

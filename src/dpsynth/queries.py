@@ -48,6 +48,12 @@ class StatisticalQuery:
     assignment) and ``answers`` (those counts contracted with the tables in
     one matrix product).
 
+    The query keeps its tables, the number of rows on each table and ``n``.
+    A query of several tables also keeps each row's int64 offset into the
+    flat (table, code) bins, n of them; a one-table query (a linear query,
+    after merging equal tables) keeps no per-row array, and its histogram
+    counts the codes themselves.
+
     Parameters
     ----------
     universe:
@@ -76,6 +82,7 @@ class StatisticalQuery:
         "c_sum",
         "centering",
         "heterogeneity",
+        "n",
         "_offsets",
         "_counts",
     )
@@ -110,11 +117,15 @@ class StatisticalQuery:
         k = kept.size
         tables = keys[kept].transpose(1, 0, 2).reshape(batch + (k, card))
         counts = np.bincount(merged, weights=per_table[used], minlength=k)
-        # the query keeps only each row's offset, table * 2**l, into the flat
-        # (table, code) bins of a histogram
-        table_offsets = np.zeros(per_table.size, dtype=np.int64)
-        table_offsets[used] = merged * card
-        offsets = table_offsets[assignment]
+        # a query of several tables keeps only each row's offset, table *
+        # 2**l, into the flat (table, code) bins of a histogram; with one
+        # table every offset is 0, so it keeps none
+        offsets = None
+        if k > 1:
+            table_offsets = np.zeros(per_table.size, dtype=np.int64)
+            table_offsets[used] = merged * card
+            offsets = table_offsets[assignment]
+            offsets.setflags(write=False)
 
         row_min = tables.min(axis=-1)
         row_max = tables.max(axis=-1)
@@ -124,9 +135,10 @@ class StatisticalQuery:
         c_sum = (row_max - row_min) @ counts
 
         object.__setattr__(self, "universe", universe)
-        for arr in (tables, offsets, counts):
+        for arr in (tables, counts):
             arr.setflags(write=False)
         object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "n", int(assignment.size))
         object.__setattr__(self, "_offsets", offsets)
         object.__setattr__(self, "_counts", counts)
         object.__setattr__(self, "label", label)
@@ -141,12 +153,10 @@ class StatisticalQuery:
         raise AttributeError("StatisticalQuery is immutable")
 
     @property
-    def n(self) -> int:
-        return int(self._offsets.size)
-
-    @property
     def assignment(self) -> np.ndarray:
         """Integer array (n,): the table of each row."""
+        if self._offsets is None:
+            return np.zeros(self.n, dtype=np.int64)
         return self._offsets >> self.universe.l
 
     def _check(self, x: Database) -> None:
@@ -159,23 +169,33 @@ class StatisticalQuery:
 
     def histogram(self, rows) -> np.ndarray:
         """Per-(table, code) counts of row codes: (k, 2**l) for rows of shape
-        (n,), (m, k, 2**l) for rows of shape (m, n). Codes outside
-        [0, 2**l) raise ValidationError."""
+        (n,), (m, k, 2**l) for rows of shape (m, n). Rows of another length
+        raise DimensionMismatchError; codes outside [0, 2**l) raise
+        ValidationError."""
         card = self.universe.cardinality
         size = self.heterogeneity * card
         rows = np.asarray(rows)
+        if rows.ndim == 0 or rows.shape[-1] != self.n:
+            raise DimensionMismatchError(
+                f"query is defined for n={self.n} rows, got rows of shape {rows.shape}"
+            )
         # an out-of-range code would count silently into another table's bins;
         # all codes lie in [0, 2**l) exactly when their bitwise OR does (a
         # negative code sets the sign bit), and one OR pass is cheaper than
         # a min and a max
         if np.bitwise_or.reduce(rows, axis=None) >> self.universe.l:
             raise ValidationError(f"row codes must lie in [0, {card})")
-        flat = rows + self._offsets
-        lead = flat.shape[:-1]
+        if not np.can_cast(rows.dtype, np.intp):
+            # uint64: bincount takes no such codes, and adding int64 offsets
+            # would promote them to float64; every code fits after the check
+            rows = rows.astype(np.intp)
+        flat = rows if self._offsets is None else rows + self._offsets
+        lead = rows.shape[:-1]
         m = math.prod(lead)
         if lead:
             # each row of ``rows`` counts into its own block of bins
-            flat += np.arange(0, m * size, size).reshape(lead + (1,))
+            blocks = np.arange(0, m * size, size).reshape(lead + (1,))
+            flat = rows + blocks if flat is rows else np.add(flat, blocks, out=flat)
         counts = np.bincount(flat.ravel(), minlength=m * size)
         return counts.reshape(lead + (self.heterogeneity, card))
 
@@ -205,7 +225,7 @@ class StatisticalQuery:
         counts outgrow the rows. No rows give an empty (0,) or (0, Q)."""
         rows = np.asarray(rows)
         step = self._histograms_per_step()
-        if len(rows) <= step:
+        if rows.ndim < 2 or len(rows) <= step:
             return self.answers(self.histogram(rows))
         return np.concatenate(
             [self.answers(self.histogram(rows[i : i + step])) for i in range(0, len(rows), step)]

@@ -299,9 +299,9 @@ class TestCutScaling:
         seen = []
         block_summary = harness._block_summary
 
-        def capture(errs):
+        def capture(errs, total):
             seen.append(errs.copy())
-            return block_summary(errs)
+            return block_summary(errs, total)
 
         monkeypatch.setattr(harness, "_block_summary", capture)
         run_cut_scaling(cfg, RandomSource(cfg.seed))
@@ -356,7 +356,7 @@ class TestBlockSummary:
         else:
             blocks = [np.abs(gen.normal(size=(runs, queries))) for _ in range(databases)]
         whole = np.stack(blocks, axis=1)
-        assert harness._summarize(iter(blocks), runs) == whole_array_summary(whole)
+        assert harness._summarize(iter(blocks), runs, databases) == whole_array_summary(whole)
 
     def test_single_cell_sums_runs_in_order(self):
         # add.reduce sums a lone (runs, 1) column pairwise; the block path
@@ -365,7 +365,7 @@ class TestBlockSummary:
         total = 0.0
         for value in errs[:, 0]:
             total += value
-        worst, _, mean = harness._summarize([errs], 20)
+        worst, _, mean = harness._summarize([errs], 20, 1)
         assert worst == mean == total / 20
 
     @staticmethod
@@ -399,10 +399,11 @@ class TestBlockSummary:
         # criterion 7's largest grid point: 16384 queries, 50 databases of
         # 1024 rows, 20 runs. A database's errors are debiased, compared
         # and summarized in the (runs, Q) array its answers arrive in (2.5
-        # MiB), so the peak is the 50 databases' per-query sums (6.25 MiB)
-        # and their concatenation: 12.5 MiB. The bound leaves less than one
-        # more (runs, Q) array above that.
-        assert self.grid_point_peak(1024, 50, 20, 16384) < 14 * 2**20
+        # MiB), and dropped before the next database's arrive, so the peak
+        # is the 50 databases' per-query sums (6.25 MiB) and one such
+        # array: 8.9 MiB. The bound leaves less than one more (runs, Q)
+        # array above that.
+        assert self.grid_point_peak(1024, 50, 20, 16384) < 10 * 2**20
 
 
 class TestDeterminism:

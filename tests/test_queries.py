@@ -29,7 +29,7 @@ from dpsynth.estimators import (
     exact_distortion,
     measure_distortion,
 )
-from dpsynth.mechanism import MechanismParams
+from dpsynth.mechanism import MechanismParams, sample_synthetic
 from dpsynth.queries import (
     _INT_ARRAY_FIELDS,
     StatisticalQuery,
@@ -81,6 +81,34 @@ class TestEvaluate:
         batch = q.evaluate_rows(rows)
         for k in range(20):
             assert batch[k] == pytest.approx(q.evaluate(db(2, rows[k])), abs=1e-13)
+
+    @pytest.mark.parametrize("heterogeneity", [1, 3])
+    @pytest.mark.parametrize("shape", [(5,), (7,), (2, 5), (2, 7), (0, 5), ()])
+    def test_wrong_length_rows_rejected(self, heterogeneity, shape):
+        q = generate_random_query(DataUniverse(2), 6, heterogeneity, RandomSource(4))
+        rows = np.ones(shape, dtype=np.int64)
+        with pytest.raises(DimensionMismatchError, match="n=6"):
+            q.histogram(rows)
+        with pytest.raises(DimensionMismatchError, match="n=6"):
+            q.evaluate_rows(rows)
+
+    def test_uint64_rows_answered_as_int64(self):
+        universe = DataUniverse(2)
+        params = MechanismParams(1.0, universe)
+        codes = [1, 2, 3, 0, 2, 3]
+        x, x64 = (Database(universe, np.array(codes, dtype=dt)) for dt in (np.uint64, np.int64))
+        queries = [make_predicate_query(universe, 6, [0]), make_hamming_query(db(2, [1, 0, 1, 0, 3, 3])),
+                   generate_random_query(universe, 6, 2, RandomSource(7)),
+                   generate_random_query(universe, 6, 3, RandomSource(8), count=4)]
+        for q in queries:
+            assert np.array_equal(q.evaluate(x), q.evaluate(x64))
+            assert np.array_equal(estimate_unbiased(q, x, params), estimate_unbiased(q, x64, params))
+            rows = np.array([codes, codes[::-1]], dtype=np.uint64)
+            assert np.array_equal(q.evaluate_rows(rows), q.evaluate_rows(rows.astype(np.int64)))
+        for q in queries[:3]:
+            assert exact_distortion(q, x, params) == exact_distortion(q, x64, params)
+        y, y64 = (sample_synthetic(d, params, RandomSource(9)) for d in (x, x64))
+        assert np.array_equal(y.rows, y64.rows)
 
 
 class TestNormalization:
@@ -319,6 +347,64 @@ class TestAnswers:
         q = generate_random_query(DataUniverse(2), 4, 2, RandomSource(20))
         with pytest.raises(DimensionMismatchError):
             q.answers(np.ones(shape, dtype=np.int64))
+
+
+class TestOneTableQuery:
+    """A query of one table (after merging) keeps no per-row array."""
+
+    @staticmethod
+    def retained(build):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            q = build()
+            return q, tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_predicate_retains_no_row_array(self):
+        q, kept = self.retained(lambda: make_predicate_query(DataUniverse(3), 10**6, [0]))
+        assert q.n == 10**6
+        # n int64 offsets would be 7.6 MiB
+        assert kept < 64 * 2**10
+
+    def test_one_table_answer_makes_no_row_array(self):
+        # the counting and contraction that ``evaluate`` runs, on int64 rows
+        n = 10**6
+        q = make_predicate_query(DataUniverse(3), n, [0, 2])
+        rows = RandomSource(21).generator().integers(0, 8, size=n)
+        tracemalloc.start()
+        try:
+            got = q.answers(q.histogram(rows))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == np.count_nonzero((rows & 5) == 5) / n
+        # rows + n offsets would be 7.6 MiB
+        assert peak < 2**20
+
+    def test_equal_tables_merge_to_one(self):
+        n, h = 10**5, 1000
+        tables = np.tile(RandomSource(22).generator().random(8), (h, 1))
+        assignment = np.arange(n) % h
+        q, kept = self.retained(lambda: StatisticalQuery(DataUniverse(3), tables, assignment))
+        assert q.heterogeneity == 1
+        assert kept < 64 * 2**10
+        rows = RandomSource(23).generator().integers(0, 8, size=(4, n))
+        hist = q.histogram(rows)
+        expected = fsum_answers(q, hist)
+        assert (np.abs(q.evaluate_rows(rows) - expected) <= 4 * np.spacing(expected)).all()
+
+    def test_assignment_and_round_trip(self):
+        q = make_predicate_query(DataUniverse(2), 5, [1])
+        assignment = q.assignment
+        assert assignment.dtype == np.int64 and assignment.tolist() == [0] * 5
+        spec = query_to_dict(q)
+        assert spec == {"type": "tables", "l": 2, "tables": [[0.0, 0.0, 1.0, 1.0]], "assignment": [0] * 5}
+        again = query_from_dict(spec)
+        assert query_to_dict(again) == spec
+        x = db(2, [0, 2, 3, 1, 2])
+        assert again.evaluate(x) == q.evaluate(x) == 0.6
 
 
 class TestConstruction:
