@@ -20,7 +20,7 @@ import numbers
 
 import numpy as np
 
-from .core import DataUniverse, Database, RandomSource, ValidationError
+from .core import DataUniverse, Database, RandomSource, ValidationError, _table_codes
 from .estimators import estimate_unbiased, project_proper
 from .mechanism import MechanismParams, sample_synthetic
 from .queries import StatisticalQuery
@@ -160,11 +160,10 @@ def grid_query(q: LipschitzQuery, n: int, k: int) -> StatisticalQuery:
     """
     gq = q._grids.get((n, k))
     if gq is None:
-        scale = 1 << k
+        universe = DataUniverse(k)
+        scale = _table_codes(universe)
         table = np.asarray([_row_value(q.fn, code / scale) for code in range(scale)])
-        gq = StatisticalQuery(
-            DataUniverse(k), table[None, :], np.zeros(n, dtype=np.int64), label=f"grid(k={k})"
-        )
+        gq = StatisticalQuery._one_table(universe, table, n, label=f"grid(k={k})")
         q._grids[(n, k)] = gq
     return gq
 

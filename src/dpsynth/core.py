@@ -35,6 +35,13 @@ MAX_ATTRIBUTES = 30
 # n*l cap of every exhaustive enumeration: the enumerators, and through them
 # the exact distortion, the oracle's distribution and verify_dp
 EXACT_BIT_CAP = 12
+# cap on 2**l for every dense array over the row domain: a query's value
+# tables and a Database's per-code counts. 2**24 float64 values are 128 MiB;
+# a wider universe is refused before any such array exists
+MAX_TABLE_CODES = 1 << 24
+# rows per block of ``_count_codes``: a block's intp copy is 0.5 MiB, and
+# 2**16 counted 10**6 codes fastest of the powers of two from 2**12 to 2**18
+_COUNT_BLOCK = 1 << 16
 
 
 class ValidationError(ValueError):
@@ -421,6 +428,40 @@ def _read_json_int_arrays(path, members):
     return _read_json(path)
 
 
+def _table_codes(universe: "DataUniverse") -> int:
+    """2**l, the length of a dense table over ``universe``; ValidationError
+    above MAX_TABLE_CODES, so no table of that length is ever made."""
+    card = universe.cardinality
+    if card > MAX_TABLE_CODES:
+        raise ValidationError(
+            f"a table over l={universe.l} attributes needs {card} codes, above the cap of "
+            f"{MAX_TABLE_CODES} (l <= {MAX_TABLE_CODES.bit_length() - 1})"
+        )
+    return card
+
+
+def _count_codes(rows: np.ndarray, size: int, offsets: np.ndarray | None = None) -> np.ndarray:
+    """int64 counts (size,) of the 1-d integer codes ``rows``, each plus its
+    entry of ``offsets`` when given; every such sum must lie in [0, size).
+
+    ``np.bincount`` copies read-only input, and a Database's rows are
+    read-only, so the rows are counted in blocks and the blocks' counts
+    added up: the copy is one block, never the whole array. A block holds
+    max(_COUNT_BLOCK, size) rows, so its counts never outgrow it."""
+    step = max(_COUNT_BLOCK, size)
+    counts = np.zeros(size, dtype=np.int64)
+    for start in range(0, rows.size, step):
+        block = rows[start : start + step]
+        if not np.can_cast(block.dtype, np.intp):
+            # uint64: bincount takes no such codes, and adding int64 offsets
+            # would promote them to float64; every code is below 2**30
+            block = block.astype(np.intp)
+        if offsets is not None:
+            block = block + offsets[start : start + step]
+        counts += np.bincount(block, minlength=size)
+    return counts
+
+
 @dataclass(frozen=True)
 class DataUniverse:
     """The row domain {0,1}^l, encoded as the integers 0 .. 2**l - 1."""
@@ -444,9 +485,14 @@ class Database:
 
     Rows are stored as a read-only integer array; the constructor copies
     them and validates every code against the universe cardinality.
+
+    A Database also keeps its per-code counts (``code_counts``), counted on
+    first use and read-only. They cannot go stale: the rows are read-only
+    and range-checked at construction, and the Database is immutable. So
+    every one-table query answered from one Database reads one count.
     """
 
-    __slots__ = ("universe", "rows")
+    __slots__ = ("universe", "rows", "_code_counts")
 
     def __init__(self, universe: DataUniverse, rows):
         self._own(universe, np.array(rows))
@@ -474,6 +520,7 @@ class Database:
         arr.setflags(write=False)
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "rows", arr)
+        object.__setattr__(self, "_code_counts", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Database is immutable")
@@ -481,6 +528,17 @@ class Database:
     @property
     def n(self) -> int:
         return int(self.rows.size)
+
+    @property
+    def code_counts(self) -> np.ndarray:
+        """Read-only int64 array (2**l,): the number of rows holding each
+        code. Counted on the first call and kept; two threads that race on
+        it count the same values."""
+        if self._code_counts is None:
+            counts = _count_codes(self.rows, _table_codes(self.universe))
+            counts.setflags(write=False)
+            object.__setattr__(self, "_code_counts", counts)
+        return self._code_counts
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Database):

@@ -234,12 +234,11 @@ def exact_unbiased_mse(q: StatisticalQuery, x: Database, params: MechanismParams
     _check_single(q, "exact_unbiased_mse")
     if params.universe != q.universe:
         raise DimensionMismatchError("mechanism parameters and query use different universes")
-    q._check(x)
     scale = params.scale
     stay = 1.0 / scale  # 1 - alpha without cancellation
     dev2 = (q.tables - q.tables.mean(axis=-1, keepdims=True)) ** 2
     var = params.redraw_prob * (dev2.mean(axis=-1, keepdims=True) + stay * dev2)
-    return float((scale / q.c_sum) ** 2 * np.vdot(q.histogram(x.rows), var))
+    return float((scale / q.c_sum) ** 2 * np.vdot(q.database_histogram(x), var))
 
 
 def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -282,8 +281,7 @@ def measure_distortion(
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if params.universe != q.universe:
         raise DimensionMismatchError("mechanism parameters and query use different universes")
-    q._check(x)
-    hist = q.histogram(x.rows)
+    hist = q.database_histogram(x)
     qx = q.answers(hist)
     gen = rng.generator()
     transform = np.square if measure == "squared" else np.abs

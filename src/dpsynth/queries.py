@@ -10,18 +10,23 @@ q over all databases exactly 1, which puts every query on the same distortion
 scale. Row functions are stored as dense value tables over the 2**l row
 codes: the per-row extrema, the centering constant and the debiasing
 coefficients of the companion estimators all need exact sums and extrema
-over the whole row domain, and tables make those one vector operation.
+over the whole row domain, and tables make those one vector operation. A
+universe of more than ``core.MAX_TABLE_CODES`` codes is refused with a
+ValidationError before any table is made.
 
 Distinct tables are stored once and shared between rows ("heterogeneity" is
 the number of distinct row functions; 1 means the query is a linear query).
 Queries that share the row-to-table assignment form one batch with stacked
 tables (Q, k, 2**l). A query is evaluated from the per-(table, code) counts
-of the rows alone, so one histogram of a release answers the whole batch.
+of the rows alone, so one histogram of a release answers the whole batch; a
+one-table query reads the per-code counts that the release's ``Database``
+keeps, so one count of a release answers every such query.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -31,7 +36,9 @@ from .core import (
     DimensionMismatchError,
     RandomSource,
     ValidationError,
+    _count_codes,
     _read_json_int_arrays,
+    _table_codes,
 )
 
 # cap on the counts one chunk of histograms holds, in ``evaluate_rows`` and
@@ -46,7 +53,10 @@ class StatisticalQuery:
     Every evaluation goes through ``histogram`` (the per-(table, code)
     counts of the rows, a sufficient statistic for every query on the same
     assignment) and ``answers`` (those counts contracted with the tables in
-    one matrix product).
+    one matrix product). A ``Database`` is counted by ``database_histogram``:
+    a one-table query reads the per-code counts the Database keeps
+    (``Database.code_counts``), so any number of one-table queries on one
+    release cost one count of its rows.
 
     The query keeps its tables, the number of rows on each table and ``n``.
     A query of several tables also keeps each row's int64 offset into the
@@ -88,27 +98,35 @@ class StatisticalQuery:
     )
 
     def __init__(self, universe: DataUniverse, tables, assignment, label: str = ""):
-        tables = np.asarray(tables, dtype=np.float64)
+        tables = _checked_tables(universe, tables)
         assignment = np.asarray(assignment)
-        card = universe.cardinality
-        if tables.ndim not in (2, 3) or tables.shape[-1] != card or tables.size == 0:
-            raise ValidationError(
-                f"row-function tables must have shape (k, {card}) or (Q, k, {card})"
-            )
-        if not np.isfinite(tables).all():
-            raise ValidationError("row-function tables must be finite")
         if assignment.ndim != 1 or assignment.size == 0:
             raise ValidationError("assignment must be a nonempty 1-d index vector")
         if not np.issubdtype(assignment.dtype, np.integer):
             raise ValidationError("assignment must hold integer table indices")
         if assignment.min() < 0 or assignment.max() >= tables.shape[-2]:
             raise ValidationError("assignment indexes a missing table")
+        per_table = np.bincount(assignment.astype(np.intp, copy=False), minlength=tables.shape[-2])
+        self._build(universe, tables, per_table, assignment, label)
 
+    @classmethod
+    def _one_table(cls, universe: DataUniverse, table, n: int, label: str) -> "StatisticalQuery":
+        """The query whose one table ``table`` (2**l,) holds for all ``n``
+        rows, built from the row count alone: no n-length assignment is
+        made only to be counted."""
+        q = cls.__new__(cls)
+        q._build(universe, _checked_tables(universe, np.asarray(table)[None, :]), np.array([n]), None, label)
+        return q
+
+    def _build(self, universe: DataUniverse, tables: np.ndarray, per_table: np.ndarray, assignment, label: str):
+        """Set every slot from checked ``tables`` and the number of rows on
+        each table, ``per_table``; ``assignment`` gives each row's table, and
+        is read only when several tables are used."""
+        card = universe.cardinality
         # drop unused tables, then merge tables that are equal in every query
         # of the batch, in order of first use; evaluation is invariant to
         # this re-encoding
         batch = tables.shape[:-2]
-        per_table = np.bincount(assignment.astype(np.intp, copy=False), minlength=tables.shape[-2])
         used = np.flatnonzero(per_table)
         keys = tables.reshape((-1,) + tables.shape[-2:])[:, used].transpose(1, 0, 2)
         seen: dict = {}
@@ -138,7 +156,7 @@ class StatisticalQuery:
         for arr in (tables, counts):
             arr.setflags(write=False)
         object.__setattr__(self, "tables", tables)
-        object.__setattr__(self, "n", int(assignment.size))
+        object.__setattr__(self, "n", int(per_table.sum()))
         object.__setattr__(self, "_offsets", offsets)
         object.__setattr__(self, "_counts", counts)
         object.__setattr__(self, "label", label)
@@ -185,19 +203,28 @@ class StatisticalQuery:
         # a min and a max
         if np.bitwise_or.reduce(rows, axis=None) >> self.universe.l:
             raise ValidationError(f"row codes must lie in [0, {card})")
+        if rows.ndim == 1:
+            return _count_codes(rows, size, self._offsets).reshape(self.heterogeneity, card)
         if not np.can_cast(rows.dtype, np.intp):
-            # uint64: bincount takes no such codes, and adding int64 offsets
-            # would promote them to float64; every code fits after the check
-            rows = rows.astype(np.intp)
-        flat = rows if self._offsets is None else rows + self._offsets
+            rows = rows.astype(np.intp)  # uint64, as in ``_count_codes``
+        # each row of ``rows`` counts into its own block of bins
         lead = rows.shape[:-1]
         m = math.prod(lead)
-        if lead:
-            # each row of ``rows`` counts into its own block of bins
-            blocks = np.arange(0, m * size, size).reshape(lead + (1,))
-            flat = rows + blocks if flat is rows else np.add(flat, blocks, out=flat)
+        flat = rows + np.arange(0, m * size, size).reshape(lead + (1,))
+        if self._offsets is not None:
+            flat += self._offsets
         counts = np.bincount(flat.ravel(), minlength=m * size)
         return counts.reshape(lead + (self.heterogeneity, card))
+
+    def database_histogram(self, x: Database) -> np.ndarray:
+        """``histogram(x.rows)``, after checking ``x`` against the query. A
+        one-table query, a batch included, reads the counts that ``x`` keeps
+        (``Database.code_counts``, read-only) as its (1, 2**l) histogram, so
+        ``x``'s rows are counted at most once whatever is asked of it."""
+        self._check(x)
+        if self._offsets is None:
+            return x.code_counts[None, :]
+        return self.histogram(x.rows)
 
     def answers(self, hist: np.ndarray) -> np.ndarray:
         """Answers from per-(table, code) counts ``hist`` (..., k, 2**l):
@@ -215,8 +242,7 @@ class StatisticalQuery:
 
     def evaluate(self, x: Database):
         """(1 / sum_i c_i) * sum_i phi_i(x_i)."""
-        self._check(x)
-        return _per_query(self.answers(self.histogram(x.rows)))
+        return _per_query(self.answers(self.database_histogram(x)))
 
     def evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized evaluate over a (m, n) matrix of row codes: (m,) for one
@@ -243,6 +269,20 @@ class StatisticalQuery:
         return _per_query(lo), _per_query(hi)
 
 
+def _checked_tables(universe: DataUniverse, tables) -> np.ndarray:
+    """``tables`` as float64 (k, 2**l) or (Q, k, 2**l), finite; the table
+    cap on 2**l is checked first."""
+    card = _table_codes(universe)
+    tables = np.asarray(tables, dtype=np.float64)
+    if tables.ndim not in (2, 3) or tables.shape[-1] != card or tables.size == 0:
+        raise ValidationError(
+            f"row-function tables must have shape (k, {card}) or (Q, k, {card})"
+        )
+    if not np.isfinite(tables).all():
+        raise ValidationError("row-function tables must be finite")
+    return tables
+
+
 def _per_query(values):
     """A float for one query, the (Q,) array for a batch."""
     return float(values) if np.ndim(values) == 0 else values
@@ -261,23 +301,18 @@ def make_predicate_query(universe: DataUniverse, n: int, conjunct_bits) -> Stati
         raise ValidationError("a predicate query needs at least one conjunct attribute")
     if bits[0] < 0 or bits[-1] >= universe.l:
         raise ValidationError(f"conjunct attribute indices must lie in [0, {universe.l})")
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    codes = np.arange(universe.cardinality)
-    table = np.ones(universe.cardinality)
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValidationError(f"n must be an integer >= 1, got {n!r}")
+    codes = np.arange(_table_codes(universe))
+    table = np.ones(codes.size)
     for b in bits:
         table *= (codes >> b) & 1
-    return StatisticalQuery(
-        universe,
-        table[None, :],
-        np.zeros(n, dtype=np.int64),
-        label=f"predicate(bits={bits})",
-    )
+    return StatisticalQuery._one_table(universe, table, n, label=f"predicate(bits={bits})")
 
 
 def make_hamming_query(z: Database) -> StatisticalQuery:
     """The query x -> d(x, z) / n for a reference database z."""
-    card = z.universe.cardinality
+    card = _table_codes(z.universe)
     values, inverse = np.unique(z.rows, return_inverse=True)
     tables = np.ones((values.size, card))
     tables[np.arange(values.size), values] = 0.0
@@ -304,7 +339,7 @@ def generate_random_query(
         )
     if count is not None and count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
-    shape = (heterogeneity, universe.cardinality)
+    shape = (heterogeneity, _table_codes(universe))
     tables = rng.generator().random(shape if count is None else (count,) + shape)
     spread = tables.max(axis=-1, keepdims=True) - tables.min(axis=-1, keepdims=True)
     tables /= spread

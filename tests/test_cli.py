@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dpsynth import core
 from dpsynth.cli import main, read_database_codes, write_database_codes
 from dpsynth.core import Database, DataUniverse
 
@@ -403,6 +404,21 @@ class TestMalformedQueryFile:
         )
         assert code == 2
         assert err.startswith("error[")
+
+
+    def test_query_over_a_wide_universe_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the table cap, lowered so that the refused query would be 8 MiB
+        monkeypatch.setattr(core, "MAX_TABLE_CODES", 2**10)
+        db_path = tmp_path / "synthetic.txt"
+        write_database_codes(Database(DataUniverse(20), np.array([1, 3, 2**20 - 1])), db_path)
+        query_path = tmp_path / "q.json"
+        query_path.write_text(json.dumps({"type": "predicate", "l": 20, "n": 3, "conjunct_bits": [0]}))
+        code, out, err = run_cli(
+            capsys,
+            "estimate", "--input", str(db_path), "--query", str(query_path), "--epsilon", "1.0",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error[validation]: a table over l=20 attributes")
 
 
 class TestBounds:

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -121,6 +122,18 @@ class TestGridQuery:
         gq = grid_query(q, 5, 2)
         assert np.allclose(gq.tables[0], [0.0, 0.25, 0.5, 0.75])
         assert gq.n == 5
+
+    def test_built_from_the_row_count(self):
+        q = LipschitzQuery(lambda u: u, lipschitz=1.0, lower=0.0, upper=1.0)
+        tracemalloc.start()
+        try:
+            gq = grid_query(q, 10**6, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gq.n == 10**6 and gq.heterogeneity == 1
+        # an n-length zero assignment would be 7.6 MiB
+        assert peak < 64 * 2**10
 
     def test_induced_spread_close_to_continuous(self):
         # grid c_i is within L * 2^-k of the continuous spread

@@ -22,11 +22,13 @@ from dpsynth.core import (
     _read_json_int_arrays,
     enumerate_databases,
 )
+from dpsynth.continuous import LipschitzQuery, grid_query
 from dpsynth.estimators import (
     _estimates,
     achievable_values,
     estimate_unbiased,
     exact_distortion,
+    exact_unbiased_mse,
     measure_distortion,
 )
 from dpsynth.mechanism import MechanismParams, sample_synthetic
@@ -166,6 +168,11 @@ class TestPredicate:
             make_predicate_query(DataUniverse(2), 4, [])
         with pytest.raises(ValidationError):
             make_predicate_query(DataUniverse(2), 4, [5])
+
+    @pytest.mark.parametrize("n", [0, -3, 4.0, True, "4"])
+    def test_row_count_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValidationError, match="n must be an integer >= 1"):
+            make_predicate_query(DataUniverse(2), n, [0])
 
 
 class TestRandomQueries:
@@ -368,20 +375,41 @@ class TestOneTableQuery:
         # n int64 offsets would be 7.6 MiB
         assert kept < 64 * 2**10
 
-    def test_one_table_answer_makes_no_row_array(self):
-        # the counting and contraction that ``evaluate`` runs, on int64 rows
-        n = 10**6
-        q = make_predicate_query(DataUniverse(3), n, [0, 2])
-        rows = RandomSource(21).generator().integers(0, 8, size=n)
+    @staticmethod
+    def traced_peak(call):
         tracemalloc.start()
         try:
-            got = q.answers(q.histogram(rows))
-            peak = tracemalloc.get_traced_memory()[1]
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got == np.count_nonzero((rows & 5) == 5) / n
-        # rows + n offsets would be 7.6 MiB
+
+    def test_predicate_build_makes_no_row_array(self):
+        q, peak = self.traced_peak(lambda: make_predicate_query(DataUniverse(3), 10**6, [0]))
+        assert q.n == 10**6 and q.heterogeneity == 1
+        # an n-length zero assignment would be 7.6 MiB
+        assert peak < 64 * 2**10
+
+    def test_one_table_answer_makes_no_row_array(self):
+        # ``evaluate`` of a read-only Database, and the counting and
+        # contraction of its read-only rows
+        n = 10**6
+        q = make_predicate_query(DataUniverse(3), n, [0, 2])
+        x = Database(DataUniverse(3), RandomSource(21).generator().integers(0, 8, size=n))
+        assert not x.rows.flags.writeable
+        expected = np.count_nonzero((x.rows & 5) == 5) / n
+        got, peak = self.traced_peak(lambda: q.evaluate(x))
+        assert got == expected
+        # one bincount of all the rows, which copies read-only input, or rows
+        # + n offsets would be 7.6 MiB; a count block is 0.5 MiB
         assert peak < 2**20
+        got, peak = self.traced_peak(lambda: q.answers(q.histogram(x.rows)))
+        assert got == expected
+        assert peak < 2**20
+        # a later answer reads the Database's counts
+        got, peak = self.traced_peak(lambda: q.evaluate(x))
+        assert got == expected
+        assert peak < 2**12
 
     def test_equal_tables_merge_to_one(self):
         n, h = 10**5, 1000
@@ -405,6 +433,139 @@ class TestOneTableQuery:
         assert query_to_dict(again) == spec
         x = db(2, [0, 2, 3, 1, 2])
         assert again.evaluate(x) == q.evaluate(x) == 0.6
+
+
+class TestDatabaseCounts:
+    """A Database keeps its per-code counts, and a one-table query reads
+    them instead of counting the rows."""
+
+    n = 3 * 2**16 + 5  # four count blocks, the last one partial
+
+    @classmethod
+    def queries(cls, l):
+        universe = DataUniverse(l)
+        n = cls.n
+        gen = RandomSource(31).generator()
+        return {
+            "predicate": make_predicate_query(universe, n, [0, l - 1]),
+            "tables-h1": StatisticalQuery(universe, gen.random((1, 2**l)), np.zeros(n, dtype=np.int64)),
+            "equal-tables": StatisticalQuery(universe, np.tile(gen.random(2**l), (1000, 1)), np.arange(n) % 1000),
+            "batch-64": generate_random_query(universe, n, 1, RandomSource(32), count=64),
+            "grid": grid_query(LipschitzQuery(np.square, 2.0, 0.0, 1.0), n, l),
+        }
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.uint64])
+    def test_evaluate_equals_answers_of_rows(self, dtype):
+        l = 3
+        rows = RandomSource(33).generator().integers(0, 2**l, size=self.n).astype(dtype)
+        x = Database(DataUniverse(l), rows)
+        assert x.rows.dtype == dtype
+        assert np.array_equal(x.code_counts, np.bincount(rows.astype(np.int64), minlength=2**l))
+        for name, q in self.queries(l).items():
+            assert q.heterogeneity == 1, name
+            expected = np.asarray(q.answers(q.histogram(x.rows)))
+            got = np.asarray(q.evaluate(x))
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+
+    def test_counted_once_per_database(self, monkeypatch):
+        calls = []
+        count_codes = core._count_codes
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].size)
+            return count_codes(*args, **kwargs)
+
+        monkeypatch.setattr(core, "_count_codes", counting)
+        l, n = 4, 500
+        universe = DataUniverse(l)
+        params = MechanismParams(1.0, universe)
+        bit_sets = [[0], [1], [2], [3], [0, 1], [0, 2], [0, 3], [1, 2], [1, 3]]
+        predicates = [make_predicate_query(universe, n, bits) for bits in bit_sets]
+        tables = generate_random_query(universe, n, 1, RandomSource(34), count=3)
+        qs = predicates + [tables]
+        assert len(qs) == 10
+        gen = RandomSource(35).generator()
+        x = Database(universe, gen.integers(0, 2**l, size=n))
+        for q in qs:
+            q.evaluate(x)
+            estimate_unbiased(q, x, params)
+        for q in predicates:
+            exact_unbiased_mse(q, x, params)
+            measure_distortion(q, x, params, trials=3, rng=RandomSource(36))
+        assert calls == [n]
+        y = Database(universe, gen.integers(0, 2**l, size=n))
+        for q in qs:
+            q.evaluate(y)
+        assert calls == [n, n]
+
+    def test_multi_table_query_never_reads_the_counts(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a multi-table query read the Database's counts")
+
+        universe = DataUniverse(3)
+        z = Database(universe, np.arange(40) % 8)
+        x = Database(universe, RandomSource(37).generator().integers(0, 8, size=40))
+        params = MechanismParams(1.0, universe)
+        monkeypatch.setattr(Database, "code_counts", property(refuse))
+        for q in (make_hamming_query(z), generate_random_query(universe, 40, 4, RandomSource(38))):
+            assert q.heterogeneity > 1
+            assert q.evaluate(x) == q.answers(q.histogram(x.rows))
+            exact_unbiased_mse(q, x, params)
+            measure_distortion(q, x, params, trials=3, rng=RandomSource(39))
+        assert x._code_counts is None
+
+    def test_counts_read_only_and_database_immutable(self):
+        x = db(2, [0, 3, 3, 1])
+        counts = x.code_counts
+        assert counts.dtype == np.int64 and counts.tolist() == [1, 1, 0, 2]
+        assert not counts.flags.writeable
+        with pytest.raises(ValueError):
+            counts[0] = 5
+        assert x.code_counts is counts
+        for name in ("rows", "universe", "_code_counts", "code_counts"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+        assert x.code_counts is counts
+
+
+class TestTableCap:
+    """A universe of more than MAX_TABLE_CODES codes is refused before any
+    table over it is made; the cap is lowered here, so nothing large is ever
+    allocated."""
+
+    def test_cap_value(self):
+        assert core.MAX_TABLE_CODES == 2**24
+        assert core._table_codes(DataUniverse(24)) == 2**24
+        for l in (25, 30):
+            with pytest.raises(ValidationError, match="cap of 16777216"):
+                core._table_codes(DataUniverse(l))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda u, lq: make_predicate_query(u, 10, [0]),
+            lambda u, lq: make_hamming_query(Database(u, [0, 5, 2**u.l - 1])),
+            lambda u, lq: generate_random_query(u, 10, 2, RandomSource(40)),
+            # a table of the at-cap width: the cap is checked before the shape
+            lambda u, lq: StatisticalQuery(u, [np.arange(2.0**10)], [0, 0]),
+            lambda u, lq: grid_query(lq, 10, u.l),
+            lambda u, lq: Database(u, [0, 7]).code_counts,
+        ],
+        ids=["predicate", "hamming", "random", "tables", "grid", "database-counts"],
+    )
+    def test_refused_before_allocation(self, monkeypatch, build):
+        monkeypatch.setattr(core, "MAX_TABLE_CODES", 2**10)
+        lq = LipschitzQuery(lambda v: v, 1.0, 0.0, 1.0)
+        universe = DataUniverse(20)  # a float64 table would be 8 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="above the cap of 1024"):
+                build(universe, lq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+        build(DataUniverse(10), lq)  # at the cap
 
 
 class TestConstruction:
