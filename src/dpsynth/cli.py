@@ -8,9 +8,10 @@ draw fresh OS entropy; ``--seed`` is for tests. Exit codes: 0 success, 2 usage
 or config errors, 1 anything else; data errors print a machine-parseable
 ``error[<category>]`` prefix.
 
-Code files are read by ``core._read_int_rows`` (a numpy byte scan, a line
-walk as the fallback) and written by ``write_database_codes`` as byte
-matrices of digits, not one string per row. The same scan reads a query
+Code files are read by ``core._read_int_rows`` (a numpy byte scan, whose
+grammar is the only one a code file has; the first line outside it is named
+in the error) and written by ``write_database_codes`` as byte matrices of
+digits, not one string per row. The same scan reads a query
 file's per-row integer arrays (``core._read_json_int_arrays``, json as the
 fallback).
 """

@@ -10,13 +10,14 @@ Every stochastic operation in this package takes an explicit
 :class:`RandomSource`; there is no hidden global randomness.
 JSON files, code files and edge lists are parsed here (``_read_json``,
 ``_read_int_rows``). A code file or edge list is read in blocks of whole
-lines, and numpy scans each block's bytes; only a block that leaves the
-scan's grammar (plain ASCII digits, spaces, tabs and comments) is walked line
-by line, which returns its rows or names the first bad line. The same scan
-reads a query file's long integer arrays (``_read_json_int_arrays``): JSON
-integers without sign, fraction, exponent or leading zero, separated by
-commas; json parses the rest of the file, and any array or file outside that
-grammar is left to json whole.
+lines, and numpy scans each block's bytes (``_scan_block``). Its grammar
+(runs of at most 18 ASCII digits, spaces, tabs, '\n' or '\r\n' line ends and
+ASCII comments) is the only one such a file has: a block that leaves it is
+halved until its first bad line is found and named. The same scan reads a
+query file's long integer arrays (``_read_json_int_arrays``): JSON integers
+without sign, fraction, exponent or leading zero, separated by commas; json
+parses the rest of the file, and any array or file outside that grammar is
+left to json whole.
 """
 
 from __future__ import annotations
@@ -98,18 +99,13 @@ def _utf8_lines(fh, path) -> Iterator[str]:
         raise _not_utf8(path, exc) from None
 
 
-def _content_lines(path, block: bytes | None = None, first: int = 1) -> Iterator[tuple[int, str]]:
-    """(line number, stripped text) of each line with content before its '#',
-    of the file at ``path``, or else of ``block``: whole lines of that file,
-    the first of them line number ``first``."""
-    if block is None:
-        fh = open(path, "r", encoding="utf-8-sig")
-    else:
-        fh = io.TextIOWrapper(io.BytesIO(block), encoding="utf-8")
-    with fh:
-        for lineno, line in enumerate(_utf8_lines(fh, path), start=first):
-            text = line.split("#", 1)[0].strip()
-            if text:
+def _content_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line of the file at ``path`` with text
+    before its '#', stripped of ' ' and '\t'. Lines end in '\n' or '\r\n'."""
+    with open(path, "r", encoding="utf-8-sig", newline="\n") as fh:
+        for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
+            text = line[:-1].removesuffix("\r") if line.endswith("\n") else line
+            if text := text.split("#", 1)[0].strip(" \t"):
                 yield lineno, text
 
 
@@ -262,35 +258,42 @@ def _scan_block(buf: bytearray, lo: int, hi: int, width: int, minimum: int, gram
     return values, row_count
 
 
-def _walk_block(path, block: bytes, lineno: int, width: int, minimum: int):
-    """(values, line count) of the whole lines ``block``, the first of them
-    line ``lineno`` + 1, walked line by line with ``int()`` per token; the
-    first bad line is named."""
-    rows = []
-    for number, text in _content_lines(path, block, lineno + 1):
-        try:
-            row = np.array(text.split(), dtype=np.int64)
-            ok = row.shape == (width,) and (row >= minimum).all()
-        except (ValueError, OverflowError):
-            ok = False
-        if not ok:
-            raise ValidationError(f"{path}:{number}: expected {width} integer(s) >= {minimum} per line, got {text!r}")
-        rows.append(row)
-    # lines end in '\n', '\r\n' or a bare '\r', as in a file read as text
-    lines = block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
-    return np.array(rows, dtype=np.int64).reshape(-1), lines
+def _bad_line(path, buf: bytearray, lo: int, hi: int, lineno: int, width: int, minimum: int):
+    """Raise the ValidationError that names the first line of ``buf[lo:hi]``
+    that ``_scan_block`` rejects: whole lines of a code file or edge list,
+    the first of them line ``lineno`` + 1, that leave ``_LINES``. The
+    grammar holds line by line, so the range is halved at a '\n' near its
+    middle and the first half scanned: the search goes on in that half if it
+    is rejected, else in the second one, until one line is left."""
+    first = lo
+    # cut after the last '\n' before the middle, else after the first one
+    # past it; 0 (no cut) once the range is one line
+    while mid := buf.rfind(b"\n", lo, (lo + hi) // 2) + 1 or buf.find(b"\n", (lo + hi) // 2, hi - 1) + 1:
+        if _scan_block(buf, lo, mid, width, minimum, _LINES) is None:
+            hi = mid
+        else:
+            lo = mid
+    line = bytes(buf[lo:hi])
+    try:
+        text = (line[:-1].removesuffix(b"\r") if line.endswith(b"\n") else line).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    number = lineno + 1 + buf.count(b"\n", first, lo)
+    raise ValidationError(
+        f"{path}:{number}: expected {width} integer(s) in [{minimum}, 10**{_SCAN_MAX_DIGITS}) per line, got {text!r}"
+    )
 
 
-def _scan_stream(fh, size: int, head: bytes, width: int, minimum: int, grammar: tuple, walk):
+def _scan_stream(fh, size: int, head: bytes, width: int, minimum: int, grammar: tuple, path):
     """(values, row count) of the bytes ``head`` and then the rest of the
     binary stream ``fh``, ``size`` bytes in all, read in blocks of whole
     rows through one reused buffer. numpy scans each block's bytes
-    (``_scan_block``). A block that leaves ``grammar`` goes to
-    ``walk(block, rows before it)``, which returns its (values, row count)
-    or raises; without ``walk`` the stream is out of grammar and the result
-    is None. The values go into one int64 array, grown geometrically (a
-    fresh uninitialized array that takes the values so far, so no slot is
-    zero-filled) and trimmed at the end."""
+    (``_scan_block``). A block that leaves ``grammar`` ends the scan: the
+    result is None, or, for the code file or edge list at ``path``, the
+    error that names its first bad line (``_bad_line``). The values go into
+    one int64 array, grown geometrically (a fresh uninitialized array that
+    takes the values so far, so no slot is zero-filled) and trimmed at the
+    end."""
     row_end = grammar[1]
     buf = bytearray(_SCAN_PAD + _SCAN_BLOCK_BYTES)
     out = np.empty(0, dtype=np.int64)
@@ -312,9 +315,9 @@ def _scan_stream(fh, size: int, head: bytes, width: int, minimum: int, grammar: 
             continue
         scanned = _scan_block(buf, _SCAN_PAD, cut, width, minimum, grammar)
         if scanned is None:
-            if walk is None:
-                return None
-            scanned = walk(bytes(buf[_SCAN_PAD:cut]), rows)
+            if path is not None:
+                _bad_line(path, buf, _SCAN_PAD, cut, rows, width, minimum)
+            return None
         values, block_rows = scanned
         rows += block_rows
         if count + values.size > out.size:
@@ -335,25 +338,17 @@ def _scan_stream(fh, size: int, head: bytes, width: int, minimum: int, grammar: 
 
 
 def _read_int_rows(path, width: int, minimum: int) -> np.ndarray:
-    """(m, width) int64 rows of a file of ``width`` whitespace-separated
-    integers >= ``minimum`` (each as ``int()`` reads it) per non-blank line,
-    '#' comments allowed.
+    """(m, width) int64 rows of a file of ``width`` integers >= ``minimum``
+    per line that has any: runs of at most 18 ASCII digits separated by ' '
+    and '\t', lines ending in '\n' or '\r\n', ASCII '#' comments.
 
     numpy scans the file block by block (``_scan_stream``); a block that
-    leaves the scan's grammar is walked line by line instead, which returns
-    its rows or names the first bad line."""
+    leaves that grammar raises the ValidationError naming its first bad
+    line."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(len(_BOM))
-        values, _ = _scan_stream(
-            fh,
-            size,
-            b"" if head == _BOM else head,
-            width,
-            minimum,
-            _LINES,
-            lambda block, lineno: _walk_block(path, block, lineno, width, minimum),
-        )
+        values, _ = _scan_stream(fh, size, b"" if head == _BOM else head, width, minimum, _LINES, path)
     return values.reshape(-1, width)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,13 +222,13 @@ def read_edge_list(path, one_based: bool = False, symmetrize: bool = True) -> Da
 
 
 def read_cut_spec(path) -> CutQuery:
-    """Two lines of whitespace-separated vertex ids: S, then T."""
-    lines = [text for _, text in _content_lines(path)]
+    """Two lines of vertex ids, runs of at most 18 ASCII digits separated by
+    ' ' and '\t': S, then T."""
+    lines = list(_content_lines(path))
     if len(lines) != 2:
         raise ValidationError(f"{path}: a cut spec needs exactly two non-empty lines (S then T)")
-    try:
-        s = frozenset(int(w) for w in lines[0].split())
-        t = frozenset(int(w) for w in lines[1].split())
-    except ValueError:
-        raise ValidationError(f"{path}: vertex ids must be integers") from None
+    for lineno, text in lines:
+        if not re.fullmatch(r"[0-9]{1,18}(?:[ \t]+[0-9]{1,18})*", text):
+            raise ValidationError(f"{path}:{lineno}: expected vertex ids separated by spaces or tabs, got {text!r}")
+    s, t = (frozenset(int(w) for w in text.split()) for _, text in lines)
     return CutQuery(s, t)

@@ -220,11 +220,14 @@ class StatisticalQuery:
         """``histogram(x.rows)``, after checking ``x`` against the query. A
         one-table query, a batch included, reads the counts that ``x`` keeps
         (``Database.code_counts``, read-only) as its (1, 2**l) histogram, so
-        ``x``'s rows are counted at most once whatever is asked of it."""
+        ``x``'s rows are counted at most once whatever is asked of it. A
+        multi-table query counts them without ``histogram``'s range pass:
+        ``x`` was range-checked when it was made."""
         self._check(x)
         if self._offsets is None:
             return x.code_counts[None, :]
-        return self.histogram(x.rows)
+        card = self.universe.cardinality
+        return _count_codes(x.rows, self.heterogeneity * card, self._offsets).reshape(self.heterogeneity, card)
 
     def answers(self, hist: np.ndarray) -> np.ndarray:
         """Answers from per-(table, code) counts ``hist`` (..., k, 2**l):

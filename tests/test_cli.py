@@ -295,6 +295,21 @@ class TestWriteDatabaseCodes:
         assert read_database_codes(path, l) == db
 
 
+# tokens and line breaks that the int() line walk read before the code-file
+# grammar became the only one
+_FORMERLY_READ = {
+    "plus": "+1",
+    "underscore": "1_0",
+    "arabic-indic": "\u0663",
+    "form-feed": "\f1",
+    "vertical-tab": "1\x0b",
+    "line-separator": "1\u20281",
+    "25-digit": "0" * 24 + "1",
+    "non-ascii-comment": "1 # \u00e9",
+    "bare-cr": "1\r1",
+}
+
+
 class TestMalformedLineFiles:
     """Every malformed code file or edge list exits 2 naming the first bad
     line and quoting it; a file with no content lines has no line to name."""
@@ -351,8 +366,35 @@ class TestMalformedLineFiles:
         if line is None:
             assert f"{path}: {empty_message}" in err
         else:
+            # the whole bad line is quoted, its comment included
             assert f"{path}:{line}: " in err
-            assert repr(quoted) in err
+            assert repr(quoted)[1:-1] in err.split(" got ", 1)[1]
+
+    @pytest.mark.parametrize(
+        "kind,token",
+        [
+            pytest.param(kind, token, id=f"{kind}-{name}")
+            for kind in ("code-file", "edge-list", "cut-spec")
+            for name, token in _FORMERLY_READ.items()
+            # a cut spec's comments are not parsed: any UTF-8 text may stand in them
+            if not (kind == "cut-spec" and "#" in token)
+        ],
+    )
+    def test_token_outside_the_grammar(self, tmp_path, capsys, kind, token):
+        # now each file exits 2 naming the line that holds the token
+        edges, cut, db = tmp_path / "g.txt", tmp_path / "cut.txt", tmp_path / "db.txt"
+        edges.write_bytes(b"0 1\n" + (f"1 {token}\n" if kind == "edge-list" else "1 0\n").encode())
+        cut.write_bytes(b"0\n" + (f"{token}\n" if kind == "cut-spec" else "1\n").encode())
+        db.write_bytes(f"0\n{token}\n1\n".encode())
+        if kind == "code-file":
+            path = db
+            argv = ["release", "--input", str(db), "--l", "1", "--output", str(tmp_path / "out.txt")]
+        else:
+            path = edges if kind == "edge-list" else cut
+            argv = ["graph-cut", "--edges", str(edges), "--cut", str(cut)]
+        code, out, err = run_cli(capsys, *argv, "--epsilon", "1.0", "--seed", "1")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error[validation]: {path}:2: "), err
 
 
 class TestCompressorSuffixes:

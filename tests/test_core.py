@@ -1,6 +1,7 @@
 import gzip
 import os
 import random
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -234,27 +235,29 @@ class TestRandomSource:
 
 
 def reference_int_rows(path, width, minimum):
-    """The per-line loop the readers used before the one-pass parse: the
-    (m, width) rows, or the number of the first bad line. The lower bound
-    and the int64 range are checked per line here; the old edge-list loop
-    did the same for ids below 0 or 1, and the old code-file loop
-    overflowed after the loop, without a line number."""
+    """The strict per-line loop of the code-file grammar: the (m, width)
+    rows, or the number of the first bad line. Lines end in '\n', and a '\r'
+    is stripped only before one. A line is ASCII and holds no other '\r';
+    its text before a '#' is empty or ``width`` tokens separated by ' ' and
+    '\t', each a run of 1 to 18 ASCII digits whose value is >= ``minimum``."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) != width:
-                return lineno
-            try:
-                row = [int(p) for p in parts]
-            except ValueError:
-                return lineno
-            if not all(minimum <= v < 2**63 for v in row):
-                return lineno
-            rows.append(row)
+    with open(path, "rb") as fh:
+        lines = fh.read().removeprefix(b"\xef\xbb\xbf").split(b"\n")
+    for lineno, line in enumerate(lines, start=1):
+        if lineno < len(lines):
+            line = line.removesuffix(b"\r")
+        if not line.isascii() or b"\r" in line:
+            return lineno
+        text = line.split(b"#", 1)[0].strip(b" \t")
+        if not text:
+            continue
+        parts = re.split(rb"[ \t]+", text)
+        if len(parts) != width or not all(re.fullmatch(rb"[0-9]{1,18}", p) for p in parts):
+            return lineno
+        row = [int(p) for p in parts]
+        if min(row) < minimum:
+            return lineno
+        rows.append(row)
     return np.array(rows, dtype=np.int64).reshape(-1, width)
 
 
@@ -268,6 +271,9 @@ def read_or_line(path, width, minimum):
         return int(str(exc)[len(prefix):].split(":", 1)[0])
 
 
+# tokens that int() reads and that it rejects; of the first list the strict
+# grammar keeps only the plain digit runs, of the gaps ' ' and '\t', and of
+# the line ends '\n' and '\r\n'
 _GOOD_TOKENS = ["0", "7", "42", "-3", "+5", "-0", "007", "1_0", "\u0663", "-9223372036854775808"]
 _BAD_TOKENS = ["x", "1.5", "0x1", "_1", "1__0", "12345678901234567890", "9223372036854775808"]
 _GAPS = [" ", "\t", "  ", "\f", "\u2028", "\x0b"]
@@ -291,6 +297,20 @@ def _random_line(rnd, width):
     return text
 
 
+# the scan's alphabet, and one that adds what lies just outside it
+_DIGITS = st.text("0123456789", min_size=1, max_size=19)
+_SPACE = st.text(" \t", min_size=1, max_size=2)
+_ASCII = st.text(st.characters(max_codepoint=127, blacklist_characters="\r\n"), max_size=6)
+_ODD = "+_\u0663\r\f\x0b\u2028"
+_ALPHABETS = {
+    False: (_DIGITS, _SPACE, _ASCII, ["\n", "\r\n"]),
+    True: (
+        st.one_of(_DIGITS, st.text("0123456789" + _ODD, min_size=1, max_size=3)),
+        st.one_of(_SPACE, st.sampled_from(_ODD)),
+        st.one_of(_ASCII, st.text(st.characters(codec="utf-8", blacklist_characters="\n"), max_size=6)),
+        ["\n", "\r\n", "\r"],
+    ),
+}
 _CORPUS_BOUNDS = [(1, -(2**63)), (2, -(2**63)), (1, 0), (2, 1)]
 
 
@@ -335,8 +355,8 @@ class TestReadIntRows:
         ],
     )
     def test_odd_bodies_match_line_loop(self, tmp_path, body, width):
-        # The C parser must never accept a token or a line break that int() and
-        # the per-line loop reject, nor reject what they accept.
+        # The scan must never accept a token or a line break that the strict
+        # per-line loop rejects, nor reject what it accepts.
         path = tmp_path / "f.txt"
         path.write_bytes(("0 " * width + "\n" + body + "1 " * width + "\n").encode("utf-8"))
         expected = reference_int_rows(path, width, -(2**63))
@@ -385,8 +405,8 @@ class TestReadIntRows:
         [
             ("# head\n\n 3 # three\n\t4\n", 1, [[3], [4]]),
             ("1\r\n\r\n2\r\n", 1, [[1], [2]]),
-            ("\f5\n6", 1, [[5], [6]]),
-            ("1_0\n-2\n+3\n\u0663\n", 1, [[10], [-2], [3], [3]]),
+            ("\t5 \t\n6", 1, [[5], [6]]),
+            ("0" * 17 + "1\n" + "9" * 18 + "\n", 1, [[1], [10**18 - 1]]),
             ("0 1\n2\t3 # c\n", 2, [[0, 1], [2, 3]]),
             ("", 2, np.zeros((0, 2), dtype=np.int64)),
             ("# only\n\n", 1, np.zeros((0, 1), dtype=np.int64)),
@@ -414,49 +434,63 @@ class TestReadIntRows:
             ("0 1 2\n", 2, 1, "0 1 2"),
             ("0 1 2\n3\n", 2, 1, "0 1 2"),
             ("0 1\r\n1 1.5\r\n", 2, 2, "1 1.5"),
+            ("1_0\n-2\n+3\n\u0663\n", 1, 1, "1_0"),
+            ("7\n-2\n", 1, 2, "-2"),
+            ("7\n+3\n", 1, 2, "+3"),
+            ("7\n\u0663\n", 1, 2, "\u0663"),
+            ("\f5\n6", 1, 1, "\f5"),
+            ("5\x0b\n", 1, 1, "5\x0b"),
+            ("1\n" + "0" * 30 + "42\n8", 1, 2, "0" * 30 + "42"),
+            ("0" * 24 + "3\n", 1, 1, "0" * 24 + "3"),
+            ("1\r2\r3\r", 1, 1, "1\r2\r3\r"),
+            ("1\n2\r", 1, 2, "2\r"),
+            ("1\n2 # \u00e9t\u00e9\n", 1, 2, "\u00e9t\u00e9"),
+            ("1\n2 # a\rb\n", 1, 2, "a\rb"),
         ],
     )
     def test_first_bad_line_named(self, tmp_path, body, width, line, quoted):
+        # the message quotes the whole bad line, comment included, without
+        # its '\n' or '\r\n' end
         path = tmp_path / "f.txt"
         path.write_bytes(body.encode("utf-8"))
         with pytest.raises(ValidationError) as info:
             _read_int_rows(path, width, 0)
-        assert str(info.value).startswith(f"{path}:{line}: ")
-        assert repr(quoted) in str(info.value)
+        bad = re.split(r"\r?\n", body)[line - 1]
+        assert str(info.value) == f"{path}:{line}: expected {width} integer(s) in [0, 10**18) per line, got {bad!r}"
+        assert quoted in bad
 
     @pytest.mark.parametrize(
-        "body,width,expected,walked",
+        "body,width,expected",
         [
-            pytest.param("1\n" * 7 + "123456\n", 1, [1] * 7 + [123456], False, id="token"),
-            pytest.param("1\n" * 6 + "2 # a comment\n3\n", 1, [1] * 6 + [2, 3], False, id="comment"),
-            pytest.param("1\n" * 7 + "5\r\n6\n", 1, [1] * 7 + [5, 6], False, id="crlf"),
-            pytest.param("0 1\n" * 3 + "22 33\n", 2, [0, 1] * 3 + [22, 33], False, id="row"),
-            pytest.param("\ufeff" + "1\n" * 7 + "123456\n", 1, [1] * 7 + [123456], False, id="bom"),
-            pytest.param("1\n  7" + " " * 30 + "# " + "x" * 40 + "\n8\n", 1, [1, 7, 8], False, id="long-line"),
-            pytest.param("1\n" + "0" * 30 + "42\n8", 1, [1, 42, 8], True, id="long-token"),
+            pytest.param("1\n" * 7 + "123456\n", 1, [1] * 7 + [123456], id="token"),
+            pytest.param("1\n" * 6 + "2 # a comment\n3\n", 1, [1] * 6 + [2, 3], id="comment"),
+            pytest.param("1\n" * 7 + "5\r\n6\n", 1, [1] * 7 + [5, 6], id="crlf"),
+            pytest.param("0 1\n" * 3 + "22 33\n", 2, [0, 1] * 3 + [22, 33], id="row"),
+            pytest.param("\ufeff" + "1\n" * 7 + "123456\n", 1, [1] * 7 + [123456], id="bom"),
+            pytest.param("1\n  7" + " " * 30 + "# " + "x" * 40 + "\n8\n", 1, [1, 7, 8], id="long-line"),
         ],
     )
-    def test_block_boundary_inside(self, tmp_path, monkeypatch, body, width, expected, walked):
+    def test_block_boundary_inside(self, tmp_path, monkeypatch, body, width, expected):
         # with 16-byte blocks, the first block ends inside the named piece;
-        # only a token of more than 18 digits sends its block to the walk
-        walks = []
-        walk = core._walk_block
+        # every block is in the scan's grammar, so no bad line is looked for
+        def bad_line(*args):
+            raise AssertionError("walked")
+
         monkeypatch.setattr(core, "_SCAN_BLOCK_BYTES", 16)
-        monkeypatch.setattr(core, "_walk_block", lambda *args: walks.append(args) or walk(*args))
+        monkeypatch.setattr(core, "_bad_line", bad_line)
         path = tmp_path / "f.txt"
         path.write_bytes(body.encode("utf-8"))
         got = _read_int_rows(path, width, 0)
         assert got.dtype == np.int64
         assert np.array_equal(got, np.array(expected, dtype=np.int64).reshape(-1, width))
-        assert bool(walks) == walked
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_every_token_length_is_scanned(self, tmp_path, monkeypatch, width):
         # every token here is in the scan's grammar, so no line may be walked
-        def walk(*args):
+        def bad_line(*args):
             raise AssertionError("walked")
 
-        monkeypatch.setattr(core, "_walk_block", walk)
+        monkeypatch.setattr(core, "_bad_line", bad_line)
         rnd = random.Random(width)
         tokens = ["0", "00"]
         for k in range(1, 19):
@@ -483,36 +517,41 @@ class TestReadIntRows:
         assert got.dtype == np.int64 and got.shape == (80000, 1)
         assert np.array_equal(got, expected)
 
-    def test_large_file_walks_only_its_bad_block(self, tmp_path):
+    def test_large_file_walks_only_its_bad_block(self, tmp_path, monkeypatch):
+        # only the last block is searched for the bad line, and each file
+        # fails naming line 10**6
+        walks = []
+        bad_line = core._bad_line
+        monkeypatch.setattr(core, "_bad_line", lambda *args: walks.append(args[3] - args[2]) or bad_line(*args))
         codes = np.random.default_rng(8).integers(0, 8, size=10**6 - 1)
         body = b"".join(b"%d\n" % c for c in codes.tolist())
-        bad = tmp_path / "bad.txt"
-        bad.write_bytes(body + b"x\n")
-        assert read_or_line(bad, 1, 0) == 10**6
-        walked = tmp_path / "walked.txt"
-        walked.write_bytes(body + b"1_0\n")
-        got = _read_int_rows(walked, 1, 0)
-        assert got.dtype == np.int64 and np.array_equal(got, reference_int_rows(walked, 1, 0))
+        for k, last in enumerate([b"x\n", b"1_0\n"]):
+            path = tmp_path / f"bad{k}.txt"
+            path.write_bytes(body + last)
+            assert read_or_line(path, 1, 0) == 10**6
+        assert len(walks) == 2 and max(walks) <= core._SCAN_BLOCK_BYTES
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), width=st.sampled_from([1, 2]), block_bytes=st.sampled_from([16, 37, 1 << 15]))
     def test_fast_grammar_matches_line_loop(self, data, width, block_bytes):
-        # the scan's alphabet: digit runs, ' ' and '\t', '\n' and '\r\n',
-        # ASCII comments; runs of 19 digits and wrong counts reach the walk
+        # the scan's alphabet (digit runs, ' ' and '\t', '\n' and '\r\n',
+        # ASCII comments), in which runs of 19 digits and wrong counts are
+        # the bad lines; or that alphabet and '+', '_', a non-ASCII digit,
+        # bare '\r', '\f', '\x0b', U+2028 and non-ASCII comment text
+        token, gap, comment, endings = _ALPHABETS[data.draw(st.booleans())]
         body = ""
         for k in range(data.draw(st.integers(0, 12)), 0, -1):
             count = data.draw(st.sampled_from([0, width, width, width, width + 1]))
-            tokens = data.draw(st.lists(st.text("0123456789", min_size=1, max_size=19), min_size=count, max_size=count))
+            tokens = data.draw(st.lists(token, min_size=count, max_size=count))
             body += data.draw(st.text(" \t", max_size=2))
-            body += "".join(t + data.draw(st.text(" \t", min_size=1, max_size=2)) for t in tokens)
+            body += "".join(t + data.draw(gap) for t in tokens)
             if data.draw(st.booleans()):
-                comment = st.characters(max_codepoint=127, blacklist_characters="\r\n")
-                body += "#" + data.draw(st.text(comment, max_size=6))
-            body += data.draw(st.sampled_from(["\n", "\r\n"] + ([""] if k == 1 else [])))
+                body += "#" + data.draw(comment)
+            body += data.draw(st.sampled_from(endings + ([""] if k == 1 else [])))
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(core, "_SCAN_BLOCK_BYTES", block_bytes):
             path = os.path.join(tmp, "f.txt")
             with open(path, "wb") as fh:
-                fh.write(body.encode("ascii"))
+                fh.write(body.encode("utf-8"))
             expected = reference_int_rows(path, width, 0)
             got = read_or_line(path, width, 0)
         if isinstance(expected, int):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -405,7 +406,7 @@ class TestFiles:
         path.write_text(text)
         with pytest.raises(ValidationError) as info:
             read_edge_list(path, one_based=True)
-        assert str(info.value).startswith(f"{path}:{line}: expected 2 integer(s) >= 1")
+        assert str(info.value).startswith(f"{path}:{line}: expected 2 integer(s) in [1, 10**18)")
 
     def test_pair_cap_checked_before_allocation(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -431,3 +432,22 @@ class TestFiles:
         path.write_text("0 1\n")
         with pytest.raises(ValidationError):
             read_cut_spec(path)
+
+    @pytest.mark.parametrize(
+        "body,line",
+        [("+0\n\u0663 1_0\n", 1), ("0\n\u0663 1_0\n", 2), ("0 -1\n2\n", 1), ("\f0\n1\n", 1), ("0\n1\r2\n", 2),
+         ("0\n1\r", 2), ("0 1.0\n2\n", 1)],
+    )
+    def test_cut_spec_ids_are_digit_runs(self, tmp_path, body, line):
+        # vertex ids follow the code-file token rule: ASCII digit runs
+        # separated by ' ' and '\t'
+        path = tmp_path / "cut.txt"
+        path.write_bytes(body.encode("utf-8"))
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:{line}: "):
+            read_cut_spec(path)
+
+    def test_cut_spec_grammar(self, tmp_path):
+        path = tmp_path / "cut.txt"
+        path.write_bytes(b"\xef\xbb\xbf# S\r\n\t0  1\t# one\r\n\n 2\t3")
+        q = read_cut_spec(path)
+        assert q.s_set == frozenset({0, 1}) and q.t_set == frozenset({2, 3})

@@ -514,6 +514,28 @@ class TestDatabaseCounts:
             measure_distortion(q, x, params, trials=3, rng=RandomSource(39))
         assert x._code_counts is None
 
+    def test_multi_table_database_skips_the_range_pass(self, monkeypatch):
+        # a Database's codes were range-checked when it was made, so a
+        # multi-table query counts them without ``histogram``
+        universe = DataUniverse(3)
+        n = self.n - 1  # four count blocks, and a multiple of 4
+        x = Database(universe, RandomSource(40).generator().integers(0, 8, size=n))
+        qs = [
+            make_hamming_query(Database(universe, np.arange(n) % 8)),
+            generate_random_query(universe, n, 4, RandomSource(41)),
+            generate_random_query(universe, n, 4, RandomSource(42), count=5),
+        ]
+        expected = [np.asarray(q.answers(q.histogram(x.rows))) for q in qs]
+
+        def refuse(self, rows):
+            raise AssertionError("a Database's rows went through histogram")
+
+        monkeypatch.setattr(StatisticalQuery, "histogram", refuse)
+        for q, want in zip(qs, expected):
+            assert q.heterogeneity > 1
+            got = np.asarray(q.evaluate(x))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_counts_read_only_and_database_immutable(self):
         x = db(2, [0, 3, 3, 1])
         counts = x.code_counts
