@@ -442,10 +442,12 @@ def _count_codes(rows: np.ndarray, size: int, offsets: np.ndarray | None = None)
     ``np.bincount`` copies read-only input, and a Database's rows are
     read-only, so the rows are counted in blocks and the blocks' counts
     added up: the copy is one block, never the whole array. A block holds
-    max(_COUNT_BLOCK, size) rows, so its counts never outgrow it."""
+    max(_COUNT_BLOCK, size) rows, so its counts never outgrow it; rows that
+    fit in one block are one ``bincount``."""
     step = max(_COUNT_BLOCK, size)
-    counts = np.zeros(size, dtype=np.int64)
-    for start in range(0, rows.size, step):
+    counts = None
+    # one block at least, so no rows give zero counts
+    for start in range(0, rows.size or 1, step):
         block = rows[start : start + step]
         if not np.can_cast(block.dtype, np.intp):
             # uint64: bincount takes no such codes, and adding int64 offsets
@@ -453,7 +455,9 @@ def _count_codes(rows: np.ndarray, size: int, offsets: np.ndarray | None = None)
             block = block.astype(np.intp)
         if offsets is not None:
             block = block + offsets[start : start + step]
-        counts += np.bincount(block, minlength=size)
+        block_counts = np.bincount(block, minlength=size)
+        # the first block's counts start the sum: no zeros are made to add to
+        counts = block_counts if counts is None else np.add(counts, block_counts, out=counts)
     return counts
 
 
@@ -464,6 +468,10 @@ class DataUniverse:
     l: int
 
     def __post_init__(self):
+        # the common case, a plain int in range, needs no further check; a
+        # bool is not an int here and takes the full checks below
+        if type(self.l) is int and 1 <= self.l <= MAX_ATTRIBUTES:
+            return
         if isinstance(self.l, bool) or not isinstance(self.l, numbers.Integral):
             raise ValidationError(f"universe dimension must be an integer, got {self.l!r}")
         object.__setattr__(self, "l", int(self.l))
@@ -504,13 +512,15 @@ class Database:
     def _own(self, universe: DataUniverse, arr: np.ndarray) -> None:
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("a database is a nonempty 1-d sequence of row codes")
-        if not np.issubdtype(arr.dtype, np.integer):
+        if arr.dtype.kind not in "iu":
             raise ValidationError(f"row codes must be integers, got dtype {arr.dtype}")
-        lo = int(arr.min())
-        hi = int(arr.max())
-        if lo < 0 or hi >= universe.cardinality:
+        # every code lies in [0, 2**l) exactly when their bitwise OR does (a
+        # negative code sets the sign bit): one pass, as in ``histogram``;
+        # the min and max are taken only to word the error
+        if np.bitwise_or.reduce(arr) >> universe.l:
             raise ValidationError(
-                f"row codes must lie in [0, {universe.cardinality}), found range [{lo}, {hi}]"
+                f"row codes must lie in [0, {universe.cardinality}), "
+                f"found range [{int(arr.min())}, {int(arr.max())}]"
             )
         arr.setflags(write=False)
         object.__setattr__(self, "universe", universe)

@@ -44,7 +44,7 @@ from .core import (
     enumeration_size,
 )
 from .mechanism import MechanismParams, log_pmf_all_outputs, sample_histograms
-from .queries import StatisticalQuery
+from .queries import StatisticalQuery, _per_query
 
 ACHIEVABLE_CAP = 10**6
 
@@ -137,21 +137,26 @@ def achievable_values(q: StatisticalQuery, cap: int = ACHIEVABLE_CAP) -> np.ndar
     return sums / q.c_sum
 
 
-def project_proper(q: StatisticalQuery, raw: float, strategy: str = "interval_clamp") -> float:
+def project_proper(q: StatisticalQuery, raw, strategy: str = "interval_clamp"):
     """Map a raw estimate onto answers a real database could produce.
 
     interval_clamp restricts to the exact value interval of q (contains every
     achievable answer, so the factor-2 pointwise guarantee is preserved);
     exact_range returns the nearest achievable value, ties broken toward the
-    smaller one.
+    smaller one, and takes one query only. A float for one query, an array
+    (Q,) for a batch, as ``estimate_unbiased`` returns them.
     """
-    return float(_project_vector(q, np.asarray(raw, dtype=np.float64), strategy))
+    raw = np.asarray(raw, dtype=np.float64)
+    if raw.shape != q.tables.shape[:-2]:
+        raise DimensionMismatchError(f"raw estimates must have shape {q.tables.shape[:-2]}, got {raw.shape}")
+    return _per_query(_project_vector(q, raw, strategy))
 
 
 def _project_vector(q: StatisticalQuery, raw: np.ndarray, strategy: str) -> np.ndarray:
     if strategy == "interval_clamp":
         lo, hi = q.value_range()
-        return np.clip(raw, lo, hi)
+        # the bits of np.clip, NaN included, without its Python-level wrapper
+        return np.minimum(np.maximum(raw, lo), hi)
     if strategy != "exact_range":
         raise ValidationError(f"unknown projection strategy {strategy!r}")
     vals = achievable_values(q)

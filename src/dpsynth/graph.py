@@ -16,7 +16,9 @@ Edge lists are parsed by ``core._read_int_rows``. |V|^2 is checked against
 Every cut count, exact (``cut_value``) or released (``answer_cut``, the cut
 estimator), is one contraction of (C, |V|) indicator matrices: the row sums
 of (S @ M) * T. Released counts are debiased by the same affine map as a
-statistical query, with centering constant |S||T|.
+statistical query, with centering constant |S||T|. Random bisections are
+drawn straight into such matrices (``_bisection_indicators``), with no
+``CutQuery`` per cut.
 """
 
 from __future__ import annotations
@@ -156,15 +158,24 @@ def answer_cut(y: Database, q: CutQuery, epsilon: float) -> float:
     return float(_answer_cuts(y, s, t, epsilon)[0])
 
 
+def _bisection_indicators(vertex_count: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 (C, |V|) indicator matrices (S, T) of C random bisections,
+    cut c drawn from ``rngs[c]``: S is a uniform floor(|V|/2)-subset, one
+    ``choice`` without replacement written straight into row c, and T = 1 - S
+    its complement. The one place a bisection is drawn."""
+    if vertex_count < 2:
+        raise ValidationError("a bisection cut needs at least two vertices")
+    s = np.zeros((len(rngs), vertex_count), dtype=np.float32)
+    for row, rng in zip(s, rngs):
+        row[rng.generator().choice(vertex_count, size=vertex_count // 2, replace=False)] = 1.0
+    return s, 1.0 - s
+
+
 def random_bisection_cut(x: Database, rng: RandomSource) -> CutQuery:
     """S = uniform floor(|V|/2)-subset, T = the complement; the largest
     |S||T| product, hence the worst case of the cut distortion bound."""
-    v = vertex_count(x)
-    if v < 2:
-        raise ValidationError("a bisection cut needs at least two vertices")
-    s_set = frozenset(rng.generator().choice(v, size=v // 2, replace=False).tolist())
-    t_set = frozenset(range(v)) - s_set
-    return CutQuery(s_set, t_set)
+    s, t = _bisection_indicators(vertex_count(x), [rng])
+    return CutQuery(frozenset(np.flatnonzero(s[0]).tolist()), frozenset(np.flatnonzero(t[0]).tolist()))
 
 
 def erdos_renyi_graph(vertex_count: int, edge_prob: float, rng: RandomSource) -> Database:

@@ -50,11 +50,10 @@ from .estimators import ESTIMATORS, _distortion_bound, _estimates
 from .graph import (
     MAX_ENCODED_PAIRS,
     _answer_cuts,
+    _bisection_indicators,
     _cut_counts,
-    _cut_indicators,
     erdos_renyi_graph,
     power_law_graph,
-    random_bisection_cut,
     release_graph,
 )
 from .mechanism import MechanismParams, sample_rows
@@ -400,9 +399,7 @@ def run_cut_scaling(config: ExperimentConfig, rng: RandomSource) -> list[ResultR
             x = erdos_renyi_graph(v, config.graph_param, rng.derive(_S_GRAPH, gi))
         else:
             x = power_law_graph(v, int(config.graph_param), rng.derive(_S_GRAPH, gi))
-        s, t = _cut_indicators(
-            [random_bisection_cut(x, rng.derive(_S_CUTS, gi, ci)) for ci in range(config.cut_count)], v
-        )
+        s, t = _bisection_indicators(v, [rng.derive(_S_CUTS, gi, ci) for ci in range(config.cut_count)])
         truths = _cut_counts(x.rows, s, t)
         errs = np.empty((config.trial_count, config.cut_count))
         for r in range(config.trial_count):

@@ -95,6 +95,7 @@ class StatisticalQuery:
         "n",
         "_offsets",
         "_counts",
+        "_value_range",
     )
 
     def __init__(self, universe: DataUniverse, tables, assignment, label: str = ""):
@@ -151,10 +152,15 @@ class StatisticalQuery:
             raise ValidationError("constant row functions are not allowed (need max > min)")
 
         c_sum = (row_max - row_min) @ counts
+        centering = tables.sum(axis=-1) @ counts / c_sum
+        lo, hi = row_min @ counts / c_sum, row_max @ counts / c_sum
 
         object.__setattr__(self, "universe", universe)
         for arr in (tables, counts):
             arr.setflags(write=False)
+        if batch:  # a batch's per-query values are arrays (Q,), read-only like its tables
+            for arr in (c_sum, centering, lo, hi):
+                arr.setflags(write=False)
         object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "n", int(per_table.sum()))
         object.__setattr__(self, "_offsets", offsets)
@@ -164,8 +170,9 @@ class StatisticalQuery:
         object.__setattr__(self, "b", float(row_max.max()))
         object.__setattr__(self, "c", float((row_max - row_min).min()))
         object.__setattr__(self, "c_sum", _per_query(c_sum))
-        object.__setattr__(self, "centering", _per_query(tables.sum(axis=-1) @ counts / c_sum))
+        object.__setattr__(self, "centering", _per_query(centering))
         object.__setattr__(self, "heterogeneity", int(k))
+        object.__setattr__(self, "_value_range", (_per_query(lo), _per_query(hi)))
 
     def __setattr__(self, name, value):
         raise AttributeError("StatisticalQuery is immutable")
@@ -266,10 +273,10 @@ class StatisticalQuery:
         return max(1, _HIST_BINS // (self.heterogeneity * self.universe.cardinality))
 
     def value_range(self):
-        """[sum_i a_i, sum_i b_i] / sum_i c_i — the exact span of q; width 1."""
-        lo = self.tables.min(axis=-1) @ self._counts / self.c_sum
-        hi = self.tables.max(axis=-1) @ self._counts / self.c_sum
-        return _per_query(lo), _per_query(hi)
+        """[sum_i a_i, sum_i b_i] / sum_i c_i — the exact span of q; width 1.
+        Computed once, when the query is built: floats for one query,
+        read-only arrays (Q,) for a batch."""
+        return self._value_range
 
 
 def _checked_tables(universe: DataUniverse, tables) -> np.ndarray:

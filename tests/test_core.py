@@ -38,7 +38,7 @@ class TestDataUniverse:
         assert DataUniverse(10).cardinality == 1024
         assert DataUniverse(30).cardinality == 2**30
 
-    @pytest.mark.parametrize("l", [0, -1, 31, 64])
+    @pytest.mark.parametrize("l", [0, -1, 31, 64, True])
     def test_dimension_limits(self, l):
         with pytest.raises(ValidationError):
             DataUniverse(l)
@@ -81,6 +81,32 @@ class TestDatabase:
         assert x.rows is arr and not arr.flags.writeable
         with pytest.raises(ValidationError):
             Database._adopt(DataUniverse(1), np.array([0, 2]))
+
+    @pytest.mark.parametrize("l", [1, 3, 7, 8, 30])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                       np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_one_pass_range_check_every_integer_dtype(self, dtype, l):
+        # the range check is one bitwise OR shifted by l: it must accept
+        # exactly the codes in [0, 2**l) of every integer dtype, and still
+        # name the range it found
+        info = np.iinfo(dtype)
+        universe = DataUniverse(l)
+        for code in (0, (1 << l) - 1, 1 << l, -1, info.min, info.max):
+            if not info.min <= code <= info.max:
+                continue
+            rows = np.array([0, code], dtype=dtype)
+            if 0 <= code < 1 << l:
+                assert Database(universe, rows).rows.tolist() == [0, code]
+            else:
+                lo, hi = min(0, code), max(0, code)
+                with pytest.raises(ValidationError, match=re.escape(f"found range [{lo}, {hi}]")):
+                    Database(universe, rows)
+
+    @pytest.mark.parametrize("rows", [np.array([0, 1], dtype=bool), np.array([0.0, 1.0]),
+                                      np.array([0, 1], dtype=np.float32)])
+    def test_bool_and_float_rows_rejected(self, rows):
+        with pytest.raises(ValidationError, match="must be integers"):
+            Database(DataUniverse(1), rows)
 
     def test_equality(self):
         assert db(2, [1, 2]) == db(2, [1, 2])

@@ -14,6 +14,7 @@ from dpsynth.core import (
     EnumerationTooLargeError,
     EstimatorUndefinedError,
     RandomSource,
+    ValidationError,
     all_databases_matrix,
 )
 from dpsynth.estimators import (
@@ -123,6 +124,40 @@ class TestProjection:
         q = make_predicate_query(DataUniverse(1), 4, [0])
         assert project_proper(q, -3.0, "exact_range") == 0.0
         assert project_proper(q, 9.0, "exact_range") == 1.0
+
+    def test_clamp_batch_returns_per_query_array(self):
+        universe = DataUniverse(2)
+        qs = generate_random_query(universe, 8, 2, RandomSource(3), count=3)
+        lo, hi = qs.value_range()
+        raw = np.array([lo[0] - 1.0, (lo[1] + hi[1]) / 2, hi[2] + 1.0])
+        projected = project_proper(qs, raw, "interval_clamp")
+        assert isinstance(projected, np.ndarray) and projected.shape == (3,)
+        assert projected.tolist() == [lo[0], raw[1], hi[2]]
+        assert raw[0] == lo[0] - 1.0  # the caller's array is not clamped in place
+        # a batch's raw estimates, as estimate_unbiased returns them
+        y = Database(universe, RandomSource(4).generator().integers(0, 4, size=8))
+        est = estimate_unbiased(qs, y, MechanismParams(1.0, universe))
+        assert np.array_equal(project_proper(qs, est), np.clip(est, lo, hi))
+
+    def test_clamp_one_query_returns_float(self):
+        q = make_predicate_query(DataUniverse(2), 4, [1])
+        assert type(project_proper(q, np.float64(2.0))) is float
+        assert type(project_proper(q, np.array(-2.0))) is float
+
+    def test_clamp_keeps_nan(self):
+        q = make_predicate_query(DataUniverse(1), 4, [0])
+        assert math.isnan(project_proper(q, math.nan, "interval_clamp"))
+
+    def test_exact_range_refuses_a_batch(self):
+        qs = generate_random_query(DataUniverse(1), 4, 1, RandomSource(3), count=3)
+        with pytest.raises(ValidationError, match="batch"):
+            project_proper(qs, np.zeros(3), "exact_range")
+
+    @pytest.mark.parametrize("count, raw", [(None, np.zeros(2)), (3, 0.5), (3, np.zeros(2))])
+    def test_raw_shape_must_match_the_query(self, count, raw):
+        q = generate_random_query(DataUniverse(1), 4, 1, RandomSource(3), count=count)
+        with pytest.raises(DimensionMismatchError, match="raw estimates must have shape"):
+            project_proper(q, raw)
 
     def test_achievable_dp_matches_enumeration(self):
         # the DP and the enumeration sum in different orders, so identical

@@ -290,6 +290,23 @@ class TestRandomBisection:
         assert len(q.s_set) == v // 2
         assert len(q.s_set) + len(q.t_set) == v
         assert q.s_set | q.t_set == frozenset(range(v))
+        # S is one choice without replacement on the cut's own stream
+        assert q.s_set == frozenset(RandomSource(v).generator().choice(v, size=v // 2, replace=False).tolist())
+
+    @pytest.mark.parametrize("v", [2, 5, 33])
+    def test_indicator_rows_are_the_cuts(self, v):
+        # the sweep's indicator rows hold exactly the cuts that
+        # random_bisection_cut draws from the same streams
+        x = adjacency_database(np.zeros((v, v), dtype=bool))
+        rngs = [RandomSource(3, 0, (c,)) for c in range(4)]
+        s, t = graph._bisection_indicators(v, rngs)
+        expected = graph._cut_indicators([random_bisection_cut(x, rng) for rng in rngs], v)
+        assert s.dtype == t.dtype == np.float32
+        assert np.array_equal(s, expected[0]) and np.array_equal(t, expected[1])
+
+    def test_one_vertex_has_no_bisection(self):
+        with pytest.raises(ValidationError, match="at least two vertices"):
+            random_bisection_cut(adjacency_database(np.zeros((1, 1), dtype=bool)), RandomSource(0))
 
 
 class TestGenerators:

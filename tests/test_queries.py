@@ -124,6 +124,44 @@ class TestNormalization:
         lo, hi = q.value_range()
         assert hi - lo == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["predicate", "merged_1000", "multi_table", "batch_64", "grid"])
+    def test_stored_value_range_is_the_tables_range(self, kind):
+        # value_range() is computed once at build; it must be the bits of
+        # tables.min(-1) @ counts / c_sum (and the max) for every kind of query
+        u = DataUniverse(3)
+        if kind == "predicate":
+            q = make_predicate_query(u, 100, [0, 2])
+        elif kind == "merged_1000":
+            table = RandomSource(1).generator().random(8)
+            q = StatisticalQuery(u, np.tile(table, (1000, 1)), np.arange(1000))
+            assert q.heterogeneity == 1
+        elif kind == "multi_table":
+            q = generate_random_query(u, 64, 8, RandomSource(2))
+            assert q.heterogeneity == 8
+        elif kind == "batch_64":
+            q = generate_random_query(u, 64, 4, RandomSource(3), count=64)
+        else:
+            q = grid_query(LipschitzQuery(lambda v: v * v, 2.0, 0.0, 1.0), 256, 3)
+        lo, hi = q.value_range()
+        expected_lo = q.tables.min(axis=-1) @ q._counts / q.c_sum
+        expected_hi = q.tables.max(axis=-1) @ q._counts / q.c_sum
+        if kind == "batch_64":
+            assert lo.shape == hi.shape == (64,)
+            assert np.array_equal(lo, expected_lo) and np.array_equal(hi, expected_hi)
+        else:
+            assert type(lo) is float and type(hi) is float
+            assert lo == float(expected_lo) and hi == float(expected_hi)
+
+    def test_batch_per_query_values_are_read_only(self):
+        qs = generate_random_query(DataUniverse(2), 8, 2, RandomSource(4), count=5)
+        lo, hi = qs.value_range()
+        before = qs.value_range()[0].copy()
+        for arr in (lo, hi, qs.c_sum, qs.centering):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 99.0
+        assert np.array_equal(qs.value_range()[0], before)
+
     def test_hamming_equals_distance_over_n(self):
         from dpsynth.core import hamming_distance
 
