@@ -435,9 +435,32 @@ def _table_codes(universe: "DataUniverse") -> int:
     return card
 
 
+def _check_codes(arr: np.ndarray, universe: "DataUniverse") -> None:
+    """ValidationError unless ``arr``, of any shape, holds integer codes of
+    ``universe``: an integer dtype (bool and float rows are refused), every
+    entry in [0, 2**l). The codes all lie in that range exactly when their
+    bitwise OR does (a negative code sets the sign bit), so the range check
+    is one pass; the min and max are taken only to word the error."""
+    if arr.dtype.kind not in "iu":
+        raise ValidationError(f"row codes must be integers, got dtype {arr.dtype}")
+    if np.bitwise_or.reduce(arr, axis=None) >> universe.l:
+        raise ValidationError(
+            f"row codes must lie in [0, {universe.cardinality}), "
+            f"found range [{int(arr.min())}, {int(arr.max())}]"
+        )
+
+
+def _check_universe(a: "DataUniverse", b: "DataUniverse", what: str) -> None:
+    """DimensionMismatchError, naming both l, unless ``a`` and ``b`` are the
+    same universe; ``what`` names the two operands."""
+    if a != b:
+        raise DimensionMismatchError(f"{what} live in different universes (l={a.l} vs l={b.l})")
+
+
 def _count_codes(rows: np.ndarray, size: int, offsets: np.ndarray | None = None) -> np.ndarray:
     """int64 counts (size,) of the 1-d integer codes ``rows``, each plus its
     entry of ``offsets`` when given; every such sum must lie in [0, size).
+    The package's one unweighted count of codes or table indices.
 
     ``np.bincount`` copies read-only input, and a Database's rows are
     read-only, so the rows are counted in blocks and the blocks' counts
@@ -512,16 +535,7 @@ class Database:
     def _own(self, universe: DataUniverse, arr: np.ndarray) -> None:
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("a database is a nonempty 1-d sequence of row codes")
-        if arr.dtype.kind not in "iu":
-            raise ValidationError(f"row codes must be integers, got dtype {arr.dtype}")
-        # every code lies in [0, 2**l) exactly when their bitwise OR does (a
-        # negative code sets the sign bit): one pass, as in ``histogram``;
-        # the min and max are taken only to word the error
-        if np.bitwise_or.reduce(arr) >> universe.l:
-            raise ValidationError(
-                f"row codes must lie in [0, {universe.cardinality}), "
-                f"found range [{int(arr.min())}, {int(arr.max())}]"
-            )
+        _check_codes(arr, universe)
         arr.setflags(write=False)
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "rows", arr)
@@ -584,10 +598,7 @@ class RandomSource:
 
 
 def _check_compatible(x: Database, y: Database) -> None:
-    if x.universe != y.universe:
-        raise DimensionMismatchError(
-            f"databases live in different universes (l={x.universe.l} vs l={y.universe.l})"
-        )
+    _check_universe(x.universe, y.universe, "databases")
     if x.n != y.n:
         raise DimensionMismatchError(f"databases have different sizes ({x.n} vs {y.n})")
 

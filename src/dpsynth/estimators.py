@@ -40,6 +40,7 @@ from .core import (
     EnumerationTooLargeError,
     RandomSource,
     ValidationError,
+    _check_universe,
     all_databases_matrix,
     enumeration_size,
 )
@@ -90,8 +91,7 @@ def estimate_unbiased(q: StatisticalQuery, y: Database, params: MechanismParams)
     """Debiased answer from a synthetic database; exactly unbiased under the
     mechanism for every input database. A float for one query, an array (Q,)
     for a batch."""
-    if params.universe != q.universe:
-        raise DimensionMismatchError("mechanism parameters and query use different universes")
+    _check_universe(params.universe, q.universe, "mechanism parameters and query")
     return _estimates(q, q.evaluate(y), params)
 
 
@@ -204,8 +204,7 @@ def exact_distortion(
     """Expected distortion by full enumeration of the output distribution."""
     _check_enums(estimator, measure, projection)
     _check_single(q, "exact_distortion")
-    if params.universe != q.universe:
-        raise DimensionMismatchError("mechanism parameters and query use different universes")
+    _check_universe(params.universe, q.universe, "mechanism parameters and query")
     q._check(x)
     enumeration_size(x.universe, x.n)  # the cap holds at the identity too
     if params.is_identity:
@@ -237,8 +236,7 @@ def exact_unbiased_mse(q: StatisticalQuery, x: Database, params: MechanismParams
     the identity boundary, where alpha is exactly 0.
     """
     _check_single(q, "exact_unbiased_mse")
-    if params.universe != q.universe:
-        raise DimensionMismatchError("mechanism parameters and query use different universes")
+    _check_universe(params.universe, q.universe, "mechanism parameters and query")
     scale = params.scale
     stay = 1.0 / scale  # 1 - alpha without cancellation
     dev2 = (q.tables - q.tables.mean(axis=-1, keepdims=True)) ** 2
@@ -284,8 +282,7 @@ def measure_distortion(
         raise ValidationError("measure_distortion needs an explicit RandomSource")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    if params.universe != q.universe:
-        raise DimensionMismatchError("mechanism parameters and query use different universes")
+    _check_universe(params.universe, q.universe, "mechanism parameters and query")
     hist = q.database_histogram(x)
     qx = q.answers(hist)
     gen = rng.generator()

@@ -60,6 +60,7 @@ from .core import (
     EstimatorUndefinedError,
     RandomSource,
     ValidationError,
+    _check_universe,
     all_databases_matrix,
     enumeration_size,
     hamming_distance,
@@ -208,24 +209,21 @@ def sample_histograms(hist, params: MechanismParams, gen: np.random.Generator, t
 
 def sample_synthetic(x: Database, params: MechanismParams, rng: RandomSource) -> Database:
     """Release one synthetic database for x at privacy level params.epsilon."""
-    if x.universe != params.universe:
-        raise DimensionMismatchError("database universe does not match mechanism parameters")
+    _check_universe(x.universe, params.universe, "database and mechanism parameters")
     out = sample_rows(x.rows, params, rng.generator(), 1)[0]
     return Database._adopt(x.universe, out.astype(x.rows.dtype, copy=False))
 
 
 def exact_log_pmf(x: Database, y: Database, params: MechanismParams) -> float:
     """log Pr[Y = y | x] = -eps * d(x, y) - n * log g(eps)."""
-    if x.universe != params.universe:
-        raise DimensionMismatchError("database universe does not match mechanism parameters")
+    _check_universe(x.universe, params.universe, "database and mechanism parameters")
     return -params.epsilon * hamming_distance(x, y) - x.n * params.log_g
 
 
 def log_pmf_all_outputs(x: Database, params: MechanismParams) -> np.ndarray:
     """Vector of log Pr[Y = y | x] over every output code, in code order:
     the order of ``all_databases_matrix``."""
-    if x.universe != params.universe:
-        raise DimensionMismatchError("database universe does not match mechanism parameters")
+    _check_universe(x.universe, params.universe, "database and mechanism parameters")
     dists = (all_databases_matrix(x.universe, x.n) != x.rows).sum(axis=1)
     return -params.epsilon * dists - x.n * params.log_g
 
@@ -317,6 +315,5 @@ def verify_dp(universe: DataUniverse, n: int, params: MechanismParams) -> float:
     row positions. The integer gap does not depend on eps, so it is computed
     once per (n, l) and cached; eps multiplies it at the end.
     """
-    if universe != params.universe:
-        raise DimensionMismatchError("universe does not match mechanism parameters")
+    _check_universe(universe, params.universe, "universe and mechanism parameters")
     return params.epsilon * _verify_gap(universe.l, n)

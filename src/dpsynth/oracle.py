@@ -95,11 +95,8 @@ def symmetric_row_kernel(universe: DataUniverse, keep_prob: float) -> np.ndarray
     card = universe.cardinality
     if not (0.0 < keep_prob <= 1.0):
         raise ValidationError(f"keep probability must lie in (0, 1], got {keep_prob}")
-    if card > 1:
-        off = (1.0 - keep_prob) / (card - 1)
-    else:
-        off = 0.0
-    kernel = np.full((card, card), off)
+    # every universe has at least 2 codes
+    kernel = np.full((card, card), (1.0 - keep_prob) / (card - 1))
     np.fill_diagonal(kernel, keep_prob)
     return kernel
 

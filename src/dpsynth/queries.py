@@ -36,6 +36,8 @@ from .core import (
     DimensionMismatchError,
     RandomSource,
     ValidationError,
+    _check_codes,
+    _check_universe,
     _count_codes,
     _read_json_int_arrays,
     _table_codes,
@@ -107,7 +109,7 @@ class StatisticalQuery:
             raise ValidationError("assignment must hold integer table indices")
         if assignment.min() < 0 or assignment.max() >= tables.shape[-2]:
             raise ValidationError("assignment indexes a missing table")
-        per_table = np.bincount(assignment.astype(np.intp, copy=False), minlength=tables.shape[-2])
+        per_table = _count_codes(assignment, tables.shape[-2])
         self._build(universe, tables, per_table, assignment, label)
 
     @classmethod
@@ -185,8 +187,7 @@ class StatisticalQuery:
         return self._offsets >> self.universe.l
 
     def _check(self, x: Database) -> None:
-        if x.universe != self.universe:
-            raise DimensionMismatchError("database universe does not match the query")
+        _check_universe(x.universe, self.universe, "database and query")
         if x.n != self.n:
             raise DimensionMismatchError(
                 f"query is defined for n={self.n} rows, database has {x.n}"
@@ -195,8 +196,9 @@ class StatisticalQuery:
     def histogram(self, rows) -> np.ndarray:
         """Per-(table, code) counts of row codes: (k, 2**l) for rows of shape
         (n,), (m, k, 2**l) for rows of shape (m, n). Rows of another length
-        raise DimensionMismatchError; codes outside [0, 2**l) raise
-        ValidationError."""
+        raise DimensionMismatchError; rows that are not integer codes of the
+        universe (bool and float rows included) raise ValidationError, as
+        they do in a ``Database``."""
         card = self.universe.cardinality
         size = self.heterogeneity * card
         rows = np.asarray(rows)
@@ -204,23 +206,16 @@ class StatisticalQuery:
             raise DimensionMismatchError(
                 f"query is defined for n={self.n} rows, got rows of shape {rows.shape}"
             )
-        # an out-of-range code would count silently into another table's bins;
-        # all codes lie in [0, 2**l) exactly when their bitwise OR does (a
-        # negative code sets the sign bit), and one OR pass is cheaper than
-        # a min and a max
-        if np.bitwise_or.reduce(rows, axis=None) >> self.universe.l:
-            raise ValidationError(f"row codes must lie in [0, {card})")
-        if rows.ndim == 1:
-            return _count_codes(rows, size, self._offsets).reshape(self.heterogeneity, card)
-        if not np.can_cast(rows.dtype, np.intp):
-            rows = rows.astype(np.intp)  # uint64, as in ``_count_codes``
-        # each row of ``rows`` counts into its own block of bins
+        # an out-of-range code would count silently into another table's bins
+        _check_codes(rows, self.universe)
         lead = rows.shape[:-1]
         m = math.prod(lead)
-        flat = rows + np.arange(0, m * size, size).reshape(lead + (1,))
-        if self._offsets is not None:
-            flat += self._offsets
-        counts = np.bincount(flat.ravel(), minlength=m * size)
+        offsets = self._offsets
+        if lead:
+            # each row of ``rows`` counts into its own block of bins
+            row_offsets = np.zeros(self.n, dtype=np.int64) if offsets is None else offsets
+            offsets = np.add.outer(np.arange(0, m * size, size), row_offsets).reshape(-1)
+        counts = _count_codes(rows.reshape(-1), m * size, offsets)
         return counts.reshape(lead + (self.heterogeneity, card))
 
     def database_histogram(self, x: Database) -> np.ndarray:
@@ -228,8 +223,8 @@ class StatisticalQuery:
         one-table query, a batch included, reads the counts that ``x`` keeps
         (``Database.code_counts``, read-only) as its (1, 2**l) histogram, so
         ``x``'s rows are counted at most once whatever is asked of it. A
-        multi-table query counts them without ``histogram``'s range pass:
-        ``x`` was range-checked when it was made."""
+        multi-table query counts them without ``histogram``'s code check:
+        ``x`` was checked when it was made."""
         self._check(x)
         if self._offsets is None:
             return x.code_counts[None, :]

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dpsynth import core
+from dpsynth import cli, core
 from dpsynth.cli import main, read_database_codes, write_database_codes
 from dpsynth.core import Database, DataUniverse
 
@@ -668,6 +668,13 @@ class TestVerify:
         assert code == 0, out + err
         assert "[PASS]" in out
         assert "[FAIL]" not in out
+
+    def test_failed_check_exits_one(self, capsys, monkeypatch):
+        results = [("kept", True, "ok"), ("broken", False, "off by one")]
+        monkeypatch.setattr(cli, "run_verification_suite", lambda: results)
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert "[FAIL] broken: off by one" in out and "1/2 checks passed" in out
 
 
 class TestNonUtf8Input:

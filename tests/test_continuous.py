@@ -33,6 +33,11 @@ class TestChooseK:
     def test_half_up_rounding(self):
         assert choose_k(1024) == 3  # log2/4 = 2.5 rounds up
 
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_n_validated(self, n):
+        with pytest.raises(ValidationError, match=f"n must be >= 1, got {n}"):
+            choose_k(n)
+
 
 class TestDiscretize:
     def test_endpoints(self):
@@ -65,6 +70,16 @@ class TestDiscretize:
             ContinuousDatabase([-0.1])
         with pytest.raises(ValidationError):
             ContinuousDatabase([])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="rows must be finite"):
+                ContinuousDatabase([0.5, bad])
+
+    def test_immutable(self):
+        x = ContinuousDatabase([0.5])
+        with pytest.raises(AttributeError, match="immutable"):
+            x.rows = np.array([0.25])
+        with pytest.raises(ValueError):
+            x.rows[0] = 0.25
 
 
 class TestLipschitzQuery:
@@ -94,6 +109,21 @@ class TestLipschitzQuery:
         # 1e-8 over L * step per grid step, above the float64 tolerance 2e-9
         with pytest.raises(ValidationError, match="Lipschitz"):
             LipschitzQuery(lambda u: (1.0 + 1e-4) * u, lipschitz=1.0, lower=0.0, upper=1.001)
+
+    @pytest.mark.parametrize("lipschitz", [-1.0, np.inf, np.nan])
+    def test_lipschitz_constant_validated(self, lipschitz):
+        with pytest.raises(ValidationError, match="Lipschitz constant must be finite and >= 0"):
+            LipschitzQuery(lambda u: u, lipschitz=lipschitz, lower=0.0, upper=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValidationError, match="row function must be finite"):
+            LipschitzQuery(lambda u: u if u < 0.5 else bad, lipschitz=1.0, lower=0.0, upper=1.0)
+
+    def test_immutable(self):
+        q = LipschitzQuery(lambda u: u, lipschitz=1.0, lower=0.0, upper=1.0)
+        with pytest.raises(AttributeError, match="immutable"):
+            q.lipschitz = 2.0
 
     def test_range_violation_rejected(self):
         with pytest.raises(ValidationError):

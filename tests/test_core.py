@@ -26,6 +26,7 @@ from dpsynth.core import (
     hamming_distance,
     is_neighbor,
 )
+from dpsynth.queries import StatisticalQuery, make_predicate_query
 
 
 def db(l, rows):
@@ -88,30 +89,71 @@ class TestDatabase:
     def test_one_pass_range_check_every_integer_dtype(self, dtype, l):
         # the range check is one bitwise OR shifted by l: it must accept
         # exactly the codes in [0, 2**l) of every integer dtype, and still
-        # name the range it found
+        # name the range it found; raw rows given to a query meet the same
+        # check
         info = np.iinfo(dtype)
         universe = DataUniverse(l)
         for code in (0, (1 << l) - 1, 1 << l, -1, info.min, info.max):
             if not info.min <= code <= info.max:
                 continue
-            rows = np.array([0, code], dtype=dtype)
+            rows = np.array([0, code, 0], dtype=dtype)
             if 0 <= code < 1 << l:
-                assert Database(universe, rows).rows.tolist() == [0, code]
-            else:
-                lo, hi = min(0, code), max(0, code)
-                with pytest.raises(ValidationError, match=re.escape(f"found range [{lo}, {hi}]")):
-                    Database(universe, rows)
+                x = Database(universe, rows)
+                assert x.rows.tolist() == [0, code, 0]
+                for of_database, call, r in _raw_row_paths(universe, rows):
+                    want = of_database(x)
+                    assert np.array_equal(call(r), want if r.ndim == 1 else [want, want])
+                continue
+            lo, hi = min(0, code), max(0, code)
+            with pytest.raises(ValidationError, match=re.escape(f"found range [{lo}, {hi}]")) as expected:
+                Database(universe, rows)
+            for _, call, r in _raw_row_paths(universe, rows):
+                _assert_raises_like(expected.value, call, r)
 
-    @pytest.mark.parametrize("rows", [np.array([0, 1], dtype=bool), np.array([0.0, 1.0]),
-                                      np.array([0, 1], dtype=np.float32)])
+    @pytest.mark.parametrize("rows", [np.array([0, 1, 1], dtype=bool), np.array([0.0, 1.0, 1.0]),
+                                      np.array([0, 1, 1], dtype=np.float32)])
     def test_bool_and_float_rows_rejected(self, rows):
-        with pytest.raises(ValidationError, match="must be integers"):
+        # a query given raw rows refuses them as a Database does: bool rows
+        # are not codes 0 and 1
+        with pytest.raises(ValidationError, match="must be integers") as expected:
             Database(DataUniverse(1), rows)
+        for _, call, r in _raw_row_paths(DataUniverse(1), rows):
+            _assert_raises_like(expected.value, call, r)
 
     def test_equality(self):
         assert db(2, [1, 2]) == db(2, [1, 2])
         assert db(2, [1, 2]) != db(2, [2, 1])
         assert db(1, [0, 1]) != db(2, [0, 1])
+        # another type is not equal, not compared by its rows
+        assert db(1, [0, 1]) != [0, 1]
+        assert db(1, [0, 1]).__eq__(np.array([0, 1])) is NotImplemented
+
+    def test_repr(self):
+        assert repr(db(2, [1, 2])) == "Database(l=2, n=2, rows=[1,2])"
+        assert repr(db(1, [0, 1] * 5)) == "Database(l=1, n=10, rows=[0,1,0,1,0,1,0,1], ...)"
+
+
+def _raw_row_paths(universe, rows):
+    """(of_database, call, rows) for each query path that takes raw rows:
+    the ``histogram`` and ``evaluate_rows`` of a predicate query and of a
+    3-table query, given ``rows`` (3,) and the (2, 3) stack of two copies;
+    ``of_database`` is the same path's answer for a Database. No path where
+    a table over ``universe`` is above the table cap."""
+    if universe.cardinality > core.MAX_TABLE_CODES:
+        return []
+    codes = np.arange(universe.cardinality, dtype=np.float64)
+    queries = [make_predicate_query(universe, 3, [0]),
+               StatisticalQuery(universe, np.stack([codes, 2 * codes, 3 * codes]), [0, 1, 2])]
+    assert queries[1].heterogeneity == 3
+    return [(of_database, call, r) for q in queries
+            for of_database, call in ((q.database_histogram, q.histogram), (q.evaluate, q.evaluate_rows))
+            for r in (rows, np.stack([rows, rows]))]
+
+
+def _assert_raises_like(expected, call, rows):
+    with pytest.raises(ValidationError) as got:
+        call(rows)
+    assert type(got.value) is type(expected) and str(got.value) == str(expected)
 
 
 class TestHammingDistance:
@@ -191,6 +233,11 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(EnumerationTooLargeError):
             list(enumerate_databases(DataUniverse(5), 5))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_size_must_be_positive(self, n):
+        with pytest.raises(ValidationError, match=f"database size must be >= 1, got {n}$"):
+            core.enumeration_size(DataUniverse(1), n)
 
     @pytest.mark.parametrize("count", ENUMERATION_COUNTS.values(), ids=ENUMERATION_COUNTS.keys())
     @pytest.mark.parametrize("l,n", [(1, 12), (3, 4), (12, 1)])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import time
 import tracemalloc
 
@@ -16,6 +17,7 @@ from dpsynth.core import (
     RandomSource,
     ValidationError,
     all_databases_matrix,
+    hamming_distance,
 )
 from dpsynth.estimators import (
     _distinct,
@@ -28,7 +30,13 @@ from dpsynth.estimators import (
     measure_distortion,
     project_proper,
 )
-from dpsynth.mechanism import MechanismParams, log_pmf_all_outputs
+from dpsynth.mechanism import (
+    MechanismParams,
+    exact_log_pmf,
+    log_pmf_all_outputs,
+    sample_synthetic,
+    verify_dp,
+)
 from dpsynth.queries import (
     StatisticalQuery,
     generate_random_query,
@@ -158,6 +166,11 @@ class TestProjection:
         q = generate_random_query(DataUniverse(1), 4, 1, RandomSource(3), count=count)
         with pytest.raises(DimensionMismatchError, match="raw estimates must have shape"):
             project_proper(q, raw)
+
+    def test_unknown_strategy_rejected(self):
+        q = make_predicate_query(DataUniverse(1), 4, [0])
+        with pytest.raises(ValidationError, match="unknown projection strategy 'nearest'"):
+            project_proper(q, 0.3, "nearest")
 
     def test_achievable_dp_matches_enumeration(self):
         # the DP and the enumeration sum in different orders, so identical
@@ -432,3 +445,56 @@ class TestExactUnbiasedMse:
         report = measure_distortion(q, x, params, trials=trials, rng=RandomSource(seed, 2))
         assert abs(report.empirical_mean - exact) <= 6 * report.empirical_stderr
         assert exact <= report.analytic_bound
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"estimator": "biased"}, "estimator must be one of"),
+            ({"measure": "cubic"}, "measure must be one of"),
+            ({"projection": "round"}, "projection must be one of"),
+        ],
+    )
+    @pytest.mark.parametrize("monte_carlo", [False, True], ids=["exact", "monte-carlo"])
+    def test_unknown_names_rejected(self, kwargs, match, monte_carlo):
+        q, x, params = random_micro_instance(1)
+        with pytest.raises(ValidationError, match=match):
+            if monte_carlo:
+                measure_distortion(q, x, params, trials=10, rng=RandomSource(0), **kwargs)
+            else:
+                exact_distortion(q, x, params, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [({"trials": 10}, "explicit RandomSource"), ({"trials": 0, "rng": RandomSource(0)}, "trials must be >= 1")],
+    )
+    def test_monte_carlo_needs_a_source_and_trials(self, kwargs, match):
+        q, x, params = random_micro_instance(1)
+        with pytest.raises(ValidationError, match=match):
+            measure_distortion(q, x, params, **kwargs)
+
+
+# each entry point that compares two universes, called with operands over
+# l=2 and mechanism parameters, a database or a universe over l=1
+UNIVERSE_MISMATCH_CALLS = {
+    "estimate_unbiased": lambda q, x, p, u1: estimate_unbiased(q, x, p),
+    "exact_distortion": lambda q, x, p, u1: exact_distortion(q, x, p),
+    "exact_unbiased_mse": lambda q, x, p, u1: exact_unbiased_mse(q, x, p),
+    "measure_distortion": lambda q, x, p, u1: measure_distortion(q, x, p, trials=10, rng=RandomSource(0)),
+    "sample_synthetic": lambda q, x, p, u1: sample_synthetic(x, p, RandomSource(0)),
+    "exact_log_pmf": lambda q, x, p, u1: exact_log_pmf(x, x, p),
+    "log_pmf_all_outputs": lambda q, x, p, u1: log_pmf_all_outputs(x, p),
+    "verify_dp": lambda q, x, p, u1: verify_dp(x.universe, x.n, p),
+    "StatisticalQuery._check": lambda q, x, p, u1: q.evaluate(Database(u1, [0, 1])),
+    "core._check_compatible": lambda q, x, p, u1: hamming_distance(x, Database(u1, [0, 1])),
+}
+
+
+@pytest.mark.parametrize("call", UNIVERSE_MISMATCH_CALLS.values(), ids=UNIVERSE_MISMATCH_CALLS.keys())
+def test_universe_mismatch_names_both_l(call):
+    u1, u2 = DataUniverse(1), DataUniverse(2)
+    q = make_predicate_query(u2, 2, [0])
+    with pytest.raises(DimensionMismatchError, match=r"different universes \(l=\d vs l=\d\)") as exc:
+        call(q, db(2, [1, 3]), MechanismParams(1.0, u1), u1)
+    assert {"l=1", "l=2"} <= set(re.findall(r"l=\d", str(exc.value)))

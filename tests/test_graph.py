@@ -353,10 +353,14 @@ class TestGenerators:
         assert (adj == adj.T).all()
 
     def test_generator_validation(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="edge probability"):
             erdos_renyi_graph(5, 1.5, RandomSource(0))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="vertex_count must be >= 1"):
+            erdos_renyi_graph(0, 0.5, RandomSource(0))
+        with pytest.raises(ValidationError, match="vertex_count >= attach_count"):
             power_law_graph(3, 5, RandomSource(0))
+        with pytest.raises(ValidationError, match="attach_count must be >= 1"):
+            power_law_graph(3, 0, RandomSource(0))
 
     @pytest.mark.parametrize("make,param", [(erdos_renyi_graph, 0.5), (power_law_graph, 2)])
     def test_pair_cap_checked_before_allocation(self, monkeypatch, make, param):

@@ -52,6 +52,28 @@ class TestConfig:
     def test_default_heterogeneity_grid(self):
         cfg = config_from_dict({"experiment": "heterogeneity", "n": 64})
         assert cfg.heterogeneity_grid == (1, 2, 4, 8, 16, 32)
+        # a null grid is read as empty, which selects the default
+        cfg = config_from_dict({"experiment": "heterogeneity", "n": 64, "heterogeneity_grid": None})
+        assert cfg.heterogeneity_grid == (1, 2, 4, 8, 16, 32)
+
+    @pytest.mark.parametrize(
+        "raw,match",
+        [
+            ([{"experiment": "heterogeneity"}], "must be a JSON object"),
+            ({"experiment": "heterogeneity", "estimator": "biased"}, "estimator must be one of"),
+            ({"experiment": "heterogeneity", "n": 0}, "n must be >= 1"),
+            # n = 1 has no power of two up to n/2, so the default grid is empty
+            ({"experiment": "heterogeneity", "n": 1}, "heterogeneity grid must be nonempty"),
+            ({"experiment": "query_set_size", "database_count": 0}, "database_count must be >= 1"),
+            ({"experiment": "cut_scaling", "graph_model": "lattice"}, "graph_model must be one of"),
+            ({"experiment": "cut_scaling", "cut_count": 0}, "cut_count must be >= 1"),
+        ],
+        ids=["not-an-object", "estimator", "n", "empty-default-grid", "database-count", "graph-model",
+             "cut-count"],
+    )
+    def test_invalid_config_rejected(self, raw, match):
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(raw)
 
     def test_set_sizes_must_ascend(self):
         with pytest.raises(ConfigError):
@@ -505,6 +527,29 @@ class TestIngestion:
         with pytest.raises(ValidationError, match="3"):
             ingest_csv(path, schema)
 
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("rating\n3\n\n , \n1\n")
+        db = ingest_csv(path, {"columns": [{"name": "rating", "cardinality": 5}]})
+        assert list(db.rows) == [3, 1]
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ("score\n3\n", "missing column 'rating' in header"),
+            ("rating,label\n3,b\n1\n", ":3: expected 2 columns"),
+            ("rating,label\n3,c\n", ":2: unknown label 'c' for column 'label'"),
+            ("rating,label\n3.5,a\n", ":2: non-integer code '3.5' for column 'rating'"),
+        ],
+        ids=["missing-column", "short-row", "unknown-label", "non-integer-code"],
+    )
+    def test_malformed_csv_rejected(self, tmp_path, text, match):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        schema = {"columns": [{"name": "rating", "cardinality": 5}, {"name": "label", "values": ["a", "b"]}]}
+        with pytest.raises(ValidationError, match=match):
+            ingest_csv(path, schema)
+
     def test_schema_validation(self):
         with pytest.raises(ConfigError):
             load_ingestion_schema({"columns": [{"name": "x", "cardinality": 1}]})
@@ -527,6 +572,10 @@ class TestIngestion:
             ({"columns": [{"name": 3, "cardinality": 2}]}, "name"),
             ({"columns": [{"name": "a", "cardinality": 4}, {"name": "a", "cardinality": 2}]}, "unique"),
             ({"columns": [{"name": "x", "cardinality": 2}], "has_header": "false"}, "has_header"),
+            ({"columns": [{"name": "x", "cardinality": 2}], "header": True}, "unknown schema keys"),
+            ({"columns": [{"name": "x", "cardinality": 2, "bits": 1}]}, "column 0: unknown keys"),
+            ({"columns": [{"name": "a", "cardinality": 2**16}, {"name": "b", "cardinality": 2**15 + 1}]},
+             "needs 32 bits"),
         ],
     )
     def test_malformed_schema_rejected(self, schema, match):
@@ -543,6 +592,12 @@ class TestIngestion:
         table = category_extension_table(3, 5, [1.0, 2.0, 3.0, 4.0, 5.0])
         # codes 5, 6, 7 are unreachable from data and replicate code 4
         assert list(table) == [1.0, 2.0, 3.0, 4.0, 5.0, 5.0, 5.0, 5.0]
+
+    def test_extension_table_validated(self):
+        with pytest.raises(ValidationError, match="need exactly 5 category values"):
+            category_extension_table(3, 5, [1.0, 2.0])
+        with pytest.raises(ValidationError, match=r"valid_count must lie in \[2, 2\*\*2\]"):
+            category_extension_table(2, 5, [1.0, 2.0, 3.0, 4.0, 5.0])
 
     def test_released_codes_may_be_unreachable(self, tmp_path):
         # mechanism outputs cover the full 2^l universe; estimation still works

@@ -8,6 +8,7 @@ from dpsynth.core import (
     DataUniverse,
     EnumerationTooLargeError,
     RandomSource,
+    ValidationError,
     all_databases_matrix,
 )
 from dpsynth.estimators import exact_distortion
@@ -135,6 +136,35 @@ class TestMicroMinimax:
             micro_minimax(DataUniverse(2), 4, 1.0)
         with pytest.raises(EnumerationTooLargeError):
             micro_minimax(DataUniverse(1), 2, 1.0, keep_prob_grid=np.linspace(0.5, 0.7, 1500))
+
+    def test_custom_grid_gains_the_mechanism_keep_probability(self):
+        # a grid without 1/g is searched with 1/g appended, so the report
+        # still holds the release mechanism's worst case
+        u = DataUniverse(1)
+        keep = MechanismParams(1.0, u).keep_prob
+        report = micro_minimax_report(u, 2, 1.0, keep_prob_grid=[0.5])
+        alone = micro_minimax_report(u, 2, 1.0, keep_prob_grid=[keep])
+        assert report["mechanism_e_value"] == alone["mechanism_e_value"]
+        assert report["best_keep_prob"] in (0.5, keep)
+
+    def test_proper_search_over_its_cap_reports_none(self):
+        # l = 2, n = 2: 3 distinct answers over 16 outputs, 3**16 assignments
+        assert micro_minimax_report(DataUniverse(2), 2, 1.0)["proper_optimum"] is None
+
+    @pytest.mark.parametrize(
+        "call,match",
+        [
+            (lambda: symmetric_row_kernel(DataUniverse(1), 0.0), r"keep probability must lie in \(0, 1\]"),
+            (lambda: symmetric_row_kernel(DataUniverse(1), 1.5), r"keep probability must lie in \(0, 1\]"),
+            (lambda: micro_minimax(DataUniverse(1), 2, -1.0), "epsilon must be a nonnegative real"),
+            (lambda: micro_minimax(DataUniverse(1), 2, math.nan), "epsilon must be a nonnegative real"),
+            (lambda: micro_minimax(DataUniverse(1), 2, 1.0, queries=[]), "at least one query"),
+        ],
+        ids=["keep-zero", "keep-above-one", "epsilon-negative", "epsilon-nan", "no-queries"],
+    )
+    def test_invalid_arguments_rejected(self, call, match):
+        with pytest.raises(ValidationError, match=match):
+            call()
 
     def test_accepts_custom_queries(self):
         u = DataUniverse(1)

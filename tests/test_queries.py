@@ -637,6 +637,37 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             StatisticalQuery(DataUniverse(1), np.array([[0.0, np.inf]]), np.array([0]))
 
+    @pytest.mark.parametrize(
+        "tables,assignment,match",
+        [
+            ([[0.0, 1.0]], [[0, 0]], "nonempty 1-d index vector"),
+            ([[0.0, 1.0]], [], "nonempty 1-d index vector"),
+            ([[0.0, 1.0]], [0.0, 0.0], "integer table indices"),
+            ([[0.0, 1.0]], [True, False], "integer table indices"),
+            ([[0.0, 1.0]], [0, 1], "indexes a missing table"),
+            ([0.0, 1.0], [0], r"tables must have shape \(k, 2\) or \(Q, k, 2\)"),
+            ([[0.0, 1.0, 2.0]], [0], r"tables must have shape \(k, 2\)"),
+            (np.zeros((1, 1, 1, 2)), [0], r"tables must have shape \(k, 2\)"),
+            (np.zeros((0, 2)), [0], r"tables must have shape \(k, 2\)"),
+        ],
+        ids=["assignment-2d", "assignment-empty", "assignment-float", "assignment-bool", "missing-table",
+             "tables-1d", "tables-width", "tables-4d", "tables-empty"],
+    )
+    def test_malformed_arguments_rejected(self, tables, assignment, match):
+        with pytest.raises(ValidationError, match=match):
+            StatisticalQuery(DataUniverse(1), tables, assignment)
+
+    def test_random_query_count_validated(self):
+        with pytest.raises(ValidationError, match="count must be >= 1, got 0"):
+            generate_random_query(DataUniverse(1), 4, 1, RandomSource(0), count=0)
+
+    def test_immutable(self):
+        q = make_predicate_query(DataUniverse(1), 4, [0])
+        with pytest.raises(AttributeError, match="immutable"):
+            q.label = "other"
+        with pytest.raises(ValueError):
+            q.tables[0, 0] = 1.0
+
     def test_dedup_transparency(self):
         # materialized duplicate tables evaluate identically to the deduped form
         table = np.array([0.1, 0.9, 0.4, 0.2])
