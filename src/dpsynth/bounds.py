@@ -5,7 +5,8 @@ sampled. Conventions shared by all of them:
 
 * g, e^-eps and the estimators' ``scale`` and ``shift`` are read from
   ``BoundInputs.params``, a ``MechanismParams``; written in e^-eps, no
-  eps > 0 overflows. l is validated as a universe's, an integer in [1, 30].
+  eps > 0 overflows. l is validated as a universe's, an integer in [1, 30];
+  n is an integer >= 1, and a, b, c and L are finite reals.
 * Squared-error bounds are per-query expected squared distortion; absolute
   bounds are expected absolute distortion.
 * The two lower bounds are stated for normalized queries (a = 0, b = c = 1)
@@ -17,11 +18,10 @@ sampled. Conventions shared by all of them:
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 
-from .core import DataUniverse, ValidationError
+from .core import DataUniverse, ValidationError, _check_int, _check_real
 from .mechanism import MechanismParams
 
 BERRY_ESSEEN_CONSTANT = 0.56
@@ -41,20 +41,21 @@ class BoundInputs:
     params: MechanismParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # at most the largest float, so that n / x and sqrt(n) cannot overflow
-        n = self.n
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= sys.float_info.max:
-            raise ValidationError(f"n must be an integer in [1, {sys.float_info.max:g}], got {n!r}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValidationError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not self.b > self.a:
-            raise ValidationError(f"need b > a, got a={self.a}, b={self.b}")
-        if not self.c > 0.0:
-            raise ValidationError(f"need c > 0, got {self.c}")
-        if self.L is not None and not self.L >= 0.0:
-            raise ValidationError(f"Lipschitz constant must be >= 0, got {self.L}")
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "params", MechanismParams(self.epsilon, DataUniverse(self.l)))
+        n = _check_int(self.n, "n", 1)
+        if n > sys.float_info.max:  # so that n / x and sqrt(n) cannot overflow
+            raise ValidationError(f"n must be <= {sys.float_info.max:g}, got {n}")
+        params = MechanismParams(self.epsilon, DataUniverse(self.l))
+        if params.epsilon == 0.0:
+            raise ValidationError("epsilon must be > 0, got 0.0")
+        a, b, c = (_check_real(getattr(self, name), name) for name in "abc")
+        if not b > a:
+            raise ValidationError(f"need b > a, got a={a}, b={b}")
+        if not c > 0.0:
+            raise ValidationError(f"need c > 0, got {c}")
+        lipschitz = None if self.L is None else _check_real(self.L, "Lipschitz constant")
+        if lipschitz is not None and lipschitz < 0.0:
+            raise ValidationError(f"Lipschitz constant must be >= 0, got {lipschitz}")
+        vars(self).update(n=n, epsilon=params.epsilon, a=a, b=b, c=c, L=lipschitz, params=params)
 
 
 def std_normal_cdf(t: float) -> float:
@@ -145,9 +146,8 @@ def cut_bound(s_size: int, t_size: int, epsilon: float) -> float:
     """(1 + e^-eps) / (1 - e^-eps) * sqrt(|S| |T|), the edge universe's scale
     times sqrt(|S| |T|) — expected absolute error of the cut estimator;
     |S||T| <= |V|^2 gives the graph-level bound."""
-    if s_size < 1 or t_size < 1:
-        raise ValidationError("cut bound needs nonempty vertex sets")
-    return MechanismParams(epsilon, DataUniverse(1)).scale * math.sqrt(s_size * t_size)
+    pairs = _check_int(s_size, "|S|", 1) * _check_int(t_size, "|T|", 1)
+    return MechanismParams(epsilon, DataUniverse(1)).scale * math.sqrt(pairs)
 
 
 BOUND_TABLE_COLUMNS = (

@@ -77,11 +77,12 @@ def write_database_codes(db: Database, path) -> None:
             fh.write(text[keep].tobytes())
 
 
-def _release_seed(seed):
+def _release_source(seed) -> RandomSource:
     if seed is None:
-        return np.random.SeedSequence().entropy
+        return RandomSource(np.random.SeedSequence().entropy)
+    source = RandomSource(seed)  # a bad seed exits before the warning
     print(f"warning: --seed {seed} makes this release reproducible by anyone who knows the seed", file=sys.stderr)
-    return seed
+    return source
 
 
 def _cmd_release(args) -> int:
@@ -94,7 +95,7 @@ def _cmd_release(args) -> int:
             raise ValidationError("--l is required when reading a plain code file")
         x = read_database_codes(args.input, args.l)
     params = MechanismParams(args.epsilon, x.universe)
-    y = sample_synthetic(x, params, RandomSource(_release_seed(args.seed)))
+    y = sample_synthetic(x, params, _release_source(args.seed))
     write_database_codes(y, args.output)
     print(f"released n={y.n} rows over l={y.universe.l} at epsilon={args.epsilon}")
     return 0
@@ -141,7 +142,7 @@ def _cmd_graph_cut(args) -> int:
     x = read_edge_list(args.edges, one_based=args.one_based, symmetrize=not args.no_symmetrize)
     q = read_cut_spec(args.cut)
     q.validate_for(vertex_count(x))
-    y = release_graph(x, args.epsilon, RandomSource(_release_seed(args.seed)))
+    y = release_graph(x, args.epsilon, _release_source(args.seed))
     answer = answer_cut(y, q, args.epsilon)
     if args.clamp:
         answer = min(max(answer, 0.0), len(q.s_set) * len(q.t_set))

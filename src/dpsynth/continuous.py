@@ -20,7 +20,7 @@ import numbers
 
 import numpy as np
 
-from .core import DataUniverse, Database, RandomSource, ValidationError, _table_codes
+from .core import DataUniverse, Database, RandomSource, ValidationError, _check_int, _check_real, _table_codes
 from .estimators import estimate_unbiased, project_proper
 from .mechanism import MechanismParams, sample_synthetic
 from .queries import StatisticalQuery
@@ -58,8 +58,9 @@ class ContinuousDatabase:
 class LipschitzQuery:
     """A statistical query with one L-Lipschitz row function on [0, 1].
 
-    The row function arrives as an opaque callable, so the declared constants
-    are spot-checked on a dense grid at construction: adjacent grid points
+    L, a (``lower``) and b (``upper``) must be finite numbers, with L >= 0
+    and b > a. The row function arrives as an opaque callable, so they are
+    spot-checked on a dense grid at construction: adjacent grid points
     must satisfy the Lipschitz inequality (which extends to all grid pairs by
     the triangle inequality) and values must stay inside [a, b], both within
     1e-9 (1 + L), widened by a few ulps times max(|a|, |b|, 1) when the
@@ -77,8 +78,10 @@ class LipschitzQuery:
     __slots__ = ("fn", "lipschitz", "lower", "upper", "_grids", "__weakref__")
 
     def __init__(self, fn, lipschitz: float, lower: float, upper: float):
-        if not (math.isfinite(lipschitz) and lipschitz >= 0.0):
-            raise ValidationError(f"Lipschitz constant must be finite and >= 0, got {lipschitz}")
+        lipschitz = _check_real(lipschitz, "Lipschitz constant")
+        if lipschitz < 0.0:
+            raise ValidationError(f"Lipschitz constant must be >= 0, got {lipschitz}")
+        lower, upper = _check_real(lower, "lower"), _check_real(upper, "upper")
         if not upper > lower:
             raise ValidationError("row function needs a positive declared spread (b > a)")
         grid = np.linspace(0.0, 1.0, _LIPSCHITZ_GRID_POINTS)
@@ -101,9 +104,9 @@ class LipschitzQuery:
         if vals.max() - vals.min() == 0.0:
             raise ValidationError("constant row functions are not allowed")
         object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "lipschitz", float(lipschitz))
-        object.__setattr__(self, "lower", float(lower))
-        object.__setattr__(self, "upper", float(upper))
+        object.__setattr__(self, "lipschitz", lipschitz)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "_grids", {})
 
     def __setattr__(self, name, value):
@@ -133,19 +136,16 @@ def choose_k(n: int) -> int:
     Half-integer values round up (half-up, not banker's rounding) so the rule
     is monotone in n.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    return max(1, math.floor(math.log2(n) / 4.0 + 0.5))
+    return max(1, math.floor(math.log2(_check_int(n, "n", 1)) / 4.0 + 0.5))
 
 
 def discretize(x: ContinuousDatabase, k: int) -> Database:
     """Map each row to its k-bit cell index floor(x_i * 2^k), clamping x = 1
     into the top cell; the represented value code/2^k is within 2^-k."""
-    if not 1 <= k <= 30:
-        raise ValidationError(f"k must lie in [1, 30], got {k}")
-    scale = 1 << k
+    universe = DataUniverse(k)
+    scale = universe.cardinality
     codes = np.minimum(np.floor(x.rows * scale).astype(np.int64), scale - 1)
-    return Database._adopt(DataUniverse(k), codes)
+    return Database._adopt(universe, codes)
 
 
 def grid_query(q: LipschitzQuery, n: int, k: int) -> StatisticalQuery:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import numbers
 import os
 import re
@@ -73,6 +74,29 @@ class ConfigError(ValidationError):
     """An experiment or ingestion configuration is invalid."""
 
     category = "config"
+
+
+def _check_int(value, what: str, minimum: int, error=ValidationError) -> int:
+    """``value``, any integer but a bool and at least ``minimum``, as an int,
+    else ``error``. A plain int skips the type tests."""
+    if type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Integral):
+        if value >= minimum:
+            return int(value)
+        raise error(f"{what} must be >= {minimum}, got {value}")
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
+def _check_real(value, what: str, error=ValidationError) -> float:
+    """``value``, any finite real number but a bool, as a float, else
+    ``error``. A plain float skips the type tests."""
+    if type(value) is float or not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the largest float
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise error(f"{what} must be a finite number, got {value!r}")
 
 
 def _not_utf8(path, exc: UnicodeDecodeError, error=ValidationError) -> ValidationError:
@@ -495,10 +519,8 @@ class DataUniverse:
         # bool is not an int here and takes the full checks below
         if type(self.l) is int and 1 <= self.l <= MAX_ATTRIBUTES:
             return
-        if isinstance(self.l, bool) or not isinstance(self.l, numbers.Integral):
-            raise ValidationError(f"universe dimension must be an integer, got {self.l!r}")
-        object.__setattr__(self, "l", int(self.l))
-        if not 1 <= self.l <= MAX_ATTRIBUTES:
+        object.__setattr__(self, "l", _check_int(self.l, "universe dimension", 1))
+        if self.l > MAX_ATTRIBUTES:
             raise ValidationError(f"universe dimension must be in [1, {MAX_ATTRIBUTES}], got {self.l}")
 
     @property
@@ -578,16 +600,20 @@ class Database:
 class RandomSource:
     """Reproducible randomness handle.
 
-    The same ``(seed, stream)`` always produces the same draw sequence;
-    distinct streams are statistically independent. :meth:`derive` appends
-    indices to an internal derivation path so that nested consumers (runs
-    within a sweep, trials within a run) get independent sub-streams without
-    coordinating offsets.
+    The same ``(seed, stream)``, two integers >= 0, always produces the
+    same draw sequence; distinct streams are statistically independent.
+    :meth:`derive` appends indices to an internal derivation path so that
+    nested consumers (runs within a sweep, trials within a run) get
+    independent sub-streams without coordinating offsets.
     """
 
     seed: int
     stream: int = 0
     path: tuple = field(default_factory=tuple)
+
+    def __post_init__(self):
+        _check_int(self.seed, "seed", 0)
+        _check_int(self.stream, "stream", 0)
 
     def generator(self) -> np.random.Generator:
         key = (self.stream,) + tuple(self.path)
@@ -616,11 +642,7 @@ def is_neighbor(x: Database, y: Database) -> bool:
 
 def enumeration_size(universe: DataUniverse, n: int, bit_cap: int = EXACT_BIT_CAP) -> int:
     """Validate n*l against the cap and return 2**(n*l)."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValidationError(f"database size must be an integer, got {n!r}")
-    if n < 1:
-        raise ValidationError(f"database size must be >= 1, got {n}")
-    bits = n * universe.l
+    bits = _check_int(n, "database size", 1) * universe.l
     if bits > bit_cap:
         raise EnumerationTooLargeError(
             f"enumerating 2^{bits} databases exceeds the 2^{bit_cap} cap"

@@ -40,6 +40,7 @@ from .core import (
     EnumerationTooLargeError,
     RandomSource,
     ValidationError,
+    _check_int,
     _check_universe,
     all_databases_matrix,
     enumeration_size,
@@ -280,8 +281,7 @@ def measure_distortion(
     _check_single(q, "measure_distortion")
     if rng is None:
         raise ValidationError("measure_distortion needs an explicit RandomSource")
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    trials = _check_int(trials, "trials", 1)
     _check_universe(params.universe, q.universe, "mechanism parameters and query")
     hist = q.database_histogram(x)
     qx = q.answers(hist)

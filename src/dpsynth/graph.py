@@ -35,6 +35,7 @@ from .core import (
     DataUniverse,
     RandomSource,
     ValidationError,
+    _check_int,
     _content_lines,
     _read_int_rows,
 )
@@ -56,7 +57,7 @@ def adjacency_database(adjacency) -> Database:
 def edges_database(vertex_count: int, pairs, symmetrize: bool = False) -> Database:
     """Edge-indicator database on ``vertex_count`` vertices with the (i, j)
     rows of ``pairs`` set; ``symmetrize`` sets (j, i) as well."""
-    _check_pair_cap(vertex_count)
+    _check_pair_cap(_check_int(vertex_count, "vertex_count", 1))
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     bad = pairs[((pairs < 0) | (pairs >= vertex_count)).any(axis=1)]
     if bad.size:
@@ -181,8 +182,7 @@ def random_bisection_cut(x: Database, rng: RandomSource) -> CutQuery:
 def erdos_renyi_graph(vertex_count: int, edge_prob: float, rng: RandomSource) -> Database:
     """Undirected G(V, p) without self-loops, symmetrized into the directed
     encoding (each undirected edge sets both rows)."""
-    if vertex_count < 1:
-        raise ValidationError("vertex_count must be >= 1")
+    _check_int(vertex_count, "vertex_count", 1)
     if not 0.0 <= edge_prob <= 1.0:
         raise ValidationError(f"edge probability must lie in [0, 1], got {edge_prob}")
     _check_pair_cap(vertex_count)
@@ -198,10 +198,7 @@ def power_law_graph(vertex_count: int, attach_count: int, rng: RandomSource) -> 
     attaches to ``attach_count`` distinct existing vertices chosen with
     probability proportional to their degree.
     """
-    if attach_count < 1:
-        raise ValidationError("attach_count must be >= 1")
-    if vertex_count < attach_count + 1:
-        raise ValidationError("need vertex_count >= attach_count + 1")
+    _check_int(vertex_count, "vertex_count", _check_int(attach_count, "attach_count", 1) + 1)
     _check_pair_cap(vertex_count)
     gen = rng.generator()
     adj = np.zeros((vertex_count, vertex_count), dtype=bool)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -43,6 +42,8 @@ from .core import (
     DataUniverse,
     RandomSource,
     ValidationError,
+    _check_int,
+    _check_real,
     _read_json,
     _utf8_lines,
 )
@@ -71,20 +72,16 @@ _S_GRAPH = 4
 _S_CUTS = 5
 
 
-# the type each config field must have; a parsed JSON config guarantees none
+# the type each config field must have; a parsed JSON config guarantees none.
+# A number field or grid maps to its least integer, or to None if it is real
 _STR_FIELDS = ("experiment", "output", "graph_model", "estimator")
-_INT_FIELDS = ("seed", "l", "n", "query_count", "database_count", "cut_count", "trial_count")
-_REAL_FIELDS = ("epsilon", "graph_param", "a", "b", "c", "L")
-_INT_GRIDS = ("n_grid", "heterogeneity_grid", "set_sizes", "vertex_grid")
-_REAL_GRIDS = ("epsilon_grid",)
+_NUMBER_FIELDS = {"seed": 0, "l": 1, "n": 1, "query_count": 1, "database_count": 1, "cut_count": 1,
+                  "trial_count": 1, "epsilon": None, "graph_param": None, "a": None, "b": None, "c": None, "L": None}
+_GRIDS = {"n_grid": 1, "heterogeneity_grid": 1, "set_sizes": 1, "vertex_grid": 2, "epsilon_grid": None}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _check_number(value, what: str, least):
+    return _check_real(value, what, ConfigError) if least is None else _check_int(value, what, least, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -118,37 +115,29 @@ class ExperimentConfig:
         self._check_types()
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
-        if self.trial_count < 1:
-            raise ConfigError("trial_count must be >= 1")
-        if self.query_count < 1:
-            raise ConfigError("query_count must be >= 1")
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+        if not self.epsilon > 0.0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
         if self.experiment == "heterogeneity":
             # default: every power of two up to n/2
             grid = self.heterogeneity_grid or tuple(1 << k for k in range(int(self.n).bit_length() - 1))
             if not grid:
                 raise ConfigError("heterogeneity grid must be nonempty")
             for h in grid:
-                if not 1 <= h <= self.n or self.n % h != 0:
+                if h > self.n or self.n % h != 0:
                     raise ConfigError(f"heterogeneity {h} must divide n={self.n}")
             object.__setattr__(self, "heterogeneity_grid", grid)
         if self.experiment == "query_set_size":
-            _check_ascending("set_sizes", self.set_sizes, 1)
-            if self.database_count < 1:
-                raise ConfigError("database_count must be >= 1")
+            _check_ascending("set_sizes", self.set_sizes)
         if self.experiment == "database_scaling":
             grid = self.n_grid or tuple(2**k for k in range(10, 17))
-            _check_ascending("n_grid", grid, 1)
+            _check_ascending("n_grid", grid)
             if len(grid) >= 2 and max(grid) < 10 * min(grid):
                 raise ConfigError("n_grid should span at least one decade for a slope fit")
             object.__setattr__(self, "n_grid", grid)
         if self.experiment == "cut_scaling":
-            _check_ascending("vertex_grid", self.vertex_grid, 2)
+            _check_ascending("vertex_grid", self.vertex_grid)
             if max(self.vertex_grid) ** 2 > MAX_ENCODED_PAIRS:
                 raise ConfigError(f"vertex_grid: |V|^2 = {max(self.vertex_grid) ** 2} exceeds the "
                                   f"{MAX_ENCODED_PAIRS} encoded-pair cap")
@@ -159,40 +148,33 @@ class ExperimentConfig:
                 raise ConfigError(f"erdos_renyi graph_param must be a probability in [0, 1], got {p}")
             if self.graph_model == "power_law" and not (1 <= p < min(self.vertex_grid) and p % 1 == 0):
                 raise ConfigError(f"power_law graph_param must be an integer in [1, min(vertex_grid)), got {p}")
-            if self.cut_count < 1:
-                raise ConfigError("cut_count must be >= 1")
         if self.experiment == "bounds_table":
             object.__setattr__(self, "n_grid", self.n_grid or (1000, 10000, 100000))
-            object.__setattr__(self, "epsilon_grid", self.epsilon_grid or (float(self.epsilon),))
+            object.__setattr__(self, "epsilon_grid", self.epsilon_grid or (self.epsilon,))
 
     def _check_types(self):
-        """Reject a field of the wrong type with ConfigError, before any
-        comparison or arithmetic could raise TypeError; each grid becomes a
-        tuple of ints (or floats). ``L`` may be None, and so may a grid (read
-        as empty, which selects its default)."""
+        """Reject a field of the wrong type, or an integer below its least
+        value, with ConfigError, before any comparison or arithmetic could
+        raise TypeError; each grid becomes a tuple of ints (or floats). ``L``
+        may be None, and a null grid reads as its field's default."""
         for name in _STR_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, str):
                 raise ConfigError(f"{name} must be a string, got {value!r}")
-        for names, ok, what in ((_INT_FIELDS, _is_int, "an integer"), (_REAL_FIELDS, _is_real, "a number")):
-            for name in names:
-                value = getattr(self, name)
-                if not ok(value) and not (name == "L" and value is None):
-                    raise ConfigError(f"{name} must be {what}, got {value!r}")
-        for names, ok, kind, what in ((_INT_GRIDS, _is_int, int, "integers"),
-                                      (_REAL_GRIDS, _is_real, float, "numbers")):
-            for name in names:
-                value = getattr(self, name)
-                if value is None:
-                    continue
-                if not isinstance(value, (list, tuple)) or not all(ok(v) for v in value):
-                    raise ConfigError(f"{name} must be a list of {what}, got {value!r}")
-                object.__setattr__(self, name, tuple(kind(v) for v in value))
+        for name, least in _NUMBER_FIELDS.items():
+            if not (name == "L" and self.L is None):
+                object.__setattr__(self, name, _check_number(getattr(self, name), name, least))
+        defaults = {f.name: f.default for f in fields(self)}
+        for name, least in _GRIDS.items():
+            value = defaults[name] if getattr(self, name) is None else getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{name} must be a list, got {value!r}")
+            object.__setattr__(self, name, tuple(_check_number(v, f"an entry of {name}", least) for v in value))
 
 
-def _check_ascending(name: str, grid, minimum: int) -> None:
-    if not grid or list(grid) != sorted(set(grid)) or grid[0] < minimum:
-        raise ConfigError(f"{name} must be nonempty, ascending and distinct, each >= {minimum}, got {grid!r}")
+def _check_ascending(name: str, grid) -> None:
+    if not grid or list(grid) != sorted(set(grid)):
+        raise ConfigError(f"{name} must be nonempty, ascending and distinct, got {grid!r}")
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -295,8 +277,8 @@ def _summarize(blocks, runs: int, count: int) -> tuple[float, float, float]:
     stderr is the leave-one-run-out jackknife over the blocks' per-run
     maxima. Each block's per-cell sums fill one row of a (count, cells)
     array. A grid point of one (database, query) cell sums its runs in
-    order, not pairwise as the earlier whole-array summary did, so its last
-    bits can differ."""
+    order, so its last bits can differ from those of numpy's pairwise
+    ``sum``."""
     sums, loos = None, []
     # each block is dropped before the next is made: hence the ``del``, and
     # no enumerate, whose cached result tuple would keep it alive
@@ -487,8 +469,7 @@ def load_ingestion_schema(source) -> dict:
             cardinality = len(values)
         else:
             cardinality = col.get("cardinality")
-        if not _is_int(cardinality) or cardinality < 2:
-            raise ConfigError(f"column {name!r}: cardinality must be an integer >= 2, got {cardinality!r}")
+        cardinality = _check_int(cardinality, f"column {name!r}: cardinality", 2, ConfigError)
         bits = (cardinality - 1).bit_length()
         columns.append(
             {"name": name, "cardinality": cardinality, "values": values, "bits": bits,

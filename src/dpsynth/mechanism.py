@@ -60,6 +60,7 @@ from .core import (
     EstimatorUndefinedError,
     RandomSource,
     ValidationError,
+    _check_real,
     _check_universe,
     all_databases_matrix,
     enumeration_size,
@@ -82,9 +83,9 @@ class MechanismParams:
     exp_neg_eps: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        eps = float(self.epsilon)
-        if not math.isfinite(eps) or eps < 0.0:
-            raise ValidationError(f"epsilon must be a finite nonnegative real, got {self.epsilon!r}")
+        eps = _check_real(self.epsilon, "epsilon")
+        if eps < 0.0:
+            raise ValidationError(f"epsilon must be >= 0, got {eps}")
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "exp_neg_eps", 0.0 if eps >= IDENTITY_EPSILON else math.exp(-eps))
 

@@ -33,6 +33,7 @@ from .core import (
     DataUniverse,
     EnumerationTooLargeError,
     ValidationError,
+    _check_real,
     all_databases_matrix,
     enumeration_size,
 )
@@ -193,7 +194,7 @@ def micro_minimax_report(
     grid brackets rather than solves the infimum.
     """
     enumeration_size(universe, n, MINIMAX_BIT_CAP)
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+    if _check_real(epsilon, "epsilon") < 0.0:
         raise ValidationError(f"epsilon must be a nonnegative real, got {epsilon}")
     card = universe.cardinality
     eps = min(epsilon, IDENTITY_EPSILON)

@@ -26,7 +26,6 @@ keeps, so one count of a release answers every such query.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .core import (
     RandomSource,
     ValidationError,
     _check_codes,
+    _check_int,
     _check_universe,
     _count_codes,
     _read_json_int_arrays,
@@ -306,8 +306,7 @@ def make_predicate_query(universe: DataUniverse, n: int, conjunct_bits) -> Stati
         raise ValidationError("a predicate query needs at least one conjunct attribute")
     if bits[0] < 0 or bits[-1] >= universe.l:
         raise ValidationError(f"conjunct attribute indices must lie in [0, {universe.l})")
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ValidationError(f"n must be an integer >= 1, got {n!r}")
+    _check_int(n, "n", 1)
     codes = np.arange(_table_codes(universe))
     table = np.ones(codes.size)
     for b in bits:
@@ -336,14 +335,14 @@ def generate_random_query(
     of that many queries, drawn in one call from the same generator stream
     (``count=1`` draws the same tables as ``count=None``).
     """
-    if not 1 <= heterogeneity <= n:
+    if _check_int(heterogeneity, "heterogeneity", 1) > _check_int(n, "n", 1):
         raise ValidationError(f"heterogeneity must lie in [1, {n}], got {heterogeneity}")
     if n % heterogeneity != 0:
         raise ValidationError(
             f"heterogeneity {heterogeneity} must divide n={n} (contiguous equal blocks)"
         )
-    if count is not None and count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
+    if count is not None:
+        _check_int(count, "count", 1)
     shape = (heterogeneity, _table_codes(universe))
     tables = rng.generator().random(shape if count is None else (count,) + shape)
     spread = tables.max(axis=-1, keepdims=True) - tables.min(axis=-1, keepdims=True)
@@ -370,10 +369,7 @@ def _field(spec: dict, key: str):
 
 
 def _int_field(spec: dict, key: str) -> int:
-    value = _field(spec, key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"query field {key!r} must be an integer, got {value!r}")
-    return value
+    return _check_int(_field(spec, key), f"query field {key!r}", 1)
 
 
 def _holds_bool(value) -> bool:

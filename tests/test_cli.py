@@ -1,6 +1,7 @@
 import gzip
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -209,6 +210,60 @@ class TestSeed:
         assert code == 0 and err == ""
         code, _, err = run_cli(capsys, *argv, "--seed", "3")
         assert code == 0 and "warning: --seed 3" in err
+
+
+class TestBadNumbersExit2:
+    """A negative seed or an infinite bound constant exits 2 with a category
+    prefix and no traceback, before any output is written."""
+
+    def _exit_2(self, capsys, category, message, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error[{category}]: {message}\n") and "Traceback" not in err
+        assert out == ""
+
+    def _config(self, tmp_path, **fields):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"output": str(tmp_path / "a.csv"), **fields}))
+        return str(path)
+
+    SWEEP = {"experiment": "heterogeneity", "n": 32, "l": 1, "query_count": 4, "trial_count": 2,
+             "heterogeneity_grid": [1]}
+
+    def test_release_negative_seed(self, tmp_path, capsys):
+        db_path, out = tmp_path / "db.txt", tmp_path / "out.txt"
+        db_path.write_text("0\n1\n")
+        self._exit_2(capsys, "validation", "seed must be >= 0, got -1", "release", "--input", str(db_path),
+                     "--output", str(out), "--epsilon", "1", "--l", "1", "--seed", "-1")
+        assert not out.exists()
+
+    def test_graph_cut_negative_seed(self, tmp_path, capsys):
+        edges, cut = tmp_path / "g.txt", tmp_path / "cut.txt"
+        edges.write_text("0 1\n")
+        cut.write_text("0\n1\n")
+        self._exit_2(capsys, "validation", "seed must be >= 0, got -1", "graph-cut", "--edges", str(edges),
+                     "--cut", str(cut), "--epsilon", "1", "--seed", "-1")
+
+    def test_experiment_negative_seed_override(self, tmp_path, capsys):
+        config = self._config(tmp_path, **self.SWEEP)
+        self._exit_2(capsys, "config", "seed must be >= 0, got -1", "experiment", "--config", config, "--seed", "-1")
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_config_negative_seed(self, tmp_path, capsys):
+        config = self._config(tmp_path, **self.SWEEP, seed=-1)
+        self._exit_2(capsys, "config", "seed must be >= 0, got -1", "experiment", "--config", config)
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_config_infinite_c(self, tmp_path, capsys):
+        # json writes and reads math.inf as Infinity
+        config = self._config(tmp_path, experiment="bounds_table", c=math.inf)
+        assert "Infinity" in (tmp_path / "cfg.json").read_text()
+        self._exit_2(capsys, "config", "c must be a finite number, got inf", "experiment", "--config", config)
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_bounds_infinite_c(self, capsys):
+        self._exit_2(capsys, "validation", "c must be a finite number, got inf",
+                     "bounds", "--n", "10", "--l", "1", "--epsilon", "1", "--c", "inf")
 
 
 class TestReadDatabaseCodes:

@@ -110,9 +110,17 @@ class TestLipschitzQuery:
         with pytest.raises(ValidationError, match="Lipschitz"):
             LipschitzQuery(lambda u: (1.0 + 1e-4) * u, lipschitz=1.0, lower=0.0, upper=1.001)
 
-    @pytest.mark.parametrize("lipschitz", [-1.0, np.inf, np.nan])
-    def test_lipschitz_constant_validated(self, lipschitz):
-        with pytest.raises(ValidationError, match="Lipschitz constant must be finite and >= 0"):
+    @pytest.mark.parametrize(
+        "lipschitz,match",
+        [
+            (-1.0, r"Lipschitz constant must be >= 0, got -1\.0$"),
+            (np.inf, "Lipschitz constant must be a finite number, got inf$"),
+            (np.nan, "Lipschitz constant must be a finite number, got nan$"),
+        ],
+        ids=["-1.0", "inf", "nan"],
+    )
+    def test_lipschitz_constant_validated(self, lipschitz, match):
+        with pytest.raises(ValidationError, match=match):
             LipschitzQuery(lambda u: u, lipschitz=lipschitz, lower=0.0, upper=1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -357,7 +357,7 @@ class TestGenerators:
             erdos_renyi_graph(5, 1.5, RandomSource(0))
         with pytest.raises(ValidationError, match="vertex_count must be >= 1"):
             erdos_renyi_graph(0, 0.5, RandomSource(0))
-        with pytest.raises(ValidationError, match="vertex_count >= attach_count"):
+        with pytest.raises(ValidationError, match="vertex_count must be >= 6, got 3$"):
             power_law_graph(3, 5, RandomSource(0))
         with pytest.raises(ValidationError, match="attach_count must be >= 1"):
             power_law_graph(3, 0, RandomSource(0))

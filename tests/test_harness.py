@@ -57,6 +57,15 @@ class TestConfig:
         assert cfg.heterogeneity_grid == (1, 2, 4, 8, 16, 32)
 
     @pytest.mark.parametrize(
+        "experiment,grid",
+        [("heterogeneity", "heterogeneity_grid"), ("query_set_size", "set_sizes"), ("database_scaling", "n_grid"),
+         ("cut_scaling", "vertex_grid"), ("bounds_table", "epsilon_grid"), ("bounds_table", "n_grid")],
+    )
+    def test_null_grid_reads_as_its_default(self, experiment, grid):
+        cfg = config_from_dict({"experiment": experiment, grid: None})
+        assert cfg == config_from_dict({"experiment": experiment})
+
+    @pytest.mark.parametrize(
         "raw,match",
         [
             ([{"experiment": "heterogeneity"}], "must be a JSON object"),

@@ -157,7 +157,7 @@ class TestMicroMinimax:
             (lambda: symmetric_row_kernel(DataUniverse(1), 0.0), r"keep probability must lie in \(0, 1\]"),
             (lambda: symmetric_row_kernel(DataUniverse(1), 1.5), r"keep probability must lie in \(0, 1\]"),
             (lambda: micro_minimax(DataUniverse(1), 2, -1.0), "epsilon must be a nonnegative real"),
-            (lambda: micro_minimax(DataUniverse(1), 2, math.nan), "epsilon must be a nonnegative real"),
+            (lambda: micro_minimax(DataUniverse(1), 2, math.nan), "epsilon must be a finite number, got nan$"),
             (lambda: micro_minimax(DataUniverse(1), 2, 1.0, queries=[]), "at least one query"),
         ],
         ids=["keep-zero", "keep-above-one", "epsilon-negative", "epsilon-nan", "no-queries"],

@@ -207,9 +207,19 @@ class TestPredicate:
         with pytest.raises(ValidationError):
             make_predicate_query(DataUniverse(2), 4, [5])
 
-    @pytest.mark.parametrize("n", [0, -3, 4.0, True, "4"])
-    def test_row_count_must_be_a_positive_integer(self, n):
-        with pytest.raises(ValidationError, match="n must be an integer >= 1"):
+    @pytest.mark.parametrize(
+        "n,match",
+        [
+            (0, "n must be >= 1, got 0$"),
+            (-3, "n must be >= 1, got -3$"),
+            (4.0, r"n must be an integer, got 4\.0$"),
+            (True, "n must be an integer, got True$"),
+            ("4", "n must be an integer, got '4'$"),
+        ],
+        ids=["0", "-3", "4.0", "True", "4"],
+    )
+    def test_row_count_must_be_a_positive_integer(self, n, match):
+        with pytest.raises(ValidationError, match=match):
             make_predicate_query(DataUniverse(2), n, [0])
 
 
