@@ -27,8 +27,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .core import Database, DataUniverse, DimensionMismatchError, RandomSource, ValidationError, _read_int_rows
-from .estimators import ESTIMATORS, PROJECTIONS, estimate_unbiased, project_proper
-from .graph import answer_cut, read_cut_spec, read_edge_list, release_graph, vertex_count
+from .estimators import ESTIMATORS, PROJECTIONS, _estimates
+from .graph import _answer_cuts, _cut_indicators, read_cut_spec, read_edge_list, release_graph, vertex_count
 from .harness import _write_csv, fit_loglog_slope, ingest_csv, load_config, run_experiment
 from .mechanism import MechanismParams, sample_synthetic
 from .oracle import run_verification_suite
@@ -105,12 +105,8 @@ def _cmd_estimate(args) -> int:
     q = load_query(args.query)
     y = read_database_codes(args.input, q.universe.l)
     params = MechanismParams(args.epsilon, q.universe)
-    raw = estimate_unbiased(q, y, params)
-    if args.estimator == "proper":
-        answer = project_proper(q, raw, args.projection)
-    else:
-        answer = raw
-    print(f"{answer:.9g}")
+    answer = _estimates(q, q.evaluate(y), params, args.estimator, args.projection)
+    print(f"{float(answer):.9g}")
     return 0
 
 
@@ -141,9 +137,9 @@ def _cmd_experiment(args) -> int:
 def _cmd_graph_cut(args) -> int:
     x = read_edge_list(args.edges, one_based=args.one_based, symmetrize=not args.no_symmetrize)
     q = read_cut_spec(args.cut)
-    q.validate_for(vertex_count(x))
+    s, t = _cut_indicators([q], vertex_count(x))
     y = release_graph(x, args.epsilon, _release_source(args.seed))
-    answer = answer_cut(y, q, args.epsilon)
+    answer = float(_answer_cuts(y, s, t, args.epsilon)[0])
     if args.clamp:
         answer = min(max(answer, 0.0), len(q.s_set) * len(q.t_set))
     print(f"{answer:.9g}")

@@ -125,10 +125,14 @@ def _utf8_lines(fh, path) -> Iterator[str]:
 
 def _content_lines(path) -> Iterator[tuple[int, str]]:
     """(line number, text) of each line of the file at ``path`` with text
-    before its '#', stripped of ' ' and '\t'. Lines end in '\n' or '\r\n'."""
+    before its '#', stripped of ' ' and '\t'. Lines end in '\n' or '\r\n'
+    and hold ASCII only, comments included, as in ``_LINES``: a line with a
+    non-ASCII character raises the ValidationError that names it."""
     with open(path, "r", encoding="utf-8-sig", newline="\n") as fh:
         for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
             text = line[:-1].removesuffix("\r") if line.endswith("\n") else line
+            if not text.isascii():
+                raise ValidationError(f"{path}:{lineno}: expected ASCII text, got {text!r}")
             if text := text.split("#", 1)[0].strip(" \t"):
                 yield lineno, text
 
@@ -602,6 +606,7 @@ class RandomSource:
 
     The same ``(seed, stream)``, two integers >= 0, always produces the
     same draw sequence; distinct streams are statistically independent.
+    Every index of the derivation path is an integer >= 0 as well.
     :meth:`derive` appends indices to an internal derivation path so that
     nested consumers (runs within a sweep, trials within a run) get
     independent sub-streams without coordinating offsets.
@@ -614,6 +619,8 @@ class RandomSource:
     def __post_init__(self):
         _check_int(self.seed, "seed", 0)
         _check_int(self.stream, "stream", 0)
+        for index in self.path:
+            _check_int(index, "random stream index", 0)
 
     def generator(self) -> np.random.Generator:
         key = (self.stream,) + tuple(self.path)

@@ -10,11 +10,12 @@ where C is the query's centering constant (the mean table mass picked up by
 uniform flips); the two factors are ``MechanismParams.scale`` and ``shift``.
 It is exactly unbiased for every input database but may return values no
 real database can produce; ``project_proper`` maps the raw value onto
-achievable answers, at most doubling the pointwise error. The cut estimator
-in ``graph`` debiases released edge counts by the same map, with
-C = |S||T|.
+achievable answers, at most doubling the pointwise error. ``_debias``
+computes the map for every estimate, the cut estimator's in ``graph``
+(C = |S||T|) included, and refuses an epsilon at which it overflows.
 
-Distortion is measured three ways. ``exact_distortion`` enumerates every
+Distortion, a ufunc of the error picked from ``_MEASURES``, is measured
+three ways. ``exact_distortion`` enumerates every
 output (n*l <= 12) and is the oracle-grade ground truth.
 ``exact_unbiased_mse`` is the exact squared distortion of the unbiased
 estimator at any n: rows are perturbed independently, so it is the sum of
@@ -38,6 +39,7 @@ from .core import (
     Database,
     DimensionMismatchError,
     EnumerationTooLargeError,
+    EstimatorUndefinedError,
     RandomSource,
     ValidationError,
     _check_int,
@@ -51,7 +53,10 @@ from .queries import StatisticalQuery, _per_query
 ACHIEVABLE_CAP = 10**6
 
 ESTIMATORS = ("unbiased", "proper")
-MEASURES = ("squared", "absolute")
+# each distortion measure's ufunc of the error, and the bound on its mean
+_MEASURES = {"squared": (np.square, bounds_mod.upper_bound_squared),
+             "absolute": (np.abs, bounds_mod.upper_bound_absolute)}
+MEASURES = tuple(_MEASURES)
 PROJECTIONS = ("interval_clamp", "exact_range")
 
 
@@ -67,6 +72,20 @@ class DistortionReport:
     analytic_bound: float
 
 
+def _debias(values, centering, params: MechanismParams):
+    """scale * values - shift * centering, in place for an array (a float is
+    rebound); an epsilon at which scale or shift overflows is refused."""
+    scale, shift = params.scale, params.shift
+    if not (math.isfinite(scale) and math.isfinite(shift)):
+        raise EstimatorUndefinedError(
+            f"the companion estimators are undefined at epsilon = {params.epsilon} and "
+            f"l = {params.universe.l}: their scale factor overflows"
+        )
+    values *= scale
+    values -= shift * centering
+    return values
+
+
 def _estimates(
     q: StatisticalQuery,
     answers,
@@ -74,15 +93,11 @@ def _estimates(
     estimator: str = "unbiased",
     projection: str = "interval_clamp",
 ):
-    """Estimates from plain answers q(y): scale * q(y) - shift * C, projected
+    """Estimates from plain answers q(y), debiased (``_debias``) and projected
     onto achievable answers when the estimator is proper. ``answers`` may
-    carry any leading shape; a batch's answers end in the query axis.
-
-    ``answers`` is consumed: an array is debiased in place (a float, one
-    query's ``evaluate``, is rebound), so callers pass the fresh array that
-    ``answers``, ``evaluate`` or ``evaluate_rows`` returned."""
-    answers *= params.scale
-    answers -= params.shift * q.centering
+    carry any leading shape; a batch's answers end in the query axis, and
+    are consumed as by ``_debias``: pass a fresh array."""
+    answers = _debias(answers, q.centering, params)
     if estimator == "proper":
         return _project_vector(q, answers, projection)
     return answers
@@ -174,10 +189,8 @@ def _distortion_bound(q: StatisticalQuery, n: int, params: MechanismParams, esti
     inputs = bounds_mod.BoundInputs(
         n=n, l=q.universe.l, epsilon=params.epsilon, a=q.a, b=q.b, c=q.c
     )
-    proper = estimator == "proper"
-    if measure == "squared":
-        return bounds_mod.upper_bound_squared(inputs, proper=proper)
-    return bounds_mod.upper_bound_absolute(inputs, proper=proper)
+    _, bound = _MEASURES[measure]
+    return bound(inputs, proper=estimator == "proper")
 
 
 def _check_single(q: StatisticalQuery, what: str) -> None:
@@ -216,8 +229,8 @@ def exact_distortion(
         probs = np.exp(log_pmf_all_outputs(x, params))
     err = _estimates(q, q.evaluate_rows(rows), params, estimator, projection)
     err -= q.evaluate(x)
-    rho = np.square(err, out=err) if measure == "squared" else np.abs(err, out=err)
-    return float(probs @ rho)
+    distortion, _ = _MEASURES[measure]
+    return float(probs @ distortion(err, out=err))
 
 
 def exact_unbiased_mse(q: StatisticalQuery, x: Database, params: MechanismParams) -> float:
@@ -286,7 +299,7 @@ def measure_distortion(
     hist = q.database_histogram(x)
     qx = q.answers(hist)
     gen = rng.generator()
-    transform = np.square if measure == "squared" else np.abs
+    distortion, _ = _MEASURES[measure]
     values = np.empty(trials)
     step = q._histograms_per_step()
     for start in range(0, trials, step):
@@ -294,7 +307,7 @@ def measure_distortion(
         synthetic = sample_histograms(hist, params, gen, count)
         err = _estimates(q, q.answers(synthetic), params, estimator, projection)
         err -= qx
-        transform(err, out=values[start : start + count])
+        distortion(err, out=values[start : start + count])
     mean, stderr = _mean_and_stderr(values)
     return DistortionReport(
         query_id=q.label or "query",

@@ -10,13 +10,14 @@ level (neighbors differ in one vertex pair). Undirected input data is
 symmetrized at ingestion by default, setting both (i, j) and (j, i); a
 count-once mode keeps only the given orientation since the convention
 affects cut values and is a property of the dataset, not the mechanism.
-Edge lists are parsed by ``core._read_int_rows``. |V|^2 is checked against
-``MAX_ENCODED_PAIRS`` before any |V| x |V| array is allocated.
+Edge lists are parsed by ``core._read_int_rows``, cut specs by
+``core._content_lines``; both refuse non-ASCII comments. |V|^2 is checked
+against ``MAX_ENCODED_PAIRS`` before any |V| x |V| array is allocated.
 
 Every cut count, exact (``cut_value``) or released (``answer_cut``, the cut
 estimator), is one contraction of (C, |V|) indicator matrices: the row sums
-of (S @ M) * T. Released counts are debiased by the same affine map as a
-statistical query, with centering constant |S||T|. Random bisections are
+of (S @ M) * T. Released counts are debiased by ``estimators._debias``,
+with centering constant |S||T|. Random bisections are
 drawn straight into such matrices (``_bisection_indicators``), with no
 ``CutQuery`` per cut.
 """
@@ -36,9 +37,11 @@ from .core import (
     RandomSource,
     ValidationError,
     _check_int,
+    _check_real,
     _content_lines,
     _read_int_rows,
 )
+from .estimators import _debias
 from .mechanism import MechanismParams, _keep_mask, sample_synthetic
 
 MAX_ENCODED_PAIRS = 10**8
@@ -99,9 +102,6 @@ class CutQuery:
         object.__setattr__(self, "s_set", s)
         object.__setattr__(self, "t_set", t)
 
-    def validate_for(self, vertex_count: int) -> None:
-        _cut_indicators([self], vertex_count)
-
 
 def _cut_indicators(cuts, vertex_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Float32 (C, |V|) indicator matrices (S, T) of C cuts. Every vertex id must
@@ -124,10 +124,9 @@ def _cut_counts(m: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _answer_cuts(y: Database, s: np.ndarray, t: np.ndarray, epsilon: float) -> np.ndarray:
-    """Debiased cut answers, scale * count - shift * |S||T|, from a release y."""
-    params = MechanismParams(epsilon, y.universe)
+    """Debiased cut answers (``_debias`` of the counts, C = |S||T|) from a release y."""
     sizes = s.sum(axis=1, dtype=np.float64) * t.sum(axis=1, dtype=np.float64)
-    return params.scale * _cut_counts(y.rows, s, t) - params.shift * sizes
+    return _debias(_cut_counts(y.rows, s, t), sizes, MechanismParams(epsilon, y.universe))
 
 
 def _check_pair_cap(vertex_count: int) -> None:
@@ -183,6 +182,7 @@ def erdos_renyi_graph(vertex_count: int, edge_prob: float, rng: RandomSource) ->
     """Undirected G(V, p) without self-loops, symmetrized into the directed
     encoding (each undirected edge sets both rows)."""
     _check_int(vertex_count, "vertex_count", 1)
+    edge_prob = _check_real(edge_prob, "edge probability")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValidationError(f"edge probability must lie in [0, 1], got {edge_prob}")
     _check_pair_cap(vertex_count)
@@ -231,12 +231,13 @@ def read_edge_list(path, one_based: bool = False, symmetrize: bool = True) -> Da
 
 def read_cut_spec(path) -> CutQuery:
     """Two lines of vertex ids, runs of at most 18 ASCII digits separated by
-    ' ' and '\t': S, then T."""
-    lines = list(_content_lines(path))
-    if len(lines) != 2:
-        raise ValidationError(f"{path}: a cut spec needs exactly two non-empty lines (S then T)")
-    for lineno, text in lines:
+    ' ' and '\t': S, then T. '#' comments must be ASCII, as in an edge list."""
+    sets = []
+    # line by line, so the first bad line is the one named
+    for lineno, text in _content_lines(path):
         if not re.fullmatch(r"[0-9]{1,18}(?:[ \t]+[0-9]{1,18})*", text):
             raise ValidationError(f"{path}:{lineno}: expected vertex ids separated by spaces or tabs, got {text!r}")
-    s, t = (frozenset(int(w) for w in text.split()) for _, text in lines)
-    return CutQuery(s, t)
+        sets.append(frozenset(int(w) for w in text.split()))
+    if len(sets) != 2:
+        raise ValidationError(f"{path}: a cut spec needs exactly two non-empty lines (S then T)")
+    return CutQuery(*sets)

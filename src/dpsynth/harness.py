@@ -47,7 +47,7 @@ from .core import (
     _read_json,
     _utf8_lines,
 )
-from .estimators import ESTIMATORS, _distortion_bound, _estimates
+from .estimators import _MEASURES, ESTIMATORS, _distortion_bound, _estimates
 from .graph import (
     MAX_ENCODED_PAIRS,
     _answer_cuts,
@@ -307,13 +307,13 @@ def _statistical_row(config, point, qs, dbs, releases, params: MechanismParams, 
     against the closed-form bound of qs's own class constants. The errors
     are computed and summarized one database at a time, each in the one
     (runs, Q) array its answers arrive in."""
-    transform = np.square if measure == "squared" else np.abs
+    distortion, _ = _MEASURES[measure]
 
     def errors():
         for x, rows in zip(dbs, releases):
             err = _estimates(qs, qs.evaluate_rows(rows), params, config.estimator)
             err -= qs.evaluate(x)
-            yield transform(err, out=err)
+            yield distortion(err, out=err)
             del err  # dropped before the next database's answers are made
 
     bound = _distortion_bound(qs, qs.n, params, config.estimator, measure)
@@ -375,6 +375,7 @@ def run_database_scaling(config: ExperimentConfig, rng: RandomSource) -> list[Re
 def run_cut_scaling(config: ExperimentConfig, rng: RandomSource) -> list[ResultRow]:
     """Worst-case absolute cut error against graph size, with the cut bound
     overlay and the worst-case relative error (Table-style, ungated)."""
+    distortion, _ = _MEASURES["absolute"]
     out = []
     for gi, v in enumerate(config.vertex_grid):
         if config.graph_model == "erdos_renyi":
@@ -386,7 +387,7 @@ def run_cut_scaling(config: ExperimentConfig, rng: RandomSource) -> list[ResultR
         errs = np.empty((config.trial_count, config.cut_count))
         for r in range(config.trial_count):
             y = release_graph(x, config.epsilon, rng.derive(_S_RELEASE, gi, r))
-            errs[r] = np.abs(_answer_cuts(y, s, t, config.epsilon) - truths)
+            errs[r] = distortion(_answer_cuts(y, s, t, config.epsilon) - truths)
         positive = truths > 0
         relative = None
         if positive.any():

@@ -153,9 +153,13 @@ class StatisticalQuery:
         if not (row_max > row_min).all():
             raise ValidationError("constant row functions are not allowed (need max > min)")
 
-        c_sum = (row_max - row_min) @ counts
-        centering = tables.sum(axis=-1) @ counts / c_sum
-        lo, hi = row_min @ counts / c_sum, row_max @ counts / c_sum
+        # finite tables can still overflow these sums; they are refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            c_sum = (row_max - row_min) @ counts
+            centering = tables.sum(axis=-1) @ counts / c_sum
+            lo, hi = row_min @ counts / c_sum, row_max @ counts / c_sum
+        if not all(np.isfinite(v).all() for v in (c_sum, centering, lo, hi)):
+            raise ValidationError("the query's normalization overflows: its sums over the rows are not finite")
 
         object.__setattr__(self, "universe", universe)
         for arr in (tables, counts):

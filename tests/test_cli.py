@@ -10,6 +10,9 @@ import pytest
 from dpsynth import cli, core
 from dpsynth.cli import main, read_database_codes, write_database_codes
 from dpsynth.core import Database, DataUniverse
+from dpsynth.estimators import estimate_unbiased, project_proper
+from dpsynth.mechanism import MechanismParams
+from dpsynth.queries import load_query
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +154,34 @@ class TestReleaseEstimate:
         )
         assert code == 0, err
         assert float(out) * 64 == round(float(out) * 64)
+
+    @pytest.mark.parametrize(
+        "l,rows,spec",
+        [
+            (1, [1, 0, 1, 1, 0], {"type": "predicate", "l": 1, "n": 5, "conjunct_bits": [0]}),
+            (2, [3, 0, 1, 2, 2, 1], {"type": "hamming", "l": 2, "z": [0, 1, 2, 3, 0, 1]}),
+        ],
+        ids=["predicate", "multi-table"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["--estimator", "proper"], ["--estimator", "proper", "--projection", "exact_range"]],
+        ids=["unbiased", "interval-clamp", "exact-range"],
+    )
+    def test_estimate_prints_the_library_answer(self, tmp_path, capsys, l, rows, spec, argv):
+        db_path, query_path = tmp_path / "synthetic.txt", tmp_path / "q.json"
+        write_database_codes(Database(DataUniverse(l), np.array(rows)), db_path)
+        query_path.write_text(json.dumps(spec))
+        code, out, err = run_cli(
+            capsys, "estimate", "--input", str(db_path), "--query", str(query_path), "--epsilon", "0.4", *argv,
+        )
+        assert code == 0, err
+        q, y = load_query(query_path), read_database_codes(db_path, l)
+        answer = estimate_unbiased(q, y, MechanismParams(0.4, q.universe))
+        if argv:
+            answer = project_proper(q, answer, argv[-1] if "--projection" in argv else "interval_clamp")
+        # exact_range's answer is a 0-d array: printed as one float
+        assert out == f"{float(answer):.9g}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -431,8 +462,6 @@ class TestMalformedLineFiles:
             pytest.param(kind, token, id=f"{kind}-{name}")
             for kind in ("code-file", "edge-list", "cut-spec")
             for name, token in _FORMERLY_READ.items()
-            # a cut spec's comments are not parsed: any UTF-8 text may stand in them
-            if not (kind == "cut-spec" and "#" in token)
         ],
     )
     def test_token_outside_the_grammar(self, tmp_path, capsys, kind, token):
@@ -502,6 +531,21 @@ class TestMalformedQueryFile:
         assert code == 2
         assert err.startswith("error[")
 
+
+    @pytest.mark.parametrize("estimator", ["unbiased", "proper"])
+    def test_overflowing_normalization_exits_2(self, tmp_path, capsys, estimator):
+        # finite tables, but c_sum = 4 * 2e308 = inf: the estimate was NaN
+        db_path = tmp_path / "synthetic.txt"
+        write_database_codes(Database(DataUniverse(1), np.array([1, 0, 0, 1])), db_path)
+        query_path = tmp_path / "q.json"
+        query_path.write_text(json.dumps({"type": "tables", "l": 1, "tables": [[-1e308, 1e308]],
+                                          "assignment": [0, 0, 0, 0]}))
+        code, out, err = run_cli(
+            capsys, "estimate", "--input", str(db_path), "--query", str(query_path), "--epsilon", "1.0",
+            "--estimator", estimator,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error[validation]: the query's normalization overflows")
 
     def test_query_over_a_wide_universe_exits_2(self, tmp_path, capsys, monkeypatch):
         # the table cap, lowered so that the refused query would be 8 MiB
@@ -707,6 +751,17 @@ class TestGraphCut:
         assert code == 0, err
         assert 0.0 <= float(out.strip()) <= 1.0
 
+    def test_out_of_range_vertex_refused_before_the_release(self, tmp_path, capsys):
+        edges, cut = tmp_path / "g.txt", tmp_path / "cut.txt"
+        edges.write_text("0 1\n1 2\n")
+        cut.write_text("0 1\n3\n")
+        code, out, err = run_cli(
+            capsys, "graph-cut", "--edges", str(edges), "--cut", str(cut), "--epsilon", "1.0", "--seed", "2",
+        )
+        assert code == 2 and out == ""
+        # no seed warning: the cut is checked before any coin is drawn
+        assert err == "error[validation]: vertex 3 outside [0, 3)\n"
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys,
@@ -715,6 +770,67 @@ class TestGraphCut:
         )
         assert code == 2
         assert "error[io]" in err
+
+
+class TestOverflowingEpsilon:
+    """Below about 1e-308 the estimators' scale and shift overflow and the
+    answer would be NaN: every estimating command exits 2 and prints nothing.
+    A release at that epsilon is still made, and ``bounds`` prints inf."""
+
+    QUERY = {"type": "predicate", "l": 1, "n": 4, "conjunct_bits": [0]}
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "db.txt").write_text("0\n1\n1\n0\n")
+        (tmp_path / "q.json").write_text(json.dumps(self.QUERY))
+        (tmp_path / "g.txt").write_text("0 1\n1 2\n")
+        (tmp_path / "cut.txt").write_text("0 1\n2\n")
+        return tmp_path
+
+    @staticmethod
+    def _assert_refused(code, out, err):
+        assert code == 2 and out == ""
+        assert err.startswith("error[estimator-undefined]: the companion estimators are undefined"), err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["--estimator", "proper"], ["--estimator", "proper", "--projection", "exact_range"]],
+        ids=["unbiased", "interval-clamp", "exact-range"],
+    )
+    def test_estimate(self, files, capsys, argv):
+        code, out, err = run_cli(capsys, "estimate", "--input", str(files / "db.txt"), "--query",
+                                 str(files / "q.json"), "--epsilon", "1e-320", *argv)
+        self._assert_refused(code, out, err)
+
+    @pytest.mark.parametrize("eps", ["1e-308", "1e-320"])
+    @pytest.mark.parametrize("clamp", [[], ["--clamp"]], ids=["raw", "clamp"])
+    def test_graph_cut(self, files, capsys, eps, clamp):
+        code, out, err = run_cli(capsys, "graph-cut", "--edges", str(files / "g.txt"), "--cut",
+                                 str(files / "cut.txt"), "--epsilon", eps, *clamp)
+        self._assert_refused(code, out, err)
+
+    def test_database_scaling_writes_no_csv(self, files, capsys):
+        cfg, csv_path = files / "cfg.json", files / "out.csv"
+        cfg.write_text(json.dumps({"experiment": "database_scaling", "n_grid": [10, 100], "l": 1,
+                                   "query_count": 2, "trial_count": 2, "epsilon": 1e-320,
+                                   "output": str(csv_path)}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
+        self._assert_refused(code, out, err)
+        assert not csv_path.exists()
+
+    def test_release_still_allowed(self, files, capsys):
+        out_path = files / "out.txt"
+        code, _, err = run_cli(capsys, "release", "--input", str(files / "db.txt"), "--l", "1",
+                               "--output", str(out_path), "--epsilon", "1e-320")
+        assert code == 0, err
+        assert read_database_codes(out_path, 1).n == 4
+
+    def test_bounds_print_inf(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--n", "10", "--l", "1", "--epsilon", "1e-320")
+        assert code == 0, err
+        header, row = (line.split(",") for line in out.splitlines())
+        uppers = [row[header.index(name)] for name in header if name.startswith("upper_")]
+        assert uppers == ["inf"] * 4
 
 
 class TestVerify:

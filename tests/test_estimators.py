@@ -20,6 +20,8 @@ from dpsynth.core import (
     hamming_distance,
 )
 from dpsynth.estimators import (
+    MEASURES,
+    _debias,
     _distinct,
     _distortion_bound,
     _mean_and_stderr,
@@ -106,6 +108,54 @@ class TestUnbiasedEstimator:
             [estimate_unbiased(q, Database(x.universe, r), params) for r in rows]
         )
         assert float(probs @ scale_est) == pytest.approx(q.evaluate(x), abs=1e-10)
+
+
+class TestOverflowingEpsilon:
+    """Below about 1e-308 (l <= 3) the debiasing factors overflow to inf, and
+    inf * q - inf * C would be NaN: ``_debias`` refuses that epsilon. A
+    release at it is still well defined."""
+
+    @pytest.mark.parametrize("l,eps", [(1, 1e-320), (3, 1e-308), (30, 1e-300)])
+    def test_debias_refuses(self, l, eps):
+        with pytest.raises(EstimatorUndefinedError, match=f"epsilon = {eps} and l = {l}"):
+            _debias(np.array([0.5]), 0.5, MechanismParams(eps, DataUniverse(l)))
+
+    def test_the_threshold_grows_with_l(self):
+        # scale ~ 2**l / eps: 1e-303 overflows at l = 20 but not at l = 3.
+        # No query can be built at l = 30 (core.MAX_TABLE_CODES), hence l = 20
+        eps = 1e-303
+        with pytest.raises(EstimatorUndefinedError):
+            estimate_unbiased(make_predicate_query(DataUniverse(20), 4, [0]), db(20, [0, 1, 2, 3]),
+                              MechanismParams(eps, DataUniverse(20)))
+        assert math.isfinite(estimate_unbiased(make_predicate_query(DataUniverse(3), 4, [0]), db(3, [0, 1, 2, 3]),
+                                               MechanismParams(eps, DataUniverse(3))))
+
+    @pytest.mark.parametrize("estimator", ["unbiased", "proper"])
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_every_estimator_path_refuses(self, estimator, measure):
+        q, x, _ = random_micro_instance(3)
+        params = MechanismParams(1e-320, x.universe)
+        with pytest.raises(EstimatorUndefinedError):
+            exact_distortion(q, x, params, estimator, measure)
+        with pytest.raises(EstimatorUndefinedError):
+            measure_distortion(q, x, params, estimator, measure, trials=10, rng=RandomSource(0))
+        with pytest.raises(EstimatorUndefinedError):
+            estimate_unbiased(q, x, params)
+
+    def test_release_is_still_allowed(self):
+        x = db(3, [0, 1, 2, 3, 4, 5, 6, 7])
+        y = sample_synthetic(x, MechanismParams(1e-320, x.universe), RandomSource(0))
+        assert y.n == x.n
+
+    def test_debias_is_the_affine_map_in_place(self):
+        q = generate_random_query(DataUniverse(2), 6, 3, RandomSource(2), count=5)
+        params = MechanismParams(0.7, DataUniverse(2))
+        answers = RandomSource(3).generator().random((4, 5))
+        expected = params.scale * answers - params.shift * q.centering
+        out = _debias(answers, q.centering, params)
+        assert out is answers
+        assert out.tobytes() == expected.tobytes()
+        assert _debias(0.25, q.centering[0], params) == params.scale * 0.25 - params.shift * q.centering[0]
 
 
 class TestProjection:

@@ -262,8 +262,9 @@ class TestCutEstimator:
         y = edge_db(1, [0, 0, 0, 0])
         with pytest.raises(ValidationError):
             answer_cut(y, cut({0}, {0}), 1.0)  # overlap
-        with pytest.raises(EstimatorUndefinedError):
-            answer_cut(y, cut({0}, {1}), 0.0)
+        for eps in (0.0, 1e-308, 1e-320):  # zero, or scale and shift overflow
+            with pytest.raises(EstimatorUndefinedError):
+                answer_cut(y, cut({0}, {1}), eps)
         for eps in (-1.0, math.inf, math.nan):
             with pytest.raises(ValidationError):
                 answer_cut(y, cut({0}, {1}), eps)
@@ -465,6 +466,13 @@ class TestFiles:
         path = tmp_path / "cut.txt"
         path.write_bytes(body.encode("utf-8"))
         with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:{line}: "):
+            read_cut_spec(path)
+
+    def test_cut_spec_comments_are_ascii(self, tmp_path):
+        # as in an edge list, the whole line is ASCII, comment included
+        path = tmp_path / "cut.txt"
+        path.write_text("0 1 # S\n2 # \u00e9\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:2: "):
             read_cut_spec(path)
 
     def test_cut_spec_grammar(self, tmp_path):

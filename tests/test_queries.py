@@ -648,6 +648,27 @@ class TestConstruction:
             StatisticalQuery(DataUniverse(1), np.array([[0.0, np.inf]]), np.array([0]))
 
     @pytest.mark.parametrize(
+        "tables,assignment",
+        [
+            ([[-1e308, 1e308]], [0, 0, 0, 0]),  # c_sum = inf
+            ([[0.0, 1e308]], [0, 0]),  # c_sum = 2e308
+            ([[1e308, 1.5e308]], [0]),  # the table's sum, hence centering
+        ],
+        ids=["spread", "rows", "centering"],
+    )
+    def test_overflowing_normalization_rejected(self, tables, assignment):
+        # finite tables whose sums over the rows overflow: the estimate would be NaN
+        spec = {"type": "tables", "l": 1, "tables": tables, "assignment": assignment}
+        with pytest.raises(ValidationError, match="normalization overflows"):
+            query_from_dict(spec)
+
+    def test_overflowing_query_of_a_batch_rejected(self):
+        tables = np.array([[[0.0, 1.0]], [[-1e308, 1e308]]])
+        with pytest.raises(ValidationError, match="normalization overflows"):
+            StatisticalQuery(DataUniverse(1), tables, np.array([0, 0]))
+        assert StatisticalQuery(DataUniverse(1), tables[:1], np.array([0, 0])).c_sum.tolist() == [2.0]
+
+    @pytest.mark.parametrize(
         "tables,assignment,match",
         [
             ([[0.0, 1.0]], [[0, 0]], "nonempty 1-d index vector"),

@@ -36,6 +36,8 @@ INT_SITES = [
     ("enumeration-size", lambda v: enumeration_size(U, v), "database size", 1, ValidationError),
     ("seed", RandomSource, "seed", 0, ValidationError),
     ("stream", lambda v: RandomSource(0, v), "stream", 0, ValidationError),
+    ("derive", lambda v: RandomSource(0).derive(v), "random stream index", 0, ValidationError),
+    ("derive-nested", lambda v: RandomSource(0).derive(1, v), "random stream index", 0, ValidationError),
     ("bound-n", lambda v: BoundInputs(n=v, l=1, epsilon=1.0), "n", 1, ValidationError),
     ("cut-bound-s", lambda v: cut_bound(v, 1, 1.0), "|S|", 1, ValidationError),
     ("cut-bound-t", lambda v: cut_bound(1, v, 1.0), "|T|", 1, ValidationError),
@@ -76,6 +78,9 @@ REAL_SITES = [
     ("lipschitz-lower", lambda v: LipschitzQuery(lambda u: u, 1.0, v, 1.0), "lower", None, ValidationError),
     ("lipschitz-upper", lambda v: LipschitzQuery(lambda u: u, 1.0, 0.0, v), "upper", None, ValidationError),
     ("oracle-epsilon", lambda v: micro_minimax_report(U, 2, v), "epsilon", None, ValidationError),
+    # its range check, [0, 1], has its own wording
+    ("edge-probability", lambda v: erdos_renyi_graph(4, v, RandomSource(0)), "edge probability", None,
+     ValidationError),
     *[(f"config-{name}", lambda v, name=name: _config(**{name: v}), name, None, ConfigError)
       for name in ("epsilon", "graph_param", "a", "b", "c", "L")],
     ("config-grid", lambda v: config_from_dict({"experiment": "bounds_table", "epsilon_grid": [v]}),
@@ -120,3 +125,12 @@ def test_bounds_store_the_checked_numbers():
     inputs = BoundInputs(n=np.int64(10), l=1, epsilon=1, a=0, b=np.float32(2.0), c=1, L=3)
     assert (inputs.n, inputs.epsilon, inputs.a, inputs.b, inputs.c, inputs.L) == (10, 1.0, 0.0, 2.0, 1.0, 3.0)
     assert {type(v) for v in (inputs.epsilon, inputs.a, inputs.b, inputs.c, inputs.L)} == {float}
+
+
+def test_checked_stream_indices_keep_their_streams():
+    # every pinned stream derives plain ints; numpy ints name the same stream
+    plain = RandomSource(5).derive(1, 2).derive(3)
+    assert plain.path == (1, 2, 3)
+    draw = plain.generator().integers(1 << 30, size=4)
+    assert (RandomSource(5).derive(np.int64(1), np.uint8(2), 3).generator().integers(1 << 30, size=4) == draw).all()
+    assert (RandomSource(5, 0, (1, 2, 3)).generator().integers(1 << 30, size=4) == draw).all()
