@@ -21,7 +21,7 @@ from .core import (
     hamming_distance,
     is_neighbor,
 )
-from .mechanism import MechanismParams, exact_log_pmf, sample_synthetic, verify_dp
+from .mechanism import MechanismParams, exact_log_pmf, realized_epsilon, sample_synthetic, verify_dp
 from .queries import (
     StatisticalQuery,
     centering_constant,

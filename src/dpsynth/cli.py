@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import re
 import sys
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .core import Database, DataUniverse, DimensionMismatchError, RandomSource, ValidationError, _read_int_rows
-from .estimators import ESTIMATORS, PROJECTIONS, _estimates
+from .estimators import ESTIMATORS, PROJECTIONS, _debias_factors, _estimates
 from .graph import _answer_cuts, _cut_indicators, read_cut_spec, read_edge_list, release_graph, vertex_count
 from .harness import _write_csv, fit_loglog_slope, ingest_csv, load_config, run_experiment
 from .mechanism import MechanismParams, sample_synthetic
@@ -85,7 +86,19 @@ def _release_source(seed) -> RandomSource:
     return source
 
 
+def _check_not_input(input_path, output_path) -> None:
+    """ValidationError if the output names the input file, by the same path,
+    a symlink or a hard link: the release would replace its private input."""
+    try:
+        same = os.path.samefile(input_path, output_path)
+    except OSError:  # one of them does not exist (yet)
+        same = os.path.realpath(input_path) == os.path.realpath(output_path)
+    if same:
+        raise ValidationError(f"--output {output_path} is the --input file; the release would overwrite it")
+
+
 def _cmd_release(args) -> int:
+    _check_not_input(args.input, args.output)
     if args.schema is not None:
         if args.l is not None:
             raise ValidationError("--l cannot be given with --schema, which fixes l")
@@ -138,6 +151,7 @@ def _cmd_graph_cut(args) -> int:
     x = read_edge_list(args.edges, one_based=args.one_based, symmetrize=not args.no_symmetrize)
     q = read_cut_spec(args.cut)
     s, t = _cut_indicators([q], vertex_count(x))
+    _debias_factors(MechanismParams(args.epsilon, x.universe))  # refused before anything is drawn
     y = release_graph(x, args.epsilon, _release_source(args.seed))
     answer = float(_answer_cuts(y, s, t, args.epsilon)[0])
     if args.clamp:

@@ -12,7 +12,8 @@ It is exactly unbiased for every input database but may return values no
 real database can produce; ``project_proper`` maps the raw value onto
 achievable answers, at most doubling the pointwise error. ``_debias``
 computes the map for every estimate, the cut estimator's in ``graph``
-(C = |S||T|) included, and refuses an epsilon at which it overflows.
+(C = |S||T|) included. ``_debias_factors``, which it and
+``exact_unbiased_mse`` call, refuses an epsilon at which the map overflows.
 
 Distortion, a ufunc of the error picked from ``_MEASURES``, is measured
 three ways. ``exact_distortion`` enumerates every
@@ -72,15 +73,22 @@ class DistortionReport:
     analytic_bound: float
 
 
-def _debias(values, centering, params: MechanismParams):
-    """scale * values - shift * centering, in place for an array (a float is
-    rebound); an epsilon at which scale or shift overflows is refused."""
+def _debias_factors(params: MechanismParams) -> tuple[float, float]:
+    """(scale, shift) of the debiasing map; an epsilon at which either
+    overflows is refused with EstimatorUndefinedError."""
     scale, shift = params.scale, params.shift
     if not (math.isfinite(scale) and math.isfinite(shift)):
         raise EstimatorUndefinedError(
             f"the companion estimators are undefined at epsilon = {params.epsilon} and "
             f"l = {params.universe.l}: their scale factor overflows"
         )
+    return scale, shift
+
+
+def _debias(values, centering, params: MechanismParams):
+    """scale * values - shift * centering, in place for an array (a float is
+    rebound); an epsilon at which scale or shift overflows is refused."""
+    scale, shift = _debias_factors(params)
     values *= scale
     values -= shift * centering
     return values
@@ -247,15 +255,19 @@ def exact_unbiased_mse(q: StatisticalQuery, x: Database, params: MechanismParams
     variance gives Var_v = alpha * (s_t + (1 - alpha) * (phi_t(v) - mean_t)**2)
     with mean_t and s_t the mean and the population variance of table t over
     the codes: a sum of nonnegative terms, O(k * 2**l) for k tables. Zero at
-    the identity boundary, where alpha is exactly 0.
+    the identity boundary, where alpha is exactly 0. An epsilon that
+    ``_debias`` refuses is refused here too; an MSE beyond the largest float
+    is returned as inf, its rounding.
     """
     _check_single(q, "exact_unbiased_mse")
     _check_universe(params.universe, q.universe, "mechanism parameters and query")
-    scale = params.scale
+    scale, _ = _debias_factors(params)
     stay = 1.0 / scale  # 1 - alpha without cancellation
     dev2 = (q.tables - q.tables.mean(axis=-1, keepdims=True)) ** 2
     var = params.redraw_prob * (dev2.mean(axis=-1, keepdims=True) + stay * dev2)
-    return float((scale / q.c_sum) ** 2 * np.vdot(q.database_histogram(x), var))
+    # Python floats: a product overflows to inf where a square would raise
+    ratio = scale / q.c_sum
+    return float(np.vdot(q.database_histogram(x), var)) * ratio * ratio
 
 
 def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:

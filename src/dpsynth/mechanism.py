@@ -16,6 +16,15 @@ probability arithmetic for exact pmf evaluation is done in log space; the
 normalizer n*log(g) grows linearly in n and would underflow the plain pmf
 at realistic sizes.
 
+The sampler realizes its keep probability exactly: numpy's uniform doubles
+are k / 2**53, and a row is kept iff its uniform is below K * 2**-53, an
+exact double, with K the largest integer whose realized privacy loss is at
+most eps (``_keep_threshold``; ``realized_epsilon`` reports that loss).
+Comparing with the rounded 1/g instead could realize a loss above eps
+(Mironov, CCS 2012). At l > 1 the kept rows are written over the shifted
+alternatives by a blend in blocks (``_place``), which gives the bits of a
+masked copy at less than half its cost.
+
 The same kernel is a mixture: with probability alpha = 2**l * exp(-eps) / g
 (``MechanismParams.redraw_prob``) a row is redrawn uniformly over all 2**l
 codes (possibly its own), otherwise it is kept; keeping then has total
@@ -139,53 +148,136 @@ class MechanismParams:
         return -math.expm1(-self.epsilon)
 
 
-def sample_rows(rows: np.ndarray, params: MechanismParams, gen: np.random.Generator, trials: int) -> np.ndarray:
-    """Draw ``trials`` independent synthetic row vectors for one input.
+def sample_rows(x: Database, params: MechanismParams, gen: np.random.Generator, trials: int) -> np.ndarray:
+    """Draw ``trials`` independent synthetic row vectors for the database x.
 
     Returns an array of shape (trials, n). Each entry keeps the input row
-    with probability 1/g and otherwise flips to a uniform alternative; the
-    alternative index is shifted past the input code so that exactly the
-    2**l - 1 other values are reachable. At l = 1 the alternative is the
-    other bit, so the result is ``rows`` with the flipped entries inverted,
-    in the dtype of ``rows``; otherwise it is int64.
+    with probability K / 2**53, 1/g rounded down to a multiple of 2**-53
+    (``_keep_threshold``), and otherwise flips to a uniform alternative;
+    the alternative index is shifted past the input code so that exactly
+    the 2**l - 1 other values are reachable. At l = 1 the alternative is
+    the other bit, so the result is x's rows with the flipped entries
+    inverted, in the dtype of the rows; otherwise it is int64. The draws
+    are all keep uniforms first, then all alternatives.
 
-    Below IDENTITY_EPSILON, an epsilon at which keep_prob rounds to 1.0
-    raises ValidationError: every row would be kept, an infinite privacy
-    loss at a finite nominal epsilon.
+    Below IDENTITY_EPSILON, an epsilon beyond the largest loss a 53-bit
+    threshold can realize raises ValidationError (see ``_keep_threshold``).
     """
+    _check_universe(x.universe, params.universe, "database and mechanism parameters")
+    rows = x.rows
+    threshold = _keep_threshold(params.epsilon, params.universe.l) * 2.0**-53
+    keep = _keep_mask(gen, (trials, rows.size), threshold)
     card = params.universe.cardinality
-    keep_prob = params.keep_prob
-    if keep_prob == 1.0 and not params.is_identity:
-        raise ValidationError(
-            f"epsilon={params.epsilon} at l={params.universe.l} rounds the keep probability "
-            f"to 1, so the release would be its input; use a smaller epsilon, or "
-            f"epsilon >= {IDENTITY_EPSILON} for the documented identity"
-        )
-    keep = _keep_mask(gen, (trials, rows.size), keep_prob)
     if card == 2:
         # the alternatives are gen.integers(0, 1, ...): all 0, and drawn
         # without consuming the stream, so skipping them changes no draw
         return rows ^ np.logical_not(keep, out=keep)
-    alt = gen.integers(0, card - 1, size=(trials, rows.size), dtype=np.int64)
-    alt += alt >= rows
-    np.copyto(alt, rows, where=keep)
+    alt = gen.integers(0, card - 1, size=keep.shape, dtype=np.int64)
+    _place(alt, rows, keep)
     return alt
 
 
-_UNIFORM_BLOCK = 1 << 16
+_BLOCK = 1 << 16
+
+# numpy's uniform doubles are k / 2**53 for an integer k in [0, 2**53)
+_UNIFORMS = 1 << 53
 
 
-def _keep_mask(gen: np.random.Generator, shape: tuple, keep_prob: float) -> np.ndarray:
-    """gen.random(shape) < keep_prob, drawn 2**16 uniforms at a time: the
-    same stream as one draw, without a float64 per entry."""
+@functools.lru_cache(maxsize=1024)
+def _keep_threshold(epsilon: float, l: int) -> int:
+    """K: the sampler keeps a row iff its uniform is below K / 2**53.
+
+    K / 2**53 is then the exact keep probability, and each other code gets
+    (1 - K / 2**53) / (2**l - 1), so the per-row privacy loss is |log r|
+    with r = K (2**l - 1) / (2**53 - K). K is the largest integer with
+    r <= e^eps, found in exact integer arithmetic against a lower bound on
+    e^eps: the 40-digit ``Decimal.exp``, which is correctly rounded, less
+    1e-38 of itself, and at least 1 (as e^eps is). So r >= 1 and the loss,
+    log r, lies in [0, eps]; at eps = 0, K = 2**(53 - l) makes every code
+    equally likely. 2**53 (keep every row) from IDENTITY_EPSILON on.
+
+    Below IDENTITY_EPSILON, an eps with e^eps > (2**53 - 1)(2**l - 1) raises
+    ValidationError: K stops at 2**53 - 1, so the release could not reach
+    its nominal eps, and rounding up instead would publish the input.
+    """
+    if epsilon >= IDENTITY_EPSILON:
+        return _UNIFORMS
+    import decimal  # here, not at the top: `import dpsynth` need not pay for it
+
+    with decimal.localcontext(decimal.Context(prec=40)):
+        num, den = decimal.Decimal(epsilon).exp().as_integer_ratio()
+    # less 1e-38 of itself, which covers the rounding: num / den < e^eps
+    num, den = num * (10**38 - 1), den * 10**38
+    if num < den:  # as e^eps >= 1
+        num = den = 1
+    others = (1 << l) - 1
+    if num > (_UNIFORMS - 1) * others * den:
+        limit = math.log(_UNIFORMS - 1) + math.log(others)
+        raise ValidationError(
+            f"epsilon={epsilon} at l={l} is above {limit:.2f} = log((2**53 - 1)(2**l - 1)), the "
+            f"largest privacy loss the sampler's 53-bit keep threshold can realize; use a smaller "
+            f"epsilon, or epsilon >= {IDENTITY_EPSILON} for the documented identity"
+        )
+    return num * _UNIFORMS // (others * den + num)
+
+
+def realized_epsilon(params: MechanismParams) -> float:
+    """The per-row privacy loss the sampler realizes, log r with r =
+    K (2**l - 1) / (2**53 - K) >= 1 (``_keep_threshold``), rounded to the
+    nearest double from its 40-digit logarithm; in [0, params.epsilon].
+    Rows are independent and neighbors differ in one row, so it is the
+    release's loss at every n. Infinite from IDENTITY_EPSILON on, where every
+    row is kept; an epsilon the sampler refuses raises as ``sample_rows``
+    would."""
+    k = _keep_threshold(params.epsilon, params.universe.l)
+    if k == _UNIFORMS:
+        return math.inf
+    import decimal
+
+    with decimal.localcontext(decimal.Context(prec=40)):
+        ratio = decimal.Decimal(k * (params.universe.cardinality - 1)) / (_UNIFORMS - k)
+        return float(ratio.ln())
+
+
+def _keep_mask(gen: np.random.Generator, shape: tuple, threshold: float) -> np.ndarray:
+    """gen.random(shape) < threshold, drawn 2**16 uniforms at a time: the
+    same stream as one draw, without a float64 per entry. Uniforms that fit
+    one block are that one draw."""
+    size = math.prod(shape)
+    if size <= _BLOCK:
+        return gen.random(shape) < threshold
     keep = np.empty(shape, dtype=bool)
     flat = keep.reshape(-1)
-    buf = np.empty(min(flat.size, _UNIFORM_BLOCK))
-    for start in range(0, flat.size, _UNIFORM_BLOCK):
-        block = buf[: min(_UNIFORM_BLOCK, flat.size - start)]
+    buf = np.empty(_BLOCK)
+    for start in range(0, size, _BLOCK):
+        block = buf[: min(_BLOCK, size - start)]
         gen.random(out=block)
-        np.less(block, keep_prob, out=flat[start : start + block.size])
+        np.less(block, threshold, out=flat[start : start + block.size])
     return keep
+
+
+def _place(alt: np.ndarray, rows: np.ndarray, keep: np.ndarray) -> None:
+    """alt = where(keep, rows, alt + (alt >= rows)) in place; alt and keep
+    are (trials, n), rows (n,).
+
+    Written as a blend, alt += (rows - alt) * keep, which gives the bits of
+    ``np.copyto(alt, rows, where=keep)`` at less than half its cost. It
+    runs in column blocks of about 2**16 entries (at least one column)
+    through one reused int64 buffer, so no temporary grows with n. The
+    buffer takes the shift as int64 and the difference in int64: uint64
+    rows minus int64 would promote to float64.
+    """
+    trials, n = alt.shape
+    width = min(n, max(1, _BLOCK // max(trials, 1)))
+    buf = np.empty((trials, width), dtype=np.int64)
+    for c in range(0, n, width):
+        a, r = alt[:, c : c + width], rows[c : c + width]
+        b = buf[:, : a.shape[1]]
+        np.greater_equal(a, r, out=b)
+        a += b
+        np.subtract(r, a, out=b, dtype=np.int64)
+        b *= keep[:, c : c + width]
+        a += b
 
 
 def sample_histograms(hist, params: MechanismParams, gen: np.random.Generator, trials: int) -> np.ndarray:
@@ -210,8 +302,7 @@ def sample_histograms(hist, params: MechanismParams, gen: np.random.Generator, t
 
 def sample_synthetic(x: Database, params: MechanismParams, rng: RandomSource) -> Database:
     """Release one synthetic database for x at privacy level params.epsilon."""
-    _check_universe(x.universe, params.universe, "database and mechanism parameters")
-    out = sample_rows(x.rows, params, rng.generator(), 1)[0]
+    out = sample_rows(x, params, rng.generator(), 1)[0]
     return Database._adopt(x.universe, out.astype(x.rows.dtype, copy=False))
 
 

@@ -257,7 +257,7 @@ def run_verification_suite() -> list[tuple[str, bool, str]]:
     subcommand.
     """
     from .estimators import estimate_unbiased, exact_distortion
-    from .mechanism import MechanismParams, log_pmf_all_outputs, verify_dp
+    from .mechanism import MechanismParams, log_pmf_all_outputs, realized_epsilon, verify_dp
     from .queries import generate_random_query, make_hamming_query
     from .core import RandomSource
 
@@ -309,6 +309,24 @@ def run_verification_suite() -> list[tuple[str, bool, str]]:
             worst_dp <= 1e-12,
             f"max |ratio - eps| = {worst_dp:.3e} over all {len(shapes)} shapes with n*l <= {EXACT_BIT_CAP}"
             " at eps 0.25, 1, 2 (tolerance 1e-12)",
+        )
+    )
+
+    # the per-row loss the 53-bit keep threshold realizes, at every l the
+    # package accepts, on a grid up to just below each l's largest epsilon
+    grid = (0.0, 1e-300, 1e-9, 0.02, 0.25, 1.0, 2.0, 10.0, 30.0, 35.64)
+    worst_loss_gap = -math.inf
+    for l in range(1, 31):
+        largest = math.log(2.0**53 - 1) + math.log(2.0**l - 1) - 1e-9
+        for eps in grid + (largest,):
+            gap = realized_epsilon(MechanismParams(eps, DataUniverse(l))) - eps
+            worst_loss_gap = max(worst_loss_gap, gap)
+    results.append(
+        (
+            "sampler's realized privacy loss is at most epsilon",
+            worst_loss_gap <= 0.0,
+            f"max (realized - eps) = {worst_loss_gap:.3e} over l = 1..30 at {len(grid) + 1} epsilons"
+            " up to each l's largest",
         )
     )
 

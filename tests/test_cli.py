@@ -203,6 +203,50 @@ class TestReleaseEstimate:
         assert not (tmp_path / "o.txt").exists()
 
 
+class TestReleaseOverInput:
+    """``release`` refuses an --output that names its --input, before it
+    reads or writes anything: the release would replace its private input."""
+
+    INPUT = "0\n1\n1\n0\n"
+
+    @pytest.mark.parametrize("alias", ["same", "relative", "symlink", "hardlink"])
+    def test_refused(self, tmp_path, capsys, monkeypatch, alias):
+        src = tmp_path / "db.txt"
+        src.write_text(self.INPUT)
+        out = src
+        if alias == "relative":
+            monkeypatch.chdir(tmp_path)
+            out = "./sub/../db.txt"
+            (tmp_path / "sub").mkdir()
+        elif alias == "symlink":
+            out = tmp_path / "link.txt"
+            out.symlink_to(src)
+        elif alias == "hardlink":
+            out = tmp_path / "hard.txt"
+            out.hardlink_to(src)
+        code, stdout, err = run_cli(capsys, "release", "--input", str(src), "--output", str(out),
+                                    "--l", "1", "--epsilon", "1", "--seed", "3")
+        assert code == 2 and stdout == ""
+        assert err.startswith("error[validation]: --output "), err
+        assert "warning" not in err
+        assert src.read_text() == self.INPUT
+
+    def test_missing_input_at_the_output_path_refused(self, tmp_path, capsys):
+        path = tmp_path / "db.txt"
+        code, _, err = run_cli(capsys, "release", "--input", str(path), "--output", str(path),
+                               "--l", "1", "--epsilon", "1")
+        assert code == 2 and err.startswith("error[validation]: --output ")
+        assert not path.exists()
+
+    def test_other_output_allowed(self, tmp_path, capsys):
+        src = tmp_path / "db.txt"
+        src.write_text(self.INPUT)
+        code, _, err = run_cli(capsys, "release", "--input", str(src), "--output", str(tmp_path / "o.txt"),
+                               "--l", "1", "--epsilon", "1")
+        assert code == 0, err
+        assert src.read_text() == self.INPUT
+
+
 class TestSeed:
     N = 10**4
     # sha256 of the release of ``i % 8`` (i < 10^4), l = 3, eps = 1, --seed 7,
@@ -808,6 +852,13 @@ class TestOverflowingEpsilon:
         code, out, err = run_cli(capsys, "graph-cut", "--edges", str(files / "g.txt"), "--cut",
                                  str(files / "cut.txt"), "--epsilon", eps, *clamp)
         self._assert_refused(code, out, err)
+
+    def test_graph_cut_refuses_before_drawing(self, files, capsys):
+        # the refusal comes before the release, so before the seed warning
+        code, out, err = run_cli(capsys, "graph-cut", "--edges", str(files / "g.txt"), "--cut",
+                                 str(files / "cut.txt"), "--epsilon", "1e-308", "--seed", "3")
+        self._assert_refused(code, out, err)
+        assert "warning" not in err
 
     def test_database_scaling_writes_no_csv(self, files, capsys):
         cfg, csv_path = files / "cfg.json", files / "out.csv"

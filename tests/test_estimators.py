@@ -142,6 +142,15 @@ class TestOverflowingEpsilon:
         with pytest.raises(EstimatorUndefinedError):
             estimate_unbiased(q, x, params)
 
+    def test_exact_mse_shares_the_refusal(self):
+        # exact_unbiased_mse reads (scale, shift) through the same check as
+        # _debias; an MSE beyond the largest float is inf, not an OverflowError
+        q, x = make_predicate_query(DataUniverse(1), 4, [0]), db(1, [0, 1, 1, 0])
+        with pytest.raises(EstimatorUndefinedError, match="epsilon = 1e-320 and l = 1"):
+            exact_unbiased_mse(q, x, MechanismParams(1e-320, x.universe))
+        for eps in (1e-160, 1e-300):
+            assert exact_unbiased_mse(q, x, MechanismParams(eps, x.universe)) == math.inf
+
     def test_release_is_still_allowed(self):
         x = db(3, [0, 1, 2, 3, 4, 5, 6, 7])
         y = sample_synthetic(x, MechanismParams(1e-320, x.universe), RandomSource(0))

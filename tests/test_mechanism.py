@@ -1,5 +1,7 @@
+import decimal
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,12 +20,15 @@ from dpsynth.core import (
     is_neighbor,
 )
 from dpsynth.mechanism import (
+    _BLOCK,
     _SCAN_BLOCK,
     MechanismParams,
     _distance_matrix,
+    _keep_threshold,
     _neighbor_gap,
     exact_log_pmf,
     log_pmf_all_outputs,
+    realized_epsilon,
     sample_histograms,
     sample_rows,
     sample_synthetic,
@@ -82,7 +87,7 @@ class TestSampler:
         x = db(3, [0, 5, 7, 2, 2])
         y = sample_synthetic(x, MechanismParams(700.0, DataUniverse(3)), RandomSource(1))
         assert y == x
-        rows = sample_rows(x.rows, MechanismParams(1e4, DataUniverse(3)), RandomSource(2).generator(), 4)
+        rows = sample_rows(x, MechanismParams(1e4, DataUniverse(3)), RandomSource(2).generator(), 4)
         assert (rows == x.rows).all()
 
     @pytest.mark.parametrize("l", [1, 30])
@@ -92,7 +97,7 @@ class TestSampler:
         p = MechanismParams(699.9, DataUniverse(l))
         assert p.keep_prob == 1.0 and not p.is_identity
         with pytest.raises(ValidationError, match=f"epsilon=699.9 at l={l}"):
-            sample_rows(np.zeros(4, dtype=np.int64), p, RandomSource(0).generator(), 1)
+            sample_rows(db(l, np.zeros(4)), p, RandomSource(0).generator(), 1)
 
     def test_eps_just_below_rounding_still_samples(self):
         # l = 1: keep_prob rounds to 1.0 from about eps = 36.74; at 36.7 it
@@ -141,32 +146,74 @@ class TestSampler:
         # l = 1: a bool keep mask and the result in the rows' own uint8, the
         # uniforms drawn in blocks of 2**16; no float64 or int64 per row
         n = 10**6
-        rows = np.zeros(n, dtype=np.uint8)
+        x = Database(DataUniverse(1), np.zeros(n, dtype=np.uint8))
         gen = RandomSource(3).generator()
         tracemalloc.start()
         try:
-            out = sample_rows(rows, MechanismParams(1.0, DataUniverse(1)), gen, 1)
+            out = sample_rows(x, MechanismParams(1.0, DataUniverse(1)), gen, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert out.shape == (1, n) and out.dtype == np.uint8
         assert peak <= 3 * n
 
-    @pytest.mark.parametrize("l,dtype", [(1, np.uint8), (1, np.int64), (3, np.int64)])
-    def test_blocked_draw_matches_one_draw(self, l, dtype):
-        # several 2**16 blocks of uniforms consume the stream exactly as one
-        # draw of every uniform, then one of every alternative, would
+    @staticmethod
+    def _assert_one_draw(l, n, trials, dtype):
+        # the sampler's output and stream position equal those of one draw of
+        # every uniform against K * 2**-53, then one of every alternative,
+        # each alternative shifted past its input code where not kept
         u = DataUniverse(l)
         p = MechanismParams(0.7, u)
-        rows = RandomSource(8).generator().integers(0, u.cardinality, size=50_001).astype(dtype)
+        rows = RandomSource(8).generator().integers(0, u.cardinality, size=n).astype(dtype)
         gen, ref = RandomSource(9, l).generator(), RandomSource(9, l).generator()
-        out = sample_rows(rows, p, gen, 3)
-        keep = ref.random((3, rows.size)) < p.keep_prob
-        alt = ref.integers(0, u.cardinality - 1, size=(3, rows.size), dtype=np.int64)
+        out = sample_rows(Database(u, rows), p, gen, trials)
+        keep = ref.random((trials, n)) < _keep_threshold(0.7, l) * 2.0**-53
+        alt = ref.integers(0, u.cardinality - 1, size=(trials, n), dtype=np.int64)
         alt += alt >= rows
         assert out.dtype == (dtype if l == 1 else np.int64)
         assert np.array_equal(out, np.where(keep, rows, alt))
         assert gen.random() == ref.random()
+
+    @pytest.mark.parametrize("l,dtype", [(1, np.uint8), (1, np.int64), (3, np.int64)])
+    def test_blocked_draw_matches_one_draw(self, l, dtype):
+        # several 2**16 blocks of uniforms consume the stream exactly as one draw
+        self._assert_one_draw(l, 50_001, 3, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+    @pytest.mark.parametrize("l", [2, 3, 8])
+    def test_blend_matches_masked_copy(self, l, n, trials, dtype):
+        # the blocked blend gives np.where's bits on either side of a block
+        # edge, and for uint64 rows, whose difference with int64 is float64
+        self._assert_one_draw(l, n, trials, dtype)
+
+    def test_blend_peak_memory_per_row(self):
+        # l = 3: the bool keep mask and the int64 result, 9 bytes per row,
+        # plus two block buffers; a full-length shift or blend temporary
+        # would add a byte or more per row
+        n = 10**6
+        x = Database(DataUniverse(3), RandomSource(4).generator().integers(0, 8, size=n))
+        gen = RandomSource(5).generator()
+        tracemalloc.start()
+        try:
+            out = sample_rows(x, MechanismParams(1.0, x.universe), gen, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, n) and out.dtype == np.int64
+        assert peak <= 9 * n + 2 * 8 * _BLOCK
+
+    @pytest.mark.parametrize("l", [1, 3])
+    def test_zero_trials(self, l):
+        out = sample_rows(db(l, [0, 1]), MechanismParams(1.0, DataUniverse(l)), RandomSource(0).generator(), 0)
+        assert out.shape == (0, 2)
+
+    def test_rows_universe_mismatch(self):
+        # the rows come as a Database, whose codes are checked; its universe
+        # must be the parameters'
+        with pytest.raises(DimensionMismatchError):
+            sample_rows(db(2, [1, 3, 0]), MechanismParams(1.0, DataUniverse(3)), RandomSource(0).generator(), 1)
 
     def test_row_independence_chi_square(self):
         # empirical joint of (Y_1, Y_2) factorizes at significance 1e-3
@@ -176,7 +223,7 @@ class TestSampler:
         gen = RandomSource(77).generator()
         from dpsynth.mechanism import sample_rows
 
-        ys = sample_rows(x.rows, p, gen, n_samples)
+        ys = sample_rows(x, p, gen, n_samples)
         joint = np.zeros((2, 2))
         for a in (0, 1):
             for b in (0, 1):
@@ -187,6 +234,110 @@ class TestSampler:
         stat = ((joint - expected) ** 2 / expected).sum()
         p_value = scipy.stats.chi2.sf(stat, df=1)
         assert p_value > 1e-3
+
+
+class _ConstantUniforms:
+    """Stands in for a generator: every uniform is u and every alternative
+    index 0, so the sampler keeps its rows exactly when u is below its
+    keep threshold."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.full(size, self.u)
+        out.fill(self.u)
+        return out
+
+    def integers(self, low, high, size, dtype):
+        return np.zeros(size, dtype=dtype)
+
+
+def _sampled_keep_numerator(p: MechanismParams) -> int:
+    """The K the sampler realizes: it keeps a row whose uniform is k / 2**53
+    exactly when k < K. Found by bisection on the sampler itself."""
+    x = db(p.universe.l, [0])
+    lo, hi = 0, 2**53  # k = lo is kept; k = hi is not, or hi = 2**53
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        kept = sample_rows(x, p, _ConstantUniforms(mid * 2.0**-53), 1)[0, 0] == 0
+        lo, hi = (mid, hi) if kept else (lo, mid)
+    return hi
+
+
+class TestKeepThreshold:
+    """The sampler keeps a row iff its uniform is below K / 2**53, K the
+    largest integer whose realized ratio K (2**l - 1) / (2**53 - K) is at
+    most e^eps; rows being independent, that ratio's log is the release's
+    privacy loss at every n."""
+
+    @staticmethod
+    def _ratio(k, l):
+        return Fraction(k * (2**l - 1), 2**53 - k)
+
+    @staticmethod
+    def _exp(eps):
+        # e^eps to 60 digits, as an exact rational
+        with decimal.localcontext(decimal.Context(prec=60)):
+            return Fraction(decimal.Decimal(eps).exp())
+
+    def test_loss_at_most_eps_below_the_rounding_point(self):
+        # l = 1, eps = 35.64: a keep probability rounded to the nearest double
+        # realizes K = 2**53 - 2, a loss of 36.04
+        p = MechanismParams(35.64, DataUniverse(1))
+        k = _sampled_keep_numerator(p)
+        assert k == _keep_threshold(35.64, 1)
+        assert 1 <= self._ratio(k, 1) <= self._exp(35.64)
+        assert realized_epsilon(p) == pytest.approx(math.log(k / (2**53 - k)), rel=1e-15)
+        assert realized_epsilon(p) <= 35.64
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 8, 17, 30])
+    @pytest.mark.parametrize("eps", [0.0, 1e-300, 1e-12, 0.02, 0.7, 1.0, 5.0, 20.0, 35.0])
+    def test_realized_loss_at_most_eps(self, l, eps):
+        p = MechanismParams(eps, DataUniverse(l))
+        k = _keep_threshold(eps, l)
+        # the largest such K: one more would exceed e^eps
+        assert 1 <= self._ratio(k, l) <= self._exp(eps) < self._ratio(k + 1, l)
+        assert 0.0 <= realized_epsilon(p) <= eps
+
+    @pytest.mark.parametrize("l", [1, 3, 8])
+    def test_sampler_keeps_below_k(self, l):
+        p = MechanismParams(1.0, DataUniverse(l))
+        assert _sampled_keep_numerator(p) == _keep_threshold(1.0, l)
+
+    @pytest.mark.parametrize("l", [1, 2, 5, 30])
+    def test_uniform_at_zero_epsilon(self, l):
+        # K / 2**53 = 2**-l exactly: every code equally likely
+        assert _keep_threshold(0.0, l) == 2 ** (53 - l)
+        assert realized_epsilon(MechanismParams(0.0, DataUniverse(l))) == 0.0
+
+    def test_identity_keeps_every_row(self):
+        assert _keep_threshold(700.0, 3) == 2**53
+        assert realized_epsilon(MechanismParams(700.0, DataUniverse(3))) == math.inf
+
+    @pytest.mark.parametrize("l,limit", [(1, "36.74"), (3, "38.68"), (30, "57.53")])
+    def test_refused_beyond_the_largest_realizable_loss(self, l, limit):
+        # e^eps > (2**53 - 1)(2**l - 1): no K below 2**53 reaches eps
+        largest = math.log(2**53 - 1) + math.log(2**l - 1)
+        x = db(l, [0, 1])
+        for eps in (largest - 1e-9, largest - 0.05):
+            p = MechanismParams(eps, DataUniverse(l))
+            assert realized_epsilon(p) <= eps
+            sample_rows(x, p, RandomSource(0).generator(), 1)
+        p = MechanismParams(largest + 1e-9, DataUniverse(l))
+        with pytest.raises(ValidationError, match=f"at l={l} is above {limit} ="):
+            sample_rows(x, p, RandomSource(0).generator(), 1)
+        with pytest.raises(ValidationError):
+            realized_epsilon(p)
+
+    def test_threshold_cached_per_epsilon_and_l(self):
+        _keep_threshold.cache_clear()
+        x = db(2, [0, 1, 2, 3])
+        for _ in range(3):
+            sample_rows(x, MechanismParams(0.3, DataUniverse(2)), RandomSource(0).generator(), 1)
+        info = _keep_threshold.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestExactLogPmf:
@@ -402,7 +553,7 @@ class TestSamplerMatchesPmf:
         p = MechanismParams(1.0, u)
         from dpsynth.mechanism import sample_rows
 
-        ys = sample_rows(x.rows, p, RandomSource(31, l).generator(), trials)
+        ys = sample_rows(x, p, RandomSource(31, l).generator(), trials)
         codes = np.zeros(trials, dtype=np.int64)
         for i in range(n):
             codes |= ys[:, i] << (l * i)

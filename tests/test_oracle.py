@@ -179,3 +179,4 @@ class TestVerificationSuite:
         assert results
         for name, passed, detail in results:
             assert passed, f"{name}: {detail}"
+        assert "sampler's realized privacy loss is at most epsilon" in [name for name, _, _ in results]
