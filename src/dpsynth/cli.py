@@ -27,11 +27,11 @@ import sys
 import numpy as np
 
 from . import bounds as bounds_mod
-from .core import Database, DataUniverse, DimensionMismatchError, RandomSource, ValidationError, _read_int_rows
+from .core import _BOM, Database, DataUniverse, DimensionMismatchError, RandomSource, ValidationError, _read_int_rows
 from .estimators import ESTIMATORS, PROJECTIONS, _debias_factors, _estimates
 from .graph import _answer_cuts, _cut_indicators, read_cut_spec, read_edge_list, release_graph, vertex_count
 from .harness import _write_csv, fit_loglog_slope, ingest_csv, load_config, run_experiment
-from .mechanism import MechanismParams, sample_synthetic
+from .mechanism import MechanismParams, realized_epsilon, sample_synthetic
 from .oracle import run_verification_suite
 from .queries import load_query
 
@@ -42,7 +42,8 @@ def read_database_codes(path, l: int) -> Database:
     A first line that is exactly the ``# l=.. n=..`` header of
     ``write_database_codes`` must name l and the number of codes read."""
     with open(path, "rb") as fh:
-        header = re.fullmatch(rb"# l=(\d+) n=(\d+)\r?\n", fh.readline(64))
+        first = fh.readline(64 + len(_BOM)).removeprefix(_BOM)  # _read_int_rows skips a BOM too
+    header = re.fullmatch(rb"# l=(\d+) n=(\d+)\r?\n", first)
     codes = _read_int_rows(path, 1, 0)
     if codes.size == 0:
         raise ValidationError(f"{path}: no rows")
@@ -58,8 +59,10 @@ def write_database_codes(db: Database, path) -> None:
     """Code file of db: a '# l=.. n=..' header, then one decimal code per line.
 
     Each chunk of rows is rendered as a (rows, D + 1) byte matrix, D the digit
-    count of 2**l - 1: the digits right-aligned, then a newline. Its bytes
-    with the leading zeros masked off are the chunk's text."""
+    count of 2**l - 1: the digits right-aligned, then a newline. A chunk
+    without a code of fewer than D digits (every chunk at l <= 3) is written
+    as that matrix; otherwise its bytes with the leading zeros masked off are
+    the chunk's text."""
     digits = len(str(db.universe.cardinality - 1))
     chunk = 1 << 16
     with open(path, "wb") as fh:
@@ -68,14 +71,17 @@ def write_database_codes(db: Database, path) -> None:
             codes = db.rows[start : start + chunk].astype(np.uint32)  # codes < 2**30
             text = np.empty((codes.size, digits + 1), dtype=np.uint8)
             text[:, digits] = ord("\n")
-            keep = np.ones(text.shape, dtype=bool)
-            for j in range(digits - 1):
-                keep[:, j] = codes >= 10 ** (digits - 1 - j)
-            for j in range(digits - 1, -1, -1):
+            keep = None
+            if digits > 1 and codes.min() < 10 ** (digits - 1):
+                keep = np.ones(text.shape, dtype=bool)
+                for j in range(digits - 1):
+                    keep[:, j] = codes >= 10 ** (digits - 1 - j)
+            for j in range(digits - 1, 0, -1):
                 rest = codes // 10
                 text[:, j] = codes - 10 * rest + ord("0")
                 codes = rest
-            fh.write(text[keep].tobytes())
+            text[:, 0] = codes + ord("0")  # the top digit: codes < 10 here
+            fh.write(text if keep is None else text[keep])
 
 
 def _release_source(seed) -> RandomSource:
@@ -108,6 +114,7 @@ def _cmd_release(args) -> int:
             raise ValidationError("--l is required when reading a plain code file")
         x = read_database_codes(args.input, args.l)
     params = MechanismParams(args.epsilon, x.universe)
+    realized_epsilon(params)  # an epsilon the sampler refuses exits before the seed warning
     y = sample_synthetic(x, params, _release_source(args.seed))
     write_database_codes(y, args.output)
     print(f"released n={y.n} rows over l={y.universe.l} at epsilon={args.epsilon}")
@@ -151,7 +158,10 @@ def _cmd_graph_cut(args) -> int:
     x = read_edge_list(args.edges, one_based=args.one_based, symmetrize=not args.no_symmetrize)
     q = read_cut_spec(args.cut)
     s, t = _cut_indicators([q], vertex_count(x))
-    _debias_factors(MechanismParams(args.epsilon, x.universe))  # refused before anything is drawn
+    # refused before anything is drawn and before the seed warning
+    params = MechanismParams(args.epsilon, x.universe)
+    _debias_factors(params)
+    realized_epsilon(params)
     y = release_graph(x, args.epsilon, _release_source(args.seed))
     answer = float(_answer_cuts(y, s, t, args.epsilon)[0])
     if args.clamp:

@@ -205,14 +205,20 @@ def _token_values(buf: bytearray, stops: np.ndarray, lengths: np.ndarray) -> np.
     before bytes ``stops`` of ``buf`` (SWAR). Each group of up to 8 digits,
     counted from a token's end, is loaded as one little-endian word of w
     bytes, w the smallest power of two that holds the group in every token,
-    and masked to its digits' values. log2(w) steps then fold the word's
+    and masked to its digits' values: by one constant mask when every
+    token fills the word with digits, else by each token's mask from
+    ``_DIGIT_MASKS``. log2(w) steps then fold the word's
     lanes pairwise: two lanes of s digits become one lane of 2s digits, the
     first times 10**s plus the second."""
-    longest = int(lengths.max())
+    longest, shortest = int(lengths.max()), int(lengths.min())
     for group in range(-(-longest // 8)):
         w = 1 << (min(longest - 8 * group, 8) - 1).bit_length()
         words = np.ndarray((len(buf) - w + 1,), dtype=f"<u{w}", buffer=buf, strides=(1,))
-        x = words.take(stops - 8 * group - w) & _DIGIT_MASKS[w, group].take(lengths)
+        x = words.take(stops - 8 * group - w)
+        if shortest - 8 * group >= w:  # every token fills the word with digits
+            x &= int.from_bytes(b"\x0f" * w, "little")
+        else:
+            x &= _DIGIT_MASKS[w, group].take(lengths)
         s = 1
         while s < w:
             if s > 1:  # keep the first lane of s // 2 bytes of each pair
@@ -231,7 +237,12 @@ def _scan_block(buf: bytearray, lo: int, hi: int, width: int, minimum: int, gram
     In a code file (``_LINES``) rows end in '\n' or '\r\n', gaps are ' ' and
     '\t', and a '#' comment, ASCII only, runs to the end of its line. In a
     JSON array body (``_JSON_INTS``) rows end in ',', gaps are JSON
-    whitespace, and no token has a leading zero."""
+    whitespace, and no token has a leading zero.
+
+    At width 1, a block in which every token's last digit is followed by a
+    row end (or the block's end) is settled by one count of such digits:
+    each row then holds one token. Any other block, and every block of
+    wider rows, locates its row ends token by token."""
     classes, _, leading_zeros = grammar
     # the class of each byte, between two sentinels that end no run
     padded = np.frombuffer(bytearray(b"\xff") + buf[lo:hi].translate(classes) + b"\xff", dtype=np.uint8)
@@ -262,19 +273,24 @@ def _scan_block(buf: bytearray, lo: int, hi: int, width: int, minimum: int, gram
         return None
     if starts.size == 0:
         return np.zeros(0, dtype=np.int64), row_count
-    # whether a row ends between token i and token i + 1, that is whether
-    # the gap, all _GAP and _END bytes, holds an _END: known when one of its
-    # outer bytes is one, or when it is a single byte; else counted
-    gap_ends = (padded.take(stops[:-1] + 1) == _END) | (padded.take(starts[1:]) == _END)
-    unknown = np.flatnonzero(~gap_ends & (starts[1:] - stops[:-1] > 1))
-    if unknown.size:
-        row_ends = np.flatnonzero(cls == _END)
-        gap_ends[unknown] = np.searchsorted(row_ends, starts[unknown + 1]) > np.searchsorted(row_ends, stops[unknown])
-    # the last token ends its row; each row holds ``width`` tokens
-    gap_ends = np.append(gap_ends, True).reshape(-1, width)
-    if gap_ends[:, :-1].any() or not gap_ends[:, -1].all():
-        return None
-    del digits, gap_ends, unknown  # before the values' temporaries
+    # at width 1, each row holds one token when each token's last digit is
+    # followed by an _END byte or the closing sentinel: one count settles it
+    if width > 1 or np.count_nonzero(digits[1:-1] & (padded[2:] >= _END)) != starts.size:
+        # whether a row ends between token i and token i + 1, that is
+        # whether the gap, all _GAP and _END bytes, holds an _END: known
+        # when one of its outer bytes is one, or when it is a single byte;
+        # else counted
+        gap_ends = (padded.take(stops[:-1] + 1) == _END) | (padded.take(starts[1:]) == _END)
+        unknown = np.flatnonzero(~gap_ends & (starts[1:] - stops[:-1] > 1))
+        if unknown.size:
+            row_ends = np.flatnonzero(cls == _END)
+            gap_ends[unknown] = np.searchsorted(row_ends, starts[unknown + 1]) > np.searchsorted(row_ends, stops[unknown])
+        # the last token ends its row; each row holds ``width`` tokens
+        gap_ends = np.append(gap_ends, True).reshape(-1, width)
+        if gap_ends[:, :-1].any() or not gap_ends[:, -1].all():
+            return None
+        del gap_ends, unknown  # before the values' temporaries
+    del digits
     lengths = stops - starts
     if lengths.max() > _SCAN_MAX_DIGITS:
         return None

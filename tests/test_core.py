@@ -557,6 +557,32 @@ class TestReadIntRows:
         assert got.dtype == np.int64
         assert np.array_equal(got, np.array(expected, dtype=np.int64).reshape(-1, width))
 
+    @pytest.mark.parametrize("block_bytes", [16, 1 << 15])
+    @pytest.mark.parametrize(
+        "body,width",
+        [
+            pytest.param("7\n" * 20 + "5\r\n" + "8\n" * 20, 1, id="crlf"),
+            pytest.param("7\n" * 20 + "5 \t\n" + "8\n" * 20, 1, id="trailing-blank"),
+            pytest.param("7\n" * 20 + "5 6\n" + "8\n" * 20, 1, id="two-token-row"),
+            pytest.param("7 1\n" * 10 + "5\n6\n" + "8 2\n" * 10, 2, id="width-2"),
+        ],
+    )
+    def test_counted_block_beside_analysed_block(self, tmp_path, monkeypatch, body, width, block_bytes):
+        # at width 1, a block of one-token lines is settled by counting the
+        # tokens that end their line; the block or file that holds the odd
+        # line (two tokens, or a token before a gap) needs the per-token
+        # analysis, as does every block at width 2, where rows of one token
+        # each, in pairs, are still bad lines
+        monkeypatch.setattr(core, "_SCAN_BLOCK_BYTES", block_bytes)
+        path = tmp_path / "f.txt"
+        path.write_bytes(body.encode())
+        expected = reference_int_rows(path, width, 0)
+        got = read_or_line(path, width, 0)
+        if isinstance(expected, int):
+            assert got == expected
+        else:
+            assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
+
     @pytest.mark.parametrize("width", [1, 3])
     def test_every_token_length_is_scanned(self, tmp_path, monkeypatch, width):
         # every token here is in the scan's grammar, so no line may be walked
