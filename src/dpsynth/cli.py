@@ -59,10 +59,9 @@ def write_database_codes(db: Database, path) -> None:
     """Code file of db: a '# l=.. n=..' header, then one decimal code per line.
 
     Each chunk of rows is rendered as a (rows, D + 1) byte matrix, D the digit
-    count of 2**l - 1: the digits right-aligned, then a newline. A chunk
-    without a code of fewer than D digits (every chunk at l <= 3) is written
-    as that matrix; otherwise its bytes with the leading zeros masked off are
-    the chunk's text."""
+    count of 2**l - 1: the digits right-aligned, then a newline. At D = 1
+    (l <= 3) that matrix is the chunk's text; otherwise its bytes with the
+    leading zeros masked off are."""
     digits = len(str(db.universe.cardinality - 1))
     chunk = 1 << 16
     with open(path, "wb") as fh:
@@ -72,7 +71,7 @@ def write_database_codes(db: Database, path) -> None:
             text = np.empty((codes.size, digits + 1), dtype=np.uint8)
             text[:, digits] = ord("\n")
             keep = None
-            if digits > 1 and codes.min() < 10 ** (digits - 1):
+            if digits > 1:
                 keep = np.ones(text.shape, dtype=bool)
                 for j in range(digits - 1):
                     keep[:, j] = codes >= 10 ** (digits - 1 - j)

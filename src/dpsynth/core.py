@@ -205,20 +205,14 @@ def _token_values(buf: bytearray, stops: np.ndarray, lengths: np.ndarray) -> np.
     before bytes ``stops`` of ``buf`` (SWAR). Each group of up to 8 digits,
     counted from a token's end, is loaded as one little-endian word of w
     bytes, w the smallest power of two that holds the group in every token,
-    and masked to its digits' values: by one constant mask when every
-    token fills the word with digits, else by each token's mask from
-    ``_DIGIT_MASKS``. log2(w) steps then fold the word's
+    and masked to its digits' values. log2(w) steps then fold the word's
     lanes pairwise: two lanes of s digits become one lane of 2s digits, the
     first times 10**s plus the second."""
-    longest, shortest = int(lengths.max()), int(lengths.min())
+    longest = int(lengths.max())
     for group in range(-(-longest // 8)):
         w = 1 << (min(longest - 8 * group, 8) - 1).bit_length()
         words = np.ndarray((len(buf) - w + 1,), dtype=f"<u{w}", buffer=buf, strides=(1,))
-        x = words.take(stops - 8 * group - w)
-        if shortest - 8 * group >= w:  # every token fills the word with digits
-            x &= int.from_bytes(b"\x0f" * w, "little")
-        else:
-            x &= _DIGIT_MASKS[w, group].take(lengths)
+        x = words.take(stops - 8 * group - w) & _DIGIT_MASKS[w, group].take(lengths)
         s = 1
         while s < w:
             if s > 1:  # keep the first lane of s // 2 bytes of each pair

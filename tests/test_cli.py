@@ -188,35 +188,19 @@ class TestReleaseEstimate:
         [
             ["release", "--input", "db.txt", "--output", "o.txt", "--l", "1"],
             ["graph-cut", "--edges", "g.txt", "--cut", "cut.txt"],
+            ["release", "--input", "db.txt", "--output", "o.txt", "--l", "1", "--seed", "3"],
+            ["graph-cut", "--edges", "g.txt", "--cut", "cut.txt", "--seed", "3"],
         ],
-        ids=["release", "graph-cut"],
+        ids=["release", "graph-cut", "release-seeded", "graph-cut-seeded"],
     )
     def test_epsilon_whose_keep_prob_rounds_to_one_exit_2(self, tmp_path, capsys, argv):
-        # l = 1 at eps = 40 < 700: every row would be kept
+        # l = 1 at eps = 40 < 700: every row would be kept. The refusal is
+        # stderr's first line: nothing is drawn, so no seed warning
         (tmp_path / "db.txt").write_text("0\n1\n")
         (tmp_path / "g.txt").write_text("0 1\n")
         (tmp_path / "cut.txt").write_text("0\n1\n")
         argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
         code, _, err = run_cli(capsys, *argv, "--epsilon", "40")
-        assert code == 2
-        assert err.startswith("error[validation]: epsilon=40.0 at l=1")
-        assert not (tmp_path / "o.txt").exists()
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["release", "--input", "db.txt", "--output", "o.txt", "--l", "1"],
-            ["graph-cut", "--edges", "g.txt", "--cut", "cut.txt"],
-        ],
-        ids=["release", "graph-cut"],
-    )
-    def test_refused_epsilon_exits_before_seed_warning(self, tmp_path, capsys, argv):
-        # the refusal is stderr's first line, and nothing is drawn to warn of
-        (tmp_path / "db.txt").write_text("0\n1\n")
-        (tmp_path / "g.txt").write_text("0 1\n")
-        (tmp_path / "cut.txt").write_text("0\n1\n")
-        argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
-        code, _, err = run_cli(capsys, *argv, "--epsilon", "40", "--seed", "3")
         assert code == 2
         assert err.splitlines()[0].startswith("error[validation]: epsilon=40.0 at l=1")
         assert "warning" not in err
@@ -443,22 +427,6 @@ class TestWriteDatabaseCodes:
         path = tmp_path / "out.txt"
         write_database_codes(db, path)
         reference = f"# l={l} n={n}\n" + "".join(f"{int(code)}\n" for code in db.rows)
-        assert path.read_bytes() == reference.encode("utf-8")
-
-    @pytest.mark.parametrize("l", [4, 10, 17, 30])
-    def test_full_width_chunk_and_mixed_chunk_match_per_row_writer(self, tmp_path, l):
-        # the first 2**16-row chunk holds only codes of the full digit count
-        # and is written without a mask; the second mixes every digit count
-        top = 2**l - 1
-        digits = len(str(top))
-        rng = np.random.default_rng(l)
-        full = rng.integers(10 ** (digits - 1), top + 1, size=2**16)
-        mixed = rng.integers(0, top + 1, size=5000) // 10 ** rng.integers(0, digits, size=5000)
-        assert len({len(str(c)) for c in mixed.tolist()}) == digits
-        db = Database(DataUniverse(l), np.concatenate([full, mixed]))
-        path = tmp_path / "out.txt"
-        write_database_codes(db, path)
-        reference = f"# l={l} n={db.n}\n" + "".join(f"{int(code)}\n" for code in db.rows)
         assert path.read_bytes() == reference.encode("utf-8")
 
     @pytest.mark.parametrize("l", [1, 4, 10, 17, 30])
