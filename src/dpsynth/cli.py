@@ -83,7 +83,8 @@ def write_database_codes(db: Database, path) -> None:
             fh.write(text if keep is None else text[keep])
 
 
-def _release_source(seed) -> RandomSource:
+def _release_source(seed, params: MechanismParams) -> RandomSource:
+    realized_epsilon(params)  # an epsilon the sampler refuses exits before the seed warning
     if seed is None:
         return RandomSource(np.random.SeedSequence().entropy)
     source = RandomSource(seed)  # a bad seed exits before the warning
@@ -113,8 +114,7 @@ def _cmd_release(args) -> int:
             raise ValidationError("--l is required when reading a plain code file")
         x = read_database_codes(args.input, args.l)
     params = MechanismParams(args.epsilon, x.universe)
-    realized_epsilon(params)  # an epsilon the sampler refuses exits before the seed warning
-    y = sample_synthetic(x, params, _release_source(args.seed))
+    y = sample_synthetic(x, params, _release_source(args.seed, params))
     write_database_codes(y, args.output)
     print(f"released n={y.n} rows over l={y.universe.l} at epsilon={args.epsilon}")
     return 0
@@ -160,8 +160,7 @@ def _cmd_graph_cut(args) -> int:
     # refused before anything is drawn and before the seed warning
     params = MechanismParams(args.epsilon, x.universe)
     _debias_factors(params)
-    realized_epsilon(params)
-    y = release_graph(x, args.epsilon, _release_source(args.seed))
+    y = release_graph(x, args.epsilon, _release_source(args.seed, params))
     answer = float(_answer_cuts(y, s, t, args.epsilon)[0])
     if args.clamp:
         answer = min(max(answer, 0.0), len(q.s_set) * len(q.t_set))

@@ -246,7 +246,7 @@ def _release_runs(x: Database, params: MechanismParams, rng: RandomSource, runs:
     """(runs, n) synthetic rows; run r is drawn from stream (_S_RELEASE, *stream, r)."""
     return np.stack(
         [
-            sample_rows(x, params, rng.derive(_S_RELEASE, *stream, r).generator(), 1)[0]
+            sample_rows(x, params, rng.derive(_S_RELEASE, *stream, r).generator())
             for r in range(runs)
         ]
     )

@@ -33,12 +33,12 @@ probability 1 - alpha + alpha / 2**l = 1/g and each other code alpha / 2**l
 release, which are all a statistical query's estimators read, can be drawn
 without drawing rows: ``sample_histograms`` draws the redrawn rows of each
 (table, code) bin as Binomial(count, alpha) and spreads each table's total
-uniformly over the codes with one Multinomial. That costs O(trials * k *
-2**l) draws for k tables, against O(trials * n) for ``sample_rows``. A
-binomial draw costs more than a row's draw, so counts win only when n is
-well above k * 2**l; with one table per row they lose. ``sample_rows`` stays
-for the release itself and wherever one release is evaluated under several
-row-to-table assignments.
+uniformly over the codes with one Multinomial. That costs O(k * 2**l)
+draws per release for k tables, against O(n) for ``sample_rows``, which
+draws one release per call. A binomial draw costs more than a row's draw,
+so counts win only when n is well above k * 2**l; with one table per row
+they lose. ``sample_rows`` stays for the release itself and wherever one
+release is evaluated under several row-to-table assignments.
 
 ``verify_dp`` is a brute-force check of the privacy guarantee: it enumerates
 every neighbor pair and every output and reports the largest log-probability
@@ -148,17 +148,17 @@ class MechanismParams:
         return -math.expm1(-self.epsilon)
 
 
-def sample_rows(x: Database, params: MechanismParams, gen: np.random.Generator, trials: int) -> np.ndarray:
-    """Draw ``trials`` independent synthetic row vectors for the database x.
+def sample_rows(x: Database, params: MechanismParams, gen: np.random.Generator) -> np.ndarray:
+    """Draw one synthetic row vector for the database x, shape (n,).
 
-    Returns an array of shape (trials, n). Each entry keeps the input row
-    with probability K / 2**53, 1/g rounded down to a multiple of 2**-53
-    (``_keep_threshold``), and otherwise flips to a uniform alternative;
-    the alternative index is shifted past the input code so that exactly
-    the 2**l - 1 other values are reachable. At l = 1 the alternative is
-    the other bit, so the result is x's rows with the flipped entries
-    inverted, in the dtype of the rows; otherwise it is int64. The draws
-    are all keep uniforms first, then all alternatives.
+    Each entry keeps the input row with probability K / 2**53, 1/g rounded
+    down to a multiple of 2**-53 (``_keep_threshold``), and otherwise flips
+    to a uniform alternative; the alternative index is shifted past the
+    input code so that exactly the 2**l - 1 other values are reachable. At
+    l = 1 the alternative is the other bit, so the result is x's rows with
+    the flipped entries inverted, in the dtype of the rows; otherwise it is
+    int64. The draws are all keep uniforms first, then all alternatives, so
+    one release of x tiled T times is T releases of x from one stream.
 
     Below IDENTITY_EPSILON, an epsilon beyond the largest loss a 53-bit
     threshold can realize raises ValidationError (see ``_keep_threshold``).
@@ -166,13 +166,13 @@ def sample_rows(x: Database, params: MechanismParams, gen: np.random.Generator, 
     _check_universe(x.universe, params.universe, "database and mechanism parameters")
     rows = x.rows
     threshold = _keep_threshold(params.epsilon, params.universe.l) * 2.0**-53
-    keep = _keep_mask(gen, (trials, rows.size), threshold)
+    keep = _keep_mask(gen, rows.shape, threshold)
     card = params.universe.cardinality
     if card == 2:
         # the alternatives are gen.integers(0, 1, ...): all 0, and drawn
         # without consuming the stream, so skipping them changes no draw
         return rows ^ np.logical_not(keep, out=keep)
-    alt = gen.integers(0, card - 1, size=keep.shape, dtype=np.int64)
+    alt = gen.integers(0, card - 1, size=rows.size, dtype=np.int64)
     _place(alt, rows, keep)
     return alt
 
@@ -257,26 +257,23 @@ def _keep_mask(gen: np.random.Generator, shape: tuple, threshold: float) -> np.n
 
 
 def _place(alt: np.ndarray, rows: np.ndarray, keep: np.ndarray) -> None:
-    """alt = where(keep, rows, alt + (alt >= rows)) in place; alt and keep
-    are (trials, n), rows (n,).
+    """alt = where(keep, rows, alt + (alt >= rows)) in place; all three
+    are (n,).
 
     Written as a blend, alt += (rows - alt) * keep, which gives the bits of
     ``np.copyto(alt, rows, where=keep)`` at less than half its cost. It
-    runs in column blocks of about 2**16 entries (at least one column)
-    through one reused int64 buffer, so no temporary grows with n. The
-    buffer takes the shift as int64 and the difference in int64: uint64
-    rows minus int64 would promote to float64.
+    runs in blocks of 2**16 entries through one reused int64 buffer, so no
+    temporary grows with n. The buffer takes the shift as int64 and the
+    difference in int64: uint64 rows minus int64 would promote to float64.
     """
-    trials, n = alt.shape
-    width = min(n, max(1, _BLOCK // max(trials, 1)))
-    buf = np.empty((trials, width), dtype=np.int64)
-    for c in range(0, n, width):
-        a, r = alt[:, c : c + width], rows[c : c + width]
-        b = buf[:, : a.shape[1]]
+    buf = np.empty(min(alt.size, _BLOCK), dtype=np.int64)
+    for c in range(0, alt.size, _BLOCK):
+        a, r = alt[c : c + _BLOCK], rows[c : c + _BLOCK]
+        b = buf[: a.size]
         np.greater_equal(a, r, out=b)
         a += b
         np.subtract(r, a, out=b, dtype=np.int64)
-        b *= keep[:, c : c + width]
+        b *= keep[c : c + _BLOCK]
         a += b
 
 
@@ -302,7 +299,7 @@ def sample_histograms(hist, params: MechanismParams, gen: np.random.Generator, t
 
 def sample_synthetic(x: Database, params: MechanismParams, rng: RandomSource) -> Database:
     """Release one synthetic database for x at privacy level params.epsilon."""
-    out = sample_rows(x, params, rng.generator(), 1)[0]
+    out = sample_rows(x, params, rng.generator())
     return Database._adopt(x.universe, out.astype(x.rows.dtype, copy=False))
 
 

@@ -279,7 +279,8 @@ def test_criterion_08_cut_release():
             total_abs = 0.0
             for start in range(0, trials, chunk):
                 count = min(chunk, trials - start)
-                ys = sample_rows(x, params, gen, count)
+                # count releases from one stream: one release of x tiled count times
+                ys = sample_rows(Database(x.universe, np.tile(x.rows, count)), params, gen)
                 sub = ys.reshape(count, v, v)[:, s][:, :, t]
                 raw = sub.sum(axis=(1, 2)).astype(np.float64)
                 total_abs += float(np.abs(factor * raw - shift - truth).sum())

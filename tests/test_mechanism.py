@@ -43,6 +43,12 @@ def db(l, rows):
     return Database(DataUniverse(l), np.asarray(rows, dtype=np.int64))
 
 
+def draws(x, p, gen, trials):
+    """(trials, n): ``trials`` releases of x from one stream, drawn as one
+    release of x tiled ``trials`` times."""
+    return sample_rows(Database(x.universe, np.tile(x.rows, trials)), p, gen).reshape(trials, x.n)
+
+
 class TestParams:
     def test_derived_constants(self):
         p = MechanismParams(math.log(3.0), DataUniverse(1))
@@ -87,7 +93,7 @@ class TestSampler:
         x = db(3, [0, 5, 7, 2, 2])
         y = sample_synthetic(x, MechanismParams(700.0, DataUniverse(3)), RandomSource(1))
         assert y == x
-        rows = sample_rows(x, MechanismParams(1e4, DataUniverse(3)), RandomSource(2).generator(), 4)
+        rows = draws(x, MechanismParams(1e4, DataUniverse(3)), RandomSource(2).generator(), 4)
         assert (rows == x.rows).all()
 
     @pytest.mark.parametrize("l", [1, 30])
@@ -97,7 +103,7 @@ class TestSampler:
         p = MechanismParams(699.9, DataUniverse(l))
         assert p.keep_prob == 1.0 and not p.is_identity
         with pytest.raises(ValidationError, match=f"epsilon=699.9 at l={l}"):
-            sample_rows(db(l, np.zeros(4)), p, RandomSource(0).generator(), 1)
+            sample_rows(db(l, np.zeros(4)), p, RandomSource(0).generator())
 
     def test_eps_just_below_rounding_still_samples(self):
         # l = 1: keep_prob rounds to 1.0 from about eps = 36.74; at 36.7 it
@@ -150,11 +156,11 @@ class TestSampler:
         gen = RandomSource(3).generator()
         tracemalloc.start()
         try:
-            out = sample_rows(x, MechanismParams(1.0, DataUniverse(1)), gen, 1)
+            out = sample_rows(x, MechanismParams(1.0, DataUniverse(1)), gen)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.shape == (1, n) and out.dtype == np.uint8
+        assert out.shape == (n,) and out.dtype == np.uint8
         assert peak <= 3 * n
 
     @staticmethod
@@ -166,7 +172,7 @@ class TestSampler:
         p = MechanismParams(0.7, u)
         rows = RandomSource(8).generator().integers(0, u.cardinality, size=n).astype(dtype)
         gen, ref = RandomSource(9, l).generator(), RandomSource(9, l).generator()
-        out = sample_rows(Database(u, rows), p, gen, trials)
+        out = draws(Database(u, rows), p, gen, trials)
         keep = ref.random((trials, n)) < _keep_threshold(0.7, l) * 2.0**-53
         alt = ref.integers(0, u.cardinality - 1, size=(trials, n), dtype=np.int64)
         alt += alt >= rows
@@ -197,23 +203,18 @@ class TestSampler:
         gen = RandomSource(5).generator()
         tracemalloc.start()
         try:
-            out = sample_rows(x, MechanismParams(1.0, x.universe), gen, 1)
+            out = sample_rows(x, MechanismParams(1.0, x.universe), gen)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.shape == (1, n) and out.dtype == np.int64
+        assert out.shape == (n,) and out.dtype == np.int64
         assert peak <= 9 * n + 2 * 8 * _BLOCK
-
-    @pytest.mark.parametrize("l", [1, 3])
-    def test_zero_trials(self, l):
-        out = sample_rows(db(l, [0, 1]), MechanismParams(1.0, DataUniverse(l)), RandomSource(0).generator(), 0)
-        assert out.shape == (0, 2)
 
     def test_rows_universe_mismatch(self):
         # the rows come as a Database, whose codes are checked; its universe
         # must be the parameters'
         with pytest.raises(DimensionMismatchError):
-            sample_rows(db(2, [1, 3, 0]), MechanismParams(1.0, DataUniverse(3)), RandomSource(0).generator(), 1)
+            sample_rows(db(2, [1, 3, 0]), MechanismParams(1.0, DataUniverse(3)), RandomSource(0).generator())
 
     def test_row_independence_chi_square(self):
         # empirical joint of (Y_1, Y_2) factorizes at significance 1e-3
@@ -221,9 +222,7 @@ class TestSampler:
         x = db(1, [0, 1])
         p = MechanismParams(1.0, DataUniverse(1))
         gen = RandomSource(77).generator()
-        from dpsynth.mechanism import sample_rows
-
-        ys = sample_rows(x, p, gen, n_samples)
+        ys = draws(x, p, gen, n_samples)
         joint = np.zeros((2, 2))
         for a in (0, 1):
             for b in (0, 1):
@@ -261,7 +260,7 @@ def _sampled_keep_numerator(p: MechanismParams) -> int:
     lo, hi = 0, 2**53  # k = lo is kept; k = hi is not, or hi = 2**53
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        kept = sample_rows(x, p, _ConstantUniforms(mid * 2.0**-53), 1)[0, 0] == 0
+        kept = sample_rows(x, p, _ConstantUniforms(mid * 2.0**-53))[0] == 0
         lo, hi = (mid, hi) if kept else (lo, mid)
     return hi
 
@@ -324,10 +323,10 @@ class TestKeepThreshold:
         for eps in (largest - 1e-9, largest - 0.05):
             p = MechanismParams(eps, DataUniverse(l))
             assert realized_epsilon(p) <= eps
-            sample_rows(x, p, RandomSource(0).generator(), 1)
+            sample_rows(x, p, RandomSource(0).generator())
         p = MechanismParams(largest + 1e-9, DataUniverse(l))
         with pytest.raises(ValidationError, match=f"at l={l} is above {limit} ="):
-            sample_rows(x, p, RandomSource(0).generator(), 1)
+            sample_rows(x, p, RandomSource(0).generator())
         with pytest.raises(ValidationError):
             realized_epsilon(p)
 
@@ -335,7 +334,7 @@ class TestKeepThreshold:
         _keep_threshold.cache_clear()
         x = db(2, [0, 1, 2, 3])
         for _ in range(3):
-            sample_rows(x, MechanismParams(0.3, DataUniverse(2)), RandomSource(0).generator(), 1)
+            sample_rows(x, MechanismParams(0.3, DataUniverse(2)), RandomSource(0).generator())
         info = _keep_threshold.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
@@ -551,9 +550,7 @@ class TestSamplerMatchesPmf:
         gen_x = RandomSource(l * 17 + n).generator()
         x = Database(u, gen_x.integers(0, u.cardinality, size=n))
         p = MechanismParams(1.0, u)
-        from dpsynth.mechanism import sample_rows
-
-        ys = sample_rows(x, p, RandomSource(31, l).generator(), trials)
+        ys = draws(x, p, RandomSource(31, l).generator(), trials)
         codes = np.zeros(trials, dtype=np.int64)
         for i in range(n):
             codes |= ys[:, i] << (l * i)
