@@ -13,11 +13,15 @@ JSON files, code files and edge lists are parsed here (``_read_json``,
 lines, and numpy scans each block's bytes (``_scan_block``). Its grammar
 (runs of at most 18 ASCII digits, spaces, tabs, '\n' or '\r\n' line ends and
 ASCII comments) is the only one such a file has: a block that leaves it is
-halved until its first bad line is found and named. The same scan reads a
-query file's long integer arrays (``_read_json_int_arrays``): JSON integers
-without sign, fraction, exponent or leading zero, separated by commas; json
-parses the rest of the file, and any array or file outside that grammar is
-left to json whole.
+halved until its first bad line is found and named. A block whose rows all
+share one byte layout (every line of an l <= 3 release) is read column by
+column from its (rows, row length) byte matrix; any other block (l >= 4
+releases, comments, '\r\n' ends, blank rows) locates its tokens one by one.
+The same scan reads a query file's long integer arrays
+(``_read_json_int_arrays``): JSON integers without sign, fraction, exponent
+or leading zero, separated by commas, where a run of equal-width integers
+with one separator is again one byte layout; json parses the rest of the
+file, and any array or file outside that grammar is left to json whole.
 """
 
 from __future__ import annotations
@@ -148,6 +152,8 @@ _SCAN_PAD = 24
 _BOM = b"\xef\xbb\xbf"
 # byte classes of the scan; an _END byte ends a row
 _DIGIT, _GAP, _END, _CR, _HASH, _ASCII, _NON_ASCII = range(7)
+# a run of digits among the classes of a row
+_DIGIT_RUN = bytes([_DIGIT]) + b"+"
 
 
 # A grammar of the scan is (classes, end, leading_zeros): ``classes`` maps
@@ -224,6 +230,36 @@ def _token_values(buf: bytearray, stops: np.ndarray, lengths: np.ndarray) -> np.
     return values
 
 
+def _scan_same_layout(buf: bytearray, lo: int, layout: bytes, rows: int, width: int, minimum: int, leading_zeros: bool):
+    """(values, ``rows``) of the ``rows`` rows of ``buf`` from ``lo`` on, each
+    of the byte classes ``layout`` (digits, gaps, then a row end), or None
+    where they are not ``width`` tokens of at most 18 digits, each >=
+    ``minimum``, none of two or more digits led by '0' unless
+    ``leading_zeros``: ``_scan_block`` then leaves the block to its
+    per-token analysis, so every rejection and every blank row is decided
+    there. The layout's digit runs are the tokens, so a token is
+    a range of columns of the (rows, len(layout)) byte matrix: Horner's rule
+    goes over its columns in int64 on the ASCII codes (at most 57 *
+    (10**18 - 1) / 9 < 2**63), and 48 times the repunit of its length is
+    taken off."""
+    runs = [match.span() for match in re.finditer(_DIGIT_RUN, layout)]
+    if len(runs) != width or any(stop - start > _SCAN_MAX_DIGITS for start, stop in runs):
+        return None
+    mat = np.frombuffer(buf, dtype=np.uint8, count=rows * len(layout), offset=lo).reshape(rows, len(layout))
+    values = np.empty((rows, width), dtype=np.int64)
+    for token, (start, stop) in zip(values.T, runs):
+        if not leading_zeros and stop - start > 1 and (mat[:, start] == ord("0")).any():
+            return None
+        token[:] = mat[:, start]
+        for column in mat.T[start + 1 : stop]:
+            token *= 10
+            token += column
+        token -= ord("0") * (10 ** (stop - start) // 9)
+    if minimum > 0 and values.min() < minimum:
+        return None
+    return values.reshape(-1), rows
+
+
 def _scan_block(buf: bytearray, lo: int, hi: int, width: int, minimum: int, grammar: tuple):
     """(values, row count) of the whole rows ``buf[lo:hi]``, or None where
     they leave ``grammar``: runs of at most 18 ASCII digits separated by gap
@@ -233,17 +269,34 @@ def _scan_block(buf: bytearray, lo: int, hi: int, width: int, minimum: int, gram
     JSON array body (``_JSON_INTS``) rows end in ',', gaps are JSON
     whitespace, and no token has a leading zero.
 
-    At width 1, a block in which every token's last digit is followed by a
-    row end (or the block's end) is settled by one count of such digits:
-    each row then holds one token. Any other block, and every block of
-    wider rows, locates its row ends token by token."""
-    classes, _, leading_zeros = grammar
+    A block of digits, gaps and row ends only, ending in a row end, whose
+    rows all have the byte classes of its last row (its classes repeat with
+    that row's length: one shifted compare), is read from its byte matrix
+    (``_scan_same_layout``): one digit of every l <= 3 release line, or
+    ' ddd,' of a JSON array of equal-width integers. Each other block, and
+    each such block that the matrix read does not settle, takes the
+    per-token analysis below: mixed-width rows (an l >= 4 release),
+    comments, '\r\n' ends, blank rows, a JSON array's first element (no
+    separator before it) and its last block (no ',' after it). At width 1,
+    a block in which every token's last digit is followed by a row end (or
+    the block's end) is settled there by one count of such digits: each row
+    then holds one token. Any other block, and every block of wider rows,
+    locates its row ends token by token."""
+    classes, row_end, leading_zeros = grammar
     # the class of each byte, between two sentinels that end no run
     padded = np.frombuffer(bytearray(b"\xff") + buf[lo:hi].translate(classes) + b"\xff", dtype=np.uint8)
     cls = padded[1:-1]
     top = cls.max()
     if top == _NON_ASCII:
         return None
+    if top <= _END and cls[-1] == _END:
+        # s, the length of the last row; the block is one row when no other
+        # row end precedes it
+        s = hi - 1 - max(buf.rfind(row_end, lo, hi - 1), lo - 1)
+        if cls.size % s == 0 and (cls[s:] == cls[:-s]).all():
+            settled = _scan_same_layout(buf, lo, cls[:s].tobytes(), cls.size // s, width, minimum, leading_zeros)
+            if settled is not None:
+                return settled
     if top > _END:
         cr = np.flatnonzero(cls == _CR)
         if cr.size and (cr[-1] + 1 == cls.size or (cls[cr + 1] != _END).any()):

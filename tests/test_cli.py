@@ -436,6 +436,24 @@ class TestWriteDatabaseCodes:
         write_database_codes(db, path)
         assert read_database_codes(path, l) == db
 
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+    def test_round_trip_reads_same_layout_blocks(self, tmp_path, monkeypatch, l):
+        # at l <= 3 every line of a release is one digit and '\n', so every
+        # block but the header's is read from its byte matrix and never
+        # reaches the per-token digit gather; at l >= 4 codes of one and two
+        # digits mix in every block, which the per-token analysis reads
+        calls = []
+        token_values = core._token_values
+        monkeypatch.setattr(core, "_token_values", lambda *args: calls.append(1) or token_values(*args))
+        db = Database(DataUniverse(l), np.random.default_rng(l).integers(0, 2**l, size=10**5))
+        path = tmp_path / "out.txt"
+        write_database_codes(db, path)
+        assert read_database_codes(path, l) == db
+        if l <= 3:
+            assert len(calls) <= 1
+        else:
+            assert len(calls) > 1
+
 
 # tokens and line breaks that the int() line walk read before the code-file
 # grammar became the only one

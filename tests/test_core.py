@@ -657,3 +657,48 @@ class TestReadIntRows:
             assert got == expected
         else:
             assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        width=st.sampled_from([1, 2]),
+        minimum=st.sampled_from([0, 1]),
+        block_bytes=st.sampled_from([16, 37, 1 << 15]),
+    )
+    def test_same_layout_rows_match_line_loop(self, data, width, minimum, block_bytes):
+        # a block whose rows all have the byte classes of its last row is
+        # read from its byte matrix column by column; here every row repeats
+        # one drawn layout (gaps, and runs of 1 to 19 digits) with fresh
+        # digits, and one row may break it: a 19-digit run, a value below
+        # the minimum, or another class ('\r', '#', a gap or a digit) in one
+        # column
+        lead = data.draw(st.text(" \t", max_size=2))
+        lengths = data.draw(st.lists(st.integers(1, 19), min_size=width, max_size=width))
+        gaps = data.draw(st.lists(st.text(" \t", min_size=1, max_size=2), min_size=width, max_size=width))
+        gaps[-1] = data.draw(st.text(" \t", max_size=2))
+        count = data.draw(st.sampled_from([1, 2, 5, 40, 3000]))
+        rnd = random.Random(data.draw(st.integers(0, 2**32)))
+        rows = [
+            lead + "".join("".join(rnd.choices("0123456789", k=k)) + gap for k, gap in zip(lengths, gaps))
+            for _ in range(count)
+        ]
+        odd = data.draw(st.sampled_from([None, "19-digit", "below-minimum", "class"]))
+        at = rnd.randrange(count)
+        if odd == "19-digit":
+            rows[at] = lead + "1" * 19 + rows[at][len(lead) + lengths[0] :]
+        elif odd == "below-minimum":
+            rows[at] = lead + "0" * lengths[0] + rows[at][len(lead) + lengths[0] :]
+        elif odd == "class":
+            column = rnd.randrange(len(rows[at]) + 1)
+            rows[at] = rows[at][:column] + data.draw(st.sampled_from(["\r", "#", " ", "7"])) + rows[at][column + 1 :]
+        body = "".join(row + "\n" for row in rows)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(core, "_SCAN_BLOCK_BYTES", block_bytes):
+            path = os.path.join(tmp, "f.txt")
+            with open(path, "wb") as fh:
+                fh.write(body.encode())
+            expected = reference_int_rows(path, width, minimum)
+            got = read_or_line(path, width, minimum)
+        if isinstance(expected, int):
+            assert got == expected
+        else:
+            assert isinstance(got, np.ndarray) and np.array_equal(got, expected)

@@ -874,6 +874,38 @@ class TestLoadQueryScan:
                 assert isinstance(spec[key], np.ndarray) and spec[key].dtype == np.int64
             _assert_same(_load(path), _json_path(path), l)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        digits=st.integers(1, 3),
+        separator=st.sampled_from(_SEPARATORS),
+        block_bytes=st.sampled_from([16, 37, 1 << 15]),
+    )
+    def test_equal_width_array_equals_json_path(self, data, digits, separator, block_bytes):
+        # the elements of an array of equal-width integers all have one
+        # byte layout, so its blocks are read from their byte matrix
+        # column by column; one element of two or more digits may be led
+        # by '0', which json rejects
+        rnd = random.Random(data.draw(st.integers(0, 2**32)))
+        count = data.draw(st.sampled_from([1, 2, 40, 3000, 20000]))
+        low = 10 ** (digits - 1) if digits > 1 else 0
+        tokens = [str(rnd.randrange(low, 10**digits)) for _ in range(count)]
+        lifted = not (digits > 1 and data.draw(st.booleans()))
+        if not lifted:
+            at = rnd.randrange(count)
+            tokens[at] = "0" + tokens[at][1:]
+        tables = [[0.0, 1.0 + j] for j in range(10**digits)]
+        text = f'{{"type": "tables", "l": 1, "tables": {json.dumps(tables)}, "assignment": [{separator.join(tokens)}]}}'
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            core, "_LIFT_MIN_BYTES", 0
+        ), mock.patch.object(core, "_SCAN_BLOCK_BYTES", block_bytes):
+            path = os.path.join(tmp, "q.json")
+            with open(path, "w") as fh:
+                fh.write(text)
+            if lifted:
+                assert isinstance(_read_json_int_arrays(path, _INT_ARRAY_FIELDS)["assignment"], np.ndarray)
+            _assert_same(_load(path), _json_path(path), 1)
+
     @pytest.mark.parametrize("bad", _BAD_ELEMENTS)
     @settings(max_examples=15, deadline=None)
     @given(data=st.data(), lift_min=st.sampled_from([0, 64]))
