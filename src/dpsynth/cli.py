@@ -11,9 +11,10 @@ or config errors, 1 anything else; data errors print a machine-parseable
 Code files are read by ``core._read_int_rows`` (a numpy byte scan, whose
 grammar is the only one a code file has; the first line outside it is named
 in the error) and written by ``write_database_codes`` as byte matrices of
-digits, not one string per row. The same scan reads a query
-file's per-row integer arrays (``core._read_json_int_arrays``, json as the
-fallback).
+zero-padded digits, not one string per row: every line of a release has one
+length, so the scan reads it as a byte matrix too. The same scan reads a
+query file's per-row integer arrays (``core._read_json_int_arrays``, json as
+the fallback).
 """
 
 from __future__ import annotations
@@ -56,12 +57,12 @@ def read_database_codes(path, l: int) -> Database:
 
 
 def write_database_codes(db: Database, path) -> None:
-    """Code file of db: a '# l=.. n=..' header, then one decimal code per line.
+    """Code file of db: a '# l=.. n=..' header, then one decimal code per line,
+    zero-padded to D digits, D the digit count of 2**l - 1, so every line
+    after the header has D + 1 bytes.
 
-    Each chunk of rows is rendered as a (rows, D + 1) byte matrix, D the digit
-    count of 2**l - 1: the digits right-aligned, then a newline. At D = 1
-    (l <= 3) that matrix is the chunk's text; otherwise its bytes with the
-    leading zeros masked off are."""
+    Each chunk of rows is rendered as its (rows, D + 1) byte matrix: the
+    digits, then a newline."""
     digits = len(str(db.universe.cardinality - 1))
     chunk = 1 << 16
     with open(path, "wb") as fh:
@@ -70,17 +71,12 @@ def write_database_codes(db: Database, path) -> None:
             codes = db.rows[start : start + chunk].astype(np.uint32)  # codes < 2**30
             text = np.empty((codes.size, digits + 1), dtype=np.uint8)
             text[:, digits] = ord("\n")
-            keep = None
-            if digits > 1:
-                keep = np.ones(text.shape, dtype=bool)
-                for j in range(digits - 1):
-                    keep[:, j] = codes >= 10 ** (digits - 1 - j)
             for j in range(digits - 1, 0, -1):
                 rest = codes // 10
                 text[:, j] = codes - 10 * rest + ord("0")
                 codes = rest
             text[:, 0] = codes + ord("0")  # the top digit: codes < 10 here
-            fh.write(text if keep is None else text[keep])
+            fh.write(text)
 
 
 def _release_source(seed, params: MechanismParams) -> RandomSource:

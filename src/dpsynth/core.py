@@ -14,9 +14,9 @@ lines, and numpy scans each block's bytes (``_scan_block``). Its grammar
 (runs of at most 18 ASCII digits, spaces, tabs, '\n' or '\r\n' line ends and
 ASCII comments) is the only one such a file has: a block that leaves it is
 halved until its first bad line is found and named. A block whose rows all
-share one byte layout (every line of an l <= 3 release) is read column by
-column from its (rows, row length) byte matrix; any other block (l >= 4
-releases, comments, '\r\n' ends, blank rows) locates its tokens one by one.
+share one byte layout (every line of a release) is read column by column
+from its (rows, row length) byte matrix; any other block (mixed widths,
+comments, '\r\n' ends, blank rows) locates its tokens one by one.
 The same scan reads a query file's long integer arrays
 (``_read_json_int_arrays``): JSON integers without sign, fraction, exponent
 or leading zero, separated by commas, where a run of equal-width integers
@@ -272,16 +272,16 @@ def _scan_block(buf: bytearray, lo: int, hi: int, width: int, minimum: int, gram
     A block of digits, gaps and row ends only, ending in a row end, whose
     rows all have the byte classes of its last row (its classes repeat with
     that row's length: one shifted compare), is read from its byte matrix
-    (``_scan_same_layout``): one digit of every l <= 3 release line, or
+    (``_scan_same_layout``): the zero-padded code of every release line, or
     ' ddd,' of a JSON array of equal-width integers. Each other block, and
     each such block that the matrix read does not settle, takes the
-    per-token analysis below: mixed-width rows (an l >= 4 release),
-    comments, '\r\n' ends, blank rows, a JSON array's first element (no
-    separator before it) and its last block (no ',' after it). At width 1,
-    a block in which every token's last digit is followed by a row end (or
-    the block's end) is settled there by one count of such digits: each row
-    then holds one token. Any other block, and every block of wider rows,
-    locates its row ends token by token."""
+    per-token analysis below: mixed-width rows (unpadded releases of
+    earlier versions), comments, '\r\n' ends, blank rows, a JSON array's
+    first element (no separator before it) and its last block (no ','
+    after it). At width 1, a block in which every token's last digit is
+    followed by a row end (or the block's end) is settled there by one
+    count of such digits: each row then holds one token. Any other block,
+    and every block of wider rows, locates its row ends token by token."""
     classes, row_end, leading_zeros = grammar
     # the class of each byte, between two sentinels that end no run
     padded = np.frombuffer(bytearray(b"\xff") + buf[lo:hi].translate(classes) + b"\xff", dtype=np.uint8)

@@ -423,25 +423,38 @@ class TestWriteDatabaseCodes:
     @pytest.mark.parametrize("n", [1, 2**16 - 1, 2**16, 2**16 + 1])
     @pytest.mark.parametrize("l", [1, 4, 10, 17, 30])
     def test_digit_boundaries_match_per_row_writer(self, tmp_path, l, n):
+        # every code is zero-padded to D digits, the digit count of 2**l - 1
         db = self._digit_boundary_database(l, n)
+        digits = len(str(2**l - 1))
         path = tmp_path / "out.txt"
         write_database_codes(db, path)
-        reference = f"# l={l} n={n}\n" + "".join(f"{int(code)}\n" for code in db.rows)
+        reference = f"# l={l} n={n}\n" + "".join(f"{int(code):0{digits}d}\n" for code in db.rows)
         assert path.read_bytes() == reference.encode("utf-8")
+        assert {len(line) for line in path.read_bytes().split(b"\n")[1:-1]} == {digits}
 
-    @pytest.mark.parametrize("l", [1, 4, 10, 17, 30])
+    @pytest.mark.parametrize("l", [4, 8, 30])
+    def test_unpadded_release_reads(self, tmp_path, l):
+        # the layout of releases from earlier versions: codes without
+        # leading zeros, so one file mixes code widths
+        db = self._digit_boundary_database(l, 2**16 + 1)
+        path = tmp_path / "old.txt"
+        path.write_text(f"# l={l} n={db.n}\n" + "".join(f"{int(code)}\n" for code in db.rows))
+        assert read_database_codes(path, l) == db
+
+    @pytest.mark.parametrize("l", range(1, 31))
     def test_digit_boundaries_round_trip(self, tmp_path, l):
         db = self._digit_boundary_database(l, 2**16 + 1)
         path = tmp_path / "out.txt"
         write_database_codes(db, path)
+        lines = path.read_bytes().split(b"\n")[1:-1]
+        assert len(lines) == db.n and {len(line) for line in lines} == {len(str(2**l - 1))}
         assert read_database_codes(path, l) == db
 
-    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 8, 16, 30])
     def test_round_trip_reads_same_layout_blocks(self, tmp_path, monkeypatch, l):
-        # at l <= 3 every line of a release is one digit and '\n', so every
+        # every line of a release is D zero-padded digits and '\n', so every
         # block but the header's is read from its byte matrix and never
-        # reaches the per-token digit gather; at l >= 4 codes of one and two
-        # digits mix in every block, which the per-token analysis reads
+        # reaches the per-token digit gather
         calls = []
         token_values = core._token_values
         monkeypatch.setattr(core, "_token_values", lambda *args: calls.append(1) or token_values(*args))
@@ -449,10 +462,7 @@ class TestWriteDatabaseCodes:
         path = tmp_path / "out.txt"
         write_database_codes(db, path)
         assert read_database_codes(path, l) == db
-        if l <= 3:
-            assert len(calls) <= 1
-        else:
-            assert len(calls) > 1
+        assert len(calls) <= 1
 
 
 # tokens and line breaks that the int() line walk read before the code-file

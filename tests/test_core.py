@@ -306,6 +306,12 @@ class TestRandomSource:
             base.derive(1).generator().random(10), base.derive(2).generator().random(10)
         )
 
+    def test_stream_is_pcg64(self):
+        # every pinned release hash, and splitting a release's stream with
+        # PCG64.advance, depend on the generator staying PCG64
+        for source in (RandomSource(0), RandomSource(123, 5), RandomSource(7).derive(1, 2)):
+            assert isinstance(source.generator().bit_generator, np.random.PCG64)
+
 
 def reference_int_rows(path, width, minimum):
     """The strict per-line loop of the code-file grammar: the (m, width)
