@@ -15,25 +15,26 @@ zero-padded digits, not one string per row: every line of a release has one
 length, so the scan reads it as a byte matrix too. The same scan reads a
 query file's per-row integer arrays (``core._read_json_int_arrays``, json as
 the fallback).
+
+The modules imported at the top (``core``, ``mechanism``, ``queries``,
+``estimators``) are the ones ``release`` and ``estimate`` use; every other
+subcommand imports its own inside its handler, so a fresh ``release`` or
+``estimate`` process loads none of ``harness``, ``graph``, ``oracle`` and
+``continuous``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import re
 import sys
 
 import numpy as np
 
-from . import bounds as bounds_mod
 from .core import _BOM, Database, DataUniverse, DimensionMismatchError, RandomSource, ValidationError, _read_int_rows
 from .estimators import ESTIMATORS, PROJECTIONS, _debias_factors, _estimates
-from .graph import _answer_cuts, _cut_indicators, read_cut_spec, read_edge_list, release_graph, vertex_count
-from .harness import _write_csv, fit_loglog_slope, ingest_csv, load_config, run_experiment
 from .mechanism import MechanismParams, realized_epsilon, sample_synthetic
-from .oracle import run_verification_suite
 from .queries import load_query
 
 
@@ -104,6 +105,8 @@ def _cmd_release(args) -> int:
     if args.schema is not None:
         if args.l is not None:
             raise ValidationError("--l cannot be given with --schema, which fixes l")
+        from .harness import ingest_csv
+
         x = ingest_csv(args.input, args.schema)
     else:
         if args.l is None:
@@ -126,14 +129,19 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    inputs = bounds_mod.BoundInputs(
-        n=args.n, l=args.l, epsilon=args.epsilon, a=args.a, b=args.b, c=args.c, L=args.L
-    )
-    _write_csv(sys.stdout, bounds_mod.BOUND_TABLE_COLUMNS, [bounds_mod.bound_table_row(inputs)])
+    from .bounds import BOUND_TABLE_COLUMNS, BoundInputs, bound_table_row
+    from .harness import _write_csv
+
+    inputs = BoundInputs(n=args.n, l=args.l, epsilon=args.epsilon, a=args.a, b=args.b, c=args.c, L=args.L)
+    _write_csv(sys.stdout, BOUND_TABLE_COLUMNS, [bound_table_row(inputs)])
     return 0
 
 
 def _cmd_experiment(args) -> int:
+    import dataclasses
+
+    from .harness import fit_loglog_slope, load_config, run_experiment
+
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -150,6 +158,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_graph_cut(args) -> int:
+    from .graph import _answer_cuts, _cut_indicators, read_cut_spec, read_edge_list, release_graph, vertex_count
+
     x = read_edge_list(args.edges, one_based=args.one_based, symmetrize=not args.no_symmetrize)
     q = read_cut_spec(args.cut)
     s, t = _cut_indicators([q], vertex_count(x))
@@ -165,6 +175,8 @@ def _cmd_graph_cut(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import run_verification_suite
+
     results = run_verification_suite()
     failed = 0
     for name, passed, detail in results:

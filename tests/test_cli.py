@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dpsynth import cli, core
+from dpsynth import core, oracle
 from dpsynth.cli import main, read_database_codes, write_database_codes
 from dpsynth.core import Database, DataUniverse
 from dpsynth.estimators import estimate_unbiased, project_proper
@@ -933,7 +933,7 @@ class TestVerify:
 
     def test_failed_check_exits_one(self, capsys, monkeypatch):
         results = [("kept", True, "ok"), ("broken", False, "off by one")]
-        monkeypatch.setattr(cli, "run_verification_suite", lambda: results)
+        monkeypatch.setattr(oracle, "run_verification_suite", lambda: results)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert "[FAIL] broken: off by one" in out and "1/2 checks passed" in out
