@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from .core import _BOM, Database, DataUniverse, DimensionMismatchError, RandomSource, ValidationError, _read_int_rows
-from .estimators import ESTIMATORS, PROJECTIONS, _debias_factors, _estimates
+from .estimators import ESTIMATORS, _debias_factors, _estimates
 from .mechanism import MechanismParams, realized_epsilon, sample_synthetic
 from .queries import load_query
 
@@ -123,7 +123,7 @@ def _cmd_estimate(args) -> int:
     q = load_query(args.query)
     y = read_database_codes(args.input, q.universe.l)
     params = MechanismParams(args.epsilon, q.universe)
-    answer = _estimates(q, q.evaluate(y), params, args.estimator, args.projection)
+    answer = _estimates(q, q.evaluate(y), params, args.estimator)
     print(f"{float(answer):.9g}")
     return 0
 
@@ -205,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="synthetic database code file")
     p.add_argument("--query", required=True, help="query definition JSON")
     p.add_argument("--epsilon", type=float, required=True, help="epsilon used at release time")
-    p.add_argument("--estimator", choices=ESTIMATORS, default="unbiased")
-    p.add_argument("--projection", choices=PROJECTIONS, default="interval_clamp")
+    p.add_argument("--estimator", choices=ESTIMATORS, default="unbiased", help="unbiased (the debiased answer), "
+                   "proper (clamped to the query's value interval) or exact_range (the nearest achievable value)")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("bounds", help="print the closed-form bound table as CSV")

@@ -90,6 +90,13 @@ def _check_int(value, what: str, minimum: int, error=ValidationError) -> int:
     raise error(f"{what} must be an integer, got {value!r}")
 
 
+def _check_size(value, what: str, error=ValidationError) -> int:
+    """``value`` as an array length: an integer in [1, 2**63 - 1], else ``error``."""
+    if _check_int(value, what, 1, error) < 2**63:
+        return int(value)
+    raise error(f"{what} must be <= 2**63 - 1, got {value}")
+
+
 def _check_real(value, what: str, error=ValidationError) -> float:
     """``value``, any finite real number but a bool, as a float, else
     ``error``. A plain float skips the type tests."""

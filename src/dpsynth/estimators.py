@@ -9,10 +9,12 @@ that row-level channel in aggregate,
 where C is the query's centering constant (the mean table mass picked up by
 uniform flips); the two factors are ``MechanismParams.scale`` and ``shift``.
 It is exactly unbiased for every input database but may return values no
-real database can produce; ``project_proper`` maps the raw value onto
-achievable answers, at most doubling the pointwise error. ``_debias``
-computes the map for every estimate, the cut estimator's in ``graph``
-(C = |S||T|) included. ``_debias_factors``, which it and
+real database can produce. One name from ``ESTIMATORS`` picks it or a proper
+estimator, which moves it onto achievable answers (``project_proper``) at
+most doubling the pointwise error: ``proper`` clamps it to q's value
+interval, ``exact_range`` (one query) takes the nearest achievable value.
+``_debias`` computes the map for every estimate, the cut estimator's in
+``graph`` (C = |S||T|) included. ``_debias_factors``, which it and
 ``exact_unbiased_mse`` call, refuses an epsilon at which the map overflows.
 
 Distortion, a ufunc of the error picked from ``_MEASURES``, is measured
@@ -53,12 +55,11 @@ from .queries import StatisticalQuery, _per_query
 
 ACHIEVABLE_CAP = 10**6
 
-ESTIMATORS = ("unbiased", "proper")
+ESTIMATORS = ("unbiased", "proper", "exact_range")
 # each distortion measure's ufunc of the error, and the bound on its mean
 _MEASURES = {"squared": (np.square, bounds_mod.upper_bound_squared),
              "absolute": (np.abs, bounds_mod.upper_bound_absolute)}
 MEASURES = tuple(_MEASURES)
-PROJECTIONS = ("interval_clamp", "exact_range")
 
 
 @dataclass(frozen=True)
@@ -94,21 +95,15 @@ def _debias(values, centering, params: MechanismParams):
     return values
 
 
-def _estimates(
-    q: StatisticalQuery,
-    answers,
-    params: MechanismParams,
-    estimator: str = "unbiased",
-    projection: str = "interval_clamp",
-):
-    """Estimates from plain answers q(y), debiased (``_debias``) and projected
-    onto achievable answers when the estimator is proper. ``answers`` may
-    carry any leading shape; a batch's answers end in the query axis, and
-    are consumed as by ``_debias``: pass a fresh array."""
+def _estimates(q: StatisticalQuery, answers, params: MechanismParams, estimator: str = "unbiased"):
+    """Estimates from plain answers q(y), debiased (``_debias``) and, for
+    every estimator but ``unbiased``, projected onto achievable answers.
+    ``answers`` may carry any leading shape; a batch's answers end in the
+    query axis, and are consumed as by ``_debias``: pass a fresh array."""
     answers = _debias(answers, q.centering, params)
-    if estimator == "proper":
-        return _project_vector(q, answers, projection)
-    return answers
+    if estimator == "unbiased":
+        return answers
+    return _project_vector(q, answers, "interval_clamp" if estimator == "proper" else estimator)
 
 
 def estimate_unbiased(q: StatisticalQuery, y: Database, params: MechanismParams):
@@ -127,7 +122,7 @@ def _distinct(values: np.ndarray, tol: float) -> np.ndarray:
     return values[keep]
 
 
-def achievable_values(q: StatisticalQuery, cap: int = ACHIEVABLE_CAP) -> np.ndarray:
+def achievable_values(q: StatisticalQuery) -> np.ndarray:
     """Sorted array of every value q can take on a real database.
 
     One dynamic program over the query's tables, each seeded with the
@@ -135,9 +130,9 @@ def achievable_values(q: StatisticalQuery, cap: int = ACHIEVABLE_CAP) -> np.ndar
     the distinct sums with t of the table's rows assigned so far; the last
     value takes the rest. Sums that are equal in exact arithmetic can round
     differently (0.1 + 0.2 vs 0.3), so values within 1e-12 * n * max|table|
-    (before normalization) count as one. The cap counts one value's merged
-    states as they are built, each target left counting one sum, and raises
-    as soon as they exceed it, so no step holds much more than ``cap`` sums.
+    (before normalization) count as one. The cap (``ACHIEVABLE_CAP``) counts
+    one value's merged states as they are built, each target left counting
+    one sum, and raises as soon as they exceed it, so no step holds much more.
     """
     _check_single(q, "achievable_values")
     tol = 1e-12 * q.n * float(np.abs(q.tables).max())
@@ -152,9 +147,9 @@ def achievable_values(q: StatisticalQuery, cap: int = ACHIEVABLE_CAP) -> np.ndar
                 parts = [s + v * (t - u) for u, s in enumerate(states[: t + 1])]
                 built.append(_distinct(np.concatenate(parts), tol))
                 total += built[-1].size
-                if total + len(targets) - len(built) > cap:
+                if total + len(targets) - len(built) > ACHIEVABLE_CAP:
                     raise EnumerationTooLargeError(
-                        f"achievable-value set exceeds the cap of {cap} distinct sums"
+                        f"achievable-value set exceeds the cap of {ACHIEVABLE_CAP} distinct sums"
                     )
             states = built
         sums = states[-1]
@@ -198,7 +193,7 @@ def _distortion_bound(q: StatisticalQuery, n: int, params: MechanismParams, esti
         n=n, l=q.universe.l, epsilon=params.epsilon, a=q.a, b=q.b, c=q.c
     )
     _, bound = _MEASURES[measure]
-    return bound(inputs, proper=estimator == "proper")
+    return bound(inputs, proper=estimator != "unbiased")
 
 
 def _check_single(q: StatisticalQuery, what: str) -> None:
@@ -206,25 +201,18 @@ def _check_single(q: StatisticalQuery, what: str) -> None:
         raise ValidationError(f"{what} takes one query, not a batch of {q.tables.shape[0]}")
 
 
-def _check_enums(estimator: str, measure: str, projection: str) -> None:
+def _check_enums(estimator: str, measure: str) -> None:
     if estimator not in ESTIMATORS:
         raise ValidationError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     if measure not in MEASURES:
         raise ValidationError(f"measure must be one of {MEASURES}, got {measure!r}")
-    if projection not in PROJECTIONS:
-        raise ValidationError(f"projection must be one of {PROJECTIONS}, got {projection!r}")
 
 
 def exact_distortion(
-    q: StatisticalQuery,
-    x: Database,
-    params: MechanismParams,
-    estimator: str = "unbiased",
-    measure: str = "squared",
-    projection: str = "interval_clamp",
+    q: StatisticalQuery, x: Database, params: MechanismParams, estimator: str = "unbiased", measure: str = "squared"
 ) -> float:
     """Expected distortion by full enumeration of the output distribution."""
-    _check_enums(estimator, measure, projection)
+    _check_enums(estimator, measure)
     _check_single(q, "exact_distortion")
     _check_universe(params.universe, q.universe, "mechanism parameters and query")
     q._check(x)
@@ -235,7 +223,7 @@ def exact_distortion(
     else:
         rows = all_databases_matrix(x.universe, x.n)
         probs = np.exp(log_pmf_all_outputs(x, params))
-    err = _estimates(q, q.evaluate_rows(rows), params, estimator, projection)
+    err = _estimates(q, q.evaluate_rows(rows), params, estimator)
     err -= q.evaluate(x)
     distortion, _ = _MEASURES[measure]
     return float(probs @ distortion(err, out=err))
@@ -289,8 +277,8 @@ def measure_distortion(
     estimator: str = "unbiased",
     measure: str = "squared",
     trials: int = 1000,
-    rng: RandomSource | None = None,
-    projection: str = "interval_clamp",
+    *,
+    rng: RandomSource,
 ) -> DistortionReport:
     """Monte Carlo distortion of the chosen estimator at one database.
 
@@ -302,10 +290,8 @@ def measure_distortion(
     with exact (fsum) summation, so the result is reproducible to the last
     bit for a given RandomSource.
     """
-    _check_enums(estimator, measure, projection)
+    _check_enums(estimator, measure)
     _check_single(q, "measure_distortion")
-    if rng is None:
-        raise ValidationError("measure_distortion needs an explicit RandomSource")
     trials = _check_int(trials, "trials", 1)
     _check_universe(params.universe, q.universe, "mechanism parameters and query")
     hist = q.database_histogram(x)
@@ -317,7 +303,7 @@ def measure_distortion(
     for start in range(0, trials, step):
         count = min(step, trials - start)
         synthetic = sample_histograms(hist, params, gen, count)
-        err = _estimates(q, q.answers(synthetic), params, estimator, projection)
+        err = _estimates(q, q.answers(synthetic), params, estimator)
         err -= qx
         distortion(err, out=values[start : start + count])
     mean, stderr = _mean_and_stderr(values)

@@ -44,10 +44,11 @@ from .core import (
     ValidationError,
     _check_int,
     _check_real,
+    _check_size,
     _read_json,
     _utf8_lines,
 )
-from .estimators import _MEASURES, ESTIMATORS, _distortion_bound, _estimates
+from .estimators import _MEASURES, _distortion_bound, _estimates
 from .graph import (
     MAX_ENCODED_PAIRS,
     _answer_cuts,
@@ -73,15 +74,17 @@ _S_CUTS = 5
 
 
 # the type each config field must have; a parsed JSON config guarantees none.
-# A number field or grid maps to its least integer, or to None if it is real
+# A number field or grid maps to its least integer, "size" if it sizes an array, or None if it is real
 _STR_FIELDS = ("experiment", "output", "graph_model", "estimator")
-_NUMBER_FIELDS = {"seed": 0, "l": 1, "n": 1, "query_count": 1, "database_count": 1, "cut_count": 1,
+_NUMBER_FIELDS = {"seed": 0, "l": 1, "n": "size", "query_count": "size", "database_count": 1, "cut_count": 1,
                   "trial_count": 1, "epsilon": None, "graph_param": None, "a": None, "b": None, "c": None, "L": None}
-_GRIDS = {"n_grid": 1, "heterogeneity_grid": 1, "set_sizes": 1, "vertex_grid": 2, "epsilon_grid": None}
+_GRIDS = {"n_grid": 1, "heterogeneity_grid": 1, "set_sizes": "size", "vertex_grid": 2, "epsilon_grid": None}
 
 
 def _check_number(value, what: str, least):
-    return _check_real(value, what, ConfigError) if least is None else _check_int(value, what, least, ConfigError)
+    if least is None:
+        return _check_real(value, what, ConfigError)
+    return _check_size(value, what, ConfigError) if least == "size" else _check_int(value, what, least, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -115,8 +118,8 @@ class ExperimentConfig:
         self._check_types()
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
-        if self.estimator not in ESTIMATORS:
-            raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
+        if self.estimator not in ("unbiased", "proper"):  # exact_range takes one query, not a batch
+            raise ConfigError(f"estimator must be one of ('unbiased', 'proper') in a sweep, got {self.estimator!r}")
         if not self.epsilon > 0.0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.experiment == "heterogeneity":
@@ -132,6 +135,8 @@ class ExperimentConfig:
             _check_ascending("set_sizes", self.set_sizes)
         if self.experiment == "database_scaling":
             grid = self.n_grid or tuple(2**k for k in range(10, 17))
+            for n in grid:  # bounds_table reads n_grid too, but sizes no array by it
+                _check_size(n, "an entry of n_grid", ConfigError)
             _check_ascending("n_grid", grid)
             if len(grid) >= 2 and max(grid) < 10 * min(grid):
                 raise ConfigError("n_grid should span at least one decade for a slope fit")

@@ -37,6 +37,7 @@ from .core import (
     ValidationError,
     _check_codes,
     _check_int,
+    _check_size,
     _check_universe,
     _count_codes,
     _read_json_int_arrays,
@@ -310,7 +311,7 @@ def make_predicate_query(universe: DataUniverse, n: int, conjunct_bits) -> Stati
         raise ValidationError("a predicate query needs at least one conjunct attribute")
     if bits[0] < 0 or bits[-1] >= universe.l:
         raise ValidationError(f"conjunct attribute indices must lie in [0, {universe.l})")
-    _check_int(n, "n", 1)
+    _check_size(n, "n")
     codes = np.arange(_table_codes(universe))
     table = np.ones(codes.size)
     for b in bits:
@@ -339,14 +340,14 @@ def generate_random_query(
     of that many queries, drawn in one call from the same generator stream
     (``count=1`` draws the same tables as ``count=None``).
     """
-    if _check_int(heterogeneity, "heterogeneity", 1) > _check_int(n, "n", 1):
+    if _check_int(heterogeneity, "heterogeneity", 1) > _check_size(n, "n"):
         raise ValidationError(f"heterogeneity must lie in [1, {n}], got {heterogeneity}")
     if n % heterogeneity != 0:
         raise ValidationError(
             f"heterogeneity {heterogeneity} must divide n={n} (contiguous equal blocks)"
         )
     if count is not None:
-        _check_int(count, "count", 1)
+        _check_size(count, "count")
     shape = (heterogeneity, _table_codes(universe))
     tables = rng.generator().random(shape if count is None else (count,) + shape)
     spread = tables.max(axis=-1, keepdims=True) - tables.min(axis=-1, keepdims=True)

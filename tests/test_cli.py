@@ -150,10 +150,18 @@ class TestReleaseEstimate:
         code, out, err = run_cli(
             capsys,
             "estimate", "--input", str(db_path), "--query", str(query_path),
-            "--epsilon", "1.0", "--estimator", "proper", "--projection", "exact_range",
+            "--epsilon", "1.0", "--estimator", "exact_range",
         )
         assert code == 0, err
         assert float(out) * 64 == round(float(out) * 64)
+
+    def test_no_projection_option(self, capsys):
+        # the estimator's name alone picks the projection
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--input", "db.txt", "--query", "q.json", "--epsilon", "1",
+                  "--projection", "exact_range"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --projection exact_range" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "l,rows,spec",
@@ -165,7 +173,7 @@ class TestReleaseEstimate:
     )
     @pytest.mark.parametrize(
         "argv",
-        [[], ["--estimator", "proper"], ["--estimator", "proper", "--projection", "exact_range"]],
+        [[], ["--estimator", "proper"], ["--estimator", "exact_range"]],
         ids=["unbiased", "interval-clamp", "exact-range"],
     )
     def test_estimate_prints_the_library_answer(self, tmp_path, capsys, l, rows, spec, argv):
@@ -179,7 +187,7 @@ class TestReleaseEstimate:
         q, y = load_query(query_path), read_database_codes(db_path, l)
         answer = estimate_unbiased(q, y, MechanismParams(0.4, q.universe))
         if argv:
-            answer = project_proper(q, answer, argv[-1] if "--projection" in argv else "interval_clamp")
+            answer = project_proper(q, answer, "interval_clamp" if argv[-1] == "proper" else "exact_range")
         # exact_range's answer is a 0-d array: printed as one float
         assert out == f"{float(answer):.9g}\n"
 
@@ -343,6 +351,45 @@ class TestBadNumbersExit2:
     def test_bounds_infinite_c(self, capsys):
         self._exit_2(capsys, "validation", "c must be a finite number, got inf",
                      "bounds", "--n", "10", "--l", "1", "--epsilon", "1", "--c", "inf")
+
+    # a size no array can hold: above 2**63 - 1, numpy's largest length
+    HUGE = 99999999999999999999
+    TOO_BIG = f"must be <= 2**63 - 1, got {HUGE}"
+
+    def test_estimate_huge_predicate_n(self, tmp_path, capsys):
+        db_path, query_path = tmp_path / "db.txt", tmp_path / "q.json"
+        db_path.write_text("0\n1\n")
+        query_path.write_text(json.dumps({"type": "predicate", "l": 1, "n": self.HUGE, "conjunct_bits": [0]}))
+        self._exit_2(capsys, "validation", f"n {self.TOO_BIG}", "estimate", "--input", str(db_path),
+                     "--query", str(query_path), "--epsilon", "1")
+
+    @pytest.mark.parametrize(
+        "fields,what",
+        [
+            ({**SWEEP, "n": HUGE, "heterogeneity_grid": [1]}, "n"),
+            ({**SWEEP, "query_count": HUGE}, "query_count"),
+            ({"experiment": "query_set_size", "set_sizes": [4, HUGE]}, "an entry of set_sizes"),
+            ({"experiment": "database_scaling", "n_grid": [10, HUGE]}, "an entry of n_grid"),
+        ],
+        ids=["heterogeneity-n", "query_count", "set_sizes", "n_grid"],
+    )
+    def test_config_huge_size(self, tmp_path, capsys, fields, what):
+        config = self._config(tmp_path, **fields)
+        self._exit_2(capsys, "config", f"{what} {self.TOO_BIG}", "experiment", "--config", config)
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_bounds_table_keeps_a_huge_n_grid(self, tmp_path, capsys):
+        # bounds_table sizes no array by n: its n_grid stays unbounded
+        config = self._config(tmp_path, experiment="bounds_table", n_grid=[self.HUGE])
+        code, _, err = run_cli(capsys, "experiment", "--config", config)
+        assert code == 0, err
+        assert (tmp_path / "a.csv").read_text().splitlines()[1].startswith(f"{self.HUGE},")
+
+    def test_config_refuses_exact_range(self, tmp_path, capsys):
+        # a sweep answers query batches; exact_range takes one query
+        config = self._config(tmp_path, **self.SWEEP, estimator="exact_range")
+        self._exit_2(capsys, "config", "estimator must be one of ('unbiased', 'proper') in a sweep, got 'exact_range'",
+                     "experiment", "--config", config)
 
 
 class TestReadDatabaseCodes:
@@ -878,7 +925,7 @@ class TestOverflowingEpsilon:
 
     @pytest.mark.parametrize(
         "argv",
-        [[], ["--estimator", "proper"], ["--estimator", "proper", "--projection", "exact_range"]],
+        [[], ["--estimator", "proper"], ["--estimator", "exact_range"]],
         ids=["unbiased", "interval-clamp", "exact-range"],
     )
     def test_estimate(self, files, capsys, argv):

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dpsynth import estimators
 from dpsynth.bounds import BoundInputs, upper_bound_absolute, upper_bound_squared
 from dpsynth.core import (
     Database,
@@ -297,10 +298,11 @@ class TestProjection:
         assert vals.size == 10
         assert np.allclose(vals, np.arange(10) / 9, rtol=0, atol=1e-12)
 
-    def test_achievable_cap_counts_merged_states(self):
+    def test_achievable_cap_counts_merged_states(self, monkeypatch):
         # unmerged, the partial-sum states of this query exceed 500
+        monkeypatch.setattr(estimators, "ACHIEVABLE_CAP", 500)
         q = StatisticalQuery(DataUniverse(2), [[0.1, 0.2, 0.3, 0.0]], [0] * 20)
-        vals = achievable_values(q, cap=500)
+        vals = achievable_values(q)
         assert vals.size == 61
         assert np.allclose(vals, np.arange(61) / 60, rtol=0, atol=1e-12)
 
@@ -388,6 +390,15 @@ class TestExactDistortion:
         )
         assert exact_distortion(q, x, params, "unbiased", "absolute") <= bound * (1 + 1e-12)
 
+    @pytest.mark.parametrize("seed", range(25))
+    def test_exact_range_within_factor_four_of_the_bound(self, seed):
+        # acceptance criterion 4's micro-instances
+        q, x, params = random_micro_instance(seed, max_bits=8)
+        bound = upper_bound_squared(
+            BoundInputs(n=x.n, l=x.universe.l, epsilon=params.epsilon, a=q.a, b=q.b, c=q.c)
+        )
+        assert exact_distortion(q, x, params, "exact_range", "squared") <= 4.0 * bound * (1 + 1e-12)
+
     def test_enumeration_cap(self):
         q = generate_random_query(DataUniverse(2), 8, 1, RandomSource(0))
         x = db(2, [0] * 8)
@@ -414,6 +425,12 @@ class TestMeasureDistortion:
         q, x, params = random_micro_instance(seed)
         report = measure_distortion(q, x, params, trials=4000, rng=RandomSource(seed, 2))
         exact = exact_distortion(q, x, params)
+        assert abs(report.empirical_mean - exact) <= 6 * report.empirical_stderr
+
+    def test_exact_range_within_six_stderr_of_exact(self):
+        q, x, params = random_micro_instance(0)
+        report = measure_distortion(q, x, params, "exact_range", "absolute", trials=20000, rng=RandomSource(0, 2))
+        exact = exact_distortion(q, x, params, "exact_range", "absolute")
         assert abs(report.empirical_mean - exact) <= 6 * report.empirical_stderr
 
     def test_reproducible_and_chunk_invariant(self):
@@ -512,7 +529,6 @@ class TestArgumentChecks:
         [
             ({"estimator": "biased"}, "estimator must be one of"),
             ({"measure": "cubic"}, "measure must be one of"),
-            ({"projection": "round"}, "projection must be one of"),
         ],
     )
     @pytest.mark.parametrize("monte_carlo", [False, True], ids=["exact", "monte-carlo"])
@@ -524,13 +540,20 @@ class TestArgumentChecks:
             else:
                 exact_distortion(q, x, params, **kwargs)
 
+    # ids as pytest derived them when a missing source was a ValidationError
+    # naming an "explicit RandomSource", so the case names stay stable
     @pytest.mark.parametrize(
-        "kwargs,match",
-        [({"trials": 10}, "explicit RandomSource"), ({"trials": 0, "rng": RandomSource(0)}, "trials must be >= 1")],
+        "kwargs,error,match",
+        [
+            pytest.param({"trials": 10}, TypeError, "keyword-only argument: 'rng'",
+                         id="kwargs0-explicit RandomSource"),
+            pytest.param({"trials": 0, "rng": RandomSource(0)}, ValidationError, "trials must be >= 1",
+                         id="kwargs1-trials must be >= 1"),
+        ],
     )
-    def test_monte_carlo_needs_a_source_and_trials(self, kwargs, match):
+    def test_monte_carlo_needs_a_source_and_trials(self, kwargs, error, match):
         q, x, params = random_micro_instance(1)
-        with pytest.raises(ValidationError, match=match):
+        with pytest.raises(error, match=match):
             measure_distortion(q, x, params, **kwargs)
 
 
