@@ -5,8 +5,8 @@ Subcommands: ``release`` (database in, synthetic database out), ``estimate``
 table), ``experiment`` (config JSON -> results CSV), ``graph-cut`` (edge list
 + cut spec -> private answer), ``verify`` (oracle cross-check suite). Releases
 draw fresh OS entropy; ``--seed`` is for tests. Exit codes: 0 success, 2 usage
-or config errors, 1 anything else; data errors print a machine-parseable
-``error[<category>]`` prefix.
+or config errors and allocations that fail, 1 anything else; data errors
+print a machine-parseable ``error[<category>]`` prefix.
 
 Code files are read by ``core._read_int_rows`` (a numpy byte scan, whose
 grammar is the only one a code file has; the first line outside it is named
@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from .core import _BOM, Database, DataUniverse, DimensionMismatchError, RandomSource, ValidationError, _read_int_rows
-from .estimators import ESTIMATORS, _debias_factors, _estimates
+from .estimators import _BATCH_ESTIMATORS, ESTIMATORS, _debias_factors, _estimates
 from .mechanism import MechanismParams, realized_epsilon, sample_synthetic
 from .queries import load_query
 
@@ -161,16 +161,12 @@ def _cmd_graph_cut(args) -> int:
     from .graph import _answer_cuts, _cut_indicators, read_cut_spec, read_edge_list, release_graph, vertex_count
 
     x = read_edge_list(args.edges, one_based=args.one_based, symmetrize=not args.no_symmetrize)
-    q = read_cut_spec(args.cut)
-    s, t = _cut_indicators([q], vertex_count(x))
+    s, t = _cut_indicators([read_cut_spec(args.cut)], vertex_count(x))
     # refused before anything is drawn and before the seed warning
     params = MechanismParams(args.epsilon, x.universe)
     _debias_factors(params)
     y = release_graph(x, args.epsilon, _release_source(args.seed, params))
-    answer = float(_answer_cuts(y, s, t, args.epsilon)[0])
-    if args.clamp:
-        answer = min(max(answer, 0.0), len(q.s_set) * len(q.t_set))
-    print(f"{answer:.9g}")
+    print(f"{float(_answer_cuts(y, s, t, args.epsilon, args.estimator)[0]):.9g}")
     return 0
 
 
@@ -232,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="tests only (default: fresh OS entropy)")
     p.add_argument("--one-based", action="store_true", help="edge list uses 1-based vertex ids")
     p.add_argument("--no-symmetrize", action="store_true", help="treat the edge list as directed")
-    p.add_argument("--clamp", action="store_true", help="clamp the answer to [0, |S||T|]")
+    p.add_argument("--estimator", choices=_BATCH_ESTIMATORS, default="unbiased",
+                   help="unbiased (the debiased count) or proper (clamped to [0, |S||T|])")
     p.set_defaults(func=_cmd_graph_cut)
 
     p = sub.add_parser("verify", help="run the enumeration-oracle verification suite")
@@ -251,6 +248,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error[memory]: {exc}", file=sys.stderr)
         return 2
 
 

@@ -21,7 +21,7 @@ import numbers
 import numpy as np
 
 from .core import DataUniverse, Database, RandomSource, ValidationError, _check_int, _check_real, _table_codes
-from .estimators import estimate_unbiased, project_proper
+from .estimators import _estimates
 from .mechanism import MechanismParams, sample_synthetic
 from .queries import StatisticalQuery
 
@@ -171,16 +171,12 @@ def grid_query(q: LipschitzQuery, n: int, k: int) -> StatisticalQuery:
 def release_continuous(
     x: ContinuousDatabase, q: LipschitzQuery, epsilon: float, rng: RandomSource
 ) -> float:
-    """End-to-end private answer: discretize, release, estimate, project.
-
-    Uses the proper estimator with interval clamping on the induced grid
-    query; the answer therefore always lies in the achievable value interval.
-    """
+    """End-to-end private answer: discretize, release, estimate. The ``proper``
+    estimator on the induced grid query keeps it in that query's value interval."""
     k = choose_k(x.n)
     gq = grid_query(q, x.n, k)
     xd = discretize(x, k)
     params = MechanismParams(epsilon, xd.universe)
     y = sample_synthetic(xd, params, rng)
-    raw = estimate_unbiased(gq, y, params)
-    return project_proper(gq, raw, "interval_clamp")
+    return float(_estimates(gq, gq.evaluate(y), params, "proper"))
 

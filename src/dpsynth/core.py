@@ -521,15 +521,19 @@ def _read_json_int_arrays(path, members):
     return _read_json(path)
 
 
-def _table_codes(universe: "DataUniverse") -> int:
+def _table_codes(universe: "DataUniverse", tables: int = 1) -> int:
     """2**l, the length of a dense table over ``universe``; ValidationError
-    above MAX_TABLE_CODES, so no table of that length is ever made."""
+    when ``tables`` such tables hold more than MAX_TABLE_CODES values, so no
+    array of that size is ever made."""
     card = universe.cardinality
     if card > MAX_TABLE_CODES:
         raise ValidationError(
             f"a table over l={universe.l} attributes needs {card} codes, above the cap of "
             f"{MAX_TABLE_CODES} (l <= {MAX_TABLE_CODES.bit_length() - 1})"
         )
+    if tables * card > MAX_TABLE_CODES:
+        raise ValidationError(f"{tables} tables over l={universe.l} attributes need {tables * card} values, "
+                              f"above the cap of {MAX_TABLE_CODES}")
     return card
 
 

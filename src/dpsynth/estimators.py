@@ -10,11 +10,11 @@ where C is the query's centering constant (the mean table mass picked up by
 uniform flips); the two factors are ``MechanismParams.scale`` and ``shift``.
 It is exactly unbiased for every input database but may return values no
 real database can produce. One name from ``ESTIMATORS`` picks it or a proper
-estimator, which moves it onto achievable answers (``project_proper``) at
-most doubling the pointwise error: ``proper`` clamps it to q's value
-interval, ``exact_range`` (one query) takes the nearest achievable value.
-``_debias`` computes the map for every estimate, the cut estimator's in
-``graph`` (C = |S||T|) included. ``_debias_factors``, which it and
+estimator, which moves it onto achievable answers at most doubling the
+pointwise error: ``proper`` clamps it to q's value interval, ``exact_range``
+(one query) takes the nearest achievable value. ``_debias`` computes the map
+and ``_project`` applies the name for every estimate, the cut estimator's in
+``graph`` (C = |S||T|) included. ``_debias_factors``, which ``_debias`` and
 ``exact_unbiased_mse`` call, refuses an epsilon at which the map overflows.
 
 Distortion, a ufunc of the error picked from ``_MEASURES``, is measured
@@ -56,6 +56,7 @@ from .queries import StatisticalQuery, _per_query
 ACHIEVABLE_CAP = 10**6
 
 ESTIMATORS = ("unbiased", "proper", "exact_range")
+_BATCH_ESTIMATORS = ESTIMATORS[:2]  # the names a batch or a cut takes: exact_range takes one query
 # each distortion measure's ufunc of the error, and the bound on its mean
 _MEASURES = {"squared": (np.square, bounds_mod.upper_bound_squared),
              "absolute": (np.abs, bounds_mod.upper_bound_absolute)}
@@ -96,14 +97,30 @@ def _debias(values, centering, params: MechanismParams):
 
 
 def _estimates(q: StatisticalQuery, answers, params: MechanismParams, estimator: str = "unbiased"):
-    """Estimates from plain answers q(y), debiased (``_debias``) and, for
-    every estimator but ``unbiased``, projected onto achievable answers.
-    ``answers`` may carry any leading shape; a batch's answers end in the
-    query axis, and are consumed as by ``_debias``: pass a fresh array."""
-    answers = _debias(answers, q.centering, params)
+    """The named estimator's estimates (``_project``) from plain answers q(y),
+    debiased by ``_debias``. ``answers`` may carry any leading shape; a batch's
+    end in the query axis. They are consumed, as by ``_debias``: pass a fresh array."""
+    return _project(_debias(answers, q.centering, params), estimator, q.value_range(), q)
+
+
+def _project(raw, estimator: str, value_range, q: StatisticalQuery | None = None):
+    """Debiased estimates ``raw`` as the named estimator returns them: as they
+    are (``unbiased``), clamped to ``value_range`` (lo, hi), which holds every
+    answer (``proper``), or the nearest value the one query ``q`` can take,
+    ties toward the smaller one (``exact_range``). Callers check the name."""
     if estimator == "unbiased":
-        return answers
-    return _project_vector(q, answers, "interval_clamp" if estimator == "proper" else estimator)
+        return raw
+    if estimator == "proper":
+        lo, hi = value_range
+        # the bits of np.clip, NaN included, without its Python-level wrapper
+        return np.minimum(np.maximum(raw, lo), hi)
+    vals = achievable_values(q)
+    idx = np.clip(np.searchsorted(vals, raw), 1, vals.size - 1)
+    left = vals[idx - 1]
+    right = vals[idx]
+    # tie toward the smaller value; beyond either end, the end value
+    out = np.where(raw - left <= right - raw, left, right)
+    return np.where(raw <= vals[0], vals[0], np.where(raw >= vals[-1], vals[-1], out))
 
 
 def estimate_unbiased(q: StatisticalQuery, y: Database, params: MechanismParams):
@@ -157,34 +174,16 @@ def achievable_values(q: StatisticalQuery) -> np.ndarray:
 
 
 def project_proper(q: StatisticalQuery, raw, strategy: str = "interval_clamp"):
-    """Map a raw estimate onto answers a real database could produce.
-
-    interval_clamp restricts to the exact value interval of q (contains every
-    achievable answer, so the factor-2 pointwise guarantee is preserved);
-    exact_range returns the nearest achievable value, ties broken toward the
-    smaller one, and takes one query only. A float for one query, an array
-    (Q,) for a batch, as ``estimate_unbiased`` returns them.
-    """
+    """Map a raw estimate onto answers a real database could produce, as the
+    ``proper`` (strategy ``interval_clamp``) or the one-query ``exact_range``
+    estimator does: a float for one query, an array (Q,) for a batch."""
     raw = np.asarray(raw, dtype=np.float64)
     if raw.shape != q.tables.shape[:-2]:
         raise DimensionMismatchError(f"raw estimates must have shape {q.tables.shape[:-2]}, got {raw.shape}")
-    return _per_query(_project_vector(q, raw, strategy))
-
-
-def _project_vector(q: StatisticalQuery, raw: np.ndarray, strategy: str) -> np.ndarray:
-    if strategy == "interval_clamp":
-        lo, hi = q.value_range()
-        # the bits of np.clip, NaN included, without its Python-level wrapper
-        return np.minimum(np.maximum(raw, lo), hi)
-    if strategy != "exact_range":
+    if strategy not in ("interval_clamp", "exact_range"):
         raise ValidationError(f"unknown projection strategy {strategy!r}")
-    vals = achievable_values(q)
-    idx = np.clip(np.searchsorted(vals, raw), 1, vals.size - 1)
-    left = vals[idx - 1]
-    right = vals[idx]
-    # tie toward the smaller value; beyond either end, the end value
-    out = np.where(raw - left <= right - raw, left, right)
-    return np.where(raw <= vals[0], vals[0], np.where(raw >= vals[-1], vals[-1], out))
+    estimator = "proper" if strategy == "interval_clamp" else strategy
+    return _per_query(_project(raw, estimator, q.value_range(), q))
 
 
 def _distortion_bound(q: StatisticalQuery, n: int, params: MechanismParams, estimator: str, measure: str) -> float:

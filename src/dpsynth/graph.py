@@ -17,9 +17,9 @@ against ``MAX_ENCODED_PAIRS`` before any |V| x |V| array is allocated.
 Every cut count, exact (``cut_value``) or released (``answer_cut``, the cut
 estimator), is one contraction of (C, |V|) indicator matrices: the row sums
 of (S @ M) * T. Released counts are debiased by ``estimators._debias``,
-with centering constant |S||T|. Random bisections are
-drawn straight into such matrices (``_bisection_indicators``), with no
-``CutQuery`` per cut.
+with centering constant |S||T|, and ``estimators._project`` makes the named
+estimator's answers on [0, |S||T|]. Random bisections are drawn straight
+into such matrices (``_bisection_indicators``), with no ``CutQuery`` per cut.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .core import (
     _content_lines,
     _read_int_rows,
 )
-from .estimators import _debias
+from .estimators import _debias, _project
 from .mechanism import MechanismParams, _keep_mask, sample_synthetic
 
 MAX_ENCODED_PAIRS = 10**8
@@ -123,10 +123,11 @@ def _cut_counts(m: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (np.matmul(s, m.reshape(s.shape[1], -1), dtype=np.float32) * t).sum(axis=1, dtype=np.float64)
 
 
-def _answer_cuts(y: Database, s: np.ndarray, t: np.ndarray, epsilon: float) -> np.ndarray:
-    """Debiased cut answers (``_debias`` of the counts, C = |S||T|) from a release y."""
+def _answer_cuts(y: Database, s: np.ndarray, t: np.ndarray, epsilon: float, estimator: str) -> np.ndarray:
+    """Cut answers from a release y as ``estimator`` returns them, from the counts debiased with C = |S||T|."""
     sizes = s.sum(axis=1, dtype=np.float64) * t.sum(axis=1, dtype=np.float64)
-    return _debias(_cut_counts(y.rows, s, t), sizes, MechanismParams(epsilon, y.universe))
+    raw = _debias(_cut_counts(y.rows, s, t), sizes, MechanismParams(epsilon, y.universe))
+    return _project(raw, estimator, (0.0, sizes))
 
 
 def _check_pair_cap(vertex_count: int) -> None:
@@ -152,10 +153,10 @@ def release_graph(x: Database, epsilon: float, rng: RandomSource) -> Database:
 
 def answer_cut(y: Database, q: CutQuery, epsilon: float) -> float:
     """Unbiased directed-cut count from a released edge-indicator database
-    (l = 1, n = |V|^2). Answers below 0 or above |S||T| are legal; clamp
-    separately if a proper value is needed."""
+    (l = 1, n = |V|^2). Answers below 0 or above |S||T| are legal; the
+    ``proper`` estimator (``graph-cut --estimator proper``) clamps them."""
     s, t = _cut_indicators([q], vertex_count(y))
-    return float(_answer_cuts(y, s, t, epsilon)[0])
+    return float(_answer_cuts(y, s, t, epsilon, "unbiased")[0])
 
 
 def _bisection_indicators(vertex_count: int, rngs) -> tuple[np.ndarray, np.ndarray]:

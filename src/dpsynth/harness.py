@@ -48,7 +48,7 @@ from .core import (
     _read_json,
     _utf8_lines,
 )
-from .estimators import _MEASURES, _distortion_bound, _estimates
+from .estimators import _BATCH_ESTIMATORS, _MEASURES, _distortion_bound, _estimates
 from .graph import (
     MAX_ENCODED_PAIRS,
     _answer_cuts,
@@ -118,8 +118,8 @@ class ExperimentConfig:
         self._check_types()
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
-        if self.estimator not in ("unbiased", "proper"):  # exact_range takes one query, not a batch
-            raise ConfigError(f"estimator must be one of ('unbiased', 'proper') in a sweep, got {self.estimator!r}")
+        if self.estimator not in _BATCH_ESTIMATORS:
+            raise ConfigError(f"estimator must be one of {_BATCH_ESTIMATORS} in a sweep, got {self.estimator!r}")
         if not self.epsilon > 0.0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.experiment == "heterogeneity":
@@ -392,7 +392,7 @@ def run_cut_scaling(config: ExperimentConfig, rng: RandomSource) -> list[ResultR
         errs = np.empty((config.trial_count, config.cut_count))
         for r in range(config.trial_count):
             y = release_graph(x, config.epsilon, rng.derive(_S_RELEASE, gi, r))
-            errs[r] = distortion(_answer_cuts(y, s, t, config.epsilon) - truths)
+            errs[r] = distortion(_answer_cuts(y, s, t, config.epsilon, config.estimator) - truths)
         positive = truths > 0
         relative = None
         if positive.any():

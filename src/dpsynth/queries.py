@@ -320,9 +320,9 @@ def make_predicate_query(universe: DataUniverse, n: int, conjunct_bits) -> Stati
 
 
 def make_hamming_query(z: Database) -> StatisticalQuery:
-    """The query x -> d(x, z) / n for a reference database z."""
-    card = _table_codes(z.universe)
+    """The query x -> d(x, z) / n for a reference database z: one table per distinct row of z."""
     values, inverse = np.unique(z.rows, return_inverse=True)
+    card = _table_codes(z.universe, values.size)
     tables = np.ones((values.size, card))
     tables[np.arange(values.size), values] = 0.0
     return StatisticalQuery(z.universe, tables, inverse.astype(np.int64), label="hamming")

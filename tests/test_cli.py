@@ -692,6 +692,27 @@ class TestMalformedQueryFile:
         assert code == 2 and out == ""
         assert err.startswith("error[validation]: a table over l=20 attributes")
 
+    def test_hamming_query_over_the_table_cap_exits_2(self, tmp_path, capsys):
+        # one table per distinct row of z: 2**16 tables of 2**16 values would be
+        # 32 GiB; the refusal comes before any of it is allocated
+        db_path = tmp_path / "synthetic.txt"
+        write_database_codes(Database(DataUniverse(16), np.arange(2**16)), db_path)
+        query_path = tmp_path / "q.json"
+        query_path.write_text(json.dumps({"type": "hamming", "l": 16, "z": list(range(2**16))}))
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "estimate", "--input", str(db_path), "--query", str(query_path), "--epsilon", "1.0",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err.splitlines()[0] == (
+            "error[validation]: 65536 tables over l=16 attributes need 4294967296 values, above the cap of 16777216"
+        )
+        assert peak < 64 * 2**20
+
 
 class TestBounds:
     def test_csv_row(self, capsys):
@@ -837,6 +858,17 @@ class TestExperiment:
         assert err.startswith("error[config]: vertex_grid") and "encoded-pair cap" in err
         assert not (tmp_path / "a.csv").exists()
 
+    def test_failed_allocation_exits_2(self, tmp_path, capsys):
+        # 10**15 trials of one cut: an 8 PiB error array, which no 64-bit
+        # address space maps, so the allocation fails on any host
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "cut_scaling", "vertex_grid": [8], "cut_count": 1,
+                                        "trial_count": 10**15, "output": str(tmp_path / "a.csv")}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error[memory]: ")
+        assert not (tmp_path / "a.csv").exists()
+
 
 class TestGraphCut:
     def test_identity_epsilon_exact_answer(self, tmp_path, capsys):
@@ -870,17 +902,43 @@ class TestGraphCut:
         assert outs[0] == outs[1]
 
     def test_clamp_flag(self, tmp_path, capsys):
+        # the clamp is the proper estimator's: --clamp gave way to --estimator proper
+        (tmp_path / "g.txt").write_text("0 1\n")
+        (tmp_path / "cut.txt").write_text("0\n1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["graph-cut", "--edges", str(tmp_path / "g.txt"), "--cut", str(tmp_path / "cut.txt"),
+                  "--epsilon", "0.3", "--seed", "2", "--clamp"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --clamp" in err
+
+    def test_exact_range_refused(self, tmp_path, capsys):
+        # exact_range takes one statistical query, not a cut
+        (tmp_path / "g.txt").write_text("0 1\n")
+        (tmp_path / "cut.txt").write_text("0\n1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["graph-cut", "--edges", str(tmp_path / "g.txt"), "--cut", str(tmp_path / "cut.txt"),
+                  "--epsilon", "0.3", "--estimator", "exact_range"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_proper_estimator_clamps(self, tmp_path, capsys):
+        # at eps = 0.3 seed 2 the unbiased count of the one-pair cut leaves [0, 1]
         edges = tmp_path / "g.txt"
         edges.write_text("0 1\n")
         cut = tmp_path / "cut.txt"
         cut.write_text("0\n1\n")
-        code, out, err = run_cli(
-            capsys,
-            "graph-cut", "--edges", str(edges), "--cut", str(cut),
-            "--epsilon", "0.3", "--seed", "2", "--clamp",
-        )
-        assert code == 0, err
-        assert 0.0 <= float(out.strip()) <= 1.0
+        answers = {}
+        for estimator in ("unbiased", "proper"):
+            code, out, err = run_cli(
+                capsys,
+                "graph-cut", "--edges", str(edges), "--cut", str(cut),
+                "--epsilon", "0.3", "--seed", "2", "--estimator", estimator,
+            )
+            assert code == 0, err
+            answers[estimator] = float(out.strip())
+        assert not 0.0 <= answers["unbiased"] <= 1.0
+        assert answers["proper"] == min(max(answers["unbiased"], 0.0), 1.0)
 
     def test_out_of_range_vertex_refused_before_the_release(self, tmp_path, capsys):
         edges, cut = tmp_path / "g.txt", tmp_path / "cut.txt"
@@ -934,10 +992,10 @@ class TestOverflowingEpsilon:
         self._assert_refused(code, out, err)
 
     @pytest.mark.parametrize("eps", ["1e-308", "1e-320"])
-    @pytest.mark.parametrize("clamp", [[], ["--clamp"]], ids=["raw", "clamp"])
-    def test_graph_cut(self, files, capsys, eps, clamp):
+    @pytest.mark.parametrize("estimator", ["unbiased", "proper"], ids=["raw", "clamp"])
+    def test_graph_cut(self, files, capsys, eps, estimator):
         code, out, err = run_cli(capsys, "graph-cut", "--edges", str(files / "g.txt"), "--cut",
-                                 str(files / "cut.txt"), "--epsilon", eps, *clamp)
+                                 str(files / "cut.txt"), "--epsilon", eps, "--estimator", estimator)
         self._assert_refused(code, out, err)
 
     def test_graph_cut_refuses_before_drawing(self, files, capsys):
@@ -1119,7 +1177,7 @@ class TestCutPathPinned:
         cut.write_text("0 1 2 3 4 5\n10 11 12 13 14 15 16\n")
         answers = []
         for eps in ("1", "0.3", "700"):
-            for flags in ((), ("--no-symmetrize",), ("--one-based",), ("--clamp",)):
+            for flags in ((), ("--no-symmetrize",), ("--one-based",), ("--estimator", "proper")):
                 code, out, err = run_cli(
                     capsys, "graph-cut", "--edges", str(edges), "--cut", str(cut), "--epsilon", eps,
                     "--seed", "7", *flags,

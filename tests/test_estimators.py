@@ -25,6 +25,7 @@ from dpsynth.estimators import (
     _debias,
     _distinct,
     _distortion_bound,
+    _estimates,
     _mean_and_stderr,
     achievable_values,
     estimate_unbiased,
@@ -206,6 +207,24 @@ class TestProjection:
         y = Database(universe, RandomSource(4).generator().integers(0, 4, size=8))
         est = estimate_unbiased(qs, y, MechanismParams(1.0, universe))
         assert np.array_equal(project_proper(qs, est), np.clip(est, lo, hi))
+
+    @pytest.mark.parametrize("count", [None, 6])
+    def test_interval_clamp_is_the_proper_estimate(self, count):
+        # project_proper's strategy names map onto the estimator names, bit for bit
+        universe = DataUniverse(2)
+        q = generate_random_query(universe, 8, 2, RandomSource(5), count=count)
+        params = MechanismParams(0.4, universe)  # wide enough that some estimates leave [lo, hi]
+        ys = RandomSource(6).generator().integers(0, 4, size=(20, 8))
+        for rows in ys:
+            answers = q.evaluate(Database(universe, rows))
+            raw = _estimates(q, np.array(answers, dtype=np.float64), params, "unbiased")
+            proper = _estimates(q, np.array(answers, dtype=np.float64), params, "proper")
+            assert np.asarray(project_proper(q, raw, "interval_clamp")).tobytes() == np.asarray(proper).tobytes()
+            if count is None:
+                assert project_proper(q, raw, "exact_range") == _estimates(q, answers, params, "exact_range")
+        lo, hi = q.value_range()
+        raws = _estimates(q, q.evaluate_rows(ys), params, "unbiased")
+        assert ((raws < lo) | (raws > hi)).any()
 
     def test_clamp_one_query_returns_float(self):
         q = make_predicate_query(DataUniverse(2), 4, [1])

@@ -357,6 +357,32 @@ class TestCutScaling:
             assert np.array_equal(seen[gi], expected)
         assert len(seen) == len(cfg.vertex_grid)
 
+    def test_estimator_field_picks_the_cut_estimator(self, tmp_path, monkeypatch):
+        # the same releases answered by both estimators: clamping onto
+        # [0, |S||T|], which holds the true count, never increases an error
+        seen = {"unbiased": [], "proper": []}
+        block_summary = harness._block_summary
+
+        def capture(errs, total):
+            seen[cfg.estimator].append(errs.copy())
+            return block_summary(errs, total)
+
+        monkeypatch.setattr(harness, "_block_summary", capture)
+        rows = {}
+        for estimator in ("unbiased", "proper"):
+            cfg = config_from_dict({"experiment": "cut_scaling", "vertex_grid": [8, 16], "cut_count": 3,
+                                    "trial_count": 2, "epsilon": 0.3, "estimator": estimator,
+                                    "output": str(tmp_path / f"{estimator}.csv")})
+            rows[estimator] = run_experiment(cfg)
+        assert (tmp_path / "unbiased.csv").read_bytes() != (tmp_path / "proper.csv").read_bytes()
+        for unbiased, proper in zip(seen["unbiased"], seen["proper"]):
+            assert (proper <= unbiased).all()
+        assert any((p < u).any() for u, p in zip(seen["unbiased"], seen["proper"]))
+        for u, p in zip(rows["unbiased"], rows["proper"]):
+            assert p.grid_point == u.grid_point and p.analytic_bound == u.analytic_bound
+            assert p.worst_case_distortion <= u.worst_case_distortion
+            assert p.mean_distortion <= u.mean_distortion
+
 
 def whole_array_summary(errs):
     """(worst, stderr of worst, mean) from one whole error array with runs on

@@ -614,7 +614,8 @@ class TestTableCap:
         "build",
         [
             lambda u, lq: make_predicate_query(u, 10, [0]),
-            lambda u, lq: make_hamming_query(Database(u, [0, 5, 2**u.l - 1])),
+            # one distinct row: at the cap, each distinct row's table counts against it
+            lambda u, lq: make_hamming_query(Database(u, [2**u.l - 1] * 3)),
             lambda u, lq: generate_random_query(u, 10, 2, RandomSource(40)),
             # a table of the at-cap width: the cap is checked before the shape
             lambda u, lq: StatisticalQuery(u, [np.arange(2.0**10)], [0, 0]),
@@ -636,6 +637,15 @@ class TestTableCap:
             tracemalloc.stop()
         assert peak < 64 * 2**10
         build(DataUniverse(10), lq)  # at the cap
+
+    def test_hamming_tables_count_against_the_cap(self, monkeypatch):
+        # one table per distinct reference row: 5 tables of 2**8 values exceed 2**10
+        monkeypatch.setattr(core, "MAX_TABLE_CODES", 2**10)
+        universe = DataUniverse(8)
+        message = "^5 tables over l=8 attributes need 1280 values, above the cap of 1024$"
+        with pytest.raises(ValidationError, match=message):
+            make_hamming_query(Database(universe, [0, 1, 2, 3, 4, 4]))
+        assert make_hamming_query(Database(universe, [0, 1, 2, 3, 3])).heterogeneity == 4  # at the cap
 
 
 class TestConstruction:
