@@ -33,7 +33,6 @@ _LAZY = {
     "mechanism": ("MechanismParams", "exact_log_pmf", "realized_epsilon", "sample_synthetic", "verify_dp"),
     "queries": (
         "StatisticalQuery",
-        "centering_constant",
         "generate_random_query",
         "load_query",
         "make_hamming_query",

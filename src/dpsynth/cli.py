@@ -2,11 +2,12 @@
 
 Subcommands: ``release`` (database in, synthetic database out), ``estimate``
 (synthetic database + query file -> answer), ``bounds`` (closed-form bound
-table), ``experiment`` (config JSON -> results CSV), ``graph-cut`` (edge list
-+ cut spec -> private answer), ``verify`` (oracle cross-check suite). Releases
-draw fresh OS entropy; ``--seed`` is for tests. Exit codes: 0 success, 2 usage
-or config errors and allocations that fail, 1 anything else; data errors
-print a machine-parseable ``error[<category>]`` prefix.
+table over a grid of n and epsilon), ``experiment`` (config JSON -> results
+CSV), ``graph-cut`` (edge list + cut spec -> private answer), ``verify``
+(oracle cross-check suite). Releases draw fresh OS entropy; ``--seed`` is
+for tests. Exit codes: 0 success, 2 usage or config errors and allocations
+that fail, 1 anything else; data errors print a machine-parseable
+``error[<category>]`` prefix.
 
 Code files are read by ``core._read_int_rows`` (a numpy byte scan, whose
 grammar is the only one a code file has; the first line outside it is named
@@ -132,8 +133,13 @@ def _cmd_bounds(args) -> int:
     from .bounds import BOUND_TABLE_COLUMNS, BoundInputs, bound_table_row
     from .harness import _write_csv
 
-    inputs = BoundInputs(n=args.n, l=args.l, epsilon=args.epsilon, a=args.a, b=args.b, c=args.c, L=args.L)
-    _write_csv(sys.stdout, BOUND_TABLE_COLUMNS, [bound_table_row(inputs)])
+    # every row is built, so every point checked, before the first is written
+    rows = [
+        bound_table_row(BoundInputs(n=n, l=args.l, epsilon=eps, a=args.a, b=args.b, c=args.c, L=args.L))
+        for eps in args.epsilon
+        for n in args.n
+    ]
+    _write_csv(sys.stdout, BOUND_TABLE_COLUMNS, rows)
     return 0
 
 
@@ -205,10 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
                    "proper (clamped to the query's value interval) or exact_range (the nearest achievable value)")
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("bounds", help="print the closed-form bound table as CSV")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("bounds", help="print the closed-form bound table as CSV, one row per (epsilon, n)")
+    p.add_argument("--n", type=int, nargs="+", required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=float, nargs="+", required=True)
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--c", type=float, default=1.0)

@@ -64,9 +64,10 @@ class LipschitzQuery:
     must satisfy the Lipschitz inequality (which extends to all grid pairs by
     the triangle inequality) and values must stay inside [a, b], both within
     1e-9 (1 + L), widened by a few ulps times max(|a|, |b|, 1) when the
-    function returns a float type coarser than float64. A constant
-    function is rejected, as the induced query would have zero spread; so is
-    a row value that is not a real number.
+    function returns a float type coarser than float64. The spread of the
+    checked values, max - min, is kept as ``spread``: it normalizes every
+    answer. A constant function is rejected, as its spread is zero; so is a
+    row value that is not a real number.
 
     The row function must be deterministic: ``grid_query`` evaluates it once
     per (n, k) and keeps the induced query on this object, so a release
@@ -75,7 +76,7 @@ class LipschitzQuery:
     freed with the query.
     """
 
-    __slots__ = ("fn", "lipschitz", "lower", "upper", "_grids", "__weakref__")
+    __slots__ = ("fn", "lipschitz", "lower", "upper", "spread", "_grids", "__weakref__")
 
     def __init__(self, fn, lipschitz: float, lower: float, upper: float):
         lipschitz = _check_real(lipschitz, "Lipschitz constant")
@@ -101,12 +102,14 @@ class LipschitzQuery:
         step = grid[1] - grid[0]
         if np.abs(np.diff(vals)).max() > lipschitz * step + tol:
             raise ValidationError("row function violates its declared Lipschitz constant")
-        if vals.max() - vals.min() == 0.0:
+        spread = float(vals.max() - vals.min())
+        if spread == 0.0:
             raise ValidationError("constant row functions are not allowed")
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "lipschitz", lipschitz)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "spread", spread)
         object.__setattr__(self, "_grids", {})
 
     def __setattr__(self, name, value):
@@ -171,12 +174,16 @@ def grid_query(q: LipschitzQuery, n: int, k: int) -> StatisticalQuery:
 def release_continuous(
     x: ContinuousDatabase, q: LipschitzQuery, epsilon: float, rng: RandomSource
 ) -> float:
-    """End-to-end private answer: discretize, release, estimate. The ``proper``
-    estimator on the induced grid query keeps it in that query's value interval."""
+    """End-to-end private answer: discretize, release, estimate. The answer is
+    normalized by the query's own spread, ``q.spread``: the grid query
+    normalizes by its table's spread ``c``, up to L * 2^-k smaller, so its
+    ``proper`` estimate is rescaled by c / q.spread. The factor is positive,
+    so the answer stays between the grid table's least and largest values,
+    each divided by q.spread."""
     k = choose_k(x.n)
     gq = grid_query(q, x.n, k)
     xd = discretize(x, k)
     params = MechanismParams(epsilon, xd.universe)
     y = sample_synthetic(xd, params, rng)
-    return float(_estimates(gq, gq.evaluate(y), params, "proper"))
+    return float(_estimates(gq, gq.evaluate(y), params, "proper")) * (gq.c / q.spread)
 

@@ -20,6 +20,12 @@ Conventions shared by the statistical sweeps:
 * Every ``analytic_bound`` column is computed by the ``bounds`` module from
   the generated query set's own class constants.
 
+A config names its experiment and sets the shared keys and that
+experiment's own (``_EXPERIMENT_KEYS``); a key the experiment does not read
+is refused, never silently ignored. The closed-form bound table is not an
+experiment: ``dpsynth bounds`` prints it for any grid of n and epsilon,
+through the same ``_write_csv``.
+
 Determinism: every random draw derives from the config seed through fixed
 stream indices, and rows are emitted in grid order, so identical configs
 produce byte-identical CSV files.
@@ -34,7 +40,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bounds import BOUND_TABLE_COLUMNS, BoundInputs, bound_table_row, cut_bound
+from .bounds import cut_bound
 from .core import (
     MAX_ATTRIBUTES,
     ConfigError,
@@ -61,7 +67,15 @@ from .graph import (
 from .mechanism import MechanismParams, sample_rows
 from .queries import generate_random_query
 
-EXPERIMENTS = ("heterogeneity", "query_set_size", "database_scaling", "cut_scaling", "bounds_table")
+# the config keys every experiment reads, and those each one adds
+_SHARED_KEYS = frozenset({"experiment", "seed", "output", "epsilon", "trial_count", "estimator"})
+_EXPERIMENT_KEYS = {
+    "heterogeneity": {"n", "l", "query_count", "heterogeneity_grid"},
+    "query_set_size": {"n", "l", "set_sizes", "database_count"},
+    "database_scaling": {"l", "n_grid", "query_count"},
+    "cut_scaling": {"vertex_grid", "graph_model", "graph_param", "cut_count"},
+}
+EXPERIMENTS = tuple(_EXPERIMENT_KEYS)
 
 GRAPH_MODELS = ("erdos_renyi", "power_law")
 
@@ -77,8 +91,8 @@ _S_CUTS = 5
 # A number field or grid maps to its least integer, "size" if it sizes an array, or None if it is real
 _STR_FIELDS = ("experiment", "output", "graph_model", "estimator")
 _NUMBER_FIELDS = {"seed": 0, "l": 1, "n": "size", "query_count": "size", "database_count": 1, "cut_count": 1,
-                  "trial_count": 1, "epsilon": None, "graph_param": None, "a": None, "b": None, "c": None, "L": None}
-_GRIDS = {"n_grid": 1, "heterogeneity_grid": 1, "set_sizes": "size", "vertex_grid": 2, "epsilon_grid": None}
+                  "trial_count": 1, "epsilon": None, "graph_param": None}
+_GRIDS = {"n_grid": "size", "heterogeneity_grid": 1, "set_sizes": "size", "vertex_grid": 2}
 
 
 def _check_number(value, what: str, least):
@@ -108,16 +122,10 @@ class ExperimentConfig:
     cut_count: int = 100
     trial_count: int = 20
     estimator: str = "unbiased"
-    a: float = 0.0
-    b: float = 1.0
-    c: float = 1.0
-    L: float | None = None
-    epsilon_grid: tuple = ()
 
     def __post_init__(self):
         self._check_types()
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
+        _check_experiment(self.experiment)
         if self.estimator not in _BATCH_ESTIMATORS:
             raise ConfigError(f"estimator must be one of {_BATCH_ESTIMATORS} in a sweep, got {self.estimator!r}")
         if not self.epsilon > 0.0:
@@ -135,8 +143,6 @@ class ExperimentConfig:
             _check_ascending("set_sizes", self.set_sizes)
         if self.experiment == "database_scaling":
             grid = self.n_grid or tuple(2**k for k in range(10, 17))
-            for n in grid:  # bounds_table reads n_grid too, but sizes no array by it
-                _check_size(n, "an entry of n_grid", ConfigError)
             _check_ascending("n_grid", grid)
             if len(grid) >= 2 and max(grid) < 10 * min(grid):
                 raise ConfigError("n_grid should span at least one decade for a slope fit")
@@ -153,22 +159,18 @@ class ExperimentConfig:
                 raise ConfigError(f"erdos_renyi graph_param must be a probability in [0, 1], got {p}")
             if self.graph_model == "power_law" and not (1 <= p < min(self.vertex_grid) and p % 1 == 0):
                 raise ConfigError(f"power_law graph_param must be an integer in [1, min(vertex_grid)), got {p}")
-        if self.experiment == "bounds_table":
-            object.__setattr__(self, "n_grid", self.n_grid or (1000, 10000, 100000))
-            object.__setattr__(self, "epsilon_grid", self.epsilon_grid or (self.epsilon,))
 
     def _check_types(self):
         """Reject a field of the wrong type, or an integer below its least
         value, with ConfigError, before any comparison or arithmetic could
-        raise TypeError; each grid becomes a tuple of ints (or floats). ``L``
-        may be None, and a null grid reads as its field's default."""
+        raise TypeError; each grid becomes a tuple of ints, and a null grid
+        reads as its field's default."""
         for name in _STR_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, str):
                 raise ConfigError(f"{name} must be a string, got {value!r}")
         for name, least in _NUMBER_FIELDS.items():
-            if not (name == "L" and self.L is None):
-                object.__setattr__(self, name, _check_number(getattr(self, name), name, least))
+            object.__setattr__(self, name, _check_number(getattr(self, name), name, least))
         defaults = {f.name: f.default for f in fields(self)}
         for name, least in _GRIDS.items():
             value = defaults[name] if getattr(self, name) is None else getattr(self, name)
@@ -182,16 +184,21 @@ def _check_ascending(name: str, grid) -> None:
         raise ConfigError(f"{name} must be nonempty, ascending and distinct, got {grid!r}")
 
 
+def _check_experiment(experiment) -> None:
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from parsed JSON, rejecting unknown keys."""
+    """Build a config from parsed JSON, refusing a key its experiment does not read."""
     if not isinstance(raw, dict):
         raise ConfigError("experiment config must be a JSON object")
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "experiment" not in raw:
         raise ConfigError("config needs an 'experiment' field")
+    _check_experiment(raw["experiment"])
+    unread = set(raw) - _SHARED_KEYS - _EXPERIMENT_KEYS[raw["experiment"]]
+    if unread:
+        raise ConfigError(f"the {raw['experiment']} experiment reads no config keys {sorted(unread)}")
     return ExperimentConfig(**raw)
 
 
@@ -401,16 +408,6 @@ def run_cut_scaling(config: ExperimentConfig, rng: RandomSource) -> list[ResultR
     return out
 
 
-def run_bounds_table(config: ExperimentConfig) -> list[dict]:
-    return [
-        bound_table_row(
-            BoundInputs(n=n, l=config.l, epsilon=eps, a=config.a, b=config.b, c=config.c, L=config.L)
-        )
-        for eps in config.epsilon_grid
-        for n in config.n_grid
-    ]
-
-
 _SWEEPS = {
     "heterogeneity": run_heterogeneity_sweep,
     "query_set_size": run_query_set_size_sweep,
@@ -420,15 +417,9 @@ _SWEEPS = {
 
 
 def run_experiment(config: ExperimentConfig, output=None):
-    """Dispatch one experiment and write its CSV; returns the result rows."""
-    path = output if output is not None else config.output
-    if config.experiment == "bounds_table":
-        rows = run_bounds_table(config)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(fh, BOUND_TABLE_COLUMNS, rows)
-        return rows
+    """Run one experiment's sweep and write its CSV; returns the result rows."""
     rows = _SWEEPS[config.experiment](config, RandomSource(config.seed))
-    write_results_csv(rows, path)
+    write_results_csv(rows, output if output is not None else config.output)
     return rows
 
 

@@ -82,7 +82,8 @@ class StatisticalQuery:
     Per-query values (``c_sum``, ``centering``, ``value_range()``,
     ``evaluate``) are floats for one query and arrays (Q,) for a batch. The
     class constants ``a``, ``b``, ``c`` and ``heterogeneity`` are taken over
-    the whole batch.
+    the whole batch. ``centering`` is C = (1 / sum_i c_i) * sum_i sum_v
+    phi_i(v); for a k-conjunct predicate query it is 2**(l-k).
     """
 
     __slots__ = (
@@ -296,12 +297,6 @@ def _checked_tables(universe: DataUniverse, tables) -> np.ndarray:
 def _per_query(values):
     """A float for one query, the (Q,) array for a batch."""
     return float(values) if np.ndim(values) == 0 else values
-
-
-def centering_constant(q: StatisticalQuery) -> float:
-    """C = (1 / sum_i c_i) * sum_i sum_v phi_i(v); for a k-conjunct predicate
-    query this is 2**(l-k)."""
-    return q.centering
 
 
 def make_predicate_query(universe: DataUniverse, n: int, conjunct_bits) -> StatisticalQuery:

@@ -341,13 +341,6 @@ class TestBadNumbersExit2:
         self._exit_2(capsys, "config", "seed must be >= 0, got -1", "experiment", "--config", config)
         assert not (tmp_path / "a.csv").exists()
 
-    def test_config_infinite_c(self, tmp_path, capsys):
-        # json writes and reads math.inf as Infinity
-        config = self._config(tmp_path, experiment="bounds_table", c=math.inf)
-        assert "Infinity" in (tmp_path / "cfg.json").read_text()
-        self._exit_2(capsys, "config", "c must be a finite number, got inf", "experiment", "--config", config)
-        assert not (tmp_path / "a.csv").exists()
-
     def test_bounds_infinite_c(self, capsys):
         self._exit_2(capsys, "validation", "c must be a finite number, got inf",
                      "bounds", "--n", "10", "--l", "1", "--epsilon", "1", "--c", "inf")
@@ -378,12 +371,11 @@ class TestBadNumbersExit2:
         self._exit_2(capsys, "config", f"{what} {self.TOO_BIG}", "experiment", "--config", config)
         assert not (tmp_path / "a.csv").exists()
 
-    def test_bounds_table_keeps_a_huge_n_grid(self, tmp_path, capsys):
-        # bounds_table sizes no array by n: its n_grid stays unbounded
-        config = self._config(tmp_path, experiment="bounds_table", n_grid=[self.HUGE])
-        code, _, err = run_cli(capsys, "experiment", "--config", config)
+    def test_bounds_keeps_a_huge_n(self, capsys):
+        # bounds sizes no array by n: its n stays unbounded
+        code, out, err = run_cli(capsys, "bounds", "--n", str(self.HUGE), "--l", "1", "--epsilon", "1")
         assert code == 0, err
-        assert (tmp_path / "a.csv").read_text().splitlines()[1].startswith(f"{self.HUGE},")
+        assert out.splitlines()[1].startswith(f"{self.HUGE},")
 
     def test_config_refuses_exact_range(self, tmp_path, capsys):
         # a sweep answers query batches; exact_range takes one query
@@ -727,21 +719,24 @@ class TestBounds:
         value = float(cells[header.index("upper_squared")])
         assert value == pytest.approx(4.68269437683e-3, rel=1e-9)
 
-    @pytest.mark.parametrize("L", [None, 2.5])
-    def test_row_matches_bounds_table_experiment(self, tmp_path, capsys, L):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({
-            "experiment": "bounds_table", "n_grid": [1000], "epsilon_grid": [0.7], "l": 2,
-            "a": -1.0, "b": 3.0, "c": 0.5, "L": L, "output": str(tmp_path / "bounds.csv"),
-        }))
-        code, _, err = run_cli(capsys, "experiment", "--config", str(config_path))
+    def test_grid_rows_epsilon_outer_n_inner(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--n", "10", "1000", "100", "--l", "2",
+                                 "--epsilon", "2", "0.5")
         assert code == 0, err
-        argv = ["--n", "1000", "--l", "2", "--epsilon", "0.7", "--a", "-1.0", "--b", "3.0", "--c", "0.5"]
-        if L is not None:
-            argv += ["--L", str(L)]
-        code, out, err = run_cli(capsys, "bounds", *argv)
-        assert code == 0, err
-        assert out.splitlines() == (tmp_path / "bounds.csv").read_text().splitlines()
+        lines = out.splitlines()
+        assert lines[0].startswith("n,l,epsilon")
+        points = [tuple(line.split(",")[:3]) for line in lines[1:]]
+        assert points == [(n, "2", eps) for eps in ("2", "0.5") for n in ("10", "1000", "100")]
+        # each row is the row its point prints alone
+        for line, (n, _, eps) in zip(lines[1:], points):
+            code, one, _ = run_cli(capsys, "bounds", "--n", n, "--l", "2", "--epsilon", eps)
+            assert code == 0 and one.splitlines()[1] == line
+
+    def test_invalid_grid_point_prints_nothing(self, capsys):
+        # the valid rows before the invalid point are not written either
+        code, out, err = run_cli(capsys, "bounds", "--n", "10", "20", "--l", "1", "--epsilon", "1", "nan")
+        assert code == 2 and out == ""
+        assert err.startswith("error[validation]: epsilon must be a finite number, got nan")
 
     def test_invalid_inputs_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--n", "0", "--l", "1", "--epsilon", "1")
@@ -764,16 +759,13 @@ class TestBounds:
         assert code == 2
         assert err.startswith("error[validation]") and out == ""
 
-    def test_bounds_table_at_large_epsilon(self, tmp_path, capsys):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({
-            "experiment": "bounds_table", "n_grid": [10], "epsilon_grid": [1000], "l": 3,
-            "output": str(tmp_path / "bounds.csv"),
-        }))
-        code, _, err = run_cli(capsys, "experiment", "--config", str(config_path))
+    def test_bounds_grid_at_large_epsilon(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--n", "10", "--l", "3", "--epsilon", "800", "1000")
         assert code == 0, err
-        lines = (tmp_path / "bounds.csv").read_text().splitlines()
-        assert lines[1] == "10,3,1000,0,1,1,,0.1,0.4,0.316227766,0.632455532,0,0,"
+        assert out.splitlines()[1:] == [
+            "10,3,800,0,1,1,,0.1,0.4,0.316227766,0.632455532,0,0,",
+            "10,3,1000,0,1,1,,0.1,0.4,0.316227766,0.632455532,0,0,",
+        ]
 
 
 class TestExperiment:
@@ -826,6 +818,32 @@ class TestExperiment:
         code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
         assert code == 2
         assert "error[config]" in err
+
+    def test_bounds_table_config_exit_2(self, tmp_path, capsys):
+        # the bound table is no experiment: ``dpsynth bounds`` prints it
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "bounds_table", "n_grid": [100, 1000],
+                                        "epsilon_grid": [0.5, 1.0], "l": 2, "output": str(tmp_path / "a.csv")}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error[config]: experiment must be one of ('heterogeneity', ")
+        assert not (tmp_path / "a.csv").exists()
+
+    @pytest.mark.parametrize("extra", [{"query_count": 7}, {"cut_count": 3, "graph_model": "power_law"}],
+                             ids=["query_count", "cut-fields"])
+    def test_key_the_experiment_does_not_read_exit_2(self, tmp_path, capsys, extra):
+        # query_set_size reads neither: taken, they would leave its CSV unchanged
+        cfg = {"experiment": "query_set_size", "n": 8, "l": 1, "set_sizes": [1, 2], "database_count": 2,
+               "trial_count": 2, "seed": 0, "output": str(tmp_path / "a.csv")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(capsys, "experiment", "--config", str(cfg_path))[0] == 0
+        (tmp_path / "a.csv").unlink()
+        cfg_path.write_text(json.dumps({**cfg, **extra}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error[config]: the query_set_size experiment reads no config keys {sorted(extra)}")
+        assert not (tmp_path / "a.csv").exists()
 
     @pytest.mark.parametrize(
         "key,value",
@@ -1053,7 +1071,8 @@ class TestNonUtf8Input:
         "q.json": json.dumps({"type": "predicate", "l": 1, "n": 2, "conjunct_bits": [0]}).encode(),
         "g.txt": b"0 1\n",
         "cut.txt": b"0\n1\n",
-        "cfg.json": json.dumps({"experiment": "bounds_table"}).encode(),
+        "cfg.json": json.dumps({"experiment": "heterogeneity", "n": 8, "l": 1, "query_count": 2,
+                                "trial_count": 2, "heterogeneity_grid": [1]}).encode(),
         "data.csv": b"rating\n3\n1\n",
         "schema.json": json.dumps({"columns": [{"name": "rating", "cardinality": 5}]}).encode(),
     }

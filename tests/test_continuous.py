@@ -188,6 +188,15 @@ class TestReleaseContinuous:
         answer = release_continuous(x, q, 700.0, RandomSource(0))
         assert abs(answer - 0.5) <= 0.25  # k = 2 at n = 256
 
+    def test_normalized_by_the_query_spread(self):
+        # the grid table 100 + {0, 1/4, 1/2, 3/4} spreads 3/4; normalized by
+        # that spread instead of the query's 1, the answer would be 134.0
+        q = LipschitzQuery(lambda u: 100.0 + u, lipschitz=1.0, lower=100.0, upper=101.0)
+        x = ContinuousDatabase(np.full(256, 0.5))
+        answer = release_continuous(x, q, 700.0, RandomSource(0))
+        assert 100.0 <= answer <= 101.0
+        assert abs(answer - 100.5) <= 1.0 * 2.0**-2  # k = 2 at n = 256
+
     def test_zero_epsilon_propagates(self):
         q = LipschitzQuery(lambda u: u, lipschitz=1.0, lower=0.0, upper=1.0)
         x = ContinuousDatabase(np.linspace(0, 1, 16))
@@ -244,10 +253,13 @@ class TestGridCache:
 
 
 class TestContinuousPinned:
-    """sha256 of release_continuous answers as computed before the grid query
-    was cached on the LipschitzQuery: the cache moves no draw."""
+    """sha256 of release_continuous answers. Pinned before the grid query was
+    cached on the LipschitzQuery, to show the cache moves no draw; re-pinned,
+    on the same seeds, when answers were first normalized by the query's own
+    spread instead of the grid table's (each answer is rescaled by
+    ``grid c / spread``, and no draw moves)."""
 
-    ANSWERS_SHA256 = "515d79290e810d129076bc174709d259aec452420de8d4ba8113a66e7f5f791c"
+    ANSWERS_SHA256 = "9835dae7589a8c3b32262fb2c99fd5b4910b94959de24080d6666908e0350293"
 
     def test_answers(self):
         queries = [

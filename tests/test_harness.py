@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -43,6 +45,34 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"experiment": "nonsense"})
 
+    @pytest.mark.parametrize(
+        "raw,unread",
+        [
+            ({"experiment": "query_set_size", "query_count": 7}, ["query_count"]),
+            ({"experiment": "query_set_size", "cut_count": 3, "graph_model": "power_law"},
+             ["cut_count", "graph_model"]),
+            ({"experiment": "heterogeneity", "set_sizes": [4]}, ["set_sizes"]),
+            ({"experiment": "database_scaling", "n": 64}, ["n"]),
+            ({"experiment": "cut_scaling", "l": 2, "query_count": 5}, ["l", "query_count"]),
+        ],
+        ids=["query-count", "cut-fields", "set-sizes", "n", "statistical-fields"],
+    )
+    def test_key_the_experiment_does_not_read_rejected(self, raw, unread):
+        # the sweep would ignore such a key and write the CSV it writes without it
+        message = f"the {raw['experiment']} experiment reads no config keys {unread}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+    def test_every_key_the_experiment_reads_accepted(self, experiment):
+        keys = harness._SHARED_KEYS | harness._EXPERIMENT_KEYS[experiment]
+        defaults = {f.name: f.default for f in dataclasses.fields(harness.ExperimentConfig) if f.name in keys}
+        assert config_from_dict({**defaults, "experiment": experiment}) == config_from_dict({"experiment": experiment})
+
+    def test_keys_cover_every_field(self):
+        keys = set().union(harness._SHARED_KEYS, *harness._EXPERIMENT_KEYS.values())
+        assert keys == {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
+
     def test_heterogeneity_must_divide(self):
         with pytest.raises(ConfigError):
             config_from_dict(
@@ -59,7 +89,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "experiment,grid",
         [("heterogeneity", "heterogeneity_grid"), ("query_set_size", "set_sizes"), ("database_scaling", "n_grid"),
-         ("cut_scaling", "vertex_grid"), ("bounds_table", "epsilon_grid"), ("bounds_table", "n_grid")],
+         ("cut_scaling", "vertex_grid")],
     )
     def test_null_grid_reads_as_its_default(self, experiment, grid):
         cfg = config_from_dict({"experiment": experiment, grid: None})
@@ -480,21 +510,6 @@ class TestDeterminism:
         run_experiment(cfg2)
         assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
 
-    def test_bounds_table_experiment(self, tmp_path):
-        cfg = config_from_dict(
-            {
-                "experiment": "bounds_table",
-                "n_grid": [100, 1000],
-                "epsilon_grid": [0.5, 1.0],
-                "l": 2,
-                "output": str(tmp_path / "bounds.csv"),
-            }
-        )
-        rows = run_experiment(cfg)
-        assert len(rows) == 4
-        text = (tmp_path / "bounds.csv").read_text()
-        assert text.splitlines()[0].startswith("n,l,epsilon")
-
 
 class TestSlopeHelpers:
     def test_weighted_slope_recovers_line(self):
@@ -652,12 +667,13 @@ class TestIngestion:
 
 
 class TestSweepPinned:
-    """sha256 of experiment CSVs and of one ``dpsynth bounds`` stdout, as
+    """sha256 of experiment CSVs and of ``dpsynth bounds`` stdout, as
     written before the sweeps shared one grid-point path and one CSV writer:
     the refactor moves no draw and no byte. ``query_set_size_large`` is
     criterion 7's size, where summation order is most exposed; it was
     pinned while the summary still read one whole (runs, databases,
-    queries) error array."""
+    queries) error array. The grid ``bounds`` stdout carries the pin of the
+    bound-table experiment it replaced: the same table, byte for byte."""
 
     CONFIGS = {
         "heterogeneity": {"experiment": "heterogeneity", "n": 64, "l": 2, "query_count": 16,
@@ -672,8 +688,6 @@ class TestSweepPinned:
                                  "trial_count": 20, "seed": 7},
         "database_scaling": {"experiment": "database_scaling", "n_grid": [64, 256, 1024], "l": 1,
                              "query_count": 10, "trial_count": 4, "seed": 11},
-        "bounds_table": {"experiment": "bounds_table", "n_grid": [100, 1000], "epsilon_grid": [0.5, 1.0],
-                         "l": 2, "a": -1.0, "b": 3.0, "c": 0.5, "L": 2.0},
     }
     CSV_SHA256 = {
         "heterogeneity": "e7d914da3266ba745aa57be8df572f748bf84739eda11c2f1e494bbc7ca3bc22",
@@ -681,9 +695,9 @@ class TestSweepPinned:
         "query_set_size": "1aeed62485631d9c105e263c4af1aaf02759757d9647cef609f1a8efc220c72e",
         "query_set_size_large": "103b5ee64ea329c614437087a2f43418ef7066215e08cca9fffb5802c1364b50",
         "database_scaling": "703a90d2627a84f2f3ffff04518c6873deb096b00d5ed11dc0e4f0c0fbd44313",
-        "bounds_table": "256073baf8a767982b60a8837b76aa3ef1892be0f5309516a134b12987e24d77",
     }
     BOUNDS_STDOUT_SHA256 = "2f12792494795b9fa6f33322515f555c53c8ba3fad82a8a50b7a100feeeb43f6"
+    BOUNDS_GRID_STDOUT_SHA256 = "256073baf8a767982b60a8837b76aa3ef1892be0f5309516a134b12987e24d77"
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_experiment_csv(self, tmp_path, capsys, name):
@@ -697,6 +711,12 @@ class TestSweepPinned:
                      "--b", "2.0", "--c", "0.25", "--L", "1.5"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == self.BOUNDS_STDOUT_SHA256
+
+    def test_bounds_grid_stdout(self, capsys):
+        assert main(["bounds", "--n", "100", "1000", "--l", "2", "--epsilon", "0.5", "1.0", "--a", "-1.0",
+                     "--b", "3.0", "--c", "0.5", "--L", "2.0"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.BOUNDS_GRID_STDOUT_SHA256
 
 
 class TestResultCsv:

@@ -39,7 +39,6 @@ EXPORTS = {
     "mechanism": ("MechanismParams", "exact_log_pmf", "realized_epsilon", "sample_synthetic", "verify_dp"),
     "queries": (
         "StatisticalQuery",
-        "centering_constant",
         "generate_random_query",
         "load_query",
         "make_hamming_query",
@@ -82,7 +81,7 @@ ALL = [
     "DimensionMismatchError", "DistortionReport", "EnumerationTooLargeError", "EstimatorUndefinedError",
     "ExperimentConfig", "LipschitzQuery", "MechanismParams", "RandomSource", "ResultRow",
     "StatisticalQuery", "ValidationError", "achievable_values", "adjacency_database", "answer_cut",
-    "bounds", "centering_constant", "choose_k", "config_from_dict", "continuous", "continuous_bound",
+    "bounds", "choose_k", "config_from_dict", "continuous", "continuous_bound",
     "core", "cut_bound", "cut_value", "discretize", "edges_database", "enumerate_databases",
     "estimate_unbiased", "estimators", "exact_distortion", "exact_log_pmf", "exact_unbiased_mse",
     "generate_random_query", "graph", "hamming_distance", "harness", "ingest_csv", "is_neighbor",

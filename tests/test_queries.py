@@ -35,7 +35,6 @@ from dpsynth.mechanism import MechanismParams, sample_synthetic
 from dpsynth.queries import (
     _INT_ARRAY_FIELDS,
     StatisticalQuery,
-    centering_constant,
     generate_random_query,
     load_query,
     make_hamming_query,
@@ -183,15 +182,15 @@ class TestCentering:
     def test_predicate_power_of_two(self, l):
         for k in range(1, l + 1):
             q = make_predicate_query(DataUniverse(l), 5, list(range(k)))
-            assert centering_constant(q) == pytest.approx(2.0 ** (l - k), abs=1e-12)
+            assert q.centering == pytest.approx(2.0 ** (l - k), abs=1e-12)
 
     def test_hamming_centering(self):
         q = make_hamming_query(db(3, [0, 5]))
-        assert centering_constant(q) == pytest.approx(2**3 - 1)
+        assert q.centering == pytest.approx(2**3 - 1)
 
     def test_single_indicator(self):
         q = StatisticalQuery(DataUniverse(1), np.array([[0.0, 1.0]]), np.array([0]))
-        assert centering_constant(q) == pytest.approx(1.0)
+        assert q.centering == pytest.approx(1.0)
 
 
 class TestPredicate:
