@@ -24,10 +24,14 @@ output (n*l <= 12) and is the oracle-grade ground truth.
 estimator at any n: rows are perturbed independently, so it is the sum of
 the per-row variances of the row functions under the row kernel, O(k * 2**l)
 for k tables. ``measure_distortion`` is the Monte Carlo path for realistic
-sizes; it draws the per-(table, code) counts of each release directly
-(``mechanism.sample_histograms``, O(trials * k * 2**l)) instead of its rows
-(O(trials * n)), since the estimators read nothing else. The enumeration and
-the Monte Carlo path report the applicable closed-form bound alongside.
+sizes. The estimators read only the per-(table, code) counts of a release,
+and it draws them in whichever of two exact ways costs less, by one rule on
+n against the k * 2**l bins: up to 8 rows per bin it releases rows
+(``mechanism.sample_rows``, the shipped kernel, O(trials * n)) and counts
+each chunk of them in one pass; above, it draws the counts themselves
+(``mechanism.sample_histograms``, the kernel with the nominal alpha,
+O(trials * k * 2**l)). The enumeration and the Monte Carlo path report the
+applicable closed-form bound alongside.
 """
 
 from __future__ import annotations
@@ -45,12 +49,14 @@ from .core import (
     EstimatorUndefinedError,
     RandomSource,
     ValidationError,
+    _check_codes,
     _check_int,
     _check_universe,
+    _count_codes,
     all_databases_matrix,
     enumeration_size,
 )
-from .mechanism import MechanismParams, log_pmf_all_outputs, sample_histograms
+from .mechanism import MechanismParams, _keep_threshold, log_pmf_all_outputs, sample_histograms, sample_rows
 from .queries import StatisticalQuery, _per_query
 
 ACHIEVABLE_CAP = 10**6
@@ -61,6 +67,14 @@ _BATCH_ESTIMATORS = ESTIMATORS[:2]  # the names a batch or a cut takes: exact_ra
 _MEASURES = {"squared": (np.square, bounds_mod.upper_bound_squared),
              "absolute": (np.abs, bounds_mod.upper_bound_absolute)}
 MEASURES = tuple(_MEASURES)
+# measure_distortion draws the rows of its releases when n <= this times the
+# k * 2**l bins of the query, their counts otherwise: a binomial costs more
+# than a row. Timed over l = 1..8 and k = 1..64, rows were faster at every
+# point with 4 or 8 rows per bin, counts at half of them with 16 and at 9
+# of 12 with 32
+_ROWS_PER_BIN = 8
+# rows of x one row-path chunk releases at most: x tiled 2**19 // n times
+_ROW_CHUNK = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -269,6 +283,39 @@ def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var / count)
 
 
+def _release_histograms(q: StatisticalQuery, x: Database, hist: np.ndarray, params: MechanismParams,
+                        gen: np.random.Generator, trials: int):
+    """The per-(table, code) counts of ``trials`` independent releases of x,
+    yielded in chunks (count, k, 2**l) whose sizes the query fixes.
+
+    With n <= _ROWS_PER_BIN * k * 2**l each chunk is one ``sample_rows``
+    release of x tiled ``count`` times (the shipped kernel: keep iff the
+    uniform is below K * 2**-53), counted in one pass through the stacked
+    offsets; the tiled rows and the offsets are built once, for the first
+    chunk, and sliced for a shorter last one. A chunk holds at most
+    _ROW_CHUNK rows and _HIST_BINS counts. Otherwise each chunk is drawn
+    from ``hist`` by ``sample_histograms`` (the kernel with the nominal
+    alpha, ``redraw_prob``), at most _HIST_BINS counts."""
+    k, card = q.heterogeneity, q.universe.cardinality
+    step = q._histograms_per_step()
+    if x.n > _ROWS_PER_BIN * k * card:
+        for start in range(0, trials, step):
+            yield sample_histograms(hist, params, gen, min(step, trials - start))
+        return
+    n, size = x.n, k * card
+    step = min(step, max(1, _ROW_CHUNK // n))
+    tiles = min(step, trials)
+    tiled = Database._adopt(x.universe, np.tile(x.rows, tiles))
+    offsets = q._stacked_offsets(tiles)
+    for start in range(0, trials, step):
+        count = min(step, trials - start)
+        release = tiled if count == tiles else Database._adopt(x.universe, tiled.rows[: count * n])
+        rows = sample_rows(release, params, gen)
+        # an out-of-range code would count silently into another trial's bins
+        _check_codes(rows, x.universe)
+        yield _count_codes(rows, count * size, offsets[: count * n]).reshape(count, k, card)
+
+
 def measure_distortion(
     q: StatisticalQuery,
     x: Database,
@@ -282,29 +329,42 @@ def measure_distortion(
     """Monte Carlo distortion of the chosen estimator at one database.
 
     Draws the per-(table, code) histograms of ``trials`` independent
-    releases (``sample_histograms``, exact in distribution; no synthetic
-    rows are drawn), evaluates the estimator on each and averages the
-    distortion. The trials are drawn in chunks of at most ``_HIST_BINS``
-    counts, a size fixed by the query alone, and the mean is accumulated
-    with exact (fsum) summation, so the result is reproducible to the last
-    bit for a given RandomSource.
+    releases, exact in distribution (``_release_histograms``), evaluates
+    the estimator on each and averages the distortion. Small databases,
+    n <= 8 * k * 2**l for k tables, are released row by row through
+    ``sample_rows``, whose kernel is the one a release ships; larger ones
+    have their counts drawn by ``sample_histograms``, with the nominal
+    alpha, without rows. The rule reads only the query and the database.
+    The chunks' sizes are fixed by the query alone, and the mean is
+    accumulated with exact (fsum) summation, so the result is reproducible
+    to the last bit for a given RandomSource. An epsilon the sampler's
+    53-bit threshold cannot realize raises ValidationError on either path,
+    as ``sample_rows`` would. From IDENTITY_EPSILON on every release is x
+    and none is drawn: each trial's error is the estimate at x, from the
+    truth's own product, so ``unbiased`` and ``proper`` report exactly 0.
     """
     _check_enums(estimator, measure)
     _check_single(q, "measure_distortion")
     trials = _check_int(trials, "trials", 1)
     _check_universe(params.universe, q.universe, "mechanism parameters and query")
+    # an epsilon sample_rows refuses is refused on the count path too
+    _keep_threshold(params.epsilon, params.universe.l)
     hist = q.database_histogram(x)
     qx = q.answers(hist)
-    gen = rng.generator()
     distortion, _ = _MEASURES[measure]
-    values = np.empty(trials)
-    step = q._histograms_per_step()
-    for start in range(0, trials, step):
-        count = min(step, trials - start)
-        synthetic = sample_histograms(hist, params, gen, count)
-        err = _estimates(q, q.answers(synthetic), params, estimator)
-        err -= qx
-        distortion(err, out=values[start : start + count])
+    if params.is_identity:
+        # every release is x. Its estimate takes the truth's own product: the
+        # matrix product may round equal histograms differently in a batch
+        values = np.full(trials, distortion(_estimates(q, q.answers(hist), params, estimator) - qx))
+    else:
+        values = np.empty(trials)
+        start = 0
+        for synthetic in _release_histograms(q, x, hist, params, rng.generator(), trials):
+            count = len(synthetic)
+            err = _estimates(q, q.answers(synthetic), params, estimator)
+            err -= qx
+            distortion(err, out=values[start : start + count])
+            start += count
     mean, stderr = _mean_and_stderr(values)
     return DistortionReport(
         query_id=q.label or "query",

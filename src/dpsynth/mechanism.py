@@ -34,11 +34,13 @@ release, which are all a statistical query's estimators read, can be drawn
 without drawing rows: ``sample_histograms`` draws the redrawn rows of each
 (table, code) bin as Binomial(count, alpha) and spreads each table's total
 uniformly over the codes with one Multinomial. That costs O(k * 2**l)
-draws per release for k tables, against O(n) for ``sample_rows``, which
-draws one release per call. A binomial draw costs more than a row's draw,
-so counts win only when n is well above k * 2**l; with one table per row
-they lose. ``sample_rows`` stays for the release itself and wherever one
-release is evaluated under several row-to-table assignments.
+draws per release for k tables, against O(n) for ``sample_rows``. A
+binomial draw costs more than a row's draw, so counts win only when n is
+well above k * 2**l: ``estimators.measure_distortion`` draws rows up to
+n = 8 * k * 2**l, releasing x tiled once per chunk of trials, and counts
+above. The two kernels differ by at most about 2**-53 per row:
+``sample_rows`` keeps a row iff its uniform is below K * 2**-53, while
+``sample_histograms`` redraws with the nominal alpha.
 
 ``verify_dp`` is a brute-force check of the privacy guarantee: it enumerates
 every neighbor pair and every output and reports the largest log-probability

@@ -45,7 +45,8 @@ from .core import (
 )
 
 # cap on the counts one chunk of histograms holds, in ``evaluate_rows`` and
-# in ``estimators.measure_distortion``
+# on both of ``estimators.measure_distortion``'s paths (its row path also
+# caps the rows of a chunk)
 _HIST_BINS = 1 << 22
 
 
@@ -216,13 +217,17 @@ class StatisticalQuery:
         _check_codes(rows, self.universe)
         lead = rows.shape[:-1]
         m = math.prod(lead)
-        offsets = self._offsets
-        if lead:
-            # each row of ``rows`` counts into its own block of bins
-            row_offsets = np.zeros(self.n, dtype=np.int64) if offsets is None else offsets
-            offsets = np.add.outer(np.arange(0, m * size, size), row_offsets).reshape(-1)
+        offsets = self._stacked_offsets(m) if lead else self._offsets
         counts = _count_codes(rows.reshape(-1), m * size, offsets)
         return counts.reshape(lead + (self.heterogeneity, card))
+
+    def _stacked_offsets(self, m: int) -> np.ndarray:
+        """int64 offsets (m * n,) of m stacked row vectors into the flat
+        (vector, table, code) bins of their m histograms: each vector counts
+        into its own block of bins."""
+        size = self.heterogeneity * self.universe.cardinality
+        row_offsets = np.zeros(self.n, dtype=np.int64) if self._offsets is None else self._offsets
+        return np.add.outer(np.arange(0, m * size, size), row_offsets).reshape(-1)
 
     def database_histogram(self, x: Database) -> np.ndarray:
         """``histogram(x.rows)``, after checking ``x`` against the query. A

@@ -35,9 +35,11 @@ from dpsynth.estimators import (
     project_proper,
 )
 from dpsynth.mechanism import (
+    IDENTITY_EPSILON,
     MechanismParams,
     exact_log_pmf,
     log_pmf_all_outputs,
+    sample_rows,
     sample_synthetic,
     verify_dp,
 )
@@ -523,11 +525,17 @@ class TestExactUnbiasedMse:
         mse = exact_unbiased_mse(make_predicate_query(u, n, [0]), x, params)
         assert mse == pytest.approx(expected, rel=1e-13)
 
+    # measure_distortion draws counts where n > 8 * h * 2**l, rows elsewhere
     @pytest.mark.parametrize(
         "l,n,h,trials,seed",
-        [(1, 10**4, 1, 4096, 41), (3, 4096, 64, 4096, 42)],
+        [
+            pytest.param(1, 10**4, 1, 4096, 41, id="counts-l1"),
+            pytest.param(3, 4096, 64, 4096, 42, id="rows-l3"),
+            pytest.param(3, 2**15, 64, 4096, 43, id="counts-l3"),
+            pytest.param(1, 1024, 64, 4096, 44, id="rows-l1"),
+        ],
     )
-    def test_count_sampled_monte_carlo_within_six_stderr(self, l, n, h, trials, seed):
+    def test_monte_carlo_both_paths_within_six_stderr(self, l, n, h, trials, seed):
         u = DataUniverse(l)
         gen = RandomSource(seed).generator()
         if h == 1:
@@ -540,6 +548,98 @@ class TestExactUnbiasedMse:
         report = measure_distortion(q, x, params, trials=trials, rng=RandomSource(seed, 2))
         assert abs(report.empirical_mean - exact) <= 6 * report.empirical_stderr
         assert exact <= report.analytic_bound
+
+
+def path_instance(l, n, h, seed=0):
+    """(query, database): a random h-table query and database of n rows."""
+    u = DataUniverse(l)
+    q = generate_random_query(u, n, h, RandomSource(seed, 1))
+    return q, Database(u, RandomSource(seed).generator().integers(0, u.cardinality, size=n))
+
+
+# (l, n, h) on the row side of measure_distortion's rule, n <= 8 * h * 2**l,
+# and on its count side
+ROW_SIDE = [(1, 16, 1), (3, 4096, 64)]
+COUNT_SIDE = [(1, 17, 1), (3, 4160, 64)]
+
+
+class TestMeasureDistortionPaths:
+    """measure_distortion draws a release's rows (``sample_rows``) when
+    n <= 8 * k * 2**l and its counts (``sample_histograms``) otherwise."""
+
+    @pytest.mark.parametrize("instance,path", [(i, "rows") for i in ROW_SIDE] + [(i, "counts") for i in COUNT_SIDE])
+    def test_the_rule_picks_the_path(self, monkeypatch, instance, path):
+        calls = []
+        for attr, name in (("sample_rows", "rows"), ("sample_histograms", "counts")):
+            def spy(*args, _name=name, _sampler=getattr(estimators, attr)):
+                calls.append(_name)
+                return _sampler(*args)
+            monkeypatch.setattr(estimators, attr, spy)
+        q, x = path_instance(*instance)
+        measure_distortion(q, x, MechanismParams(1.0, x.universe), trials=300, rng=RandomSource(1))
+        assert calls and set(calls) == {path}
+
+    def test_row_path_counts_tiled_releases(self):
+        # chunks of 2**19 // n trials, each one release of x tiled that many
+        # times from one stream: 43690, 43690 and a shorter last chunk
+        q, x = path_instance(2, 12, 3, seed=4)
+        params = MechanismParams(0.8, x.universe)
+        trials, step = 100_000, 2**19 // x.n
+        got = list(estimators._release_histograms(
+            q, x, q.database_histogram(x), params, RandomSource(5).generator(), trials))
+        gen = RandomSource(5).generator()
+        assert [len(h) for h in got] == [step, step, trials - 2 * step]
+        for hist in got:
+            rows = sample_rows(Database(x.universe, np.tile(x.rows, len(hist))), params, gen)
+            assert np.array_equal(hist, q.histogram(rows.reshape(len(hist), x.n)))
+
+    def test_trials_off_the_chunk_reproducible(self):
+        # 300 trials: two chunks of 2**19 // 4096 = 128 and 44 of a third
+        q, x = path_instance(3, 4096, 64)
+        params = MechanismParams(1.0, x.universe)
+        a, b = (measure_distortion(q, x, params, "proper", "absolute", trials=300, rng=RandomSource(6))
+                for _ in range(2))
+        assert (a.empirical_mean, a.empirical_stderr) == (b.empirical_mean, b.empirical_stderr)
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_unrealizable_epsilon_refused_on_both_paths(self, n):
+        # e^40 exceeds (2**53 - 1)(2**1 - 1): the sampler refuses it at l = 1
+        q, x = path_instance(1, n, 1)
+        params = MechanismParams(40.0, x.universe)
+        with pytest.raises(ValidationError, match="53-bit keep threshold"):
+            sample_rows(x, params, RandomSource(0).generator())
+        with pytest.raises(ValidationError, match="53-bit keep threshold"):
+            measure_distortion(q, x, params, trials=10, rng=RandomSource(0))
+
+    @pytest.mark.parametrize("instance", ROW_SIDE + COUNT_SIDE)
+    @pytest.mark.parametrize("eps", [IDENTITY_EPSILON, 1e4])
+    def test_identity_epsilon_exact_zero_on_both_paths(self, instance, eps):
+        # both samplers keep every row there; the report is exactly 0 even
+        # where the matrix product rounds a batch's equal answers apart (the
+        # 64-table instance)
+        q, x = path_instance(*instance)
+        params = MechanismParams(eps, x.universe)
+        hist = q.database_histogram(x)
+        for chunk in estimators._release_histograms(q, x, hist, params, RandomSource(7).generator(), 200):
+            assert (chunk == hist).all()
+        for estimator in ("unbiased", "proper"):
+            for measure in MEASURES:
+                report = measure_distortion(q, x, params, estimator, measure, trials=200, rng=RandomSource(7))
+                assert (report.empirical_mean, report.empirical_stderr) == (0.0, 0.0)
+
+    def test_peak_memory_at_benchmark_size(self):
+        # n = 4096, l = 3, h = 64 and 4096 trials, drawn on the row path: all
+        # 4096 histograms of one count draw would hold 16 MiB, and traced 34 MiB
+        q, x = path_instance(3, 4096, 64)
+        params = MechanismParams(1.0, x.universe)
+        measure_distortion(q, x, params, "proper", "absolute", trials=1, rng=RandomSource(8))
+        tracemalloc.start()
+        try:
+            measure_distortion(q, x, params, "proper", "absolute", trials=4096, rng=RandomSource(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20
 
 
 class TestArgumentChecks:

@@ -613,9 +613,8 @@ class TestSampleHistograms:
         assert out.tobytes() == expected.tobytes()
 
     def test_peak_memory_near_output(self):
-        # h = 64 tables at l = 3 and 4096 trials, as perfbench's
-        # measure_distortion draws them: the binomial draw and the
-        # arrivals, with the result written over the draw
+        # h = 64 tables at l = 3 and 4096 trials in one draw: the binomial
+        # draw and the arrivals, with the result written over the draw
         u = DataUniverse(3)
         hist = np.full((64, u.cardinality), 8, dtype=np.int64)
         gen = RandomSource(2).generator()

@@ -140,6 +140,22 @@ class TestImportFootprint:
             assert NOT_FOR_RELEASE.isdisjoint(modules), modules
 
 
+class TestModuleEntryPoint:
+    def test_python_m_dpsynth_runs_the_cli(self, capsys):
+        from dpsynth import cli
+
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        for args, status in ((["bounds", "--n", "100", "--l", "1", "--epsilon", "1"], 0),
+                             (["bounds", "--n", "0", "--l", "1", "--epsilon", "1"], 2)):
+            # bytes: the csv module ends rows in \r\n, which text mode would translate
+            proc = subprocess.run([sys.executable, "-m", "dpsynth", *args], env=env,
+                                  capture_output=True, check=False)
+            assert proc.returncode == status, proc.stderr
+            assert cli.main(args) == status
+            out = capsys.readouterr()
+            assert (proc.stdout.decode(), proc.stderr.decode()) == (out.out, out.err)
+
+
 class TestNamespace:
     def test_all_is_pinned(self):
         assert dpsynth.__all__ == ALL
