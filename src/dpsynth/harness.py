@@ -22,9 +22,10 @@ Conventions shared by the statistical sweeps:
 
 A config names its experiment and sets the shared keys and that
 experiment's own (``_EXPERIMENT_KEYS``); a key the experiment does not read
-is refused, never silently ignored. The closed-form bound table is not an
-experiment: ``dpsynth bounds`` prints it for any grid of n and epsilon,
-through the same ``_write_csv``.
+is refused, never silently ignored, and so is such a field set to other
+than its default in an ``ExperimentConfig`` built directly. The closed-form
+bound table is not an experiment: ``dpsynth bounds`` prints it for any grid
+of n and epsilon, through the same ``_write_csv``.
 
 Determinism: every random draw derives from the config seed through fixed
 stream indices, and rows are emitted in grid order, so identical configs
@@ -126,6 +127,7 @@ class ExperimentConfig:
     def __post_init__(self):
         self._check_types()
         _check_experiment(self.experiment)
+        self._check_unread()
         if self.estimator not in _BATCH_ESTIMATORS:
             raise ConfigError(f"estimator must be one of {_BATCH_ESTIMATORS} in a sweep, got {self.estimator!r}")
         if not self.epsilon > 0.0:
@@ -177,6 +179,17 @@ class ExperimentConfig:
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{name} must be a list, got {value!r}")
             object.__setattr__(self, name, tuple(_check_number(v, f"an entry of {name}", least) for v in value))
+
+    def _check_unread(self):
+        """Reject, with ConfigError, a field the experiment does not read
+        (``_SHARED_KEYS``, ``_EXPERIMENT_KEYS``) set to other than its
+        default: it would change nothing. ``config_from_dict`` refuses such a
+        key even at its default."""
+        read = _SHARED_KEYS | _EXPERIMENT_KEYS[self.experiment]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in read and value != f.default:
+                raise ConfigError(f"the {self.experiment} experiment does not read {f.name}, set to {value!r}")
 
 
 def _check_ascending(name: str, grid) -> None:

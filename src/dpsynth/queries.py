@@ -247,7 +247,13 @@ class StatisticalQuery:
         (...) for one query, (..., Q) for a batch, in a fresh float array.
         The counts and the tables are contracted in one matrix product, the
         flat (table, code) bins of every histogram against those of every
-        query."""
+        query.
+
+        The product is not row-independent: the BLAS (OpenBLAS, for one) may
+        round equal histograms differently by their row position, so an
+        answer from a batch of histograms can differ in the last bit from
+        the answer to the same histogram alone. Bit-exact comparisons must
+        answer the same shape of batch."""
         shape = (self.heterogeneity, self.universe.cardinality)
         if hist.shape[-2:] != shape:
             raise DimensionMismatchError(f"histograms must end in shape {shape}, got {hist.shape}")

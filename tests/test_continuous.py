@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 import tracemalloc
 import weakref
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from dpsynth.bounds import BoundInputs, continuous_bound
+from dpsynth import continuous
 from dpsynth.core import EstimatorUndefinedError, RandomSource, ValidationError
 from dpsynth.continuous import (
     ContinuousDatabase,
@@ -16,6 +18,8 @@ from dpsynth.continuous import (
     grid_query,
     release_continuous,
 )
+from dpsynth.estimators import _estimates
+from dpsynth.mechanism import MechanismParams, sample_synthetic
 
 
 class TestChooseK:
@@ -250,6 +254,88 @@ class TestGridCache:
         del q
         gc.collect()
         assert ref() is None  # no module-level cache keeps the query alive
+
+
+class TestGridCodes:
+    """The database keeps its grid codes, and a release answers from one
+    count of the drawn codes, with the bits of the composition it replaces."""
+
+    @staticmethod
+    def composed(x, q, epsilon, rng):
+        k = choose_k(x.n)
+        gq = grid_query(q, x.n, k)
+        xd = discretize(x, k)
+        params = MechanismParams(epsilon, xd.universe)
+        y = sample_synthetic(xd, params, rng)
+        return float(_estimates(gq, gq.evaluate(y), params, "proper")) * (gq.c / q.spread)
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 4096, 4097])
+    def test_bits_of_the_composition(self, n):
+        queries = [
+            LipschitzQuery(lambda u: u, 1.0, 0.0, 1.0),
+            LipschitzQuery(lambda u: u * u, 2.0, 0.0, 1.0),
+            # not dyadic on the grid, so the order of the float sums shows
+            LipschitzQuery(lambda u: math.sin(3.0 * u) / 3.0, 1.0, 0.0, 1.0 / 3.0),
+        ]
+        rows = RandomSource(11, 0, (n,)).generator().random(n)
+        rows[: min(n, 2)] = [1.0, 0.0][: min(n, 2)]  # the clamped top cell and the bottom one
+        x = ContinuousDatabase(rows)
+        for q in queries:
+            for eps in (0.3, 1.0, 700.0):
+                streams = [RandomSource(13, 1, (n, t)) for t in range(100)]
+                got = np.array([release_continuous(x, q, eps, r) for r in streams])
+                want = np.array([self.composed(x, q, eps, r) for r in streams])
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (q.fn, eps)
+
+    def test_discretized_once_per_k(self, monkeypatch):
+        calls = []
+
+        def counting(x, k):
+            calls.append(k)
+            return discretize(x, k)
+
+        monkeypatch.setattr(continuous, "discretize", counting)
+        q = LipschitzQuery(lambda u: u, 1.0, 0.0, 1.0)
+        x = ContinuousDatabase(np.linspace(0, 1, 256))
+        assert x._grids == {}  # filled on first use, not when the database is made
+        for t in range(20):
+            release_continuous(x, q, 1.0, RandomSource(4, 0, (t,)))
+        assert calls == [2]  # k = 2 at n = 256
+        assert continuous._grid_codes(x, 2) is continuous._grid_codes(x, 2)
+        continuous._grid_codes(x, 3)
+        assert calls == [2, 3]
+        release_continuous(ContinuousDatabase(np.linspace(0, 1, 256)), q, 1.0, RandomSource(4))
+        assert calls == [2, 3, 2]  # a new database discretizes anew
+
+    def test_codes_read_only_and_freed_with_the_database(self):
+        q = LipschitzQuery(lambda u: u, 1.0, 0.0, 1.0)
+        x = ContinuousDatabase(np.linspace(0, 1, 256))
+        release_continuous(x, q, 1.0, RandomSource(4))
+        codes = x._grids[2]
+        assert codes == discretize(x, 2)
+        assert not codes.rows.flags.writeable
+        with pytest.raises(ValueError):
+            codes.rows[0] = 1
+        with pytest.raises(AttributeError):
+            codes.rows = np.zeros(256, dtype=np.int64)
+        with pytest.raises(AttributeError):
+            x._grids = {}
+
+        refs = [weakref.ref(x), weakref.ref(codes.rows)]
+        del x, codes
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]  # no module-level cache keeps them alive
+
+    @pytest.mark.parametrize("n,limit", [(16, "36.74"), (4096, "38.68")], ids=["k=1", "k=3"])
+    def test_epsilon_above_the_keep_threshold_refused(self, n, limit):
+        # the sampler's 53-bit keep threshold realizes at most
+        # log((2**53 - 1)(2**k - 1)); the release reaches it through sample_rows
+        q = LipschitzQuery(lambda u: u, 1.0, 0.0, 1.0)
+        x = ContinuousDatabase(np.linspace(0, 1, n))
+        with pytest.raises(ValidationError, match=rf"epsilon=40.0 at l={choose_k(n)} is above {limit}"):
+            release_continuous(x, q, 40.0, RandomSource(0))
+        if n == 16:
+            assert 0.0 <= release_continuous(x, q, 36.0, RandomSource(0)) <= 1.0
 
 
 class TestContinuousPinned:

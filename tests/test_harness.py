@@ -69,6 +69,37 @@ class TestConfig:
         defaults = {f.name: f.default for f in dataclasses.fields(harness.ExperimentConfig) if f.name in keys}
         assert config_from_dict({**defaults, "experiment": experiment}) == config_from_dict({"experiment": experiment})
 
+    def test_direct_config_field_the_experiment_does_not_read_rejected(self, tmp_path):
+        # built directly, these fields used to be ignored, and the CSV was
+        # the one the default-valued config writes
+        base = dict(n=8, l=1, set_sizes=(1, 2), database_count=2, trial_count=2)
+        message = "the query_set_size experiment does not read query_count, set to 7"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            harness.ExperimentConfig("query_set_size", **base, query_count=7, cut_count=3, graph_model="power_law")
+        out = tmp_path / "r.csv"
+        run_experiment(harness.ExperimentConfig("query_set_size", **base), output=out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "503818d6d362595c671b45c5d979ad87e9e529dbf0730fdce36d8be38265ee70"
+        )
+
+    @pytest.mark.parametrize(
+        "experiment,field,value",
+        [
+            ("heterogeneity", "set_sizes", (4,)),
+            ("database_scaling", "n", 64),
+            ("cut_scaling", "l", 2),
+            ("query_set_size", "vertex_grid", (8, 16)),
+        ],
+    )
+    def test_direct_config_names_the_unread_field(self, experiment, field, value):
+        with pytest.raises(ConfigError, match=f"does not read {field}, set to"):
+            harness.ExperimentConfig(experiment, **{field: value})
+
+    @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+    def test_direct_config_at_defaults_accepted(self, experiment):
+        defaults = {f.name: f.default for f in dataclasses.fields(harness.ExperimentConfig) if f.name != "experiment"}
+        assert harness.ExperimentConfig(experiment, **defaults) == config_from_dict({"experiment": experiment})
+
     def test_keys_cover_every_field(self):
         keys = set().union(harness._SHARED_KEYS, *harness._EXPERIMENT_KEYS.values())
         assert keys == {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
