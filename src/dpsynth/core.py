@@ -110,6 +110,13 @@ def _check_real(value, what: str, error=ValidationError) -> float:
     raise error(f"{what} must be a finite number, got {value!r}")
 
 
+def _check_choice(value, choices: tuple, what: str, error=ValidationError) -> str:
+    """``value``, a string among the names ``choices``, else ``error``."""
+    if isinstance(value, str) and value in choices:
+        return value
+    raise error(f"{what} must be one of {choices}, got {value!r}")
+
+
 def _not_utf8(path, exc: UnicodeDecodeError, error=ValidationError) -> ValidationError:
     return error(f"{path}: not UTF-8 text ({exc.reason})")
 

@@ -49,6 +49,7 @@ from .core import (
     EstimatorUndefinedError,
     RandomSource,
     ValidationError,
+    _check_choice,
     _check_codes,
     _check_int,
     _check_universe,
@@ -194,8 +195,7 @@ def project_proper(q: StatisticalQuery, raw, strategy: str = "interval_clamp"):
     raw = np.asarray(raw, dtype=np.float64)
     if raw.shape != q.tables.shape[:-2]:
         raise DimensionMismatchError(f"raw estimates must have shape {q.tables.shape[:-2]}, got {raw.shape}")
-    if strategy not in ("interval_clamp", "exact_range"):
-        raise ValidationError(f"unknown projection strategy {strategy!r}")
+    _check_choice(strategy, ("interval_clamp", "exact_range"), "projection strategy")
     estimator = "proper" if strategy == "interval_clamp" else strategy
     return _per_query(_project(raw, estimator, q.value_range(), q))
 
@@ -215,10 +215,8 @@ def _check_single(q: StatisticalQuery, what: str) -> None:
 
 
 def _check_enums(estimator: str, measure: str) -> None:
-    if estimator not in ESTIMATORS:
-        raise ValidationError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    if measure not in MEASURES:
-        raise ValidationError(f"measure must be one of {MEASURES}, got {measure!r}")
+    _check_choice(estimator, ESTIMATORS, "estimator")
+    _check_choice(measure, MEASURES, "measure")
 
 
 def exact_distortion(

@@ -20,12 +20,13 @@ Conventions shared by the statistical sweeps:
 * Every ``analytic_bound`` column is computed by the ``bounds`` module from
   the generated query set's own class constants.
 
-A config names its experiment and sets the shared keys and that
-experiment's own (``_EXPERIMENT_KEYS``); a key the experiment does not read
-is refused, never silently ignored, and so is such a field set to other
-than its default in an ``ExperimentConfig`` built directly. The closed-form
-bound table is not an experiment: ``dpsynth bounds`` prints it for any grid
-of n and epsilon, through the same ``_write_csv``.
+Each ``ExperimentConfig`` field declares, once (``_key``), its default,
+its kind and the experiments that read it. A config key the experiment does
+not read is refused (``_refuse_unread``), never silently ignored, and so is
+such a field set to other than its default in an ``ExperimentConfig`` built
+directly. A null or absent grid takes its default; an empty one is refused.
+The closed-form bound table is not an experiment: ``dpsynth bounds`` prints
+it for any grid of n and epsilon, through the same ``_write_csv``.
 
 Determinism: every random draw derives from the config seed through fixed
 stream indices, and rows are emitted in grid order, so identical configs
@@ -37,7 +38,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .core import (
     DataUniverse,
     RandomSource,
     ValidationError,
+    _check_choice,
     _check_int,
     _check_real,
     _check_size,
@@ -68,16 +70,7 @@ from .graph import (
 from .mechanism import MechanismParams, sample_rows
 from .queries import generate_random_query
 
-# the config keys every experiment reads, and those each one adds
-_SHARED_KEYS = frozenset({"experiment", "seed", "output", "epsilon", "trial_count", "estimator"})
-_EXPERIMENT_KEYS = {
-    "heterogeneity": {"n", "l", "query_count", "heterogeneity_grid"},
-    "query_set_size": {"n", "l", "set_sizes", "database_count"},
-    "database_scaling": {"l", "n_grid", "query_count"},
-    "cut_scaling": {"vertex_grid", "graph_model", "graph_param", "cut_count"},
-}
-EXPERIMENTS = tuple(_EXPERIMENT_KEYS)
-
+EXPERIMENTS = ("heterogeneity", "query_set_size", "database_scaling", "cut_scaling")
 GRAPH_MODELS = ("erdos_renyi", "power_law")
 
 # stream indices hung off the config seed; fixed so results are reproducible
@@ -88,130 +81,133 @@ _S_GRAPH = 4
 _S_CUTS = 5
 
 
-# the type each config field must have; a parsed JSON config guarantees none.
-# A number field or grid maps to its least integer, "size" if it sizes an array, or None if it is real
-_STR_FIELDS = ("experiment", "output", "graph_model", "estimator")
-_NUMBER_FIELDS = {"seed": 0, "l": 1, "n": "size", "query_count": "size", "database_count": 1, "cut_count": 1,
-                  "trial_count": 1, "epsilon": None, "graph_param": None}
-_GRIDS = {"n_grid": "size", "heterogeneity_grid": 1, "set_sizes": "size", "vertex_grid": 2}
+def _key(default, kind, *readers):
+    """A config field: its default, its kind and the experiments that read
+    it (every one, if none is named). The kind is ``str``, a tuple of the
+    allowed names, a least integer, ``"size"`` if it sizes an array,
+    ``float`` for a finite real, or a list of one of these number kinds for
+    a grid of them."""
+    return field(default=default, metadata={"kind": kind, "readers": readers or EXPERIMENTS})
 
 
-def _check_number(value, what: str, least):
-    if least is None:
+def _check_value(value, what: str, kind):
+    if kind is str:
+        if isinstance(value, str):
+            return value
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    if isinstance(kind, tuple):
+        return _check_choice(value, kind, what, ConfigError)
+    if kind is float:
         return _check_real(value, what, ConfigError)
-    return _check_size(value, what, ConfigError) if least == "size" else _check_int(value, what, least, ConfigError)
+    return _check_size(value, what, ConfigError) if kind == "size" else _check_int(value, what, kind, ConfigError)
+
+
+def _refuse_unread(keys, read, what: str, error) -> None:
+    """Refuse, with ``error``, any of ``keys`` outside ``read``: a key nothing
+    reads would change nothing, so it is never silently ignored."""
+    unread = set(keys).difference(read)
+    if unread:
+        raise error(f"{what} does not read {sorted(unread)}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; see ``config_from_dict``."""
 
-    experiment: str
-    seed: int = 0
-    output: str = "results.csv"
-    epsilon: float = 1.0
-    l: int = 3
-    n: int = 1024
-    n_grid: tuple = ()
-    query_count: int = 200
-    heterogeneity_grid: tuple = ()
-    set_sizes: tuple = (64, 1024, 16384)
-    database_count: int = 50
-    vertex_grid: tuple = (64, 128, 256, 512)
-    graph_model: str = "erdos_renyi"
-    graph_param: float = 0.05
-    cut_count: int = 100
-    trial_count: int = 20
-    estimator: str = "unbiased"
+    experiment: str = _key(MISSING, EXPERIMENTS)
+    seed: int = _key(0, 0)
+    output: str = _key("results.csv", str)
+    epsilon: float = _key(1.0, float)
+    l: int = _key(3, 1, "heterogeneity", "query_set_size", "database_scaling")
+    n: int = _key(1024, "size", "heterogeneity", "query_set_size")
+    n_grid: tuple = _key(tuple(2**k for k in range(10, 17)), ["size"], "database_scaling")
+    query_count: int = _key(200, "size", "heterogeneity", "database_scaling")
+    # None: every power of two up to n/2 (``_heterogeneity_grid``)
+    heterogeneity_grid: tuple | None = _key(None, [1], "heterogeneity")
+    set_sizes: tuple = _key((64, 1024, 16384), ["size"], "query_set_size")
+    database_count: int = _key(50, 1, "query_set_size")
+    vertex_grid: tuple = _key((64, 128, 256, 512), [2], "cut_scaling")
+    graph_model: str = _key("erdos_renyi", GRAPH_MODELS, "cut_scaling")
+    graph_param: float = _key(0.05, float, "cut_scaling")
+    cut_count: int = _key(100, 1, "cut_scaling")
+    trial_count: int = _key(20, 1)
+    estimator: str = _key("unbiased", _BATCH_ESTIMATORS)
 
     def __post_init__(self):
-        self._check_types()
-        _check_experiment(self.experiment)
-        self._check_unread()
-        if self.estimator not in _BATCH_ESTIMATORS:
-            raise ConfigError(f"estimator must be one of {_BATCH_ESTIMATORS} in a sweep, got {self.estimator!r}")
+        self._check_kinds()
+        off_default = [f.name for f in fields(self) if getattr(self, f.name) != f.default]
+        _refuse_unread(off_default, _reads(self.experiment), f"the {self.experiment} experiment", ConfigError)
         if not self.epsilon > 0.0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.experiment == "heterogeneity":
-            # default: every power of two up to n/2
-            grid = self.heterogeneity_grid or tuple(1 << k for k in range(int(self.n).bit_length() - 1))
+            grid = _heterogeneity_grid(self)
             if not grid:
                 raise ConfigError("heterogeneity grid must be nonempty")
             for h in grid:
                 if h > self.n or self.n % h != 0:
                     raise ConfigError(f"heterogeneity {h} must divide n={self.n}")
-            object.__setattr__(self, "heterogeneity_grid", grid)
         if self.experiment == "query_set_size":
             _check_ascending("set_sizes", self.set_sizes)
         if self.experiment == "database_scaling":
-            grid = self.n_grid or tuple(2**k for k in range(10, 17))
-            _check_ascending("n_grid", grid)
-            if len(grid) >= 2 and max(grid) < 10 * min(grid):
+            _check_ascending("n_grid", self.n_grid)
+            if len(self.n_grid) >= 2 and max(self.n_grid) < 10 * min(self.n_grid):
                 raise ConfigError("n_grid should span at least one decade for a slope fit")
-            object.__setattr__(self, "n_grid", grid)
         if self.experiment == "cut_scaling":
             _check_ascending("vertex_grid", self.vertex_grid)
             if max(self.vertex_grid) ** 2 > MAX_ENCODED_PAIRS:
                 raise ConfigError(f"vertex_grid: |V|^2 = {max(self.vertex_grid) ** 2} exceeds the "
                                   f"{MAX_ENCODED_PAIRS} encoded-pair cap")
-            if self.graph_model not in GRAPH_MODELS:
-                raise ConfigError(f"graph_model must be one of {GRAPH_MODELS}")
             p = self.graph_param
             if self.graph_model == "erdos_renyi" and not 0.0 <= p <= 1.0:
                 raise ConfigError(f"erdos_renyi graph_param must be a probability in [0, 1], got {p}")
             if self.graph_model == "power_law" and not (1 <= p < min(self.vertex_grid) and p % 1 == 0):
                 raise ConfigError(f"power_law graph_param must be an integer in [1, min(vertex_grid)), got {p}")
 
-    def _check_types(self):
-        """Reject a field of the wrong type, or an integer below its least
-        value, with ConfigError, before any comparison or arithmetic could
-        raise TypeError; each grid becomes a tuple of ints, and a null grid
-        reads as its field's default."""
-        for name in _STR_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, str):
-                raise ConfigError(f"{name} must be a string, got {value!r}")
-        for name, least in _NUMBER_FIELDS.items():
-            object.__setattr__(self, name, _check_number(getattr(self, name), name, least))
-        defaults = {f.name: f.default for f in fields(self)}
-        for name, least in _GRIDS.items():
-            value = defaults[name] if getattr(self, name) is None else getattr(self, name)
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{name} must be a list, got {value!r}")
-            object.__setattr__(self, name, tuple(_check_number(v, f"an entry of {name}", least) for v in value))
-
-    def _check_unread(self):
-        """Reject, with ConfigError, a field the experiment does not read
-        (``_SHARED_KEYS``, ``_EXPERIMENT_KEYS``) set to other than its
-        default: it would change nothing. ``config_from_dict`` refuses such a
-        key even at its default."""
-        read = _SHARED_KEYS | _EXPERIMENT_KEYS[self.experiment]
+    def _check_kinds(self):
+        """Reject, field by field, a value not of its declared kind with
+        ConfigError, before any comparison or arithmetic could raise
+        TypeError. Each grid becomes a nonempty tuple; a null grid reads as
+        its default."""
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name not in read and value != f.default:
-                raise ConfigError(f"the {self.experiment} experiment does not read {f.name}, set to {value!r}")
+            value, kind = getattr(self, f.name), f.metadata["kind"]
+            if isinstance(kind, list):
+                value = f.default if value is None else value
+                if value is None:  # the derived heterogeneity grid
+                    continue
+                if not isinstance(value, (list, tuple)) or not value:
+                    raise ConfigError(f"{f.name} must be a nonempty list, got {value!r}")
+                value = tuple(_check_value(v, f"an entry of {f.name}", kind[0]) for v in value)
+            else:
+                value = _check_value(value, f.name, kind)
+            object.__setattr__(self, f.name, value)
+
+
+def _reads(experiment: str) -> set:
+    """The config keys ``experiment`` reads."""
+    return {f.name for f in fields(ExperimentConfig) if experiment in f.metadata["readers"]}
+
+
+def _heterogeneity_grid(config: ExperimentConfig) -> tuple:
+    """The config's heterogeneity grid, by default every power of two up to n/2."""
+    if config.heterogeneity_grid is not None:
+        return config.heterogeneity_grid
+    return tuple(1 << k for k in range(config.n.bit_length() - 1))
 
 
 def _check_ascending(name: str, grid) -> None:
-    if not grid or list(grid) != sorted(set(grid)):
+    if list(grid) != sorted(set(grid)):
         raise ConfigError(f"{name} must be nonempty, ascending and distinct, got {grid!r}")
 
 
-def _check_experiment(experiment) -> None:
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from parsed JSON, refusing a key its experiment does not read."""
+    """Build a config from parsed JSON, refusing a key its experiment does
+    not read before any value is checked, even at its default."""
     if not isinstance(raw, dict):
         raise ConfigError("experiment config must be a JSON object")
     if "experiment" not in raw:
         raise ConfigError("config needs an 'experiment' field")
-    _check_experiment(raw["experiment"])
-    unread = set(raw) - _SHARED_KEYS - _EXPERIMENT_KEYS[raw["experiment"]]
-    if unread:
-        raise ConfigError(f"the {raw['experiment']} experiment reads no config keys {sorted(unread)}")
+    experiment = _check_choice(raw["experiment"], EXPERIMENTS, "experiment", ConfigError)
+    _refuse_unread(raw, _reads(experiment), f"the {experiment} experiment", ConfigError)
     return ExperimentConfig(**raw)
 
 
@@ -357,7 +353,7 @@ def run_heterogeneity_sweep(config: ExperimentConfig, rng: RandomSource) -> list
     x = _random_database(universe, config.n, rng.derive(_S_DATABASE))
     releases = [_release_runs(x, params, rng, config.trial_count)]
     out = []
-    for gi, h in enumerate(config.heterogeneity_grid):
+    for gi, h in enumerate(_heterogeneity_grid(config)):
         qs = generate_random_query(universe, config.n, h, rng.derive(_S_QUERIES, gi), count=config.query_count)
         out.append(_statistical_row(config, h, qs, [x], releases, params, "absolute"))
     return out
@@ -452,9 +448,7 @@ def load_ingestion_schema(source) -> dict:
     raw = source if isinstance(source, dict) else _read_json(source, ConfigError)
     if not isinstance(raw, dict) or not isinstance(raw.get("columns"), list):
         raise ConfigError("schema needs a 'columns' list")
-    unknown = set(raw) - {"columns", "has_header"}
-    if unknown:
-        raise ConfigError(f"unknown schema keys: {sorted(unknown)}")
+    _refuse_unread(raw, ("columns", "has_header"), "the schema", ConfigError)
     has_header = raw.get("has_header", True)
     if not isinstance(has_header, bool):
         raise ConfigError(f"has_header must be true or false, got {has_header!r}")
@@ -463,9 +457,7 @@ def load_ingestion_schema(source) -> dict:
     for idx, col in enumerate(raw["columns"]):
         if not isinstance(col, dict):
             raise ConfigError(f"column {idx} must be an object, got {col!r}")
-        unknown = set(col) - {"name", "cardinality", "values"}
-        if unknown:
-            raise ConfigError(f"column {idx}: unknown keys {sorted(unknown)}")
+        _refuse_unread(col, ("name", "cardinality", "values"), f"schema column {idx}", ConfigError)
         name = col.get("name", f"col{idx}")
         if not isinstance(name, str) or any(c["name"] == name for c in columns):
             raise ConfigError(f"column {idx}: name must be a string unique in the schema, got {name!r}")

@@ -35,6 +35,7 @@ from .core import (
     DimensionMismatchError,
     RandomSource,
     ValidationError,
+    _check_choice,
     _check_codes,
     _check_int,
     _check_size,
@@ -428,8 +429,7 @@ def query_from_dict(spec: dict) -> StatisticalQuery:
         kind = spec["type"]
     except (TypeError, KeyError):
         raise ValidationError("query definition needs a 'type' field") from None
-    if kind not in ("predicate", "hamming", "tables"):
-        raise ValidationError(f"unknown query type {kind!r}")
+    _check_choice(kind, ("predicate", "hamming", "tables"), "query type")
     universe = DataUniverse(_int_field(spec, "l"))
     if kind == "predicate":
         bits = _array_field(spec, "conjunct_bits", 1, integer=True)

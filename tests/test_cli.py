@@ -377,10 +377,18 @@ class TestBadNumbersExit2:
         assert code == 0, err
         assert out.splitlines()[1].startswith(f"{self.HUGE},")
 
+    @pytest.mark.parametrize("experiment,grid", [("database_scaling", "n_grid"),
+                                                 ("heterogeneity", "heterogeneity_grid")])
+    def test_config_empty_grid(self, tmp_path, capsys, experiment, grid):
+        # an empty grid used to run the default one; only null or absent does
+        config = self._config(tmp_path, experiment=experiment, **{grid: []})
+        self._exit_2(capsys, "config", f"{grid} must be a nonempty list, got []", "experiment", "--config", config)
+        assert not (tmp_path / "a.csv").exists()
+
     def test_config_refuses_exact_range(self, tmp_path, capsys):
         # a sweep answers query batches; exact_range takes one query
         config = self._config(tmp_path, **self.SWEEP, estimator="exact_range")
-        self._exit_2(capsys, "config", "estimator must be one of ('unbiased', 'proper') in a sweep, got 'exact_range'",
+        self._exit_2(capsys, "config", "estimator must be one of ('unbiased', 'proper'), got 'exact_range'",
                      "experiment", "--config", config)
 
 
@@ -842,7 +850,7 @@ class TestExperiment:
         cfg_path.write_text(json.dumps({**cfg, **extra}))
         code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
         assert code == 2 and out == ""
-        assert err.startswith(f"error[config]: the query_set_size experiment reads no config keys {sorted(extra)}")
+        assert err.startswith(f"error[config]: the query_set_size experiment does not read {sorted(extra)}")
         assert not (tmp_path / "a.csv").exists()
 
     @pytest.mark.parametrize(

@@ -360,3 +360,18 @@ class TestContinuousPinned:
                     base = RandomSource(29, 2, (n,))
                     answers += [release_continuous(x, q, eps, base.derive(t)) for t in range(50)]
         assert hashlib.sha256(repr(answers).encode()).hexdigest() == self.ANSWERS_SHA256
+
+    # u and u^2 have dyadic grid tables and spread 1, so every product and sum
+    # above is exact; sin(3u)/3 is not, so a change in the order of an
+    # answer's float operations moves this pin
+    NON_DYADIC_SHA256 = "7bcf6300e738d1fd53837ab398c748ee252d272b806c72119a899003ee9882c0"
+
+    def test_non_dyadic_answers(self):
+        q = LipschitzQuery(lambda u: math.sin(3.0 * u) / 3.0, 1.0, 0.0, 1.0 / 3.0)
+        answers = []
+        for n in (256, 4096):
+            x = ContinuousDatabase(RandomSource(5, 1, (n,)).generator().random(n))
+            for eps in (1.0, 0.3):
+                base = RandomSource(29, 2, (n,))
+                answers += [release_continuous(x, q, eps, base.derive(t)) for t in range(50)]
+        assert hashlib.sha256(repr(answers).encode()).hexdigest() == self.NON_DYADIC_SHA256

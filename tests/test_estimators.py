@@ -250,7 +250,7 @@ class TestProjection:
 
     def test_unknown_strategy_rejected(self):
         q = make_predicate_query(DataUniverse(1), 4, [0])
-        with pytest.raises(ValidationError, match="unknown projection strategy 'nearest'"):
+        with pytest.raises(ValidationError, match="projection strategy must be one of \\('interval_clamp', 'exact_range'\\), got 'nearest'"):
             project_proper(q, 0.3, "nearest")
 
     def test_achievable_dp_matches_enumeration(self):

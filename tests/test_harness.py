@@ -59,21 +59,23 @@ class TestConfig:
     )
     def test_key_the_experiment_does_not_read_rejected(self, raw, unread):
         # the sweep would ignore such a key and write the CSV it writes without it
-        message = f"the {raw['experiment']} experiment reads no config keys {unread}"
+        message = f"the {raw['experiment']} experiment does not read {unread}"
         with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict(raw)
 
     @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
     def test_every_key_the_experiment_reads_accepted(self, experiment):
-        keys = harness._SHARED_KEYS | harness._EXPERIMENT_KEYS[experiment]
-        defaults = {f.name: f.default for f in dataclasses.fields(harness.ExperimentConfig) if f.name in keys}
+        # each field declares the experiments that read it
+        defaults = {f.name: f.default for f in dataclasses.fields(harness.ExperimentConfig)
+                    if experiment in f.metadata["readers"]}
+        assert "experiment" in defaults and "seed" in defaults
         assert config_from_dict({**defaults, "experiment": experiment}) == config_from_dict({"experiment": experiment})
 
     def test_direct_config_field_the_experiment_does_not_read_rejected(self, tmp_path):
         # built directly, these fields used to be ignored, and the CSV was
         # the one the default-valued config writes
         base = dict(n=8, l=1, set_sizes=(1, 2), database_count=2, trial_count=2)
-        message = "the query_set_size experiment does not read query_count, set to 7"
+        message = "the query_set_size experiment does not read ['cut_count', 'graph_model', 'query_count']"
         with pytest.raises(ConfigError, match=re.escape(message)):
             harness.ExperimentConfig("query_set_size", **base, query_count=7, cut_count=3, graph_model="power_law")
         out = tmp_path / "r.csv"
@@ -92,17 +94,13 @@ class TestConfig:
         ],
     )
     def test_direct_config_names_the_unread_field(self, experiment, field, value):
-        with pytest.raises(ConfigError, match=f"does not read {field}, set to"):
+        with pytest.raises(ConfigError, match=re.escape(f"the {experiment} experiment does not read ['{field}']")):
             harness.ExperimentConfig(experiment, **{field: value})
 
     @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
     def test_direct_config_at_defaults_accepted(self, experiment):
         defaults = {f.name: f.default for f in dataclasses.fields(harness.ExperimentConfig) if f.name != "experiment"}
         assert harness.ExperimentConfig(experiment, **defaults) == config_from_dict({"experiment": experiment})
-
-    def test_keys_cover_every_field(self):
-        keys = set().union(harness._SHARED_KEYS, *harness._EXPERIMENT_KEYS.values())
-        assert keys == {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
 
     def test_heterogeneity_must_divide(self):
         with pytest.raises(ConfigError):
@@ -112,10 +110,33 @@ class TestConfig:
 
     def test_default_heterogeneity_grid(self):
         cfg = config_from_dict({"experiment": "heterogeneity", "n": 64})
-        assert cfg.heterogeneity_grid == (1, 2, 4, 8, 16, 32)
-        # a null grid is read as empty, which selects the default
-        cfg = config_from_dict({"experiment": "heterogeneity", "n": 64, "heterogeneity_grid": None})
-        assert cfg.heterogeneity_grid == (1, 2, 4, 8, 16, 32)
+        assert cfg.heterogeneity_grid is None
+        assert harness._heterogeneity_grid(cfg) == (1, 2, 4, 8, 16, 32)
+        # a null grid reads as its default
+        assert config_from_dict({"experiment": "heterogeneity", "n": 64, "heterogeneity_grid": None}) == cfg
+
+    def test_default_heterogeneity_grid_follows_n(self):
+        # the default grid is derived from n when the sweep runs, so a
+        # replaced n gets its own powers of two, 16 included
+        cfg = dataclasses.replace(harness.ExperimentConfig("heterogeneity", n=16, query_count=4, trial_count=2), n=32)
+        rows = run_heterogeneity_sweep(cfg, RandomSource(0))
+        assert [r.grid_point for r in rows] == [1, 2, 4, 8, 16]
+
+    def test_replaced_experiment_keeps_the_default_n_grid(self):
+        # n_grid's default is its own grid, not one written in for
+        # database_scaling, so the heterogeneity config holds a default
+        cfg = dataclasses.replace(harness.ExperimentConfig("database_scaling"), experiment="heterogeneity")
+        assert cfg == harness.ExperimentConfig("heterogeneity")
+
+    @pytest.mark.parametrize(
+        "experiment,grid",
+        [("heterogeneity", "heterogeneity_grid"), ("query_set_size", "set_sizes"), ("database_scaling", "n_grid"),
+         ("cut_scaling", "vertex_grid")],
+    )
+    def test_empty_grid_rejected(self, experiment, grid):
+        # only a null or absent grid takes the default
+        with pytest.raises(ConfigError, match=re.escape(f"{grid} must be a nonempty list, got []")):
+            config_from_dict({"experiment": experiment, grid: []})
 
     @pytest.mark.parametrize(
         "experiment,grid",
@@ -653,8 +674,8 @@ class TestIngestion:
             ({"columns": [{"name": 3, "cardinality": 2}]}, "name"),
             ({"columns": [{"name": "a", "cardinality": 4}, {"name": "a", "cardinality": 2}]}, "unique"),
             ({"columns": [{"name": "x", "cardinality": 2}], "has_header": "false"}, "has_header"),
-            ({"columns": [{"name": "x", "cardinality": 2}], "header": True}, "unknown schema keys"),
-            ({"columns": [{"name": "x", "cardinality": 2, "bits": 1}]}, "column 0: unknown keys"),
+            ({"columns": [{"name": "x", "cardinality": 2}], "header": True}, "the schema does not read"),
+            ({"columns": [{"name": "x", "cardinality": 2, "bits": 1}]}, "schema column 0 does not read"),
             ({"columns": [{"name": "a", "cardinality": 2**16}, {"name": "b", "cardinality": 2**15 + 1}]},
              "needs 32 bits"),
         ],
