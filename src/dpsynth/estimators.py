@@ -27,16 +27,29 @@ for k tables. ``measure_distortion`` is the Monte Carlo path for realistic
 sizes. The estimators read only the per-(table, code) counts of a release,
 and it draws them in whichever of two exact ways costs less, by one rule on
 n against the k * 2**l bins: up to 8 rows per bin it releases rows
-(``mechanism.sample_rows``, the shipped kernel, O(trials * n)) and counts
-each chunk of them in one pass; above, it draws the counts themselves
-(``mechanism.sample_histograms``, the kernel with the nominal alpha,
-O(trials * k * 2**l)). The enumeration and the Monte Carlo path report the
-applicable closed-form bound alongside.
+(the draws and the ``_place`` of ``mechanism.sample_rows``, the shipped
+kernel, O(trials * n)) and counts each chunk of them in one pass; above, it
+draws the counts themselves (``mechanism.sample_histograms``, the kernel
+with the nominal alpha, O(trials * k * 2**l)). The enumeration and the
+Monte Carlo path report the applicable closed-form bound alongside.
+
+The row path is a two-stage pipeline on two threads. The calling thread
+makes every draw, from the one generator in chunk order, allocates every
+array, and counts each chunk. A worker thread makes the previous chunk's
+release from its draws, in place (``_bin_rows``: ``_place``, the code
+check and the bin offsets). So one chunk is released while the next is
+drawn, and counted while the next is released. At most one worker is
+alive, and it is joined before ``measure_distortion`` returns or raises;
+what it raises is raised on the calling thread. A call of one chunk, or
+of chunks below 2**16 rows, runs the step inline. The bits are those of
+one thread: nothing the worker does draws.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +70,15 @@ from .core import (
     all_databases_matrix,
     enumeration_size,
 )
-from .mechanism import MechanismParams, _keep_threshold, log_pmf_all_outputs, sample_histograms, sample_rows
+from .mechanism import (
+    _BLOCK,
+    MechanismParams,
+    _draw_rows,
+    _keep_threshold,
+    _place,
+    log_pmf_all_outputs,
+    sample_histograms,
+)
 from .queries import StatisticalQuery, _per_query
 
 ACHIEVABLE_CAP = 10**6
@@ -281,19 +302,67 @@ def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var / count)
 
 
+class _Step:
+    """``fn(*args)`` on a thread of its own when ``background``, otherwise at
+    once on the calling thread. ``join`` waits for it and raises, on the
+    calling thread, what it raised; ``wait`` only waits."""
+
+    def __init__(self, background: bool, fn, *args):
+        self._thread = self._error = None
+        if not background:
+            fn(*args)
+            return
+        self._thread = threading.Thread(target=self._run, args=(fn, args))
+        self._thread.start()
+
+    def _run(self, fn, args):
+        try:
+            fn(*args)
+        except BaseException as error:  # raised again by join
+            self._error = error
+
+    def wait(self) -> None:
+        if self._thread is not None:
+            self._thread.join()
+
+    def join(self) -> None:
+        self.wait()
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+
+def _bin_rows(rows, keep, bins, offsets, buf, universe) -> None:
+    """In place in ``bins``: the release of ``rows`` from the draws ``keep``
+    and ``bins`` (``mechanism._draw_rows``; at l = 1, ``bins`` is only
+    written), checked, plus ``offsets``, which makes each row's flat
+    (trial, table, code) bin. It allocates nothing that grows with the rows
+    (``_place`` works in ``buf``), so it may run on a worker thread."""
+    if universe.cardinality == 2:
+        np.bitwise_xor(rows, np.logical_not(keep, out=keep), out=bins)
+    else:
+        _place(bins, rows, keep, buf)
+    # an out-of-range code would count silently into another trial's bins
+    _check_codes(bins, universe)
+    np.add(bins, offsets, out=bins)
+
+
 def _release_histograms(q: StatisticalQuery, x: Database, hist: np.ndarray, params: MechanismParams,
                         gen: np.random.Generator, trials: int):
     """The per-(table, code) counts of ``trials`` independent releases of x,
     yielded in chunks (count, k, 2**l) whose sizes the query fixes.
 
-    With n <= _ROWS_PER_BIN * k * 2**l each chunk is one ``sample_rows``
-    release of x tiled ``count`` times (the shipped kernel: keep iff the
-    uniform is below K * 2**-53), counted in one pass through the stacked
-    offsets; the tiled rows and the offsets are built once, for the first
-    chunk, and sliced for a shorter last one. A chunk holds at most
-    _ROW_CHUNK rows and _HIST_BINS counts. Otherwise each chunk is drawn
-    from ``hist`` by ``sample_histograms`` (the kernel with the nominal
-    alpha, ``redraw_prob``), at most _HIST_BINS counts."""
+    With n <= _ROWS_PER_BIN * k * 2**l each chunk is one release of x
+    tiled ``count`` times, with the draws and the bits of ``sample_rows``
+    (the shipped kernel: keep iff the uniform is below K * 2**-53), counted
+    in one pass through the stacked offsets; the tiled rows and the offsets
+    are built once, for the first chunk, and sliced for a shorter last one.
+    A chunk's release is made on a worker thread while the next chunk is
+    drawn (see the module docstring); the worker is joined when the
+    generator finishes or is closed. A chunk holds at most _ROW_CHUNK rows
+    and _HIST_BINS counts. Otherwise each chunk is drawn from ``hist`` by
+    ``sample_histograms`` (the kernel with the nominal alpha,
+    ``redraw_prob``), at most _HIST_BINS counts."""
     k, card = q.heterogeneity, q.universe.cardinality
     step = q._histograms_per_step()
     if x.n > _ROWS_PER_BIN * k * card:
@@ -303,15 +372,38 @@ def _release_histograms(q: StatisticalQuery, x: Database, hist: np.ndarray, para
     n, size = x.n, k * card
     step = min(step, max(1, _ROW_CHUNK // n))
     tiles = min(step, trials)
-    tiled = Database._adopt(x.universe, np.tile(x.rows, tiles))
-    offsets = q._stacked_offsets(tiles)
-    for start in range(0, trials, step):
-        count = min(step, trials - start)
-        release = tiled if count == tiles else Database._adopt(x.universe, tiled.rows[: count * n])
-        rows = sample_rows(release, params, gen)
-        # an out-of-range code would count silently into another trial's bins
-        _check_codes(rows, x.universe)
-        yield _count_codes(rows, count * size, offsets[: count * n]).reshape(count, k, card)
+    # the narrowest codes and int32 offsets (a chunk's bins fit _HIST_BINS):
+    # two chunks in flight then hold less than one did with int64 codes
+    tiled = np.tile(x.rows.astype(np.min_scalar_type(card - 1)), tiles)
+    offsets = q._stacked_offsets(tiles, np.int32)
+    buf = np.empty(min(tiled.size, _BLOCK), dtype=np.int64)
+    background = trials > step and tiled.size >= _BLOCK
+    running = None  # the step started last; at most one runs at a time
+    ready = None  # (bins, count) of the chunk before it
+
+    def counted(bins, count):
+        return _count_codes(bins, count * size).reshape(count, k, card)
+
+    try:
+        for start in range(0, trials, step):
+            count = min(step, trials - start)
+            # drawn while the previous chunk's step runs
+            keep, bins = _draw_rows(count * n, params, gen)
+            if bins is None:
+                bins = np.empty(count * n, dtype=np.int64)
+            if running is not None:
+                running.join()
+            running = _Step(background, _bin_rows, tiled[: count * n], keep, bins, offsets[: count * n], buf,
+                            x.universe)
+            if ready is not None:
+                # counted while this chunk's step runs
+                yield counted(*ready)
+            ready = bins, count
+        running.join()
+        yield counted(*ready)
+    finally:
+        if running is not None:
+            running.wait()
 
 
 def measure_distortion(
@@ -329,8 +421,8 @@ def measure_distortion(
     Draws the per-(table, code) histograms of ``trials`` independent
     releases, exact in distribution (``_release_histograms``), evaluates
     the estimator on each and averages the distortion. Small databases,
-    n <= 8 * k * 2**l for k tables, are released row by row through
-    ``sample_rows``, whose kernel is the one a release ships; larger ones
+    n <= 8 * k * 2**l for k tables, are released row by row with the draws
+    of ``sample_rows``, whose kernel is the one a release ships; larger ones
     have their counts drawn by ``sample_histograms``, with the nominal
     alpha, without rows. The rule reads only the query and the database.
     The chunks' sizes are fixed by the query alone, and the mean is
@@ -357,12 +449,14 @@ def measure_distortion(
     else:
         values = np.empty(trials)
         start = 0
-        for synthetic in _release_histograms(q, x, hist, params, rng.generator(), trials):
-            count = len(synthetic)
-            err = _estimates(q, q.answers(synthetic), params, estimator)
-            err -= qx
-            distortion(err, out=values[start : start + count])
-            start += count
+        # closed here, so a worker thread is joined even when the loop raises
+        with contextlib.closing(_release_histograms(q, x, hist, params, rng.generator(), trials)) as chunks:
+            for synthetic in chunks:
+                count = len(synthetic)
+                err = _estimates(q, q.answers(synthetic), params, estimator)
+                err -= qx
+                distortion(err, out=values[start : start + count])
+                start += count
     mean, stderr = _mean_and_stderr(values)
     return DistortionReport(
         query_id=q.label or "query",

@@ -25,6 +25,14 @@ Comparing with the rounded 1/g instead could realize a loss above eps
 alternatives by a blend in blocks (``_place``), which gives the bits of a
 masked copy at less than half its cost.
 
+``sample_rows`` is two private steps: ``_draw_rows`` makes every draw (the
+keep mask, then the alternatives) and ``_place`` makes the release from
+them, in place, in a buffer its caller passes. ``sample_rows`` runs both on
+the calling thread. ``estimators.measure_distortion``'s row path calls
+``_draw_rows`` on the calling thread and ``_place`` on a worker thread,
+one chunk behind, so every draw and every large allocation is made on the
+calling thread.
+
 The same kernel is a mixture: with probability alpha = 2**l * exp(-eps) / g
 (``MechanismParams.redraw_prob``) a row is redrawn uniformly over all 2**l
 codes (possibly its own), otherwise it is kept; keeping then has total
@@ -167,16 +175,26 @@ def sample_rows(x: Database, params: MechanismParams, gen: np.random.Generator) 
     """
     _check_universe(x.universe, params.universe, "database and mechanism parameters")
     rows = x.rows
+    keep, alt = _draw_rows(rows.size, params, gen)
+    if alt is None:
+        return rows ^ np.logical_not(keep, out=keep)
+    _place(alt, rows, keep, np.empty(min(alt.size, _BLOCK), dtype=np.int64))
+    return alt
+
+
+def _draw_rows(size: int, params: MechanismParams, gen: np.random.Generator):
+    """The draws of ``sample_rows`` for ``size`` rows, in its order: the keep
+    mask (bool), then the alternative indices (int64), which are None at
+    l = 1. ``_place`` then makes the release from them. An epsilon the
+    sampler refuses raises here."""
     threshold = _keep_threshold(params.epsilon, params.universe.l) * 2.0**-53
-    keep = _keep_mask(gen, rows.shape, threshold)
+    keep = _keep_mask(gen, (size,), threshold)
     card = params.universe.cardinality
     if card == 2:
         # the alternatives are gen.integers(0, 1, ...): all 0, and drawn
         # without consuming the stream, so skipping them changes no draw
-        return rows ^ np.logical_not(keep, out=keep)
-    alt = gen.integers(0, card - 1, size=rows.size, dtype=np.int64)
-    _place(alt, rows, keep)
-    return alt
+        return keep, None
+    return keep, gen.integers(0, card - 1, size=size, dtype=np.int64)
 
 
 _BLOCK = 1 << 16
@@ -258,17 +276,18 @@ def _keep_mask(gen: np.random.Generator, shape: tuple, threshold: float) -> np.n
     return keep
 
 
-def _place(alt: np.ndarray, rows: np.ndarray, keep: np.ndarray) -> None:
+def _place(alt: np.ndarray, rows: np.ndarray, keep: np.ndarray, buf: np.ndarray) -> None:
     """alt = where(keep, rows, alt + (alt >= rows)) in place; all three
     are (n,).
 
     Written as a blend, alt += (rows - alt) * keep, which gives the bits of
     ``np.copyto(alt, rows, where=keep)`` at less than half its cost. It
-    runs in blocks of 2**16 entries through one reused int64 buffer, so no
-    temporary grows with n. The buffer takes the shift as int64 and the
-    difference in int64: uint64 rows minus int64 would promote to float64.
+    runs in blocks of 2**16 entries through the caller's int64 ``buf`` of
+    min(n, 2**16) entries, so no temporary grows with n, and a worker
+    thread that runs it allocates nothing large. The buffer takes the shift
+    as int64 and the difference in int64: uint64 rows minus int64 would
+    promote to float64.
     """
-    buf = np.empty(min(alt.size, _BLOCK), dtype=np.int64)
     for c in range(0, alt.size, _BLOCK):
         a, r = alt[c : c + _BLOCK], rows[c : c + _BLOCK]
         b = buf[: a.size]

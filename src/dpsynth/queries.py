@@ -222,13 +222,13 @@ class StatisticalQuery:
         counts = _count_codes(rows.reshape(-1), m * size, offsets)
         return counts.reshape(lead + (self.heterogeneity, card))
 
-    def _stacked_offsets(self, m: int) -> np.ndarray:
-        """int64 offsets (m * n,) of m stacked row vectors into the flat
-        (vector, table, code) bins of their m histograms: each vector counts
-        into its own block of bins."""
+    def _stacked_offsets(self, m: int, dtype=np.int64) -> np.ndarray:
+        """Offsets (m * n,) of m stacked row vectors into the flat (vector,
+        table, code) bins of their m histograms: each vector counts into its
+        own block of bins. ``dtype`` must hold m * k * 2**l."""
         size = self.heterogeneity * self.universe.cardinality
-        row_offsets = np.zeros(self.n, dtype=np.int64) if self._offsets is None else self._offsets
-        return np.add.outer(np.arange(0, m * size, size), row_offsets).reshape(-1)
+        row_offsets = np.zeros(self.n, dtype) if self._offsets is None else self._offsets.astype(dtype, copy=False)
+        return np.add.outer(np.arange(0, m * size, size, dtype=dtype), row_offsets).reshape(-1)
 
     def database_histogram(self, x: Database) -> np.ndarray:
         """``histogram(x.rows)``, after checking ``x`` against the query. A

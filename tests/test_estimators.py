@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import threading
 import time
 import tracemalloc
 
@@ -564,13 +565,14 @@ COUNT_SIDE = [(1, 17, 1), (3, 4160, 64)]
 
 
 class TestMeasureDistortionPaths:
-    """measure_distortion draws a release's rows (``sample_rows``) when
-    n <= 8 * k * 2**l and its counts (``sample_histograms``) otherwise."""
+    """measure_distortion draws a release's rows (``sample_rows``'s draws,
+    ``mechanism._draw_rows``) when n <= 8 * k * 2**l and its counts
+    (``sample_histograms``) otherwise."""
 
     @pytest.mark.parametrize("instance,path", [(i, "rows") for i in ROW_SIDE] + [(i, "counts") for i in COUNT_SIDE])
     def test_the_rule_picks_the_path(self, monkeypatch, instance, path):
         calls = []
-        for attr, name in (("sample_rows", "rows"), ("sample_histograms", "counts")):
+        for attr, name in (("_draw_rows", "rows"), ("sample_histograms", "counts")):
             def spy(*args, _name=name, _sampler=getattr(estimators, attr)):
                 calls.append(_name)
                 return _sampler(*args)
@@ -626,6 +628,77 @@ class TestMeasureDistortionPaths:
             for measure in MEASURES:
                 report = measure_distortion(q, x, params, estimator, measure, trials=200, rng=RandomSource(7))
                 assert (report.empirical_mean, report.empirical_stderr) == (0.0, 0.0)
+
+    # sha256 of the repr of the reports below: the mc_distortion benchmark's
+    # mc_random shape, 300 trials (a short last chunk), and two instances of
+    # several 2**19-row chunks. Any change in the draws, their order or the
+    # counting moves it
+    ROW_PATH_SHA256 = "bbed5cb8dd7d605fc1624b123d0532c560caf9ae832b1e1c905d6d8428042de1"
+
+    def test_row_path_pinned(self):
+        cases = [((3, 4096, 64), 1.0, "proper", "absolute", 4096, 11),
+                 ((3, 4096, 64), 0.5, "unbiased", "squared", 300, 12),
+                 ((1, 16, 1), 1.0, "unbiased", "squared", 100_000, 13),
+                 ((2, 12, 3), 0.8, "proper", "absolute", 100_000, 14)]
+        reports = []
+        for instance, eps, estimator, measure, trials, seed in cases:
+            q, x = path_instance(*instance)
+            reports.append(measure_distortion(q, x, MechanismParams(eps, x.universe), estimator, measure,
+                                              trials=trials, rng=RandomSource(seed)))
+        assert hashlib.sha256(repr(reports).encode()).hexdigest() == self.ROW_PATH_SHA256
+
+    @pytest.mark.parametrize("instance,trials,threaded", [
+        ((3, 4096, 64), 300, True),  # three chunks of 2**19 rows
+        ((1, 16, 1), 100_000, True),  # four chunks of 2**19 rows, at l = 1
+        ((3, 4096, 64), 128, False),  # one chunk
+        ((8, 64, 64), 1000, False),  # four chunks of 2**14 rows
+    ])
+    def test_the_step_runs_on_a_worker_thread_between_chunks(self, monkeypatch, instance, trials, threaded):
+        on_main, real = [], estimators._bin_rows
+
+        def spy(*args):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            real(*args)
+
+        monkeypatch.setattr(estimators, "_bin_rows", spy)
+        q, x = path_instance(*instance)
+        before = threading.active_count()
+        measure_distortion(q, x, MechanismParams(1.0, x.universe), trials=trials, rng=RandomSource(9))
+        assert threading.active_count() == before
+        chunks = -(-trials // min(2**22 // q.heterogeneity // x.universe.cardinality, 2**19 // x.n))
+        assert on_main == [not threaded] * chunks
+
+    # a step that raises on the second chunk: the draw (main thread), the
+    # release's step (worker thread) and the estimates (the caller's loop,
+    # while the third chunk's step runs)
+    @pytest.mark.parametrize("step", ["_draw_rows", "_bin_rows", "_estimates"])
+    def test_no_thread_outlives_a_failing_call(self, monkeypatch, step):
+        class Failure(Exception):
+            pass
+
+        real_bin_rows = estimators._bin_rows
+
+        def slow_bin_rows(*args):
+            # a worker left running is then still alive when the call is back
+            time.sleep(0.05)
+            real_bin_rows(*args)
+
+        monkeypatch.setattr(estimators, "_bin_rows", slow_bin_rows)
+        error, calls, real = Failure(), [], getattr(estimators, step)
+
+        def second_call_raises(*args):
+            calls.append(step)
+            if len(calls) == 2:
+                raise error
+            return real(*args)
+
+        monkeypatch.setattr(estimators, step, second_call_raises)
+        q, x = path_instance(3, 4096, 64)
+        before = threading.active_count()
+        with pytest.raises(Failure) as info:
+            measure_distortion(q, x, MechanismParams(1.0, x.universe), trials=300, rng=RandomSource(10))
+        assert info.value is error
+        assert threading.active_count() == before
 
     def test_peak_memory_at_benchmark_size(self):
         # n = 4096, l = 3, h = 64 and 4096 trials, drawn on the row path: all
